@@ -55,6 +55,7 @@ from .riesz import (
     extract_homogeneous,
     extract_homogeneous_modulated,
     extraction_coefficients,
+    require_nondegenerate,
     riesz_density,
 )
 
@@ -96,6 +97,18 @@ def _get_int(config: dict, key: str, minimum: int | None = None, default=None) -
     return value
 
 
+def _require_finite(value, where: str = "config"):
+    """Reject inf and nan anywhere in the config; JSON has no spelling for them."""
+    if isinstance(value, float):
+        _require(math.isfinite(value), f"{where} must be finite, got {value}")
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            _require_finite(item, f"{key!r}")
+    elif isinstance(value, list):
+        for item in value:
+            _require_finite(item, where)
+
+
 def _build_system(config: dict) -> CharacterSystem:
     if "characters" in config:
         _require("orders" in config, "explicit characters need group orders")
@@ -115,10 +128,10 @@ def _build_system(config: dict) -> CharacterSystem:
             "hadamard spec needs 'ratio', 'count', and 'modulus'",
         )
         return hadamard_trig_system(
-            ratio=h["ratio"],
-            count=h["count"],
-            modulus=h["modulus"],
-            d=h.get("d", 1),
+            ratio=_get_int(h, "ratio"),
+            count=_get_int(h, "count"),
+            modulus=_get_int(h, "modulus"),
+            d=_get_int(h, "d", default=1),
             include_negatives=h.get("include_negatives", False),
         )
     if "vc_staircase" in spec:
@@ -159,7 +172,7 @@ def _write_json(path: Path, command: str, config: dict, results: dict):
         "config_sha256": _config_hash(config),
         "results": results,
     }
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list], append: bool = False):
@@ -262,6 +275,8 @@ def _cmd_nu_solve(config, out, svg):
 
 
 def _extract_verify_once(system, d, rng, y_samples, expectation_mode):
+    if not expectation_mode:
+        require_nondegenerate(system, d)
     poly = random_chaos_polynomial(system, d, rng)
     parts = decompose(poly)
     base = 2 * d + 1
@@ -269,16 +284,14 @@ def _extract_verify_once(system, d, rng, y_samples, expectation_mode):
     worst = 0.0
     for s in range(1, d + 1):
         target = parts[s - 1].values()
-        direct = extract_homogeneous(poly, s, check=not expectation_mode)
+        direct = extract_homogeneous(poly, s, check=False)
         err_nu = float(np.abs(direct - target).max())
         scaled_target = target / (2 * d) ** s
         errs_mod = []
         mean_accum = np.zeros_like(target)
         for _ in range(y_samples):
             y = ModulationPoint.random(rng, base, len(system))
-            modulated = extract_homogeneous_modulated(
-                poly, s, y, check=not expectation_mode
-            )
+            modulated = extract_homogeneous_modulated(poly, s, y, check=False)
             mean_accum += modulated
             errs_mod.append(float(np.abs(modulated - scaled_target).max()))
         err_mod = max(errs_mod)
@@ -443,7 +456,7 @@ def _cmd_discretize_scan(config, out, svg):
     probes = _get_int(config, "probes", minimum=1, default=64)
     seed = _get_int(config, "seed", minimum=0, default=0)
     q = config.get("q", 4)
-    _require(isinstance(q, (int, float)) and q > 2 and not math.isinf(q), "'q' must be finite and > 2")
+    _require(isinstance(q, (int, float)) and q > 2, "'q' must be a number > 2")
     kind = config.get("chaos", "tetrahedral")
     indices = _chaos_indices(system, d, kind)
     basis = [term_values(system, compress(idx)) for idx in indices]
@@ -509,6 +522,7 @@ _DISPATCH = {
 def run(config: dict, out_dir: str | Path = ".", svg: bool = False) -> int:
     """Validate a config dict and execute its command; returns the exit code."""
     _require(isinstance(config, dict), "config must be a JSON object")
+    _require_finite(config)
     command = config.get("command")
     _require(command in _COMMANDS, f"'command' must be one of {', '.join(_COMMANDS)}")
     if "seed" in config:

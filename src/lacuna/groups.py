@@ -20,15 +20,18 @@ Conventions fixed once for the whole package:
   convolution theorem ``(f * h)^ = fhat * hhat`` hold with no stray
   constants.
 
-Transforms run through a naive O(|G|^2) summation on small groups and
-through a per-coordinate mixed-radix FFT on larger ones.  The fast path is
-trusted only because the test suite pins it against the naive one; both are
-always available through the ``method`` argument.  Roots of unity are
-precomputed once per cyclic factor so repeated evaluation does not
-accumulate phase drift.
+Every transform, at every group size, runs as a per-coordinate
+mixed-radix FFT (Cooley and Tukey, 1965) over the factor grid, and
+convolution goes through the transform pair.  The FFT is trusted because
+the test suite pins it against a naive O(|G|^2) DFT and a direct spatial
+convolution kept there as oracles.  Roots of unity for pointwise character
+evaluation are precomputed once per cyclic factor, so repeated evaluation
+does not accumulate phase drift.
 
 All types are immutable after construction and every operation is a pure
-function, so concurrent callers need no locking.
+function, so concurrent callers need no locking.  The only state filled in
+later is memoized derived data (value tables, character powers), which
+every caller computes identically.
 """
 
 from __future__ import annotations
@@ -44,9 +47,8 @@ from .errors import GroupMismatch, OrderTooSmall, SizeLimitExceeded
 
 DEFAULT_SIZE_LIMIT = 1 << 20
 
-# groups at or below this size use the naive O(|G|^2) transform by default
-NAIVE_TRANSFORM_CUTOFF = 1024
-_BLOCK = 256
+# every transform is an FFT; bench/tracing.py still reads this name, nothing in lacuna does
+NAIVE_TRANSFORM_CUTOFF = 0
 
 
 @dataclass(frozen=True)
@@ -237,6 +239,11 @@ class Character:
         return out
 
     @cached_property
+    def _powers(self) -> dict[int, "Character"]:
+        """char_pow results keyed by k mod order; lives as long as this character."""
+        return {}
+
+    @cached_property
     def order(self) -> int:
         """Least t >= 1 with chi^t trivial; always divides |G|."""
         return math.lcm(
@@ -262,9 +269,17 @@ def char_mul(chi1: Character, chi2: Character) -> Character:
 
 
 def char_pow(chi: Character, k: int) -> Character:
-    """chi^k for any integer k; k = -1 gives the conjugate character."""
-    exps = tuple((a * k) % m for a, m in zip(chi.exponents, chi.group.orders))
-    return Character(chi.group, exps)
+    """chi^k for any integer k; k = -1 gives the conjugate character.
+
+    The result is stored on ``chi``, so repeated powers share one Character
+    and with it one value table.
+    """
+    k %= chi.order
+    power = chi._powers.get(k)
+    if power is None:
+        exps = tuple((a * k) % m for a, m in zip(chi.exponents, chi.group.orders))
+        power = chi._powers[k] = Character(chi.group, exps)
+    return power
 
 
 def char_order(chi: Character) -> int:
@@ -358,78 +373,23 @@ class FourierTable:
             yield self.group.character_at(i), complex(c)
 
 
-def _character_block(group: FiniteAbelianGroup, start: int, stop: int) -> np.ndarray:
-    """Value tables for characters start..stop-1, shape (stop-start, |G|)."""
-    exps = np.stack(
-        np.unravel_index(np.arange(start, stop), group.orders), axis=1
-    )
-    digits = group.digit_matrix
-    out = np.ones((stop - start, group.size), dtype=np.complex128)
-    for i, m in enumerate(group.orders):
-        out *= group.roots[i][(exps[:, i : i + 1] * digits[None, :, i]) % m]
-    return out
-
-
-def _resolve_method(method: str, size: int) -> str:
-    if method == "auto":
-        return "naive" if size <= NAIVE_TRANSFORM_CUTOFF else "fast"
-    if method in ("naive", "fast"):
-        return method
-    raise ValueError(f"unknown transform method {method!r}")
-
-
-def fourier(f: DensityMeasure, method: str = "auto") -> FourierTable:
+def fourier(f: DensityMeasure) -> FourierTable:
     """Full Fourier table fhat(chi) = <f, chi> under normalized Haar."""
     group = f.group
-    mode = _resolve_method(method, group.size)
-    if mode == "fast":
-        coeffs = np.fft.fftn(f.values.reshape(group.orders)).ravel() / group.size
-    else:
-        coeffs = np.empty(group.size, dtype=np.complex128)
-        for start in range(0, group.size, _BLOCK):
-            stop = min(start + _BLOCK, group.size)
-            block = _character_block(group, start, stop)
-            coeffs[start:stop] = block.conj() @ f.values / group.size
+    coeffs = np.fft.fftn(f.values.reshape(group.orders)).ravel() / group.size
     return FourierTable(group, coeffs)
 
 
-def inverse_fourier(table: FourierTable, method: str = "auto") -> DensityMeasure:
+def inverse_fourier(table: FourierTable) -> DensityMeasure:
     """Pointwise synthesis f(g) = sum_chi fhat(chi) chi(g)."""
     group = table.group
-    mode = _resolve_method(method, group.size)
-    if mode == "fast":
-        vals = np.fft.ifftn(table.coeffs.reshape(group.orders)).ravel() * group.size
-    else:
-        vals = np.zeros(group.size, dtype=np.complex128)
-        for start in range(0, group.size, _BLOCK):
-            stop = min(start + _BLOCK, group.size)
-            block = _character_block(group, start, stop)
-            vals += table.coeffs[start:stop] @ block
+    vals = np.fft.ifftn(table.coeffs.reshape(group.orders)).ravel() * group.size
     return DensityMeasure(group, vals)
 
 
-def convolve(f: DensityMeasure, h: DensityMeasure, method: str = "auto") -> DensityMeasure:
-    """(f * h)(x) = (1/|G|) sum_z f(x - z) h(z).
-
-    ``method="naive"`` runs the direct O(|G|^2) spatial sum; everything else
-    goes through the transform pair, where ``method`` selects the transform
-    implementation.
-    """
+def convolve(f: DensityMeasure, h: DensityMeasure) -> DensityMeasure:
+    """(f * h)(x) = (1/|G|) sum_z f(x - z) h(z), through the transform pair."""
     if f.group != h.group:
         raise GroupMismatch("densities live on different groups")
-    group = f.group
-    if method == "naive":
-        digits = group.digit_matrix
-        orders = np.asarray(group.orders)
-        out = np.zeros(group.size, dtype=np.complex128)
-        for zi in range(group.size):
-            if h.values[zi] == 0:
-                continue
-            shifted = (digits - digits[zi]) % orders
-            idx = np.ravel_multi_index(shifted.T, group.orders)
-            out += f.values[idx] * h.values[zi]
-        return DensityMeasure(group, out / group.size)
-    fhat = fourier(f, method=method)
-    hhat = fourier(h, method=method)
-    product = FourierTable(group, fhat.coeffs * hhat.coeffs)
-    return inverse_fourier(product, method=method)
+    product = FourierTable(f.group, fourier(f).coeffs * fourier(h).coeffs)
+    return inverse_fourier(product)

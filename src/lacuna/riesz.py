@@ -405,32 +405,39 @@ def extraction_coefficients(d: int, s: int) -> ExtractionSpec:
     return ExtractionSpec(d=d, s=s, coefficients=coefficients, variation_bound=bound)
 
 
+def _extraction_hat(
+    system: CharacterSystem, d: int, s: int, check: bool, budget: int
+) -> np.ndarray:
+    """Fourier table of nu_s: sum_j c_j rho_hat^j from one transform of rho."""
+    spec = extraction_coefficients(d, s)
+    if check:
+        require_nondegenerate(system, d, budget=budget)
+    rho_hat = fourier(riesz_density(system, d, check=False)).coeffs
+    nu_hat = np.full(system.group.size, spec.coefficients[0], dtype=np.complex128)
+    power = np.ones_like(rho_hat)
+    for j in range(1, d + 1):
+        power = power * rho_hat
+        nu_hat += spec.coefficients[j] * power
+    return nu_hat
+
+
 def extraction_measure(
     system: CharacterSystem,
     d: int,
     s: int,
     check: bool = True,
     budget: int = DEFAULT_ENUM_BUDGET,
-    transform_method: str = "auto",
 ) -> DensityMeasure:
     """The measure whose Fourier coefficients indicate s-fold products.
 
-    Built as the c_j-weighted sum of convolution powers of rho, evaluated
-    through one Fourier round trip.  With ``check`` the nondegenerate
-    regime is enforced, which is what guarantees the indicator law.
+    Built as the c_j-weighted sum of convolution powers of rho: the powers
+    are taken pointwise on the Fourier table of rho, so the whole measure
+    costs one forward and one inverse transform.  With ``check`` the
+    nondegenerate regime is enforced, which is what guarantees the
+    indicator law.
     """
-    spec = extraction_coefficients(d, s)
-    if check:
-        require_nondegenerate(system, d, budget=budget)
-    rho = riesz_density(system, d, check=False)
-    rho_hat = fourier(rho, method=transform_method).coeffs
-    nu_hat = np.full(system.group.size, spec.coefficients[0], dtype=np.complex128)
-    power = np.ones_like(rho_hat)
-    for j in range(1, d + 1):
-        power = power * rho_hat
-        nu_hat += spec.coefficients[j] * power
-    table = FourierTable(system.group, nu_hat)
-    return inverse_fourier(table, method=transform_method)
+    nu_hat = _extraction_hat(system, d, s, check, budget)
+    return inverse_fourier(FourierTable(system.group, nu_hat))
 
 
 def extract_homogeneous(
@@ -441,12 +448,16 @@ def extract_homogeneous(
 ) -> np.ndarray:
     """Convolve Q with the s-fold extraction measure; returns value table.
 
-    In the nondegenerate regime the result equals the s-homogeneous part
-    of Q pointwise (within one convolution round trip of error).
+    The convolution is a product of Fourier tables, and nu_s is used in
+    Fourier space as built, so the call runs three transforms: rho and Q
+    forward, the product back.  In the nondegenerate regime the result
+    equals the s-homogeneous part of Q pointwise (within one convolution
+    round trip of error).
     """
-    d = polynomial.degree
-    nu = extraction_measure(polynomial.system, d, s, check=check, budget=budget)
-    return convolve(polynomial.as_density(), nu).values
+    system = polynomial.system
+    nu_hat = _extraction_hat(system, polynomial.degree, s, check, budget)
+    q_hat = fourier(polynomial.as_density()).coeffs
+    return inverse_fourier(FourierTable(system.group, q_hat * nu_hat)).values
 
 
 def extract_homogeneous_modulated(

@@ -15,6 +15,9 @@ import numpy as np
 
 from lacuna import (
     CharacterSystem,
+    DensityMeasure,
+    FiniteAbelianGroup,
+    FourierTable,
     hadamard_trig_system,
     is_d_dissociated,
     require_nondegenerate,
@@ -70,6 +73,51 @@ def oracle_character_table(system: CharacterSystem, position: int) -> np.ndarray
             for row in rows
         ]
     )
+
+
+def _oracle_digits(group: FiniteAbelianGroup) -> np.ndarray:
+    """Shape (|G|, rank): element digits in lexicographic order."""
+    return np.array(list(itertools.product(*[range(m) for m in group.orders])))
+
+
+def _oracle_character_matrix(group: FiniteAbelianGroup) -> np.ndarray:
+    """Shape (|G|, |G|): row a holds chi_a(g) for every element g.
+
+    Phases are reduced modulo each factor order before exponentiating, so
+    the table is accurate to a few ulps at every size the tests use.
+    """
+    digits = _oracle_digits(group)
+    phase = np.zeros((group.size, group.size))
+    for i, m in enumerate(group.orders):
+        phase += np.outer(digits[:, i], digits[:, i]) % m / m
+    return np.exp(2j * np.pi * phase)
+
+
+def naive_fourier(f: DensityMeasure) -> FourierTable:
+    """O(|G|^2) DFT fhat(chi) = (1/|G|) sum_g f(g) conj(chi(g)): the transform oracle."""
+    matrix = _oracle_character_matrix(f.group)
+    return FourierTable(f.group, matrix.conj() @ f.values / f.group.size)
+
+
+def naive_inverse_fourier(table: FourierTable) -> DensityMeasure:
+    """O(|G|^2) synthesis f(g) = sum_chi fhat(chi) chi(g)."""
+    matrix = _oracle_character_matrix(table.group)
+    return DensityMeasure(table.group, table.coeffs @ matrix)
+
+
+def naive_convolve(f: DensityMeasure, h: DensityMeasure) -> DensityMeasure:
+    """Direct spatial sum (f * h)(x) = (1/|G|) sum_z f(x - z) h(z)."""
+    group = f.group
+    digits = _oracle_digits(group)
+    orders = np.asarray(group.orders)
+    out = np.zeros(group.size, dtype=np.complex128)
+    for zi in range(group.size):
+        if h.values[zi] == 0:
+            continue
+        shifted = (digits - digits[zi]) % orders
+        idx = np.ravel_multi_index(shifted.T, group.orders)
+        out += f.values[idx] * h.values[zi]
+    return DensityMeasure(group, out / group.size)
 
 
 def oracle_dissociated(system: CharacterSystem, d: int) -> bool:

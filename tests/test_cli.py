@@ -141,6 +141,30 @@ def test_extract_verify_degenerate_points_to_expectation_mode(tmp_path, capsys):
     assert "expectation_mode" in captured.err
 
 
+def test_extract_verify_checks_dissociation_once_per_trial(tmp_path, monkeypatch):
+    import lacuna.riesz
+
+    calls = []
+    original = lacuna.riesz.is_d_dissociated
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lacuna.riesz, "is_d_dissociated", counting)
+    config = {
+        "command": "extract-verify",
+        "system": {"exponents": [[1, 0], [0, 1]], "orders": [9, 9]},
+        "d": 2,
+        "trials": 3,
+        "y_samples": 4,
+        "seed": 5,
+    }
+    code, _ = _run(tmp_path, config)
+    assert code == 0
+    assert len(calls) == 3
+
+
 def test_extract_verify_expectation_mode_runs_degenerate(tmp_path):
     config = {
         "command": "extract-verify",
@@ -287,6 +311,45 @@ def test_incomplete_system_specs_are_config_errors(tmp_path):
     ):
         code, _ = _run(tmp_path, {"command": "check-dissociated", "system": spec, "d": 1})
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "hadamard",
+    [
+        {"ratio": "3", "count": 4, "modulus": 1000},
+        {"ratio": 3, "count": 4.0, "modulus": 1000},
+        {"ratio": 3, "count": 4, "modulus": [1000]},
+        {"ratio": 3, "count": 4, "modulus": 1000, "d": True},
+    ],
+)
+def test_non_integer_hadamard_fields_are_config_errors(tmp_path, capsys, hadamard):
+    config = {"command": "check-dissociated", "system": {"hadamard": hadamard}, "d": 1}
+    code, _ = _run(tmp_path, config)
+    assert code == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fragment",
+    ['"q": 1e400', '"q": Infinity', '"q": NaN', '"q": 4, "kappa_model": -1e999'],
+)
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, fragment):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(
+        '{"command": "khinchin", "system": {"rademacher": {"count": 3}}, '
+        '"d": 2, "trials": 1, ' + fragment + "}"
+    )
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not (out / "khinchin.json").exists()
+
+
+def test_json_artifacts_refuse_non_finite_floats(tmp_path):
+    from lacuna.cli import _write_json
+
+    with pytest.raises(ValueError):
+        _write_json(tmp_path / "x.json", "nu-solve", {}, {"worst_error": float("nan")})
 
 
 def test_module_error_surfaces_with_context(tmp_path, capsys):

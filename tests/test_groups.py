@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import lacuna as lc
 
+from conftest import naive_convolve, naive_fourier, naive_inverse_fourier
+
 OMEGA3 = cmath.exp(2j * cmath.pi / 3)
 
 
@@ -144,6 +146,20 @@ def test_char_pow_inverse_is_conjugate():
     assert np.abs(lc.char_pow(chi, -1).values - chi.values.conj()).max() < 1e-12
 
 
+def test_char_pow_memo_matches_fresh_character():
+    group = lc.make_group([4, 9])
+    for chi in (group.character([1, 3]), group.character([2, 0]), group.character([3, 5])):
+        for k in range(-2 * chi.order, 2 * chi.order + 1):
+            power = lc.char_pow(chi, k)
+            fresh = lc.Character(group, tuple(a * k for a in chi.exponents))
+            assert power == fresh
+            assert np.array_equal(power.values, fresh.values)
+            # one stored power per residue of k modulo the order
+            assert lc.char_pow(chi, k + chi.order) is power
+    assert chi == group.character(chi.exponents)
+    assert hash(chi) == hash(group.character(chi.exponents))
+
+
 def test_char_order_divides_group_size():
     group = lc.make_group([4, 6])
     for chi in group.characters():
@@ -209,18 +225,23 @@ def test_fourier_inverse_round_trip():
         assert np.abs(back.values - f.values).max() / scale < 1e-10
 
 
+# sizes around the old naive-transform cutoff of 1024: a prime just below
+# it, an odd composite, many order-2 factors, and a lopsided pair
+_CUTOFF_ORDERS = ([1021], [31, 33], [2] * 10, [4, 256])
+
+
 def test_fast_transform_gated_against_naive():
     rng = np.random.default_rng(13)
-    for orders in ([7], [2, 3, 5], [4, 9], [2, 2, 2, 2], [12], [16, 16]):
+    for orders in ([7], [2, 3, 5], [4, 9], [2, 2, 2, 2], [12], [16, 16], *_CUTOFF_ORDERS):
         group = lc.make_group(orders)
         f = lc.DensityMeasure(
             group, rng.standard_normal(group.size) + 1j * rng.standard_normal(group.size)
         )
-        slow = lc.fourier(f, method="naive")
-        fast = lc.fourier(f, method="fast")
+        slow = naive_fourier(f)
+        fast = lc.fourier(f)
         assert np.abs(slow.coeffs - fast.coeffs).max() < 1e-10
-        slow_back = lc.inverse_fourier(slow, method="naive")
-        fast_back = lc.inverse_fourier(fast, method="fast")
+        slow_back = naive_inverse_fourier(slow)
+        fast_back = lc.inverse_fourier(fast)
         assert np.abs(slow_back.values - fast_back.values).max() < 1e-10
 
 
@@ -271,11 +292,11 @@ def test_convolve_commutative_associative_and_multiplicative():
 
 def test_convolve_naive_matches_transform_route():
     rng = np.random.default_rng(29)
-    for orders in ([9], [2, 3, 4], [5, 3]):
+    for orders in ([9], [2, 3, 4], [5, 3], *_CUTOFF_ORDERS):
         group = lc.make_group(orders)
         f, g = _random_density(group, rng), _random_density(group, rng)
         fast = lc.convolve(f, g)
-        slow = lc.convolve(f, g, method="naive")
+        slow = naive_convolve(f, g)
         assert np.abs(fast.values - slow.values).max() < 1e-10
 
 

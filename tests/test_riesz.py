@@ -366,6 +366,17 @@ def test_both_identities_random_trials():
             assert np.abs(modulated - target / (2 * d) ** s).max() <= 1e-8
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_extract_homogeneous_equals_convolution_with_nu(d):
+    rng = np.random.default_rng(137 + d)
+    system = sample_nondegenerate_system(rng, d, max_m=3)
+    q = lc.random_chaos_polynomial(system, d, rng)
+    for s in range(1, d + 1):
+        nu = lc.extraction_measure(system, d, s)
+        expected = lc.convolve(q.as_density(), nu).values
+        assert np.abs(lc.extract_homogeneous(q, s) - expected).max() <= 1e-10
+
+
 def test_degenerate_system_rejected_with_pointer_to_transform():
     system = _system([4], [[1]])  # order 4 <= 2d for d = 2
     q = lc.ChaosPolynomial.build(system, 2, {(0, 0): 1.0})
