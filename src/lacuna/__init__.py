@@ -36,9 +36,7 @@ from .groups import (
     FiniteAbelianGroup,
     FourierTable,
     GroupElement,
-    char_eval,
     char_mul,
-    char_order,
     char_pow,
     character_density,
     convolve,
@@ -61,18 +59,15 @@ from .dissociation import (
 from .chaos import (
     ChaosPolynomial,
     CompressedIndex,
-    HomogeneousPart,
     compress,
     decompose,
     enumerate_polynomial,
     enumerate_tetrahedral,
-    evaluate,
     expand,
     random_chaos_polynomial,
     term_values,
 )
 from .riesz import (
-    ExponentProfile,
     ExtractionSpec,
     ModulationPoint,
     expected_modulated_coefficient,

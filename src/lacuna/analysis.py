@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -37,14 +37,8 @@ from .chaos import (
     enumerate_polynomial,
     term_values,
 )
-from .dissociation import DEFAULT_ENUM_BUDGET, CharacterSystem, is_d_dissociated
-from .errors import (
-    InvalidP,
-    InvalidQ,
-    NotDissociated,
-    UnsupportedQ,
-    ZeroPolynomial,
-)
+from .dissociation import DEFAULT_ENUM_BUDGET, CharacterSystem, require_dissociated
+from .errors import InvalidP, InvalidQ, UnsupportedQ, ZeroPolynomial
 from .parallel import map_indexed, trial_rng
 from .riesz import extraction_coefficients
 
@@ -173,16 +167,50 @@ def _default_indices(system: CharacterSystem, d: int) -> list[CompressedIndex]:
     return [compress(idx) for idx in enumerate_polynomial(len(system), d)]
 
 
-def _check_estimator_args(system, d, trials, check, budget):
+# one trial: (matrix, its rng) -> (ratio, coefficients, ratio history)
+_Trial = Callable[[np.ndarray, np.random.Generator], tuple[float, np.ndarray, list[float]]]
+
+
+def _best_of_trials(
+    kind: str,
+    exponent: float,
+    trial: _Trial,
+    system: CharacterSystem,
+    d: int,
+    trials: int,
+    seed: int,
+    indices: Sequence | None,
+    ceiling: float | None,
+    check: bool,
+    budget: int,
+    workers: int,
+    record_history: bool,
+) -> ConstantEstimate:
+    """The body both estimators share: checks, value matrix, trials, best ratio."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if check:
-        report = is_d_dissociated(system, d, budget=budget)
-        if not report.dissociated:
-            raise NotDissociated(
-                f"system is not {d}-dissociated; witness {report.witness}",
-                report=report,
-            )
+        require_dissociated(system, d, budget)
+    idx = list(indices) if indices is not None else _default_indices(system, d)
+    matrix = values_matrix(system, idx)
+
+    def run_trial(t: int) -> tuple[float, np.ndarray, list[float]]:
+        return trial(matrix, trial_rng(seed, t))
+
+    results = map_indexed(run_trial, trials, workers=workers)
+    best = max(range(trials), key=lambda t: results[t][0])
+    return ConstantEstimate(
+        kind=kind,
+        d=d,
+        exponent=exponent,
+        system_size=len(system),
+        trials=trials,
+        seed=seed,
+        constant=results[best][0],
+        coefficients=results[best][1],
+        ceiling=ceiling,
+        histories=[r[2] for r in results] if record_history else None,
+    )
 
 
 def _random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -211,15 +239,10 @@ def estimate_khinchin_constant(
     """
     if not math.isinf(q) and float(q) <= 2:
         raise InvalidQ(f"q must exceed 2, got {q}")
-    _check_estimator_args(system, d, trials, check, budget)
-    idx = list(indices) if indices is not None else _default_indices(system, d)
-    matrix = values_matrix(system, idx)
-    n = matrix.shape[1]
     use_ascent = q in (4, 6, 8)
 
-    def run_trial(t: int) -> tuple[float, np.ndarray, list[float]]:
-        rng = trial_rng(seed, t)
-        coeffs = _random_unit(rng, n)
+    def trial(matrix: np.ndarray, rng: np.random.Generator):
+        coeffs = _random_unit(rng, matrix.shape[1])
         ratio = lq_norm(matrix @ coeffs, q)
         history = [ratio]
         if use_ascent:
@@ -241,20 +264,10 @@ def estimate_khinchin_constant(
                         break
         return ratio, coeffs, history
 
-    results = map_indexed(run_trial, trials, workers=workers)
-    best = max(range(trials), key=lambda t: results[t][0])
     ceiling = khinchin_ceiling(d, kappa_model) if kappa_model is not None else None
-    return ConstantEstimate(
-        kind="khinchin",
-        d=d,
-        exponent=float(q),
-        system_size=len(system),
-        trials=trials,
-        seed=seed,
-        constant=results[best][0],
-        coefficients=results[best][1],
-        ceiling=ceiling,
-        histories=[r[2] for r in results] if record_history else None,
+    return _best_of_trials(
+        "khinchin", float(q), trial, system, d, trials, seed, indices, ceiling,
+        check, budget, workers, record_history,
     )
 
 
@@ -284,14 +297,10 @@ def estimate_sidon_constant(
     p_eff = default_p if p is None else float(p)
     if p_eff < 1:
         raise InvalidP(f"p must be >= 1, got {p_eff}")
-    _check_estimator_args(system, d, trials, check, budget)
-    idx = list(indices) if indices is not None else _default_indices(system, d)
-    matrix = values_matrix(system, idx)
-    n = matrix.shape[1]
     candidates = np.exp(2j * np.pi * np.arange(phase_grid) / phase_grid)
 
-    def run_trial(t: int) -> tuple[float, np.ndarray, list[float]]:
-        rng = trial_rng(seed, t)
+    def trial(matrix: np.ndarray, rng: np.random.Generator):
+        n = matrix.shape[1]
         coeffs = np.exp(2j * np.pi * rng.uniform(size=n))
         values = matrix @ coeffs
         peak = float(np.abs(values).max())
@@ -316,20 +325,10 @@ def estimate_sidon_constant(
                 break
         return coeff_norm / peak, coeffs, history
 
-    results = map_indexed(run_trial, trials, workers=workers)
-    best = max(range(trials), key=lambda t: results[t][0])
     ceiling = None
     if c_model is not None and abs(p_eff - default_p) < 1e-12:
         ceiling = sidon_ceiling(d, c_model)
-    return ConstantEstimate(
-        kind="sidon",
-        d=d,
-        exponent=p_eff,
-        system_size=len(system),
-        trials=trials,
-        seed=seed,
-        constant=results[best][0],
-        coefficients=results[best][1],
-        ceiling=ceiling,
-        histories=[r[2] for r in results] if record_history else None,
+    return _best_of_trials(
+        "sidon", p_eff, trial, system, d, trials, seed, indices, ceiling,
+        check, budget, workers, record_history,
     )

@@ -182,7 +182,7 @@ class ChaosPolynomial:
     def as_density(self) -> DensityMeasure:
         return DensityMeasure(self.system.group, self.values())
 
-    def decompose(self) -> list["HomogeneousPart"]:
+    def decompose(self) -> list["ChaosPolynomial"]:
         return decompose(self)
 
     def to_json_obj(self) -> dict:
@@ -206,67 +206,21 @@ class ChaosPolynomial:
         return cls(system, int(obj["d"]), coeffs)
 
 
-@dataclass(eq=False)
-class HomogeneousPart:
-    """Terms of a chaos polynomial with exactly s distinct character bases."""
-
-    system: CharacterSystem
-    degree: int
-    s: int
-    coefficients: dict[CompressedIndex, complex]
-
-    def __post_init__(self):
-        for index in self.coefficients:
-            if index.distinct_count != self.s:
-                raise ValueError(
-                    f"index {index} has {index.distinct_count} distinct bases, expected {self.s}"
-                )
-            if index.degree != self.degree:
-                raise ValueError(f"index {index} has the wrong degree")
-
-    def terms(self) -> list[tuple[CompressedIndex, complex]]:
-        return sorted(self.coefficients.items(), key=lambda kv: kv[0].expand())
-
-    def coefficient_vector(self) -> np.ndarray:
-        return np.array([c for _, c in self.terms()], dtype=np.complex128)
-
-    def values(self) -> np.ndarray:
-        out = np.zeros(self.system.group.size, dtype=np.complex128)
-        for index, coeff in self.coefficients.items():
-            if coeff:
-                out += coeff * term_values(self.system, index)
-        return out
-
-    def evaluate(self, g: GroupElement) -> complex:
-        total = 0j
-        for index, coeff in self.coefficients.items():
-            prod = 1 + 0j
-            for b, e in zip(index.bases, index.exponents):
-                prod *= char_pow(self.system.characters[b], e)(g)
-            total += coeff * prod
-        return total
-
-
-def evaluate(polynomial: ChaosPolynomial, g: GroupElement) -> complex:
-    return polynomial.evaluate(g)
-
-
-def decompose(polynomial: ChaosPolynomial) -> list[HomogeneousPart]:
+def decompose(polynomial: ChaosPolynomial) -> list[ChaosPolynomial]:
     """Split Q into homogeneous parts Q^(1) .. Q^(d) by distinct-base count.
 
-    The coefficient of a part is the coefficient of the full polynomial
-    under the repetition-pattern relabeling, so the parts sum back to Q
-    pointwise and term multisets are preserved exactly.
+    Part s is itself a degree-d chaos polynomial, holding the terms of Q
+    whose indices have exactly s distinct bases.  The coefficient of a part
+    is the coefficient of the full polynomial under the repetition-pattern
+    relabeling, so the parts sum back to Q pointwise and term multisets
+    are preserved exactly.
     """
     buckets: list[dict[CompressedIndex, complex]] = [
         {} for _ in range(polynomial.degree)
     ]
     for index, coeff in polynomial.coefficients.items():
         buckets[index.distinct_count - 1][index] = coeff
-    return [
-        HomogeneousPart(polynomial.system, polynomial.degree, s + 1, bucket)
-        for s, bucket in enumerate(buckets)
-    ]
+    return [ChaosPolynomial(polynomial.system, polynomial.degree, bucket) for bucket in buckets]
 
 
 def random_chaos_polynomial(

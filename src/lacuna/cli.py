@@ -86,15 +86,60 @@ def _require(condition: bool, message: str):
         raise ConfigInvalid(message)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(_is_int(x) for x in value)
+
+
 def _get_int(config: dict, key: str, minimum: int | None = None, default=None) -> int:
     if key not in config:
         _require(default is not None, f"missing required field {key!r}")
         return default
     value = config[key]
-    _require(isinstance(value, int) and not isinstance(value, bool), f"{key!r} must be an integer")
+    _require(_is_int(value), f"{key!r} must be an integer")
     if minimum is not None:
         _require(value >= minimum, f"{key!r} must be >= {minimum}, got {value}")
     return value
+
+
+def _get_int_list(config: dict, key: str) -> list[int]:
+    value = config.get(key)
+    _require(_is_int_list(value), f"{key!r} must be a list of integers")
+    return value
+
+
+def _get_int_rows(config: dict, key: str) -> list[list[int]]:
+    value = config.get(key)
+    _require(
+        isinstance(value, list) and all(_is_int_list(row) for row in value),
+        f"{key!r} must be a list of integer lists",
+    )
+    return value
+
+
+def _get_bool(config: dict, key: str, default: bool) -> bool:
+    value = config.get(key, default)
+    _require(isinstance(value, bool), f"{key!r} must be true or false")
+    return value
+
+
+def _get_number(config: dict, key: str, default, valid, requirement: str):
+    """A number passing ``valid``; an optional field (default None) may be absent or null."""
+    value = config.get(key, default)
+    if value is None and default is None:
+        return None
+    _require(
+        isinstance(value, (int, float)) and not isinstance(value, bool) and valid(value),
+        f"{key!r} must be {requirement}",
+    )
+    return value
+
+
+def _get_q(config: dict):
+    return _get_number(config, "q", 4, lambda q: q > 2, "a number > 2")
 
 
 def _require_finite(value, where: str = "config"):
@@ -112,15 +157,14 @@ def _require_finite(value, where: str = "config"):
 def _build_system(config: dict) -> CharacterSystem:
     if "characters" in config:
         _require("orders" in config, "explicit characters need group orders")
-        group = make_group(config["orders"])
-        return CharacterSystem.from_exponents(group, config["characters"])
+        group = make_group(_get_int_list(config, "orders"))
+        return CharacterSystem.from_exponents(group, _get_int_rows(config, "characters"))
     spec = config.get("system")
     _require(isinstance(spec, dict), "missing or invalid 'system' specification")
     if "exponents" in spec:
-        orders = spec.get("orders", config.get("orders"))
-        _require(orders is not None, "explicit exponents need group orders")
-        group = make_group(orders)
-        return CharacterSystem.from_exponents(group, spec["exponents"])
+        _require("orders" in spec or "orders" in config, "explicit exponents need group orders")
+        group = make_group(_get_int_list(spec if "orders" in spec else config, "orders"))
+        return CharacterSystem.from_exponents(group, _get_int_rows(spec, "exponents"))
     if "hadamard" in spec:
         h = spec["hadamard"]
         _require(
@@ -132,7 +176,7 @@ def _build_system(config: dict) -> CharacterSystem:
             count=_get_int(h, "count"),
             modulus=_get_int(h, "modulus"),
             d=_get_int(h, "d", default=1),
-            include_negatives=h.get("include_negatives", False),
+            include_negatives=_get_bool(h, "include_negatives", False),
         )
     if "vc_staircase" in spec:
         v = spec["vc_staircase"]
@@ -140,18 +184,25 @@ def _build_system(config: dict) -> CharacterSystem:
             isinstance(v, dict) and {"base", "position_sets"} <= v.keys(),
             "vc_staircase spec needs 'base' and 'position_sets'",
         )
+        values = v.get("values")
+        if values is not None and not _is_int(values):
+            _get_int_rows(v, "values")
         return vc_system_from_digit_sets(
-            base=v["base"],
-            digit_position_sets=v["position_sets"],
-            digit_values=v.get("values"),
-            width=v.get("width"),
+            base=_get_int(v, "base"),
+            digit_position_sets=_get_int_rows(v, "position_sets"),
+            digit_values=values,
+            width=_get_int(v, "width") if v.get("width") is not None else None,
         )
     if "rademacher" in spec:
         r = spec["rademacher"]
         _require(
             isinstance(r, dict) and "count" in r, "rademacher spec needs 'count'"
         )
-        return rademacher_system(r["count"], base=r.get("base", 2), value=r.get("value", 1))
+        return rademacher_system(
+            _get_int(r, "count"),
+            base=_get_int(r, "base", default=2),
+            value=_get_int(r, "value", default=1),
+        )
     raise ConfigInvalid(
         "system must provide 'exponents', 'hadamard', 'vc_staircase', or 'rademacher'"
     )
@@ -219,18 +270,13 @@ def _cmd_check_dissociated(config, out, svg):
 def _cmd_riesz_report(config, out, svg):
     system = _build_system(config)
     d = _get_int(config, "d", minimum=1)
-    check = bool(config.get("check_dissociated", True))
+    check = _get_bool(config, "check_dissociated", True)
     rho = riesz_density(system, d, check=check)
     table = fourier(rho)
-    stats = _stats_block(rho.values)
-    ok = (
-        stats["max_abs_imag"] <= 1e-10
-        and stats["min_real"] >= -1e-10
-        and abs(complex(stats["mass_re"], stats["mass_im"]) - 1) <= 1e-10
-    )
+    ok = rho.is_probability()
     results = {
         "d": d,
-        "density_stats": stats,
+        "density_stats": _stats_block(rho.values),
         "probability_density_ok": ok,
         "system": system.to_json_obj(),
     }
@@ -317,7 +363,7 @@ def _cmd_extract_verify(config, out, svg):
     trials = _get_int(config, "trials", minimum=1, default=3)
     y_samples = _get_int(config, "y_samples", minimum=1, default=10)
     seed = _get_int(config, "seed", minimum=0, default=0)
-    expectation_mode = bool(config.get("expectation_mode", False))
+    expectation_mode = _get_bool(config, "expectation_mode", False)
     runs = []
     worst = 0.0
     try:
@@ -349,95 +395,34 @@ def _cmd_extract_verify(config, out, svg):
     return 0 if passed else 1
 
 
-def _estimate_csv_row(estimate, sha):
-    return [
-        estimate.kind,
-        estimate.d,
-        _fmt(estimate.exponent),
-        estimate.system_size,
-        _fmt(estimate.constant),
-        estimate.seed,
-        sha,
-        __version__,
-    ]
-
-
-_ESTIMATE_HEADER = [
-    "kind",
-    "d",
-    "exponent",
-    "m",
-    "estimate",
-    "seed",
-    "config_sha256",
-    "artifact_version",
-]
-
-
-def _cmd_khinchin(config, out, svg):
+def _cmd_estimate(config, out, svg):
+    """khinchin and sidon: one constant estimate, its JSON and an appended CSV row."""
+    kind = config["command"]
     system = _build_system(config)
     d = _get_int(config, "d", minimum=1)
     trials = _get_int(config, "trials", minimum=1)
     seed = _get_int(config, "seed", minimum=0, default=0)
-    q = config.get("q", 4)
-    _require(isinstance(q, (int, float)) and q > 2, "'q' must be a number > 2")
-    kind = config.get("chaos", "polynomial")
-    indices = _chaos_indices(system, d, kind)
-    kappa_model = config.get("kappa_model", 10.0)
-    estimate = estimate_khinchin_constant(
-        system,
-        d,
-        q,
-        trials,
-        seed,
-        indices=indices,
-        kappa_model=kappa_model,
-        workers=worker_count(),
+    if kind == "khinchin":
+        estimator, model_key, model_default = estimate_khinchin_constant, "kappa_model", 10.0
+        options = {"q": _get_q(config)}
+    else:
+        estimator, model_key, model_default = estimate_sidon_constant, "c_model", 1.0
+        options = {"p": _get_number(config, "p", None, lambda p: p >= 1, "a number >= 1")}
+    chaos = config.get("chaos", "polynomial")
+    indices = _chaos_indices(system, d, chaos)
+    options[model_key] = _get_number(
+        config, model_key, model_default, lambda c: math.isfinite(c) and c > 0, "a finite number > 0"
     )
-    results = {"estimate": estimate.to_json_obj(), "chaos": kind}
-    _write_json(out / "khinchin.json", "khinchin", config, results)
+    estimate = estimator(
+        system, d, trials=trials, seed=seed, indices=indices, workers=worker_count(), **options
+    )
+    results = {"estimate": estimate.to_json_obj(), "chaos": chaos}
+    _write_json(out / f"{kind}.json", kind, config, results)
+    row = [kind, d, _fmt(estimate.exponent), len(system), _fmt(estimate.constant), seed]
     _write_csv(
-        out / "khinchin.csv",
-        _ESTIMATE_HEADER,
-        [_estimate_csv_row(estimate, _config_hash(config))],
-        append=True,
-    )
-    if estimate.ceiling is not None and estimate.constant > estimate.ceiling:
-        print(
-            f"violation: estimate {estimate.constant} exceeds ceiling {estimate.ceiling}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _cmd_sidon(config, out, svg):
-    system = _build_system(config)
-    d = _get_int(config, "d", minimum=1)
-    trials = _get_int(config, "trials", minimum=1)
-    seed = _get_int(config, "seed", minimum=0, default=0)
-    p = config.get("p")
-    if p is not None:
-        _require(isinstance(p, (int, float)) and p >= 1, "'p' must be a number >= 1")
-    kind = config.get("chaos", "polynomial")
-    indices = _chaos_indices(system, d, kind)
-    c_model = config.get("c_model", 1.0)
-    estimate = estimate_sidon_constant(
-        system,
-        d,
-        trials,
-        seed,
-        p=p,
-        indices=indices,
-        c_model=c_model,
-        workers=worker_count(),
-    )
-    results = {"estimate": estimate.to_json_obj(), "chaos": kind}
-    _write_json(out / "sidon.json", "sidon", config, results)
-    _write_csv(
-        out / "sidon.csv",
-        _ESTIMATE_HEADER,
-        [_estimate_csv_row(estimate, _config_hash(config))],
+        out / f"{kind}.csv",
+        ["kind", "d", "exponent", "m", "estimate", "seed", "config_sha256", "artifact_version"],
+        [row + [_config_hash(config), __version__]],
         append=True,
     )
     if estimate.ceiling is not None and estimate.constant > estimate.ceiling:
@@ -455,15 +440,14 @@ def _cmd_discretize_scan(config, out, svg):
     trials = _get_int(config, "trials", minimum=1)
     probes = _get_int(config, "probes", minimum=1, default=64)
     seed = _get_int(config, "seed", minimum=0, default=0)
-    q = config.get("q", 4)
-    _require(isinstance(q, (int, float)) and q > 2, "'q' must be a number > 2")
+    q = _get_q(config)
     kind = config.get("chaos", "tetrahedral")
     indices = _chaos_indices(system, d, kind)
     basis = [term_values(system, compress(idx)) for idx in indices]
     n = len(basis)
     m_grid = config.get("m_grid")
     _require(
-        isinstance(m_grid, list) and m_grid and all(isinstance(m, int) and m >= 1 for m in m_grid),
+        _is_int_list(m_grid) and m_grid and min(m_grid) >= 1,
         "'m_grid' must be a non-empty list of positive integers",
     )
     records = scan_point_counts(
@@ -513,8 +497,8 @@ _DISPATCH = {
     "riesz-report": _cmd_riesz_report,
     "nu-solve": _cmd_nu_solve,
     "extract-verify": _cmd_extract_verify,
-    "khinchin": _cmd_khinchin,
-    "sidon": _cmd_sidon,
+    "khinchin": _cmd_estimate,
+    "sidon": _cmd_estimate,
     "discretize-scan": _cmd_discretize_scan,
 }
 

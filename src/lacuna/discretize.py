@@ -27,9 +27,12 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import lq_norm
-from .errors import EmptyScheme, InvalidQ
-from .groups import FiniteAbelianGroup
+from .errors import EmptyScheme, InvalidQ, SizeLimitExceeded
+from .groups import DEFAULT_SIZE_LIMIT, FiniteAbelianGroup
 from .parallel import map_indexed, trial_rng
+
+# cells of one complex table a scan trial may allocate
+_SCAN_CELL_LIMIT = 64 * DEFAULT_SIZE_LIMIT
 
 
 @dataclass(eq=False)
@@ -40,8 +43,6 @@ class DiscretizationScheme:
     point_indices: np.ndarray
     weights: np.ndarray
     q: float
-    c1: float | None = None
-    c2: float | None = None
 
     def __post_init__(self):
         idx = np.asarray(self.point_indices, dtype=np.int64)
@@ -160,13 +161,21 @@ def scan_point_counts(
     One record per (m, trial):
     {"m", "trial", "c1", "c2", "q", "n_basis", "seed"}.  Within a trial all
     sizes share one nested point sequence and one probe set, so medians
-    across the grid reflect pure size growth.
+    across the grid reflect pure size growth.  A trial holds an
+    |G| x probes and an m x probes table, so either one above
+    ``_SCAN_CELL_LIMIT`` cells raises SizeLimitExceeded before any work.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     sizes = sorted(set(int(m) for m in m_grid))
     if not sizes or sizes[0] < 1:
         raise ValueError("m_grid must contain positive point counts")
+    cells = max(sizes[-1], group.size) * probes
+    if cells > _SCAN_CELL_LIMIT:
+        raise SizeLimitExceeded(
+            f"a scan trial needs {cells} cells (max(m, |G|) * probes), "
+            f"over the limit {_SCAN_CELL_LIMIT}"
+        )
     n = len(basis)
 
     def run_trial(t: int) -> list[dict]:

@@ -27,6 +27,7 @@ from .errors import (
     DuplicateCharacter,
     GroupMismatch,
     ModulusTooSmall,
+    NotDissociated,
     PositionOutOfRange,
     StaircaseViolated,
     TrivialCharacterPresent,
@@ -201,6 +202,18 @@ def is_d_dissociated(
             witness = tuple(prefix) + tuple(int(k) for k in row)
             return DissociationReport(d=d, dissociated=False, witness=witness)
     return DissociationReport(d=d, dissociated=True)
+
+
+def require_dissociated(
+    system: CharacterSystem, d: int, budget: int = DEFAULT_ENUM_BUDGET
+) -> None:
+    """Raise NotDissociated, carrying the report, unless the system is d-dissociated."""
+    report = is_d_dissociated(system, d, budget=budget)
+    if not report.dissociated:
+        raise NotDissociated(
+            f"system is not {d}-dissociated; witness {report.witness}",
+            report=report,
+        )
 
 
 def is_d_dissociated_mitm(

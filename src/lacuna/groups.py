@@ -250,14 +250,6 @@ class Character:
             *(m // math.gcd(a, m) for a, m in zip(self.exponents, self.group.orders))
         )
 
-    def conjugate(self) -> "Character":
-        return char_pow(self, -1)
-
-
-def char_eval(chi: Character, g: GroupElement) -> complex:
-    """Evaluate chi at g; the result always has modulus 1."""
-    return chi(g)
-
 
 def char_mul(chi1: Character, chi2: Character) -> Character:
     if chi1.group != chi2.group:
@@ -280,10 +272,6 @@ def char_pow(chi: Character, k: int) -> Character:
         exps = tuple((a * k) % m for a, m in zip(chi.exponents, chi.group.orders))
         power = chi._powers[k] = Character(chi.group, exps)
     return power
-
-
-def char_order(chi: Character) -> int:
-    return chi.order
 
 
 @dataclass(eq=False)

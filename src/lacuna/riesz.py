@@ -23,6 +23,13 @@ generalized Rademacher functions with base 2d+1 at y:
 where S''_i drops a power k as soon as gamma_i^{-k} equals gamma_i^j for
 some j < k.  Each factor is again real and nonnegative.
 
+Both sets, and the flipped powers 2d+1-alpha of the weighted polynomial
+below, come from one closed-form rule: gamma^{-k} = gamma^j exactly when
+ord(gamma) divides j + k.  So gamma^{-k} meets some gamma^j with j in 1..J
+exactly when a multiple of ord(gamma) lies in k+1 .. k+J, that is when
+(k + J) // ord(gamma) > k // ord(gamma).  S'_i applies it with J = d and
+S''_i with J = k - 1.
+
 Exact Fourier laws hold in the *nondegenerate regime*: every character
 order exceeds 2d and the system is 2d-dissociated.  That combination makes
 the representation of a product gamma_{k_1}^{e_1} ... (|e_i| <= d) unique,
@@ -53,17 +60,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .chaos import ChaosPolynomial, CompressedIndex, decompose, term_values
-from .dissociation import (
-    DEFAULT_ENUM_BUDGET,
-    CharacterSystem,
-    is_d_dissociated,
-)
-from .errors import DegenerateOrder, NotDissociated
+from .chaos import ChaosPolynomial, CompressedIndex, decompose
+from .dissociation import DEFAULT_ENUM_BUDGET, CharacterSystem, require_dissociated
+from .errors import DegenerateOrder
 from .groups import (
     Character,
     DensityMeasure,
     FourierTable,
+    char_mul,
     char_pow,
     fourier,
     convolve,
@@ -71,12 +75,14 @@ from .groups import (
 )
 
 
+def _inverse_meets_forward(gamma: Character, k: int, top: int) -> bool:
+    """Whether gamma^{-k} = gamma^j for some j in 1..top, i.e. ord(gamma) divides some j + k."""
+    return (k + top) // gamma.order > k // gamma.order
+
+
 def riesz_inverse_powers(gamma: Character, d: int) -> set[int]:
     """Powers k in 1..d with gamma^{-k} different from every gamma^j, j = 1..d."""
-    forward = {char_pow(gamma, j).exponents for j in range(1, d + 1)}
-    return {
-        k for k in range(1, d + 1) if char_pow(gamma, -k).exponents not in forward
-    }
+    return {k for k in range(1, d + 1) if not _inverse_meets_forward(gamma, k, d)}
 
 
 def riesz_modulated_powers(gamma: Character, d: int) -> set[int]:
@@ -85,21 +91,7 @@ def riesz_modulated_powers(gamma: Character, d: int) -> set[int]:
     k is dropped as soon as gamma^{-k} equals gamma^j for some j < k, so
     each self-paired power appears exactly once.
     """
-    kept = set()
-    for k in range(1, d + 1):
-        inverse = char_pow(gamma, -k).exponents
-        if not any(char_pow(gamma, j).exponents == inverse for j in range(1, k)):
-            kept.add(k)
-    return kept
-
-
-def _require_dissociated(system: CharacterSystem, d: int, budget: int):
-    report = is_d_dissociated(system, d, budget=budget)
-    if not report.dissociated:
-        raise NotDissociated(
-            f"system is not {d}-dissociated; witness {report.witness}",
-            report=report,
-        )
+    return {k for k in range(1, d + 1) if not _inverse_meets_forward(gamma, k, k - 1)}
 
 
 def degenerate_characters(system: CharacterSystem, d: int) -> list[int]:
@@ -127,7 +119,7 @@ def require_nondegenerate(
             "no closed-form coefficient law, use the transform directly"
         )
     if check_dissociation:
-        _require_dissociated(system, 2 * d, budget)
+        require_dissociated(system, 2 * d, budget)
 
 
 def riesz_density(
@@ -145,7 +137,7 @@ def riesz_density(
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if check and len(system):
-        _require_dissociated(system, d, budget)
+        require_dissociated(system, d, budget)
     group = system.group
     values = np.ones(group.size, dtype=np.complex128)
     for gamma in system.characters:
@@ -213,7 +205,7 @@ def modulated_riesz_density(
     if len(y.digits) != len(system):
         raise ValueError("one modulation digit per system character is required")
     if check and len(system):
-        _require_dissociated(system, d, budget)
+        require_dissociated(system, d, budget)
     group = system.group
     values = np.ones(group.size, dtype=np.complex128)
     for i, gamma in enumerate(system.characters):
@@ -231,13 +223,7 @@ def product_character(
     """gamma_{bases_1}^{e_1} * ... * gamma_{bases_s}^{e_s} as a dual element."""
     chi = system.group.trivial_character
     for b, e in zip(bases, exponents):
-        powered = char_pow(system.characters[b], e)
-        chi = system.group.character(
-            tuple(
-                (x + z) % m
-                for x, z, m in zip(chi.exponents, powered.exponents, system.group.orders)
-            )
-        )
+        chi = char_mul(chi, char_pow(system.characters[b], e))
     return chi
 
 
@@ -296,42 +282,22 @@ def expected_modulated_coefficient(
     return weight / (2 * d) ** len(bases)
 
 
-@dataclass(frozen=True)
-class ExponentProfile:
-    """Adjusted power per factor for the modulated-product weights.
-
-    ``adjusted[i]`` equals the original power alpha_i unless some j <
-    alpha_i has gamma^{-alpha_i} = gamma^j, in which case it flips to
-    2d+1-alpha_i.  For character orders > 2d no flip ever fires.
-    """
-
-    pairs: tuple[tuple[int, int], ...]
-    fired: tuple[bool, ...]
-
-    @property
-    def original(self) -> tuple[int, ...]:
-        return tuple(a for a, _ in self.pairs)
-
-    @property
-    def adjusted(self) -> tuple[int, ...]:
-        return tuple(a for _, a in self.pairs)
-
-
 def modulation_exponents(
     system: CharacterSystem, index: CompressedIndex, d: int
-) -> ExponentProfile:
-    """Compute the adjusted powers used to weight a compressed chaos index."""
-    pairs = []
-    fired = []
+) -> tuple[int, ...]:
+    """Adjusted power per factor of a compressed chaos index, for the modulated weights.
+
+    The power alpha_i stays unless gamma^{-alpha_i} = gamma^j for some j <
+    alpha_i, in which case it flips to 2d+1-alpha_i.  For character orders
+    > 2d no flip ever happens.
+    """
+    adjusted = []
     for b, a in zip(index.bases, index.exponents):
         if not 1 <= a <= d:
             raise ValueError(f"power {a} outside 1..{d}")
-        gamma = system.characters[b]
-        inverse = char_pow(gamma, -a).exponents
-        hit = any(char_pow(gamma, j).exponents == inverse for j in range(1, a))
-        pairs.append((a, 2 * d + 1 - a if hit else a))
-        fired.append(hit)
-    return ExponentProfile(tuple(pairs), tuple(fired))
+        flips = _inverse_meets_forward(system.characters[b], a, a - 1)
+        adjusted.append(2 * d + 1 - a if flips else a)
+    return tuple(adjusted)
 
 
 def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
@@ -478,15 +444,16 @@ def extract_homogeneous_modulated(
     if check:
         require_nondegenerate(polynomial.system, d, budget=budget)
     system = polynomial.system
+
+    def weight(index: CompressedIndex) -> complex:
+        w = 1 + 0j
+        for b, a_prime in zip(index.bases, modulation_exponents(system, index, d)):
+            w *= y.rademacher_value(b, -a_prime)
+        return w
+
     part = decompose(polynomial)[s - 1]
-    weighted = np.zeros(system.group.size, dtype=np.complex128)
-    for index, coeff in part.coefficients.items():
-        if not coeff:
-            continue
-        profile = modulation_exponents(system, index, d)
-        weight = 1 + 0j
-        for b, a_prime in zip(index.bases, profile.adjusted):
-            weight *= y.rademacher_value(b, -a_prime)
-        weighted += coeff * weight * term_values(system, index)
+    weighted = ChaosPolynomial(
+        system, d, {index: coeff * weight(index) for index, coeff in part.coefficients.items()}
+    )
     rho_y = modulated_riesz_density(system, d, y, check=False)
-    return convolve(DensityMeasure(system.group, weighted), rho_y).values
+    return convolve(weighted.as_density(), rho_y).values

@@ -15,9 +15,11 @@ import numpy as np
 
 from lacuna import (
     CharacterSystem,
+    CompressedIndex,
     DensityMeasure,
     FiniteAbelianGroup,
     FourierTable,
+    char_pow,
     hadamard_trig_system,
     is_d_dissociated,
     require_nondegenerate,
@@ -118,6 +120,37 @@ def naive_convolve(f: DensityMeasure, h: DensityMeasure) -> DensityMeasure:
         idx = np.ravel_multi_index(shifted.T, group.orders)
         out += f.values[idx] * h.values[zi]
     return DensityMeasure(group, out / group.size)
+
+
+def oracle_inverse_powers(gamma, d: int) -> set[int]:
+    """S': powers k in 1..d whose gamma^{-k} matches no gamma^j, j = 1..d, by exponents."""
+    forward = {char_pow(gamma, j).exponents for j in range(1, d + 1)}
+    return {
+        k for k in range(1, d + 1) if char_pow(gamma, -k).exponents not in forward
+    }
+
+
+def oracle_modulated_powers(gamma, d: int) -> set[int]:
+    """S'': powers k in 1..d whose gamma^{-k} matches no gamma^j with j < k."""
+    kept = set()
+    for k in range(1, d + 1):
+        inverse = char_pow(gamma, -k).exponents
+        if not any(char_pow(gamma, j).exponents == inverse for j in range(1, k)):
+            kept.add(k)
+    return kept
+
+
+def oracle_modulation_exponents(
+    system: CharacterSystem, index: CompressedIndex, d: int
+) -> tuple[int, ...]:
+    """Adjusted powers: alpha flips to 2d+1-alpha when gamma^{-alpha} = gamma^j, j < alpha."""
+    adjusted = []
+    for b, a in zip(index.bases, index.exponents):
+        gamma = system.characters[b]
+        inverse = char_pow(gamma, -a).exponents
+        hit = any(char_pow(gamma, j).exponents == inverse for j in range(1, a))
+        adjusted.append(2 * d + 1 - a if hit else a)
+    return tuple(adjusted)
 
 
 def oracle_dissociated(system: CharacterSystem, d: int) -> bool:

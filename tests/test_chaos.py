@@ -141,8 +141,10 @@ def test_decompose_by_distinct_base_count():
     q = lc.ChaosPolynomial.build(system, 2, {(0, 0): 1, (0, 1): 2})
     parts = lc.decompose(q)
     assert len(parts) == 2
-    assert parts[0].s == 1 and parts[0].coefficients == {lc.compress((0, 0)): 1}
-    assert parts[1].s == 2 and parts[1].coefficients == {lc.compress((0, 1)): 2}
+    for s, part in enumerate(parts, start=1):
+        assert all(index.distinct_count == s for index in part.coefficients)
+    assert parts[0].coefficients == {lc.compress((0, 0)): 1}
+    assert parts[1].coefficients == {lc.compress((0, 1)): 2}
 
 
 def test_decompose_tetrahedral_is_top_part():

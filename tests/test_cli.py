@@ -142,16 +142,16 @@ def test_extract_verify_degenerate_points_to_expectation_mode(tmp_path, capsys):
 
 
 def test_extract_verify_checks_dissociation_once_per_trial(tmp_path, monkeypatch):
-    import lacuna.riesz
+    import lacuna.dissociation
 
     calls = []
-    original = lacuna.riesz.is_d_dissociated
+    original = lacuna.dissociation.is_d_dissociated
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(lacuna.riesz, "is_d_dissociated", counting)
+    monkeypatch.setattr(lacuna.dissociation, "is_d_dissociated", counting)
     config = {
         "command": "extract-verify",
         "system": {"exponents": [[1, 0], [0, 1]], "orders": [9, 9]},
@@ -313,20 +313,166 @@ def test_incomplete_system_specs_are_config_errors(tmp_path):
         assert code == 2
 
 
+_INT = "must be an integer"
+_INT_LIST = "must be a list of integers"
+_INT_ROWS = "must be a list of integer lists"
+
+
 @pytest.mark.parametrize(
-    "hadamard",
+    "fields,message",
     [
-        {"ratio": "3", "count": 4, "modulus": 1000},
-        {"ratio": 3, "count": 4.0, "modulus": 1000},
-        {"ratio": 3, "count": 4, "modulus": [1000]},
-        {"ratio": 3, "count": 4, "modulus": 1000, "d": True},
+        pytest.param(
+            {"system": {"hadamard": {"ratio": "3", "count": 4, "modulus": 1000}}},
+            _INT,
+            id="hadamard0",
+        ),
+        pytest.param(
+            {"system": {"hadamard": {"ratio": 3, "count": 4.0, "modulus": 1000}}},
+            _INT,
+            id="hadamard1",
+        ),
+        pytest.param(
+            {"system": {"hadamard": {"ratio": 3, "count": 4, "modulus": [1000]}}},
+            _INT,
+            id="hadamard2",
+        ),
+        pytest.param(
+            {"system": {"hadamard": {"ratio": 3, "count": 4, "modulus": 1000, "d": True}}},
+            _INT,
+            id="hadamard3",
+        ),
+        pytest.param({"system": {"rademacher": {"count": "3"}}}, _INT, id="rademacher-count-str"),
+        pytest.param({"system": {"rademacher": {"count": 3.0}}}, _INT, id="rademacher-count-float"),
+        pytest.param(
+            {"system": {"rademacher": {"count": 3, "base": "3"}}}, _INT, id="rademacher-base"
+        ),
+        pytest.param(
+            {"system": {"rademacher": {"count": 3, "value": 1.5}}}, _INT, id="rademacher-value"
+        ),
+        pytest.param(
+            {"system": {"vc_staircase": {"base": "3", "position_sets": [[0]]}}},
+            _INT,
+            id="vc-base",
+        ),
+        pytest.param(
+            {"system": {"vc_staircase": {"base": 3, "position_sets": [[0]], "width": 2.0}}},
+            _INT,
+            id="vc-width",
+        ),
+        pytest.param(
+            {"system": {"vc_staircase": {"base": 3, "position_sets": [["0"]]}}},
+            _INT_ROWS,
+            id="vc-position-str",
+        ),
+        pytest.param(
+            {"system": {"vc_staircase": {"base": 3, "position_sets": "01"}}},
+            _INT_ROWS,
+            id="vc-position-sets-str",
+        ),
+        pytest.param(
+            {"system": {"vc_staircase": {"base": 3, "position_sets": [[0]], "values": [["1"]]}}},
+            _INT_ROWS,
+            id="vc-values",
+        ),
+        pytest.param({"system": {"exponents": [[1]], "orders": "77"}}, _INT_LIST, id="orders-str"),
+        pytest.param({"system": {"exponents": [[1]], "orders": [7.5]}}, _INT_LIST, id="orders-float"),
+        pytest.param({"system": {"exponents": [[1.0]], "orders": [7]}}, _INT_ROWS, id="exponents"),
+        pytest.param({"system": {"exponents": "1", "orders": [7]}}, _INT_ROWS, id="exponents-str"),
+        pytest.param({"orders": ["5"], "characters": [[1]]}, _INT_LIST, id="top-orders"),
+        pytest.param({"orders": [5], "characters": [[1.5]]}, _INT_ROWS, id="characters"),
     ],
 )
-def test_non_integer_hadamard_fields_are_config_errors(tmp_path, capsys, hadamard):
-    config = {"command": "check-dissociated", "system": {"hadamard": hadamard}, "d": 1}
-    code, _ = _run(tmp_path, config)
+def test_non_integer_hadamard_fields_are_config_errors(tmp_path, capsys, fields, message):
+    """Every integer field of every system spec, not just hadamard's."""
+    config = {"command": "check-dissociated", "d": 1, **fields}
+    code, out = _run(tmp_path, config)
     assert code == 2
-    assert "must be an integer" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (out / "dissociation.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command,key,value",
+    [
+        ("khinchin", "kappa_model", "x"),
+        ("khinchin", "kappa_model", 0),
+        ("khinchin", "kappa_model", -2.5),
+        ("khinchin", "kappa_model", True),
+        ("sidon", "c_model", 0),
+        ("sidon", "c_model", "1"),
+    ],
+)
+def test_model_constants_must_be_positive_numbers(tmp_path, capsys, command, key, value):
+    config = {
+        "command": command,
+        "system": {"rademacher": {"count": 3}},
+        "d": 1,
+        "trials": 1,
+        key: value,
+    }
+    code, out = _run(tmp_path, config)
+    assert code == 2
+    assert f"{key!r} must be a finite number > 0" in capsys.readouterr().err
+    assert not (out / f"{command}.json").exists()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {
+            "command": "extract-verify",
+            "system": {"exponents": [[1]], "orders": [9]},
+            "d": 1,
+            "trials": 1,
+            "expectation_mode": "no",
+        },
+        {
+            "command": "riesz-report",
+            "system": {"exponents": [[1]], "orders": [4]},
+            "d": 1,
+            "check_dissociated": 0,
+        },
+        {
+            "command": "check-dissociated",
+            "system": {
+                "hadamard": {"ratio": 3, "count": 3, "modulus": 1000, "include_negatives": "false"}
+            },
+            "d": 1,
+        },
+    ],
+    ids=["expectation_mode", "check_dissociated", "include_negatives"],
+)
+def test_boolean_fields_must_be_json_booleans(tmp_path, capsys, config):
+    code, out = _run(tmp_path, config)
+    assert code == 2
+    assert "must be true or false" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "sizes", [{"m_grid": [10**12]}, {"m_grid": [6], "probes": 10**9}], ids=["m", "probes"]
+)
+def test_discretize_scan_bounds_cells_before_allocating(tmp_path, capsys, monkeypatch, sizes):
+    import lacuna.discretize
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scan started its trials")
+
+    monkeypatch.setattr(lacuna.discretize, "map_indexed", refuse)
+    config = {
+        "command": "discretize-scan",
+        "system": {"rademacher": {"count": 4}},
+        "d": 2,
+        "chaos": "tetrahedral",
+        "trials": 1,
+        **sizes,
+    }
+    code, out = _run(tmp_path, config)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "SizeLimitExceeded" in err and "Traceback" not in err
+    assert not any(out.iterdir())
 
 
 @pytest.mark.parametrize(

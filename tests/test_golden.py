@@ -1,0 +1,134 @@
+"""Golden results: every command's ``results`` payload on a tiny fixed config.
+
+``tests/data/golden_results.json`` holds the payloads that the seven
+configs below produced before the duplicate power-coincidence loops, the
+``HomogeneousPart`` type and the two estimator bodies were folded into one
+each.  Structure, ints, strings and bools must match exactly; floats must
+match within 1e-12 relative.  When a change is meant to move results,
+regenerate the file with ``python tests/test_golden.py`` and say why in
+CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from lacuna.cli import run
+
+GOLDEN = Path(__file__).parent / "data" / "golden_results.json"
+
+_RADEMACHER_4 = {"rademacher": {"count": 4}}
+
+CONFIGS = {
+    "check-dissociated": (
+        {
+            "command": "check-dissociated",
+            "system": {"hadamard": {"ratio": 3, "count": 3, "modulus": 1000, "d": 2}},
+            "d": 2,
+        },
+        "dissociation.json",
+    ),
+    "riesz-report": (
+        {
+            "command": "riesz-report",
+            "system": {"exponents": [[1, 0], [0, 1]], "orders": [5, 5]},
+            "d": 2,
+        },
+        "riesz_report.json",
+    ),
+    "nu-solve": ({"command": "nu-solve", "d": 3}, "extraction.json"),
+    "extract-verify": (
+        {
+            "command": "extract-verify",
+            "system": {"exponents": [[1, 0], [0, 1]], "orders": [9, 9]},
+            "d": 2,
+            "trials": 2,
+            "y_samples": 3,
+            "seed": 5,
+        },
+        "extract_verify.json",
+    ),
+    "khinchin": (
+        {
+            "command": "khinchin",
+            "system": {"rademacher": {"count": 3}},
+            "d": 2,
+            "q": 4,
+            "trials": 2,
+            "seed": 7,
+        },
+        "khinchin.json",
+    ),
+    "sidon": (
+        {
+            "command": "sidon",
+            "system": _RADEMACHER_4,
+            "d": 2,
+            "chaos": "tetrahedral",
+            "trials": 2,
+            "seed": 3,
+        },
+        "sidon.json",
+    ),
+    "discretize-scan": (
+        {
+            "command": "discretize-scan",
+            "system": _RADEMACHER_4,
+            "d": 2,
+            "chaos": "tetrahedral",
+            "q": 4,
+            "m_grid": [6, 12],
+            "trials": 3,
+            "probes": 8,
+            "seed": 42,
+        },
+        "discretize.json",
+    ),
+}
+
+
+def _results(command: str, out: Path) -> dict:
+    config, artifact = CONFIGS[command]
+    assert run(config, out_dir=out) == 0
+    return json.loads((out / artifact).read_text())["results"]
+
+
+def _assert_matches(got, want, where="results"):
+    if isinstance(want, float):
+        assert isinstance(got, float), f"{where}: {got!r} is not a float"
+        assert math.isclose(got, want, rel_tol=1e-12), f"{where}: {got!r} != {want!r}"
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and got.keys() == want.keys(), f"{where}: keys differ"
+        for key in want:
+            _assert_matches(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), f"{where}: lengths differ"
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_matches(g, w, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
+
+
+def test_golden_file_covers_every_command():
+    from lacuna.cli import _COMMANDS
+
+    assert sorted(json.loads(GOLDEN.read_text())) == sorted(_COMMANDS) == sorted(CONFIGS)
+
+
+@pytest.mark.parametrize("command", sorted(CONFIGS))
+def test_results_match_golden(tmp_path, command):
+    golden = json.loads(GOLDEN.read_text())
+    _assert_matches(_results(command, tmp_path), golden[command])
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        payloads = {name: _results(name, Path(tmp) / name) for name in CONFIGS}
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(payloads, sort_keys=True, indent=2) + "\n")

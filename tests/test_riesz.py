@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import lacuna as lc
-from conftest import sample_dissociated_system, sample_nondegenerate_system
+from conftest import (
+    oracle_inverse_powers,
+    oracle_modulated_powers,
+    oracle_modulation_exponents,
+    sample_dissociated_system,
+    sample_nondegenerate_system,
+)
 
 OMEGA5 = cmath.exp(2j * cmath.pi / 5)
 
@@ -41,6 +47,32 @@ def test_modulated_powers_examples():
     g4 = lc.make_group([4]).character([1])
     # gamma^{-2} = gamma^{2} but only j < k counts, so 2 stays
     assert lc.riesz_modulated_powers(g4, 2) == {1, 2}
+
+
+ORACLE_GROUPS = [[n] for n in range(2, 13)] + [[4, 6], [3, 9], [30], [2, 3, 5]]
+
+
+@pytest.mark.parametrize("orders", ORACLE_GROUPS, ids=str)
+def test_power_coincidence_rule_matches_exponent_oracle(orders):
+    """The closed form (k+J)//ord > k//ord against exponent comparison of char_pow."""
+    group = lc.make_group(orders)
+    system = lc.CharacterSystem(group, tuple(c for c in group.characters() if not c.is_trivial))
+    cases = 0
+    for b, gamma in enumerate(system.characters):
+        for d in range(1, 8):
+            assert lc.riesz_inverse_powers(gamma, d) == oracle_inverse_powers(gamma, d)
+            assert lc.riesz_modulated_powers(gamma, d) == oracle_modulated_powers(gamma, d)
+            for a in range(1, d + 1):
+                # one factor alone, and next to the first character at power d
+                indices = [lc.CompressedIndex((b,), (a,))]
+                if b:
+                    indices.append(lc.CompressedIndex((0, b), (d, a)))
+                for index in indices:
+                    assert lc.modulation_exponents(system, index, d) == (
+                        oracle_modulation_exponents(system, index, d)
+                    )
+            cases += 1
+    assert cases == 7 * (group.size - 1)
 
 
 # -- the plain product -------------------------------------------------------------
@@ -203,16 +235,17 @@ def test_modulated_base_must_match():
 def test_modulation_exponents_examples():
     d = 2
     sys9 = _system([9], [[1]])
-    profile = lc.modulation_exponents(sys9, lc.CompressedIndex((0,), (2,)), d)
-    assert profile.adjusted == (2,) and profile.fired == (False,)
+    index = lc.CompressedIndex((0,), (2,))
+    adjusted = lc.modulation_exponents(sys9, index, d)
+    assert adjusted == (2,) and adjusted == index.exponents  # no flip
 
     sys3 = _system([3], [[1]])
-    profile = lc.modulation_exponents(sys3, lc.CompressedIndex((0,), (2,)), d)
-    assert profile.adjusted == (3,) and profile.fired == (True,)  # 2d+1-2 = 3
+    adjusted = lc.modulation_exponents(sys3, index, d)
+    assert adjusted == (3,) and adjusted != index.exponents  # flipped: 2d+1-2 = 3
 
     sys4 = _system([4], [[1]])
-    profile = lc.modulation_exponents(sys4, lc.CompressedIndex((0,), (2,)), d)
-    assert profile.adjusted == (2,) and profile.fired == (False,)  # j=2 is not < 2
+    adjusted = lc.modulation_exponents(sys4, index, d)
+    assert adjusted == (2,) and adjusted == index.exponents  # no flip: j=2 is not < 2
 
 
 # -- extraction coefficients -------------------------------------------------------------------
