@@ -99,14 +99,14 @@ def values_matrix(system: CharacterSystem, indices: Sequence) -> np.ndarray:
     return np.stack(cols, axis=1) if cols else np.zeros((system.group.size, 0), complex)
 
 
-def _grad_lq_q_matrix(matrix: np.ndarray, coeffs: np.ndarray, q: int) -> np.ndarray:
+def _grad_lq_q_matrix(adjoint: np.ndarray, values: np.ndarray, q: int) -> np.ndarray:
     """Complex gradient of ||Q||_q^q in the coefficients, for even q.
 
+    ``adjoint`` is ``matrix.conj().T`` and ``values`` is ``matrix @ coeffs``.
     Entry t is d/dRe(A_t) + i * d/dIm(A_t).
     """
-    v = matrix @ coeffs
-    weight = np.abs(v) ** (q - 2) * v
-    return q * (matrix.conj().T @ weight) / matrix.shape[0]
+    weight = np.abs(values) ** (q - 2) * values
+    return q * (adjoint @ weight) / adjoint.shape[1]
 
 
 def grad_lq_q(polynomial: ChaosPolynomial, q: int) -> np.ndarray:
@@ -119,7 +119,7 @@ def grad_lq_q(polynomial: ChaosPolynomial, q: int) -> np.ndarray:
         raise UnsupportedQ(f"analytic gradient supports q in {{4, 6, 8}}, got {q}")
     indices = [idx for idx, _ in polynomial.terms()]
     matrix = values_matrix(polynomial.system, indices)
-    return _grad_lq_q_matrix(matrix, polynomial.coefficient_vector(), q)
+    return _grad_lq_q_matrix(matrix.conj().T, matrix @ polynomial.coefficient_vector(), q)
 
 
 def khinchin_ceiling(d: int, kappa_model: float) -> float:
@@ -243,18 +243,21 @@ def estimate_khinchin_constant(
 
     def trial(matrix: np.ndarray, rng: np.random.Generator):
         coeffs = _random_unit(rng, matrix.shape[1])
-        ratio = lq_norm(matrix @ coeffs, q)
+        values = matrix @ coeffs
+        ratio = lq_norm(values, q)
         history = [ratio]
         if use_ascent:
+            adjoint = matrix.conj().T
             step = _ASCENT_STEP
             for _ in range(_ASCENT_MAX_STEPS):
-                grad = _grad_lq_q_matrix(matrix, coeffs, int(q))
+                grad = _grad_lq_q_matrix(adjoint, values, int(q))
                 candidate = coeffs + step * grad
                 candidate /= np.linalg.norm(candidate)
-                new_ratio = lq_norm(matrix @ candidate, q)
+                candidate_values = matrix @ candidate
+                new_ratio = lq_norm(candidate_values, q)
                 if new_ratio > ratio:
                     gain = new_ratio - ratio
-                    coeffs, ratio = candidate, new_ratio
+                    coeffs, values, ratio = candidate, candidate_values, new_ratio
                     history.append(ratio)
                     if gain < _ASCENT_TOL:
                         break

@@ -105,9 +105,13 @@ def _get_int(config: dict, key: str, minimum: int | None = None, default=None) -
     return value
 
 
-def _get_int_list(config: dict, key: str) -> list[int]:
+def _get_int_list(config: dict, key: str, minimum: int) -> list[int]:
     value = config.get(key)
     _require(_is_int_list(value), f"{key!r} must be a list of integers")
+    _require(
+        len(value) > 0 and min(value) >= minimum,
+        f"{key!r} must be a non-empty list of integers >= {minimum}, got {value}",
+    )
     return value
 
 
@@ -157,13 +161,14 @@ def _require_finite(value, where: str = "config"):
 def _build_system(config: dict) -> CharacterSystem:
     if "characters" in config:
         _require("orders" in config, "explicit characters need group orders")
-        group = make_group(_get_int_list(config, "orders"))
+        group = make_group(_get_int_list(config, "orders", minimum=2))
         return CharacterSystem.from_exponents(group, _get_int_rows(config, "characters"))
     spec = config.get("system")
     _require(isinstance(spec, dict), "missing or invalid 'system' specification")
     if "exponents" in spec:
         _require("orders" in spec or "orders" in config, "explicit exponents need group orders")
-        group = make_group(_get_int_list(spec if "orders" in spec else config, "orders"))
+        source = spec if "orders" in spec else config
+        group = make_group(_get_int_list(source, "orders", minimum=2))
         return CharacterSystem.from_exponents(group, _get_int_rows(spec, "exponents"))
     if "hadamard" in spec:
         h = spec["hadamard"]
@@ -172,10 +177,10 @@ def _build_system(config: dict) -> CharacterSystem:
             "hadamard spec needs 'ratio', 'count', and 'modulus'",
         )
         return hadamard_trig_system(
-            ratio=_get_int(h, "ratio"),
-            count=_get_int(h, "count"),
+            ratio=_get_int(h, "ratio", minimum=2),
+            count=_get_int(h, "count", minimum=1),
             modulus=_get_int(h, "modulus"),
-            d=_get_int(h, "d", default=1),
+            d=_get_int(h, "d", minimum=1, default=1),
             include_negatives=_get_bool(h, "include_negatives", False),
         )
     if "vc_staircase" in spec:
@@ -187,9 +192,12 @@ def _build_system(config: dict) -> CharacterSystem:
         values = v.get("values")
         if values is not None and not _is_int(values):
             _get_int_rows(v, "values")
+        base = _get_int(v, "base", minimum=2)
+        position_sets = _get_int_rows(v, "position_sets")
+        _require(len(position_sets) > 0, "'position_sets' must not be empty")
         return vc_system_from_digit_sets(
-            base=_get_int(v, "base"),
-            digit_position_sets=_get_int_rows(v, "position_sets"),
+            base=base,
+            digit_position_sets=position_sets,
             digit_values=values,
             width=_get_int(v, "width") if v.get("width") is not None else None,
         )
@@ -198,11 +206,11 @@ def _build_system(config: dict) -> CharacterSystem:
         _require(
             isinstance(r, dict) and "count" in r, "rademacher spec needs 'count'"
         )
-        return rademacher_system(
-            _get_int(r, "count"),
-            base=_get_int(r, "base", default=2),
-            value=_get_int(r, "value", default=1),
-        )
+        count = _get_int(r, "count", minimum=1)
+        base = _get_int(r, "base", minimum=2, default=2)
+        value = _get_int(r, "value", minimum=1, default=1)
+        _require(value < base, f"'value' must be below 'base' ({base}), got {value}")
+        return rademacher_system(count, base=base, value=value)
     raise ConfigInvalid(
         "system must provide 'exponents', 'hadamard', 'vc_staircase', or 'rademacher'"
     )

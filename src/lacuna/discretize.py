@@ -114,19 +114,25 @@ def evaluate_scheme(
     n = len(basis)
     rng = trial_rng(seed, 0)
     coeffs = rng.standard_normal((probes, n)) + 1j * rng.standard_normal((probes, n))
-    return _evaluate_with_probes(basis, scheme, coeffs)
+    f_values, true_norms = _probe_values(np.stack(basis, axis=1), coeffs, scheme.q)
+    powered = np.abs(f_values[scheme.point_indices, :]) ** scheme.q
+    return _evaluate_with_probes(scheme, powered, true_norms)
+
+
+def _probe_values(
+    matrix: np.ndarray, coeffs: np.ndarray, q: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Values of every probe on the whole group (one column per probe) and their true norms."""
+    f_values = matrix @ coeffs.T
+    true_norms = np.array([lq_norm(f_values[:, i], q) for i in range(coeffs.shape[0])])
+    return f_values, true_norms
 
 
 def _evaluate_with_probes(
-    basis: Sequence[np.ndarray], scheme: DiscretizationScheme, coeffs: np.ndarray
+    scheme: DiscretizationScheme, powered: np.ndarray, true_norms: np.ndarray
 ) -> tuple[float, float]:
-    matrix = np.stack(basis, axis=1)
-    f_values = matrix @ coeffs.T
-    true_norms = np.array([lq_norm(f_values[:, i], scheme.q) for i in range(coeffs.shape[0])])
-    sampled = np.abs(f_values[scheme.point_indices, :])
-    discrete = np.sum(scheme.weights[:, None] * sampled ** scheme.q, axis=0) ** (
-        1.0 / scheme.q
-    )
+    """(C_1, C_2) from |f(xi_i)|^q (row i for point i, one column per probe)."""
+    discrete = np.sum(scheme.weights[:, None] * powered, axis=0) ** (1.0 / scheme.q)
     ratios = discrete / true_norms
     return float(ratios.min()), float(ratios.max())
 
@@ -177,15 +183,19 @@ def scan_point_counts(
             f"over the limit {_SCAN_CELL_LIMIT}"
         )
     n = len(basis)
+    matrix = np.stack(basis, axis=1)
 
     def run_trial(t: int) -> list[dict]:
         rng = trial_rng(seed, t)
         sequence = _nested_point_sequence(rng, group.size, sizes[-1])
         coeffs = rng.standard_normal((probes, n)) + 1j * rng.standard_normal((probes, n))
+        f_values, true_norms = _probe_values(matrix, coeffs, q)
+        # |f|^q along the whole sequence; the scheme of size m is its first m rows
+        powered = np.abs(f_values[sequence, :]) ** q
         rows = []
         for m in sizes:
             scheme = DiscretizationScheme.uniform(group, sequence[:m], q)
-            c1, c2 = _evaluate_with_probes(basis, scheme, coeffs)
+            c1, c2 = _evaluate_with_probes(scheme, powered[:m], true_norms)
             rows.append(
                 {
                     "m": m,

@@ -6,16 +6,33 @@ whose product gamma_1^{k_1} ... gamma_m^{k_m} is the trivial character are
 the ones where every single factor gamma_j^{k_j} is already trivial.
 
 Verdicts apply to the finite set that was handed in; nothing is inferred
-about supersets.  The direct checker enumerates all (2d+1)^m tuples in
-lexicographic order (coordinate order -d < ... < d) and reports the first
-violating tuple as a witness, so its output is deterministic.  The
-meet-in-the-middle variant trades memory for a (2d+1)^ceil(m/2) budget and
-returns the identical verdict and witness.
+about supersets.  Both checkers report the lexicographically first
+violating tuple (coordinate order -d < ... < d) as a witness, so their
+output is deterministic.
+
+Residue rule: gamma_j^k depends only on k mod ord(gamma_j), so the checkers
+walk one representative per residue class, the least one in -d..d.  On
+coordinate j that is -d .. -d + r_j - 1 with radix r_j = min(2d+1,
+ord(gamma_j)), and the walk covers prod r_j tuples in mixed-radix
+lexicographic order.  This changes no verdict and no witness: replacing
+every k_j of a violating tuple by the least representative of its class
+keeps the product character and the triviality of every factor power, and
+gives a tuple coordinatewise <= the original.  So the lexicographically
+first violating tuple of the full (2d+1)^m scan is already made of least
+representatives, and the reduced walk meets it first.  The same argument
+makes the meet-in-the-middle table's "first right tuple per residue" and
+its first matching left tuple those of the full scan.  When every order
+exceeds 2d the radices are all 2d+1 and the walk is the full scan.
+
+The direct checker walks prod r_j tuples; the meet-in-the-middle variant
+walks each half once (the larger half's count is its budget), trading
+memory for time, and returns the identical verdict and witness.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -39,7 +56,7 @@ DEFAULT_ENUM_BUDGET = 10**8
 # rows materialized per numpy chunk during enumeration
 _CHUNK = 1 << 16
 
-_offset_cache: dict[tuple[int, int], np.ndarray] = {}
+_offset_cache: dict[tuple[int, ...], np.ndarray] = {}
 
 
 @dataclass(frozen=True)
@@ -112,25 +129,32 @@ class DissociationReport:
         }
 
 
-def _offset_rows(base: int, width: int, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of the lexicographic width-tuples over {0..base-1}."""
-    if width == 0:
-        return np.zeros((stop - start, 0), dtype=np.int64)
-    return np.stack(
-        np.unravel_index(np.arange(start, stop), (base,) * width), axis=1
-    ).astype(np.int64)
+def _radices(system: CharacterSystem, d: int) -> tuple[int, ...]:
+    """Residue classes of each exponent range -d..d: min(2d+1, ord(gamma_j))."""
+    return tuple(min(2 * d + 1, chi.order) for chi in system.characters)
 
 
-def _offset_block(base: int, width: int) -> np.ndarray:
-    """All width-tuples over {0..base-1}, cached; only used for small blocks."""
-    key = (base, width)
-    if key not in _offset_cache:
-        block = _offset_rows(base, width, 0, max(base**width, 1))
-        block.flags.writeable = False
+def _offset_rows(shape: tuple[int, ...], start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Rows start..stop-1 of the lexicographic tuples with entry j in 0..shape[j]-1.
+
+    A whole table of at most _CHUNK rows is cached by shape (read-only).
+    """
+    total = math.prod(shape)
+    stop = total if stop is None else stop
+    whole = start == 0 and stop == total and total <= _CHUNK
+    if whole and shape in _offset_cache:
+        return _offset_cache[shape]
+    if shape:
+        rows = np.stack(np.unravel_index(np.arange(start, stop), shape), axis=1)
+        rows = rows.astype(np.int64)
+    else:
+        rows = np.zeros((stop - start, 0), dtype=np.int64)
+    if whole:
+        rows.flags.writeable = False
         if len(_offset_cache) > 64:
             _offset_cache.clear()
-        _offset_cache[key] = block
-    return _offset_cache[key]
+        _offset_cache[shape] = rows
+    return rows
 
 
 def _nontrivial_power_table(exponents: np.ndarray, orders: np.ndarray, d: int) -> np.ndarray:
@@ -153,19 +177,22 @@ def _validate_check_args(system: CharacterSystem, d: int):
 def is_d_dissociated(
     system: CharacterSystem, d: int, budget: int = DEFAULT_ENUM_BUDGET
 ) -> DissociationReport:
-    """Direct enumeration over all (2d+1)^m exponent tuples.
+    """Direct enumeration, one exponent per residue class on each coordinate.
 
-    Returns the lexicographically first witness (coordinates ordered
-    -d < ... < d) when the system is not d-dissociated.
+    Coordinate j walks -d .. -d + r_j - 1 with r_j = min(2d+1, ord(gamma_j)),
+    so prod r_j tuples are walked and compared against ``budget``.  Returns
+    the lexicographically first witness of the full (2d+1)^m scan
+    (coordinates ordered -d < ... < d) when the system is not d-dissociated.
     """
     _validate_check_args(system, d)
     m = len(system)
     if m == 0:
         return DissociationReport(d=d, dissociated=True)
-    base = 2 * d + 1
-    if base**m > budget:
+    radices = _radices(system, d)
+    total = math.prod(radices)
+    if total > budget:
         raise BudgetExceeded(
-            f"direct enumeration needs {base**m} tuples (> budget {budget}); "
+            f"direct enumeration needs {total} tuples (> budget {budget}); "
             "try is_d_dissociated_mitm"
         )
     exponents = system.exponent_matrix
@@ -173,15 +200,15 @@ def is_d_dissociated(
     nontrivial = _nontrivial_power_table(exponents, orders, d)
 
     suffix_len = m
-    while base**suffix_len > _CHUNK and suffix_len > 1:
+    while math.prod(radices[m - suffix_len :]) > _CHUNK and suffix_len > 1:
         suffix_len -= 1
     prefix_len = m - suffix_len
-    suffix_offsets = _offset_block(base, suffix_len)
+    suffix_offsets = _offset_rows(radices[prefix_len:])
     suffix_sum = (suffix_offsets - d) @ exponents[prefix_len:]
     cols = np.arange(suffix_len)
     suffix_nontrivial = nontrivial[prefix_len:][cols[None, :], suffix_offsets].any(axis=1)
 
-    for prefix in itertools.product(range(-d, d + 1), repeat=prefix_len):
+    for prefix in itertools.product(*(range(-d, -d + r) for r in radices[:prefix_len])):
         if prefix_len:
             prefix_sum = np.asarray(prefix, dtype=np.int64) @ exponents[:prefix_len]
             prefix_nontrivial = bool(
@@ -231,11 +258,14 @@ def is_d_dissociated_mitm(
     m = len(system)
     if m == 0:
         return DissociationReport(d=d, dissociated=True)
-    base = 2 * d + 1
+    radices = _radices(system, d)
     left_len = (m + 1) // 2
-    if base**left_len > budget:
+    left_shape, right_shape = radices[:left_len], radices[left_len:]
+    left_total, right_total = math.prod(left_shape), math.prod(right_shape)
+    per_side = max(left_total, right_total)
+    if per_side > budget:
         raise BudgetExceeded(
-            f"meet-in-the-middle needs {base**left_len} tuples per side (> budget {budget})"
+            f"meet-in-the-middle needs {per_side} tuples per side (> budget {budget})"
         )
     exponents = system.exponent_matrix
     orders = np.asarray(system.group.orders, dtype=np.int64)
@@ -245,10 +275,9 @@ def is_d_dissociated_mitm(
     # residue -> (first right tuple, first right tuple with a nontrivial factor)
     table: dict[bytes, tuple[tuple[int, ...], tuple[int, ...] | None]] = {}
     right_cols = np.arange(right_len)
-    right_total = max(base**right_len, 1)
     for start in range(0, right_total, _CHUNK):
         stop = min(start + _CHUNK, right_total)
-        offsets = _offset_rows(base, right_len, start, stop)
+        offsets = _offset_rows(right_shape, start, stop)
         residues = ((offsets - d) @ exponents[left_len:]) % orders
         has_nontrivial = (
             nontrivial[left_len:][right_cols[None, :], offsets].any(axis=1)
@@ -266,9 +295,9 @@ def is_d_dissociated_mitm(
             table[key] = (first, first_nt)
 
     left_cols = np.arange(left_len)
-    for start in range(0, base**left_len, _CHUNK):
-        stop = min(start + _CHUNK, base**left_len)
-        offsets = _offset_rows(base, left_len, start, stop)
+    for start in range(0, left_total, _CHUNK):
+        stop = min(start + _CHUNK, left_total)
+        offsets = _offset_rows(left_shape, start, stop)
         targets = (-((offsets - d) @ exponents[:left_len])) % orders
         left_nontrivial = nontrivial[:left_len][left_cols[None, :], offsets].any(axis=1)
         for i in range(stop - start):

@@ -153,33 +153,43 @@ def oracle_modulation_exponents(
     return tuple(adjusted)
 
 
-def oracle_dissociated(system: CharacterSystem, d: int) -> bool:
-    """Value-based brute force over all exponent tuples.
+def oracle_witness(system: CharacterSystem, d: int) -> tuple[int, ...] | None:
+    """First violating tuple of a plain itertools.product scan over all (2d+1)^m tuples.
 
     Products and factor powers are judged numerically: a character is
     trivial iff its value table is within 1e-9 of the constant 1.  The
     smallest nontrivial root of unity at the group sizes used in tests is
-    far from 1, so the threshold is safe.
+    far from 1, so the threshold is safe.  The scan order (-d < ... < d on
+    every coordinate, lexicographic) is the one the checkers document, and
+    it walks every tuple, with no reduction by character order.
     """
     m = len(system)
     if m == 0:
-        return True
+        return None
     tables = [oracle_character_table(system, j) for j in range(m)]
-    base = 2 * d + 1
     powers = np.stack(
         [np.stack([t ** k for k in range(-d, d + 1)]) for t in tables]
-    )  # (m, base, |G|)
-    nontrivial = np.abs(powers - 1).max(axis=2) > 1e-9  # (m, base)
-    offsets = np.stack(
-        np.unravel_index(np.arange(base**m), (base,) * m), axis=1
-    )  # (tuples, m)
+    )  # (m, 2d+1, |G|)
+    nontrivial = np.abs(powers - 1).max(axis=2) > 1e-9  # (m, 2d+1)
     cols = np.arange(m)
-    products = np.ones((base**m, system.group.size), dtype=np.complex128)
-    for j in range(m):
-        products *= powers[j, offsets[:, j]]
-    trivial_product = np.abs(products - 1).max(axis=1) < 1e-9
-    any_nontrivial = nontrivial[cols[None, :], offsets].any(axis=1)
-    return not bool((trivial_product & any_nontrivial).any())
+    tuples = itertools.product(range(-d, d + 1), repeat=m)
+    while True:
+        chunk = np.array(list(itertools.islice(tuples, 4096)), dtype=np.int64)
+        if chunk.size == 0:
+            return None
+        products = np.ones((len(chunk), system.group.size), dtype=np.complex128)
+        for j in range(m):
+            products *= powers[j, chunk[:, j] + d]
+        trivial_product = np.abs(products - 1).max(axis=1) < 1e-9
+        any_nontrivial = nontrivial[cols[None, :], chunk + d].any(axis=1)
+        hits = np.flatnonzero(trivial_product & any_nontrivial)
+        if hits.size:
+            return tuple(int(k) for k in chunk[hits[0]])
+
+
+def oracle_dissociated(system: CharacterSystem, d: int) -> bool:
+    """Value-based brute force over all exponent tuples (see oracle_witness)."""
+    return oracle_witness(system, d) is None
 
 
 def staircase_system(

@@ -316,6 +316,9 @@ def test_incomplete_system_specs_are_config_errors(tmp_path):
 _INT = "must be an integer"
 _INT_LIST = "must be a list of integers"
 _INT_ROWS = "must be a list of integer lists"
+_MIN_1 = "must be >= 1"
+_MIN_2 = "must be >= 2"
+_ORDERS = "'orders' must be a non-empty list of integers >= 2"
 
 
 @pytest.mark.parametrize(
@@ -380,10 +383,53 @@ _INT_ROWS = "must be a list of integer lists"
         pytest.param({"system": {"exponents": "1", "orders": [7]}}, _INT_ROWS, id="exponents-str"),
         pytest.param({"orders": ["5"], "characters": [[1]]}, _INT_LIST, id="top-orders"),
         pytest.param({"orders": [5], "characters": [[1.5]]}, _INT_ROWS, id="characters"),
+        # well-typed but below the field's minimum
+        pytest.param({"system": {"rademacher": {"count": 0}}}, _MIN_1, id="rademacher-count-0"),
+        pytest.param({"system": {"rademacher": {"count": -2}}}, _MIN_1, id="rademacher-count-neg"),
+        pytest.param(
+            {"system": {"rademacher": {"count": 3, "base": 1}}}, _MIN_2, id="rademacher-base-1"
+        ),
+        pytest.param(
+            {"system": {"rademacher": {"count": 3, "value": 0}}}, _MIN_1, id="rademacher-value-0"
+        ),
+        pytest.param(
+            {"system": {"rademacher": {"count": 3, "base": 3, "value": 3}}},
+            "must be below 'base'",
+            id="rademacher-value-base",
+        ),
+        pytest.param({"system": {"exponents": [[1]], "orders": []}}, _ORDERS, id="orders-empty"),
+        pytest.param({"system": {"exponents": [[1]], "orders": [1]}}, _ORDERS, id="orders-1"),
+        pytest.param({"orders": [], "characters": [[1]]}, _ORDERS, id="top-orders-empty"),
+        pytest.param({"orders": [5, 0], "characters": [[1, 0]]}, _ORDERS, id="top-orders-0"),
+        pytest.param(
+            {"system": {"vc_staircase": {"base": 1, "position_sets": [[0]]}}},
+            _MIN_2,
+            id="vc-base-1",
+        ),
+        pytest.param(
+            {"system": {"vc_staircase": {"base": 3, "position_sets": []}}},
+            "must not be empty",
+            id="vc-no-sets",
+        ),
+        pytest.param(
+            {"system": {"hadamard": {"ratio": 1, "count": 3, "modulus": 1000}}},
+            _MIN_2,
+            id="hadamard-ratio-1",
+        ),
+        pytest.param(
+            {"system": {"hadamard": {"ratio": 3, "count": 0, "modulus": 1000}}},
+            _MIN_1,
+            id="hadamard-count-0",
+        ),
+        pytest.param(
+            {"system": {"hadamard": {"ratio": 3, "count": 3, "modulus": 1000, "d": 0}}},
+            _MIN_1,
+            id="hadamard-d-0",
+        ),
     ],
 )
 def test_non_integer_hadamard_fields_are_config_errors(tmp_path, capsys, fields, message):
-    """Every integer field of every system spec, not just hadamard's."""
+    """Every integer field of every system spec, not just hadamard's, and its minimum."""
     config = {"command": "check-dissociated", "d": 1, **fields}
     code, out = _run(tmp_path, config)
     assert code == 2

@@ -4,9 +4,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lacuna as lc
-from conftest import oracle_dissociated, sample_dissociated_system
+from conftest import oracle_dissociated, oracle_witness, sample_dissociated_system
 
 
 def _system(orders, exponents):
@@ -173,6 +174,87 @@ def test_late_witness_found_in_chunked_scan():
     assert direct.witness == (-1,) + (0,) * 10 + (-1,)
     assert lc.verify_witness(system, direct.witness)
     assert lc.is_d_dissociated_mitm(system, 1) == direct
+
+
+# -- one exponent per residue class ---------------------------------------------------------
+# The checkers walk -d .. -d + r_j - 1 on coordinate j, r_j = min(2d+1, ord(gamma_j)).
+# Characters of order <= 2d make that walk shorter than the full (2d+1)^m scan, and it
+# must still find the full scan's verdict and lexicographically first witness.
+
+
+@st.composite
+def _small_systems(draw):
+    orders = draw(st.lists(st.integers(2, 6), min_size=1, max_size=2))
+    group = lc.make_group(orders)
+    nontrivial = [chi.exponents for chi in group.characters() if not chi.is_trivial]
+    exps = draw(
+        st.lists(
+            st.sampled_from(nontrivial),
+            min_size=1,
+            max_size=min(5, len(nontrivial)),
+            unique=True,
+        )
+    )
+    return lc.CharacterSystem.from_exponents(group, exps), draw(st.integers(1, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_systems())
+def test_reduced_walk_matches_full_scan_oracle(case):
+    system, d = case
+    witness = oracle_witness(system, d)
+    expected = lc.DissociationReport(d=d, dissociated=witness is None, witness=witness)
+    assert lc.is_d_dissociated(system, d) == expected
+    assert lc.is_d_dissociated_mitm(system, d) == expected
+
+
+def test_reduced_walk_on_order_three_rademacher_system():
+    # order-3 characters at d=2: 3^12 tuples walked instead of 5^12
+    system = lc.rademacher_system(12, base=3)
+    direct = lc.is_d_dissociated(system, 2, budget=3**12)
+    assert direct.dissociated
+    assert lc.is_d_dissociated_mitm(system, 2) == direct
+    with pytest.raises(lc.BudgetExceeded, match=str(3**12)):
+        lc.is_d_dissociated(system, 2, budget=3**12 - 1)
+
+
+def _order_two_three_system(threes: int) -> lc.CharacterSystem:
+    """gamma_0 of order 2, ``threes`` unit characters of order 3, then gamma_0 * gamma_1."""
+    group = lc.make_group([2] + [3] * threes)
+    exps = []
+    for i in range(threes + 1):
+        vec = [0] * (threes + 1)
+        vec[i] = 1
+        exps.append(tuple(vec))
+    last = [0] * (threes + 1)
+    last[0] = last[1] = 1
+    exps.append(tuple(last))
+    return lc.CharacterSystem.from_exponents(group, exps)
+
+
+def test_late_witness_from_order_two_and_three_characters():
+    # k_0 + k_last = 0 mod 2, k_1 + k_last = 0 mod 3 and k_i = 0 mod 3 otherwise:
+    # the first violation takes k_0 = k_1 = -2, k_last = 2 and the largest
+    # representative 0 on every middle coordinate, past the first chunk of
+    # the 2 * 3^10 * 5-tuple walk
+    system = _order_two_three_system(10)
+    direct = lc.is_d_dissociated(system, 2)
+    assert direct.witness == (-2, -2) + (0,) * 9 + (2,)
+    assert lc.verify_witness(system, direct.witness)
+    assert lc.is_d_dissociated_mitm(system, 2) == direct
+    small = _order_two_three_system(3)
+    witness = oracle_witness(small, 2)
+    assert witness == (-2, -2, 0, 0, 2)
+    assert lc.is_d_dissociated(small, 2).witness == witness
+    assert lc.is_d_dissociated_mitm(small, 2).witness == witness
+
+
+def test_order_two_system_of_twenty_fits_the_default_budget():
+    # 2^20 tuples walked; the full scan would need 5^20 and raise
+    system = lc.rademacher_system(20)
+    assert lc.is_d_dissociated(system, 2).dissociated
+    with pytest.raises(lc.BudgetExceeded, match="mitm"):
+        lc.is_d_dissociated(system, 2, budget=2**20 - 1)
 
 
 # -- oracle agreement (small-scale; the acceptance suite runs the full sweep) ---------
