@@ -37,14 +37,18 @@ from .chaos import (
     enumerate_polynomial,
     term_values,
 )
-from .dissociation import DEFAULT_ENUM_BUDGET, CharacterSystem, require_dissociated
-from .errors import InvalidP, InvalidQ, UnsupportedQ, ZeroPolynomial
+from .dissociation import CharacterSystem, require_dissociated
+from .errors import InvalidP, InvalidQ, SizeLimitExceeded, UnsupportedQ, ZeroPolynomial
+from .groups import TABLE_CELL_LIMIT
 from .parallel import map_indexed, trial_rng
 from .riesz import extraction_coefficients
 
 _ASCENT_STEP = 0.1
 _ASCENT_TOL = 1e-9
 _ASCENT_MAX_STEPS = 500
+# Sidon phase search: candidate phases per coefficient, sweeps per trial
+_PHASE_GRID = 16
+_MAX_SWEEPS = 40
 
 
 def lq_norm(values, q) -> float:
@@ -94,7 +98,17 @@ def sidon_ratio(polynomial: ChaosPolynomial, p: float | None = None) -> float:
 
 
 def values_matrix(system: CharacterSystem, indices: Sequence) -> np.ndarray:
-    """Column t holds the value table of the t-th index's character product."""
+    """Column t holds the value table of the t-th index's character product.
+
+    A table of more than ``TABLE_CELL_LIMIT`` cells raises SizeLimitExceeded
+    before any column is built.
+    """
+    cells = len(indices) * system.group.size
+    if cells > TABLE_CELL_LIMIT:
+        raise SizeLimitExceeded(
+            f"a value table needs {cells} cells ({len(indices)} terms x |G| = "
+            f"{system.group.size}), over the limit {TABLE_CELL_LIMIT}"
+        )
     cols = [term_values(system, compress(idx)) for idx in indices]
     return np.stack(cols, axis=1) if cols else np.zeros((system.group.size, 0), complex)
 
@@ -122,21 +136,28 @@ def grad_lq_q(polynomial: ChaosPolynomial, q: int) -> np.ndarray:
     return _grad_lq_q_matrix(matrix.conj().T, matrix @ polynomial.coefficient_vector(), q)
 
 
+def _max_variation_bound(d: int) -> float:
+    """C = max_s of the extraction measures' variation bounds for this d."""
+    return max(extraction_coefficients(d, s).variation_bound for s in range(1, d + 1))
+
+
 def khinchin_ceiling(d: int, kappa_model: float) -> float:
     """sqrt(d) (2d)^d C kappa_model with C = max_s variation bound."""
-    c_max = max(extraction_coefficients(d, s).variation_bound for s in range(1, d + 1))
-    return math.sqrt(d) * (2 * d) ** d * c_max * float(kappa_model)
+    return math.sqrt(d) * (2 * d) ** d * _max_variation_bound(d) * float(kappa_model)
 
 
 def sidon_ceiling(d: int, c_model: float) -> float:
     """(2d)^d C / c * d^((d+1)/(2d)) with C = max_s variation bound."""
-    c_max = max(extraction_coefficients(d, s).variation_bound for s in range(1, d + 1))
-    return (2 * d) ** d * c_max / float(c_model) * d ** ((d + 1) / (2 * d))
+    return (2 * d) ** d * _max_variation_bound(d) / float(c_model) * d ** ((d + 1) / (2 * d))
 
 
 @dataclass(eq=False)
 class ConstantEstimate:
-    """Empirical lacunarity constant plus the run that produced it."""
+    """Empirical lacunarity constant plus the run that produced it.
+
+    ``histories`` holds each trial's ratio after every accepted step; it is
+    not part of the JSON form.
+    """
 
     kind: str
     d: int
@@ -146,8 +167,8 @@ class ConstantEstimate:
     seed: int
     constant: float
     coefficients: np.ndarray
-    ceiling: float | None = None
-    histories: list[list[float]] | None = None
+    ceiling: float | None
+    histories: list[list[float]]
 
     def to_json_obj(self) -> dict:
         return {
@@ -181,16 +202,12 @@ def _best_of_trials(
     seed: int,
     indices: Sequence | None,
     ceiling: float | None,
-    check: bool,
-    budget: int,
     workers: int,
-    record_history: bool,
 ) -> ConstantEstimate:
     """The body both estimators share: checks, value matrix, trials, best ratio."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if check:
-        require_dissociated(system, d, budget)
+    require_dissociated(system, d)
     idx = list(indices) if indices is not None else _default_indices(system, d)
     matrix = values_matrix(system, idx)
 
@@ -209,7 +226,7 @@ def _best_of_trials(
         constant=results[best][0],
         coefficients=results[best][1],
         ceiling=ceiling,
-        histories=[r[2] for r in results] if record_history else None,
+        histories=[r[2] for r in results],
     )
 
 
@@ -226,16 +243,15 @@ def estimate_khinchin_constant(
     seed: int,
     indices: Sequence | None = None,
     kappa_model: float | None = None,
-    check: bool = True,
-    budget: int = DEFAULT_ENUM_BUDGET,
     workers: int = 1,
-    record_history: bool = False,
 ) -> ConstantEstimate:
     """Maximize ||Q||_q / ||A||_2 over unit coefficient vectors.
 
-    Each trial starts from a random unit vector; for even q in {4, 6, 8}
-    it then runs projected gradient ascent (step 0.1, halved on
-    non-improvement, stop at relative stall 1e-9 or 500 steps).
+    The system must be d-dissociated (NotDissociated otherwise).  Each
+    trial starts from a random unit vector; for even q in {4, 6, 8} it then
+    runs projected gradient ascent (step 0.1, halved on non-improvement,
+    stop at relative stall 1e-9 or 500 steps).  The result's ``histories``
+    holds each trial's ratio after every accepted step.
     """
     if not math.isinf(q) and float(q) <= 2:
         raise InvalidQ(f"q must exceed 2, got {q}")
@@ -269,8 +285,7 @@ def estimate_khinchin_constant(
 
     ceiling = khinchin_ceiling(d, kappa_model) if kappa_model is not None else None
     return _best_of_trials(
-        "khinchin", float(q), trial, system, d, trials, seed, indices, ceiling,
-        check, budget, workers, record_history,
+        "khinchin", float(q), trial, system, d, trials, seed, indices, ceiling, workers
     )
 
 
@@ -282,25 +297,23 @@ def estimate_sidon_constant(
     p: float | None = None,
     indices: Sequence | None = None,
     c_model: float | None = None,
-    check: bool = True,
-    budget: int = DEFAULT_ENUM_BUDGET,
     workers: int = 1,
-    phase_grid: int = 16,
-    max_sweeps: int = 40,
-    record_history: bool = False,
 ) -> ConstantEstimate:
     """Maximize ||A||_p / ||Q||_inf over unimodular coefficient patterns.
 
-    The modulus of every coefficient is pinned to one (the sharpness
-    question lives in the phases), so maximizing the ratio means driving
-    ||Q||_inf down: random phase starts followed by coordinate-wise sweeps
-    over a phase grid, accepting only strict improvements.
+    The system must be d-dissociated (NotDissociated otherwise).  The
+    modulus of every coefficient is pinned to one (the sharpness question
+    lives in the phases), so maximizing the ratio means driving ||Q||_inf
+    down: random phase starts followed by coordinate-wise sweeps over the
+    ``_PHASE_GRID`` (16) roots of unity, at most ``_MAX_SWEEPS`` (40) per
+    trial, accepting only strict improvements.  The result's ``histories``
+    holds each trial's ratio after every accepted change.
     """
     default_p = 2 * d / (d + 1)
     p_eff = default_p if p is None else float(p)
     if p_eff < 1:
         raise InvalidP(f"p must be >= 1, got {p_eff}")
-    candidates = np.exp(2j * np.pi * np.arange(phase_grid) / phase_grid)
+    candidates = np.exp(2j * np.pi * np.arange(_PHASE_GRID) / _PHASE_GRID)
 
     def trial(matrix: np.ndarray, rng: np.random.Generator):
         n = matrix.shape[1]
@@ -309,7 +322,7 @@ def estimate_sidon_constant(
         peak = float(np.abs(values).max())
         coeff_norm = lp_coeff_norm(coeffs, p_eff)
         history = [coeff_norm / peak]
-        for _ in range(max_sweeps):
+        for _ in range(_MAX_SWEEPS):
             improved = False
             for t_idx in range(n):
                 shifted = values[:, None] + np.outer(
@@ -332,6 +345,5 @@ def estimate_sidon_constant(
     if c_model is not None and abs(p_eff - default_p) < 1e-12:
         ceiling = sidon_ceiling(d, c_model)
     return _best_of_trials(
-        "sidon", p_eff, trial, system, d, trials, seed, indices, ceiling,
-        check, budget, workers, record_history,
+        "sidon", p_eff, trial, system, d, trials, seed, indices, ceiling, workers
     )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -130,7 +130,11 @@ def _validate_terms(system, degree, coefficients):
 
 @dataclass(eq=False)
 class ChaosPolynomial:
-    """Sparse chaos polynomial: coefficient map on compressed indices."""
+    """Sparse chaos polynomial: coefficient map on compressed indices.
+
+    Keys may be given as full tuples or CompressedIndex; they are stored
+    compressed.
+    """
 
     system: CharacterSystem
     degree: int
@@ -140,16 +144,6 @@ class ChaosPolynomial:
         if self.degree < 1:
             raise ValueError(f"degree must be >= 1, got {self.degree}")
         self.coefficients = _validate_terms(self.system, self.degree, self.coefficients)
-
-    @classmethod
-    def build(
-        cls,
-        system: CharacterSystem,
-        degree: int,
-        coefficients: Mapping,
-    ) -> "ChaosPolynomial":
-        """Accepts full tuples or CompressedIndex keys."""
-        return cls(system, degree, dict(coefficients))
 
     def terms(self) -> list[tuple[CompressedIndex, complex]]:
         """Terms in canonical order (sorted by expanded tuple)."""
@@ -181,9 +175,6 @@ class ChaosPolynomial:
 
     def as_density(self) -> DensityMeasure:
         return DensityMeasure(self.system.group, self.values())
-
-    def decompose(self) -> list["ChaosPolynomial"]:
-        return decompose(self)
 
     def to_json_obj(self) -> dict:
         terms = [
@@ -224,23 +215,10 @@ def decompose(polynomial: ChaosPolynomial) -> list[ChaosPolynomial]:
 
 
 def random_chaos_polynomial(
-    system: CharacterSystem,
-    degree: int,
-    rng: np.random.Generator,
-    kind: str = "polynomial",
-    normalized: bool = True,
+    system: CharacterSystem, degree: int, rng: np.random.Generator
 ) -> ChaosPolynomial:
-    """Standard complex Gaussian coefficients on the full index set."""
-    m = len(system)
-    if kind == "polynomial":
-        indices = enumerate_polynomial(m, degree)
-    elif kind == "tetrahedral":
-        indices = enumerate_tetrahedral(m, degree)
-    else:
-        raise ValueError(f"unknown chaos kind {kind!r}")
+    """Unit-norm standard complex Gaussian coefficients on the full index set."""
+    indices = enumerate_polynomial(len(system), degree)
     coeffs = rng.standard_normal(len(indices)) + 1j * rng.standard_normal(len(indices))
-    if normalized:
-        coeffs = coeffs / np.linalg.norm(coeffs)
-    return ChaosPolynomial.build(
-        system, degree, {idx: c for idx, c in zip(indices, coeffs)}
-    )
+    coeffs = coeffs / np.linalg.norm(coeffs)
+    return ChaosPolynomial(system, degree, dict(zip(indices, coeffs)))

@@ -25,14 +25,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import estimate_khinchin_constant, estimate_sidon_constant
+from .analysis import estimate_khinchin_constant, estimate_sidon_constant, values_matrix
 from .chaos import (
     enumerate_polynomial,
     enumerate_tetrahedral,
-    compress,
     decompose,
     random_chaos_polynomial,
-    term_values,
 )
 from .discretize import (
     render_scan_svg,
@@ -449,15 +447,14 @@ def _cmd_discretize_scan(config, out, svg):
     probes = _get_int(config, "probes", minimum=1, default=64)
     seed = _get_int(config, "seed", minimum=0, default=0)
     q = _get_q(config)
-    kind = config.get("chaos", "tetrahedral")
-    indices = _chaos_indices(system, d, kind)
-    basis = [term_values(system, compress(idx)) for idx in indices]
-    n = len(basis)
     m_grid = config.get("m_grid")
     _require(
         _is_int_list(m_grid) and m_grid and min(m_grid) >= 1,
         "'m_grid' must be a non-empty list of positive integers",
     )
+    indices = _chaos_indices(system, d, config.get("chaos", "tetrahedral"))
+    basis = list(values_matrix(system, indices).T)
+    n = len(basis)
     records = scan_point_counts(
         basis, q, m_grid, trials, seed, system.group, probes=probes, workers=worker_count()
     )

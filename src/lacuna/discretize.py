@@ -28,11 +28,8 @@ import numpy as np
 
 from .analysis import lq_norm
 from .errors import EmptyScheme, InvalidQ, SizeLimitExceeded
-from .groups import DEFAULT_SIZE_LIMIT, FiniteAbelianGroup
+from .groups import TABLE_CELL_LIMIT, FiniteAbelianGroup
 from .parallel import map_indexed, trial_rng
-
-# cells of one complex table a scan trial may allocate
-_SCAN_CELL_LIMIT = 64 * DEFAULT_SIZE_LIMIT
 
 
 @dataclass(eq=False)
@@ -169,7 +166,7 @@ def scan_point_counts(
     sizes share one nested point sequence and one probe set, so medians
     across the grid reflect pure size growth.  A trial holds an
     |G| x probes and an m x probes table, so either one above
-    ``_SCAN_CELL_LIMIT`` cells raises SizeLimitExceeded before any work.
+    ``TABLE_CELL_LIMIT`` cells raises SizeLimitExceeded before any work.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -177,10 +174,10 @@ def scan_point_counts(
     if not sizes or sizes[0] < 1:
         raise ValueError("m_grid must contain positive point counts")
     cells = max(sizes[-1], group.size) * probes
-    if cells > _SCAN_CELL_LIMIT:
+    if cells > TABLE_CELL_LIMIT:
         raise SizeLimitExceeded(
             f"a scan trial needs {cells} cells (max(m, |G|) * probes), "
-            f"over the limit {_SCAN_CELL_LIMIT}"
+            f"over the limit {TABLE_CELL_LIMIT}"
         )
     n = len(basis)
     matrix = np.stack(basis, axis=1)
@@ -256,11 +253,8 @@ def fit_weights_heuristic(
     rng = trial_rng(seed, 1)
     n = len(basis)
     coeffs = rng.standard_normal((probes, n)) + 1j * rng.standard_normal((probes, n))
-    matrix = np.stack(basis, axis=1)
-    f_values = matrix @ coeffs.T
-    targets = np.array(
-        [lq_norm(f_values[:, i], q) ** q for i in range(probes)]
-    )
+    f_values, true_norms = _probe_values(np.stack(basis, axis=1), coeffs, q)
+    targets = np.array([t ** q for t in true_norms])
     design = np.abs(f_values[idx, :].T) ** q
     weights, *_ = np.linalg.lstsq(design, targets, rcond=None)
     weights = np.clip(weights, 0.0, None)

@@ -164,14 +164,10 @@ def _nontrivial_power_table(exponents: np.ndarray, orders: np.ndarray, d: int) -
     return powers.any(axis=2)
 
 
-def _validate_check_args(system: CharacterSystem, d: int):
+def _validate_check_args(d: int):
+    # CharacterSystem already refuses the trivial character
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    for chi in system.characters:
-        if chi.is_trivial:
-            raise TrivialCharacterPresent(
-                "dissociation is undefined for systems containing the trivial character"
-            )
 
 
 def is_d_dissociated(
@@ -184,7 +180,7 @@ def is_d_dissociated(
     the lexicographically first witness of the full (2d+1)^m scan
     (coordinates ordered -d < ... < d) when the system is not d-dissociated.
     """
-    _validate_check_args(system, d)
+    _validate_check_args(d)
     m = len(system)
     if m == 0:
         return DissociationReport(d=d, dissociated=True)
@@ -231,11 +227,9 @@ def is_d_dissociated(
     return DissociationReport(d=d, dissociated=True)
 
 
-def require_dissociated(
-    system: CharacterSystem, d: int, budget: int = DEFAULT_ENUM_BUDGET
-) -> None:
+def require_dissociated(system: CharacterSystem, d: int) -> None:
     """Raise NotDissociated, carrying the report, unless the system is d-dissociated."""
-    report = is_d_dissociated(system, d, budget=budget)
+    report = is_d_dissociated(system, d)
     if not report.dissociated:
         raise NotDissociated(
             f"system is not {d}-dissociated; witness {report.witness}",
@@ -254,7 +248,7 @@ def is_d_dissociated_mitm(
     per residue (and the first with a nontrivial factor) reproduces the
     direct scan's lexicographically minimal witness.
     """
-    _validate_check_args(system, d)
+    _validate_check_args(d)
     m = len(system)
     if m == 0:
         return DissociationReport(d=d, dissociated=True)

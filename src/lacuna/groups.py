@@ -47,6 +47,9 @@ from .errors import GroupMismatch, OrderTooSmall, SizeLimitExceeded
 
 DEFAULT_SIZE_LIMIT = 1 << 20
 
+# cells of one complex table (|G| x basis size, or points x probes) a computation may allocate
+TABLE_CELL_LIMIT = 64 * DEFAULT_SIZE_LIMIT
+
 # every transform is an FFT; bench/tracing.py still reads this name, nothing in lacuna does
 NAIVE_TRANSFORM_CUTOFF = 0
 

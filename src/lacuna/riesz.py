@@ -61,7 +61,7 @@ from functools import cached_property
 import numpy as np
 
 from .chaos import ChaosPolynomial, CompressedIndex, decompose
-from .dissociation import DEFAULT_ENUM_BUDGET, CharacterSystem, require_dissociated
+from .dissociation import CharacterSystem, require_dissociated
 from .errors import DegenerateOrder
 from .groups import (
     Character,
@@ -99,12 +99,7 @@ def degenerate_characters(system: CharacterSystem, d: int) -> list[int]:
     return [i for i, chi in enumerate(system.characters) if chi.order <= 2 * d]
 
 
-def require_nondegenerate(
-    system: CharacterSystem,
-    d: int,
-    budget: int = DEFAULT_ENUM_BUDGET,
-    check_dissociation: bool = True,
-):
+def require_nondegenerate(system: CharacterSystem, d: int):
     """Guard for the exact coefficient laws.
 
     Raises DegenerateOrder when some character order is <= 2d, and
@@ -118,16 +113,10 @@ def require_nondegenerate(
             f"characters at positions {bad} have orders {orders} <= 2d = {2 * d}; "
             "no closed-form coefficient law, use the transform directly"
         )
-    if check_dissociation:
-        require_dissociated(system, 2 * d, budget)
+    require_dissociated(system, 2 * d)
 
 
-def riesz_density(
-    system: CharacterSystem,
-    d: int,
-    check: bool = True,
-    budget: int = DEFAULT_ENUM_BUDGET,
-) -> DensityMeasure:
+def riesz_density(system: CharacterSystem, d: int, check: bool = True) -> DensityMeasure:
     """The degree-d Riesz product density over the full finite system.
 
     With ``check`` the system is verified to be d-dissociated first.  For
@@ -137,7 +126,7 @@ def riesz_density(
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if check and len(system):
-        require_dissociated(system, d, budget)
+        require_dissociated(system, d)
     group = system.group
     values = np.ones(group.size, dtype=np.complex128)
     for gamma in system.characters:
@@ -191,7 +180,6 @@ def modulated_riesz_density(
     d: int,
     y: ModulationPoint,
     check: bool = True,
-    budget: int = DEFAULT_ENUM_BUDGET,
 ) -> DensityMeasure:
     """Riesz product with unimodular weights w^{+-k*y_i} on the powers.
 
@@ -205,7 +193,7 @@ def modulated_riesz_density(
     if len(y.digits) != len(system):
         raise ValueError("one modulation digit per system character is required")
     if check and len(system):
-        require_dissociated(system, d, budget)
+        require_dissociated(system, d)
     group = system.group
     values = np.ones(group.size, dtype=np.complex128)
     for i, gamma in enumerate(system.characters):
@@ -227,16 +215,15 @@ def product_character(
     return chi
 
 
-def _validate_product_spec(system, d, bases, exponents, signed):
+def _validate_product_spec(system, d, bases, exponents):
     if len(bases) != len(exponents):
         raise ValueError("bases and exponents must have equal length")
     if len(set(bases)) != len(bases):
         raise ValueError("product bases must be distinct")
     if any(not 0 <= b < len(system) for b in bases):
         raise ValueError("product bases must reference system characters")
-    lo = -d if signed else 1
     for e in exponents:
-        if e == 0 or not lo <= e <= d:
+        if e == 0 or not -d <= e <= d:
             raise ValueError(f"exponent {e} outside the admissible range for d={d}")
 
 
@@ -245,17 +232,15 @@ def expected_riesz_coefficient(
     d: int,
     bases: tuple[int, ...] = (),
     exponents: tuple[int, ...] = (),
-    check: bool = True,
-    budget: int = DEFAULT_ENUM_BUDGET,
 ) -> complex:
     """Closed-form Fourier coefficient of rho on an s-fold product: (2d)^{-s}.
 
     Valid for nonzero exponents with |e_i| <= d in the nondegenerate
-    regime; the empty product (the trivial character) returns the mass 1.
+    regime, which is checked; the empty product (the trivial character)
+    returns the mass 1.
     """
-    _validate_product_spec(system, d, bases, exponents, signed=True)
-    if check:
-        require_nondegenerate(system, d, budget=budget)
+    _validate_product_spec(system, d, bases, exponents)
+    require_nondegenerate(system, d)
     return complex((2 * d) ** (-len(bases)))
 
 
@@ -265,17 +250,14 @@ def expected_modulated_coefficient(
     bases: tuple[int, ...],
     exponents: tuple[int, ...],
     y: ModulationPoint,
-    check: bool = True,
-    budget: int = DEFAULT_ENUM_BUDGET,
 ) -> complex:
     """Closed-form Fourier coefficient of rho_y on an s-fold product.
 
-    In the nondegenerate regime the coefficient is the monomial
-    prod_i w^{e_i * y_{bases_i}} / (2d)^s with signed exponents e_i.
+    In the nondegenerate regime, which is checked, the coefficient is the
+    monomial prod_i w^{e_i * y_{bases_i}} / (2d)^s with signed exponents e_i.
     """
-    _validate_product_spec(system, d, bases, exponents, signed=True)
-    if check:
-        require_nondegenerate(system, d, budget=budget)
+    _validate_product_spec(system, d, bases, exponents)
+    require_nondegenerate(system, d)
     weight = 1 + 0j
     for b, e in zip(bases, exponents):
         weight *= y.rademacher_value(b, e)
@@ -371,13 +353,11 @@ def extraction_coefficients(d: int, s: int) -> ExtractionSpec:
     return ExtractionSpec(d=d, s=s, coefficients=coefficients, variation_bound=bound)
 
 
-def _extraction_hat(
-    system: CharacterSystem, d: int, s: int, check: bool, budget: int
-) -> np.ndarray:
+def _extraction_hat(system: CharacterSystem, d: int, s: int, check: bool) -> np.ndarray:
     """Fourier table of nu_s: sum_j c_j rho_hat^j from one transform of rho."""
     spec = extraction_coefficients(d, s)
     if check:
-        require_nondegenerate(system, d, budget=budget)
+        require_nondegenerate(system, d)
     rho_hat = fourier(riesz_density(system, d, check=False)).coeffs
     nu_hat = np.full(system.group.size, spec.coefficients[0], dtype=np.complex128)
     power = np.ones_like(rho_hat)
@@ -388,11 +368,7 @@ def _extraction_hat(
 
 
 def extraction_measure(
-    system: CharacterSystem,
-    d: int,
-    s: int,
-    check: bool = True,
-    budget: int = DEFAULT_ENUM_BUDGET,
+    system: CharacterSystem, d: int, s: int, check: bool = True
 ) -> DensityMeasure:
     """The measure whose Fourier coefficients indicate s-fold products.
 
@@ -402,16 +378,11 @@ def extraction_measure(
     nondegenerate regime is enforced, which is what guarantees the
     indicator law.
     """
-    nu_hat = _extraction_hat(system, d, s, check, budget)
+    nu_hat = _extraction_hat(system, d, s, check)
     return inverse_fourier(FourierTable(system.group, nu_hat))
 
 
-def extract_homogeneous(
-    polynomial: ChaosPolynomial,
-    s: int,
-    check: bool = True,
-    budget: int = DEFAULT_ENUM_BUDGET,
-) -> np.ndarray:
+def extract_homogeneous(polynomial: ChaosPolynomial, s: int, check: bool = True) -> np.ndarray:
     """Convolve Q with the s-fold extraction measure; returns value table.
 
     The convolution is a product of Fourier tables, and nu_s is used in
@@ -421,7 +392,7 @@ def extract_homogeneous(
     round trip of error).
     """
     system = polynomial.system
-    nu_hat = _extraction_hat(system, polynomial.degree, s, check, budget)
+    nu_hat = _extraction_hat(system, polynomial.degree, s, check)
     q_hat = fourier(polynomial.as_density()).coeffs
     return inverse_fourier(FourierTable(system.group, q_hat * nu_hat)).values
 
@@ -431,7 +402,6 @@ def extract_homogeneous_modulated(
     s: int,
     y: ModulationPoint,
     check: bool = True,
-    budget: int = DEFAULT_ENUM_BUDGET,
 ) -> np.ndarray:
     """Weighted-polynomial route to the s-homogeneous part, scaled by (2d)^-s.
 
@@ -442,7 +412,7 @@ def extract_homogeneous_modulated(
     """
     d = polynomial.degree
     if check:
-        require_nondegenerate(polynomial.system, d, budget=budget)
+        require_nondegenerate(polynomial.system, d)
     system = polynomial.system
 
     def weight(index: CompressedIndex) -> complex:

@@ -325,13 +325,13 @@ def test_criterion_07_oracle_equivalence():
 
 def test_criterion_08_desk_values():
     sys3 = lc.rademacher_system(3)
-    q3 = lc.ChaosPolynomial.build(sys3, 1, {(i,): 1.0 for i in range(3)})
+    q3 = lc.ChaosPolynomial(sys3, 1, {(i,): 1.0 for i in range(3)})
     l4 = lc.lq_norm(q3.values(), 4)
     err_l4 = abs(l4 - 21**0.25)
 
     sys4 = lc.rademacher_system(4)
     coeffs = {idx: 1.0 for idx in lc.enumerate_tetrahedral(4, 2)}
-    q4 = lc.ChaosPolynomial.build(sys4, 2, coeffs)
+    q4 = lc.ChaosPolynomial(sys4, 2, coeffs)
     linf = lc.lq_norm(q4.values(), math.inf)
 
     ok = err_l4 <= 1e-12 and linf == 6.0

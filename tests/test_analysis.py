@@ -12,7 +12,7 @@ import lacuna as lc
 def _rademacher_sum(count=3):
     system = lc.rademacher_system(count)
     coeffs = {(i,): 1.0 for i in range(count)}
-    return lc.ChaosPolynomial.build(system, 1, coeffs)
+    return lc.ChaosPolynomial(system, 1, coeffs)
 
 
 # -- norms ------------------------------------------------------------------------
@@ -62,7 +62,7 @@ def test_sidon_exponent_for_degree_two():
 
 def test_khinchin_ratio_single_term_is_one():
     system = lc.rademacher_system(2)
-    q = lc.ChaosPolynomial.build(system, 1, {(1,): 2.5j})
+    q = lc.ChaosPolynomial(system, 1, {(1,): 2.5j})
     assert lc.khinchin_ratio(q, 4) == pytest.approx(1.0)
 
 
@@ -76,7 +76,7 @@ def test_khinchin_ratio_scale_invariant():
     system = lc.rademacher_system(3)
     rng = np.random.default_rng(53)
     base = lc.random_chaos_polynomial(system, 2, rng)
-    scaled = lc.ChaosPolynomial.build(
+    scaled = lc.ChaosPolynomial(
         system, 2, {k: (3 - 2j) * v for k, v in base.coefficients.items()}
     )
     assert lc.khinchin_ratio(base, 4) == pytest.approx(lc.khinchin_ratio(scaled, 4))
@@ -89,7 +89,7 @@ def test_khinchin_ratio_requires_q_above_two():
 
 def test_ratio_zero_polynomial():
     system = lc.rademacher_system(2)
-    q = lc.ChaosPolynomial.build(system, 1, {(0,): 0.0})
+    q = lc.ChaosPolynomial(system, 1, {(0,): 0.0})
     with pytest.raises(lc.ZeroPolynomial):
         lc.khinchin_ratio(q, 4)
     with pytest.raises(lc.ZeroPolynomial):
@@ -99,14 +99,14 @@ def test_ratio_zero_polynomial():
 def test_sidon_ratio_single_term_is_one():
     system = lc.rademacher_system(4)
     for d, idx in ((1, (2,)), (2, (1, 3)), (3, (0, 1, 2))):
-        q = lc.ChaosPolynomial.build(system, d, {idx: -2.0})
+        q = lc.ChaosPolynomial(system, d, {idx: -2.0})
         assert lc.sidon_ratio(q) == pytest.approx(1.0)
 
 
 def test_sidon_ratio_all_ones_tetrahedral():
     system = lc.rademacher_system(4)
     coeffs = {idx: 1.0 for idx in lc.enumerate_tetrahedral(4, 2)}
-    q = lc.ChaosPolynomial.build(system, 2, coeffs)
+    q = lc.ChaosPolynomial(system, 2, coeffs)
     assert lc.lq_norm(q.values(), math.inf) == pytest.approx(6.0)
     assert lc.sidon_ratio(q) == pytest.approx(6 ** (3 / 4) / 6)
 
@@ -116,7 +116,7 @@ def test_sidon_ratio_phase_invariant():
     rng = np.random.default_rng(59)
     base = lc.random_chaos_polynomial(system, 2, rng)
     phase = np.exp(1.234j)
-    rotated = lc.ChaosPolynomial.build(
+    rotated = lc.ChaosPolynomial(
         system, 2, {k: phase * v for k, v in base.coefficients.items()}
     )
     assert lc.sidon_ratio(base) == pytest.approx(lc.sidon_ratio(rotated))
@@ -128,7 +128,7 @@ def test_sidon_ratio_phase_invariant():
 def test_grad_single_term_closed_form():
     system = lc.rademacher_system(2)
     coeff = 1.5 - 2.0j
-    q = lc.ChaosPolynomial.build(system, 1, {(0,): coeff})
+    q = lc.ChaosPolynomial(system, 1, {(0,): coeff})
     grad = lc.grad_lq_q(q, 4)
     expected = 4 * abs(coeff) ** 2 * coeff
     assert grad[0] == pytest.approx(expected)
@@ -136,7 +136,7 @@ def test_grad_single_term_closed_form():
 
 def test_grad_zero_polynomial_is_zero():
     system = lc.rademacher_system(2)
-    q = lc.ChaosPolynomial.build(system, 1, {(0,): 0.0, (1,): 0.0})
+    q = lc.ChaosPolynomial(system, 1, {(0,): 0.0, (1,): 0.0})
     assert np.abs(lc.grad_lq_q(q, 6)).max() == 0
 
 
@@ -185,7 +185,7 @@ def test_khinchin_estimate_rademacher_band():
     estimate = lc.estimate_khinchin_constant(
         system, 1, 4, trials=6, seed=7, indices=indices, kappa_model=10.0
     )
-    all_ones = lc.ChaosPolynomial.build(system, 1, {(i,): 1.0 for i in range(6)})
+    all_ones = lc.ChaosPolynomial(system, 1, {(i,): 1.0 for i in range(6)})
     floor = lc.khinchin_ratio(all_ones, 4)
     assert estimate.constant >= floor - 1e-7
     assert 1.0 <= estimate.constant <= 3**0.25 + 1e-9
@@ -211,9 +211,7 @@ def test_khinchin_estimate_parallel_matches_serial():
 
 def test_khinchin_trajectories_monotone():
     system = lc.rademacher_system(5)
-    estimate = lc.estimate_khinchin_constant(
-        system, 2, 4, trials=4, seed=11, record_history=True
-    )
+    estimate = lc.estimate_khinchin_constant(system, 2, 4, trials=4, seed=11)
     assert estimate.histories is not None
     for history in estimate.histories:
         for a, b in zip(history, history[1:]):
@@ -233,9 +231,7 @@ def test_khinchin_estimate_rejects_bad_input():
 
 def test_khinchin_estimate_non_even_q_uses_starts_only():
     system = lc.rademacher_system(4)
-    estimate = lc.estimate_khinchin_constant(
-        system, 1, 3.5, trials=5, seed=3, record_history=True
-    )
+    estimate = lc.estimate_khinchin_constant(system, 1, 3.5, trials=5, seed=3)
     assert all(len(h) == 1 for h in estimate.histories)
     assert estimate.constant >= 1.0 - 1e-9
 
@@ -264,15 +260,13 @@ def test_sidon_estimate_deterministic_and_parallel_safe():
 def test_sidon_estimate_improves_on_random_start():
     system = lc.rademacher_system(5)
     indices = lc.enumerate_tetrahedral(5, 2)
-    estimate = lc.estimate_sidon_constant(
-        system, 2, trials=4, seed=13, indices=indices, record_history=True
-    )
+    estimate = lc.estimate_sidon_constant(system, 2, trials=4, seed=13, indices=indices)
     assert estimate.histories is not None
     for history in estimate.histories:
         for a, b in zip(history, history[1:]):
             assert b >= a - 1e-12
     # the best pattern must beat the trivial all-ones arrangement
-    all_ones = lc.ChaosPolynomial.build(system, 2, {i: 1.0 for i in indices})
+    all_ones = lc.ChaosPolynomial(system, 2, {i: 1.0 for i in indices})
     assert estimate.constant >= lc.sidon_ratio(all_ones) - 1e-9
 
 
@@ -308,7 +302,7 @@ def test_ratios_invariant_under_scalar_rotation(scale, phase):
     rng = np.random.default_rng(67)
     base = lc.random_chaos_polynomial(system, 2, rng)
     factor = scale * np.exp(1j * phase)
-    scaled = lc.ChaosPolynomial.build(
+    scaled = lc.ChaosPolynomial(
         system, 2, {k: factor * v for k, v in base.coefficients.items()}
     )
     assert lc.khinchin_ratio(scaled, 4) == pytest.approx(

@@ -85,7 +85,7 @@ def _z3_single_char_system():
 
 def test_evaluate_single_squared_term():
     system = _z3_single_char_system()
-    q = lc.ChaosPolynomial.build(system, 2, {(0, 0): 1})
+    q = lc.ChaosPolynomial(system, 2, {(0, 0): 1})
     g = system.group.element([1])
     assert q.evaluate(g) == pytest.approx(OMEGA3**2)
     assert q.values()[g.index] == pytest.approx(OMEGA3**2)
@@ -93,14 +93,14 @@ def test_evaluate_single_squared_term():
 
 def test_evaluate_zero_polynomial():
     system = _z3_single_char_system()
-    q = lc.ChaosPolynomial.build(system, 2, {(0, 0): 0})
+    q = lc.ChaosPolynomial(system, 2, {(0, 0): 0})
     assert np.abs(q.values()).max() == 0
     assert q.evaluate(system.group.element([2])) == 0
 
 
 def test_evaluate_rademacher_sum():
     system = lc.rademacher_system(3)
-    q = lc.ChaosPolynomial.build(system, 1, {(0,): 1, (1,): 1, (2,): 1})
+    q = lc.ChaosPolynomial(system, 1, {(0,): 1, (1,): 1, (2,): 1})
     g = system.group.element([1, 1, 0])
     assert q.evaluate(g) == pytest.approx(-1)
 
@@ -117,18 +117,18 @@ def test_values_match_pointwise_evaluate():
 def test_coefficient_validation():
     system = _z3_single_char_system()
     with pytest.raises(ValueError):
-        lc.ChaosPolynomial.build(system, 2, {(0,): 1})  # degree mismatch
+        lc.ChaosPolynomial(system, 2, {(0,): 1})  # degree mismatch
     with pytest.raises(ValueError):
-        lc.ChaosPolynomial.build(system, 2, {(0, 1): 1})  # base out of range
+        lc.ChaosPolynomial(system, 2, {(0, 1): 1})  # base out of range
     two = lc.rademacher_system(2)
     with pytest.raises(ValueError):
         # (1, 0) canonicalizes to (0, 1): a duplicate key, not a new term
-        lc.ChaosPolynomial.build(two, 2, {(0, 1): 1, (1, 0): 2})
+        lc.ChaosPolynomial(two, 2, {(0, 1): 1, (1, 0): 2})
 
 
 def test_evaluate_group_mismatch():
     system = _z3_single_char_system()
-    q = lc.ChaosPolynomial.build(system, 1, {(0,): 1})
+    q = lc.ChaosPolynomial(system, 1, {(0,): 1})
     with pytest.raises(lc.GroupMismatch):
         q.evaluate(lc.make_group([5]).element([1]))
 
@@ -138,7 +138,7 @@ def test_evaluate_group_mismatch():
 
 def test_decompose_by_distinct_base_count():
     system = lc.rademacher_system(2)
-    q = lc.ChaosPolynomial.build(system, 2, {(0, 0): 1, (0, 1): 2})
+    q = lc.ChaosPolynomial(system, 2, {(0, 0): 1, (0, 1): 2})
     parts = lc.decompose(q)
     assert len(parts) == 2
     for s, part in enumerate(parts, start=1):
@@ -150,7 +150,7 @@ def test_decompose_by_distinct_base_count():
 def test_decompose_tetrahedral_is_top_part():
     system = lc.rademacher_system(4)
     coeffs = {idx: 1.0 for idx in lc.enumerate_tetrahedral(4, 2)}
-    q = lc.ChaosPolynomial.build(system, 2, coeffs)
+    q = lc.ChaosPolynomial(system, 2, coeffs)
     parts = lc.decompose(q)
     assert not parts[0].coefficients
     assert np.abs(parts[1].values() - q.values()).max() < 1e-12
@@ -158,7 +158,7 @@ def test_decompose_tetrahedral_is_top_part():
 
 def test_decompose_degree_one_is_identity():
     system = lc.rademacher_system(3)
-    q = lc.ChaosPolynomial.build(system, 1, {(0,): 1j, (2,): -1})
+    q = lc.ChaosPolynomial(system, 1, {(0,): 1j, (2,): -1})
     parts = lc.decompose(q)
     assert len(parts) == 1
     assert np.abs(parts[0].values() - q.values()).max() == 0
@@ -179,7 +179,9 @@ def test_decompose_reconstructs_pointwise():
 def test_relabeling_preserves_coefficient_multiset_exactly():
     rng = np.random.default_rng(47)
     system = lc.CharacterSystem.from_exponents(lc.make_group([9, 9]), [[1, 0], [0, 1]])
-    q = lc.random_chaos_polynomial(system, 3, rng, normalized=False)
+    indices = lc.enumerate_polynomial(2, 3)
+    coeffs = rng.standard_normal(len(indices)) + 1j * rng.standard_normal(len(indices))
+    q = lc.ChaosPolynomial(system, 3, dict(zip(indices, coeffs)))
     original = sorted(q.coefficient_vector(), key=lambda z: (z.real, z.imag))
     relabeled = sorted(
         (c for part in lc.decompose(q) for c in part.coefficient_vector()),
@@ -203,7 +205,7 @@ def test_compress_round_trip_hypothesis(full):
 
 def test_chaos_json_round_trip():
     system = lc.rademacher_system(3)
-    q = lc.ChaosPolynomial.build(system, 2, {(0, 1): 1 + 2j, (1, 1): -0.5})
+    q = lc.ChaosPolynomial(system, 2, {(0, 1): 1 + 2j, (1, 1): -0.5})
     obj = q.to_json_obj()
     assert obj["d"] == 2
     assert obj["terms"] == [

@@ -521,6 +521,50 @@ def test_discretize_scan_bounds_cells_before_allocating(tmp_path, capsys, monkey
     assert not any(out.iterdir())
 
 
+def _refuse_term_values(monkeypatch):
+    """Replace term_values at every lacuna import site with a function that fails."""
+    import sys
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a value-table column was built")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "lacuna" and hasattr(module, "term_values"):
+            monkeypatch.setattr(module, "term_values", refuse)
+
+
+@pytest.mark.parametrize("command", ["khinchin", "sidon", "discretize-scan"])
+def test_value_tables_are_bounded_before_any_column(tmp_path, capsys, monkeypatch, command):
+    _refuse_term_values(monkeypatch)
+    config = {
+        "command": command,
+        "system": {"rademacher": {"count": 20}},
+        "d": 3,
+        "trials": 1,
+        "m_grid": [8],
+    }
+    code, out = _run(tmp_path, config)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "SizeLimitExceeded" in err and "Traceback" not in err
+    assert not any(out.iterdir())
+
+
+def test_discretize_scan_reads_m_grid_before_building_the_basis(tmp_path, capsys, monkeypatch):
+    _refuse_term_values(monkeypatch)
+    config = {
+        "command": "discretize-scan",
+        "system": {"rademacher": {"count": 4}},
+        "d": 2,
+        "trials": 1,
+        "m_grid": "x",
+    }
+    code, out = _run(tmp_path, config)
+    assert code == 2
+    assert "'m_grid' must be" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize(
     "fragment",
     ['"q": 1e400', '"q": Infinity', '"q": NaN', '"q": 4, "kappa_model": -1e999'],

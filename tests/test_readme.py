@@ -1,0 +1,14 @@
+"""The README's library example runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_library_example_runs():
+    text = README.read_text()
+    section = text.split("## Library example", 1)[1]
+    blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
+    assert blocks, "no python block under 'Library example'"
+    exec(compile(blocks[0], f"{README}:library-example", "exec"), {})

@@ -354,21 +354,21 @@ def test_extraction_measure_full_indicator_law_random():
 def test_extract_tetrahedral_top_part_is_identity():
     system = _system([9, 9, 9], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     coeffs = {idx: 1.0 + 0.5j for idx in lc.enumerate_tetrahedral(3, 2)}
-    q = lc.ChaosPolynomial.build(system, 2, coeffs)
+    q = lc.ChaosPolynomial(system, 2, coeffs)
     extracted = lc.extract_homogeneous(q, 2)
     assert np.abs(extracted - q.values()).max() < 1e-8
 
 
 def test_extract_missing_part_is_zero():
     system = _system([9, 9], [[1, 0], [0, 1]])
-    q = lc.ChaosPolynomial.build(system, 2, {(0, 0): 1.0, (1, 1): 2.0})  # s=1 only
+    q = lc.ChaosPolynomial(system, 2, {(0, 0): 1.0, (1, 1): 2.0})  # s=1 only
     extracted = lc.extract_homogeneous(q, 2)
     assert np.abs(extracted).max() < 1e-8
 
 
 def test_extract_zero_polynomial():
     system = _system([9, 9], [[1, 0], [0, 1]])
-    q = lc.ChaosPolynomial.build(system, 2, {(0, 1): 0.0})
+    q = lc.ChaosPolynomial(system, 2, {(0, 1): 0.0})
     assert np.abs(lc.extract_homogeneous(q, 1)).max() < 1e-12
     y = lc.ModulationPoint.zero(5, 2)
     assert np.abs(lc.extract_homogeneous_modulated(q, 1, y)).max() < 1e-12
@@ -412,7 +412,7 @@ def test_extract_homogeneous_equals_convolution_with_nu(d):
 
 def test_degenerate_system_rejected_with_pointer_to_transform():
     system = _system([4], [[1]])  # order 4 <= 2d for d = 2
-    q = lc.ChaosPolynomial.build(system, 2, {(0, 0): 1.0})
+    q = lc.ChaosPolynomial(system, 2, {(0, 0): 1.0})
     with pytest.raises(lc.DegenerateOrder):
         lc.extract_homogeneous(q, 1)
     with pytest.raises(lc.DegenerateOrder):
@@ -425,7 +425,7 @@ def test_degenerate_order4_expectation_over_y_recovers_identity():
     # average over y restores Q^(1)/(2d) exactly
     system = _system([4], [[1]])
     d = 2
-    q = lc.ChaosPolynomial.build(system, 2, {(0, 0): 1.5 - 0.5j})
+    q = lc.ChaosPolynomial(system, 2, {(0, 0): 1.5 - 0.5j})
     target = lc.decompose(q)[0].values() / (2 * d)
     pointwise_errors = []
     accum = np.zeros(system.group.size, dtype=np.complex128)
