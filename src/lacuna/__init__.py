@@ -7,7 +7,7 @@ homogeneous chaos parts, and estimates Khinchin and Sidon constants
 empirically.  See the README for the CLI and the acceptance suite.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .errors import (
     BudgetExceeded,
@@ -15,7 +15,6 @@ from .errors import (
     DegenerateOrder,
     DegreeExceedsSystem,
     DuplicateCharacter,
-    EmptyScheme,
     GroupMismatch,
     InvalidP,
     InvalidQ,
@@ -27,7 +26,6 @@ from .errors import (
     SizeLimitExceeded,
     StaircaseViolated,
     TrivialCharacterPresent,
-    UnsupportedQ,
     ZeroPolynomial,
 )
 from .groups import (
@@ -35,14 +33,10 @@ from .groups import (
     DensityMeasure,
     FiniteAbelianGroup,
     FourierTable,
-    GroupElement,
     char_mul,
     char_pow,
-    character_density,
     convolve,
-    dirac_density,
     fourier,
-    haar_density,
     inverse_fourier,
     make_group,
 )
@@ -63,7 +57,6 @@ from .chaos import (
     decompose,
     enumerate_polynomial,
     enumerate_tetrahedral,
-    expand,
     random_chaos_polynomial,
     term_values,
 )
@@ -99,9 +92,6 @@ from .analysis import (
 )
 from .discretize import (
     DiscretizationScheme,
-    evaluate_scheme,
-    fit_weights_heuristic,
     scan_point_counts,
-    scheme_ratio,
     summarize_scan,
 )

@@ -8,11 +8,11 @@ coefficient norms are plain ``l_p`` sums.  The two functionals under study:
 * Sidon ratio      ``||A||_p / ||Q||_inf`` with p = 2d/(d+1) by default.
 
 Both are scale-invariant in the coefficients, so the estimators search the
-unit sphere: projected gradient ascent on ``||Q||_q^q`` for even q, and a
-coordinate-wise phase search that minimizes ``||Q||_inf`` at pinned
-modulus.  Trials are independent, seeded per ``(seed, trial)``, and every
-accepted step improves the objective, so trajectories are monotone and
-results reproduce bit-for-bit.
+unit sphere: projected gradient ascent on ``||Q||_q^q`` for every finite
+q, and a coordinate-wise phase search that minimizes ``||Q||_inf`` at
+pinned modulus.  Trials are independent, seeded per ``(seed, trial)``,
+and every accepted step improves the objective, so trajectories are
+monotone and results reproduce bit-for-bit.
 
 Theoretical ceilings accompany the estimates when their model constants
 are supplied: ``sqrt(d) (2d)^d C kappa_model`` for the Khinchin kind and
@@ -32,13 +32,14 @@ import numpy as np
 
 from .chaos import (
     ChaosPolynomial,
-    CompressedIndex,
+    FullIndex,
     compress,
     enumerate_polynomial,
+    enumerate_tetrahedral,
     term_values,
 )
 from .dissociation import CharacterSystem, require_dissociated
-from .errors import InvalidP, InvalidQ, SizeLimitExceeded, UnsupportedQ, ZeroPolynomial
+from .errors import InvalidP, InvalidQ, SizeLimitExceeded, ZeroPolynomial
 from .groups import TABLE_CELL_LIMIT
 from .parallel import map_indexed, trial_rng
 from .riesz import extraction_coefficients
@@ -97,24 +98,46 @@ def sidon_ratio(polynomial: ChaosPolynomial, p: float | None = None) -> float:
     return lp_coeff_norm(coeffs, p) / lq_norm(polynomial.values(), math.inf)
 
 
+def _require_table_cells(terms: int, group_size: int):
+    """SizeLimitExceeded if a terms x |G| value table would pass ``TABLE_CELL_LIMIT``."""
+    cells = terms * group_size
+    if cells > TABLE_CELL_LIMIT:
+        raise SizeLimitExceeded(
+            f"a value table needs {cells} cells ({terms} terms x |G| = "
+            f"{group_size}), over the limit {TABLE_CELL_LIMIT}"
+        )
+
+
+def chaos_indices(
+    system: CharacterSystem, d: int, tetrahedral: bool = False
+) -> list[FullIndex]:
+    """Index tuples of the degree-d chaos (polynomial, or tetrahedral).
+
+    The term count, ``C(m+d-1, d)`` or ``C(m, d)``, is checked against
+    ``TABLE_CELL_LIMIT`` before any tuple is listed.
+    """
+    m = len(system)
+    terms = math.comb(m, d) if tetrahedral else math.comb(m + d - 1, d)
+    _require_table_cells(terms, system.group.size)
+    return (enumerate_tetrahedral if tetrahedral else enumerate_polynomial)(m, d)
+
+
 def values_matrix(system: CharacterSystem, indices: Sequence) -> np.ndarray:
     """Column t holds the value table of the t-th index's character product.
 
     A table of more than ``TABLE_CELL_LIMIT`` cells raises SizeLimitExceeded
-    before any column is built.
+    before any column is built.  Columns are written into the preallocated
+    table, so it is held in memory once.
     """
-    cells = len(indices) * system.group.size
-    if cells > TABLE_CELL_LIMIT:
-        raise SizeLimitExceeded(
-            f"a value table needs {cells} cells ({len(indices)} terms x |G| = "
-            f"{system.group.size}), over the limit {TABLE_CELL_LIMIT}"
-        )
-    cols = [term_values(system, compress(idx)) for idx in indices]
-    return np.stack(cols, axis=1) if cols else np.zeros((system.group.size, 0), complex)
+    _require_table_cells(len(indices), system.group.size)
+    matrix = np.empty((system.group.size, len(indices)), dtype=np.complex128)
+    for t, idx in enumerate(indices):
+        matrix[:, t] = term_values(system, compress(idx))
+    return matrix
 
 
-def _grad_lq_q_matrix(adjoint: np.ndarray, values: np.ndarray, q: int) -> np.ndarray:
-    """Complex gradient of ||Q||_q^q in the coefficients, for even q.
+def _grad_lq_q_matrix(adjoint: np.ndarray, values: np.ndarray, q: float) -> np.ndarray:
+    """Complex gradient ``q |f|^(q-2) f`` of ||Q||_q^q in the coefficients.
 
     ``adjoint`` is ``matrix.conj().T`` and ``values`` is ``matrix @ coeffs``.
     Entry t is d/dRe(A_t) + i * d/dIm(A_t).
@@ -123,14 +146,14 @@ def _grad_lq_q_matrix(adjoint: np.ndarray, values: np.ndarray, q: int) -> np.nda
     return q * (adjoint @ weight) / adjoint.shape[1]
 
 
-def grad_lq_q(polynomial: ChaosPolynomial, q: int) -> np.ndarray:
-    """Gradient of ||Q||_q^q over (re, im) of each coefficient, q in {4, 6, 8}.
+def grad_lq_q(polynomial: ChaosPolynomial, q: float) -> np.ndarray:
+    """Gradient of ||Q||_q^q over (re, im) of each coefficient, for finite q > 2.
 
     Returned as one complex number per term in canonical term order: the
     real part is the derivative in Re(A_t), the imaginary part in Im(A_t).
     """
-    if q not in (4, 6, 8):
-        raise UnsupportedQ(f"analytic gradient supports q in {{4, 6, 8}}, got {q}")
+    if not (math.isfinite(q) and q > 2):
+        raise InvalidQ(f"the gradient needs a finite q > 2, got {q}")
     indices = [idx for idx, _ in polynomial.terms()]
     matrix = values_matrix(polynomial.system, indices)
     return _grad_lq_q_matrix(matrix.conj().T, matrix @ polynomial.coefficient_vector(), q)
@@ -184,10 +207,6 @@ class ConstantEstimate:
         }
 
 
-def _default_indices(system: CharacterSystem, d: int) -> list[CompressedIndex]:
-    return [compress(idx) for idx in enumerate_polynomial(len(system), d)]
-
-
 # one trial: (matrix, its rng) -> (ratio, coefficients, ratio history)
 _Trial = Callable[[np.ndarray, np.random.Generator], tuple[float, np.ndarray, list[float]]]
 
@@ -208,7 +227,7 @@ def _best_of_trials(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     require_dissociated(system, d)
-    idx = list(indices) if indices is not None else _default_indices(system, d)
+    idx = list(indices) if indices is not None else chaos_indices(system, d)
     matrix = values_matrix(system, idx)
 
     def run_trial(t: int) -> tuple[float, np.ndarray, list[float]]:
@@ -248,14 +267,14 @@ def estimate_khinchin_constant(
     """Maximize ||Q||_q / ||A||_2 over unit coefficient vectors.
 
     The system must be d-dissociated (NotDissociated otherwise).  Each
-    trial starts from a random unit vector; for even q in {4, 6, 8} it then
-    runs projected gradient ascent (step 0.1, halved on non-improvement,
-    stop at relative stall 1e-9 or 500 steps).  The result's ``histories``
+    trial starts from a random unit vector; for every finite q it then runs
+    projected gradient ascent (step 0.1, halved on non-improvement, stop at
+    relative stall 1e-9 or 500 steps).  The result's ``histories``
     holds each trial's ratio after every accepted step.
     """
-    if not math.isinf(q) and float(q) <= 2:
+    if not q > 2:
         raise InvalidQ(f"q must exceed 2, got {q}")
-    use_ascent = q in (4, 6, 8)
+    use_ascent = not math.isinf(q)
 
     def trial(matrix: np.ndarray, rng: np.random.Generator):
         coeffs = _random_unit(rng, matrix.shape[1])
@@ -266,7 +285,7 @@ def estimate_khinchin_constant(
             adjoint = matrix.conj().T
             step = _ASCENT_STEP
             for _ in range(_ASCENT_MAX_STEPS):
-                grad = _grad_lq_q_matrix(adjoint, values, int(q))
+                grad = _grad_lq_q_matrix(adjoint, values, q)
                 candidate = coeffs + step * grad
                 candidate /= np.linalg.norm(candidate)
                 candidate_values = matrix @ candidate

@@ -25,7 +25,7 @@ import numpy as np
 
 from .dissociation import CharacterSystem
 from .errors import DegreeExceedsSystem
-from .groups import DensityMeasure, GroupElement, char_pow
+from .groups import DensityMeasure, char_pow
 
 FullIndex = tuple[int, ...]
 
@@ -76,13 +76,6 @@ def compress(index) -> CompressedIndex:
     if isinstance(index, CompressedIndex):
         return index
     return CompressedIndex.from_full(tuple(index))
-
-
-def expand(index) -> FullIndex:
-    """Compressed form -> full nondecreasing tuple; tuples pass through sorted."""
-    if isinstance(index, CompressedIndex):
-        return index.expand()
-    return tuple(sorted(int(k) for k in index))
 
 
 def enumerate_tetrahedral(m: int, d: int) -> list[FullIndex]:
@@ -152,19 +145,6 @@ class ChaosPolynomial:
     def coefficient_vector(self) -> np.ndarray:
         return np.array([c for _, c in self.terms()], dtype=np.complex128)
 
-    def l2_coefficient_norm(self) -> float:
-        return float(np.linalg.norm(self.coefficient_vector()))
-
-    def evaluate(self, g: GroupElement) -> complex:
-        """Direct per-element evaluation (independent of the value-table path)."""
-        total = 0j
-        for index, coeff in self.coefficients.items():
-            prod = 1 + 0j
-            for b, e in zip(index.bases, index.exponents):
-                prod *= char_pow(self.system.characters[b], e)(g)
-            total += coeff * prod
-        return total
-
     def values(self) -> np.ndarray:
         """Value table over the whole group in element enumeration order."""
         out = np.zeros(self.system.group.size, dtype=np.complex128)
@@ -175,26 +155,6 @@ class ChaosPolynomial:
 
     def as_density(self) -> DensityMeasure:
         return DensityMeasure(self.system.group, self.values())
-
-    def to_json_obj(self) -> dict:
-        terms = [
-            {
-                "k": list(index.bases),
-                "alpha": list(index.exponents),
-                "re": float(coeff.real),
-                "im": float(coeff.imag),
-            }
-            for index, coeff in self.terms()
-        ]
-        return {"d": self.degree, "terms": terms}
-
-    @classmethod
-    def from_json_obj(cls, system: CharacterSystem, obj: dict) -> "ChaosPolynomial":
-        coeffs = {
-            CompressedIndex(tuple(t["k"]), tuple(t["alpha"])): complex(t["re"], t["im"])
-            for t in obj["terms"]
-        }
-        return cls(system, int(obj["d"]), coeffs)
 
 
 def decompose(polynomial: ChaosPolynomial) -> list[ChaosPolynomial]:

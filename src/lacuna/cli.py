@@ -25,13 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import estimate_khinchin_constant, estimate_sidon_constant, values_matrix
-from .chaos import (
-    enumerate_polynomial,
-    enumerate_tetrahedral,
-    decompose,
-    random_chaos_polynomial,
-)
+from .analysis import chaos_indices, estimate_khinchin_constant, estimate_sidon_constant
+from .chaos import decompose, random_chaos_polynomial
 from .discretize import (
     render_scan_svg,
     scan_point_counts,
@@ -216,9 +211,7 @@ def _build_system(config: dict) -> CharacterSystem:
 
 def _chaos_indices(system: CharacterSystem, d: int, kind: str):
     _require(kind in ("polynomial", "tetrahedral"), f"unknown chaos kind {kind!r}")
-    if kind == "tetrahedral":
-        return enumerate_tetrahedral(len(system), d)
-    return enumerate_polynomial(len(system), d)
+    return chaos_indices(system, d, tetrahedral=kind == "tetrahedral")
 
 
 def _write_json(path: Path, command: str, config: dict, results: dict):
@@ -414,11 +407,11 @@ def _cmd_estimate(config, out, svg):
     else:
         estimator, model_key, model_default = estimate_sidon_constant, "c_model", 1.0
         options = {"p": _get_number(config, "p", None, lambda p: p >= 1, "a number >= 1")}
-    chaos = config.get("chaos", "polynomial")
-    indices = _chaos_indices(system, d, chaos)
     options[model_key] = _get_number(
         config, model_key, model_default, lambda c: math.isfinite(c) and c > 0, "a finite number > 0"
     )
+    chaos = config.get("chaos", "polynomial")
+    indices = _chaos_indices(system, d, chaos)
     estimate = estimator(
         system, d, trials=trials, seed=seed, indices=indices, workers=worker_count(), **options
     )
@@ -453,10 +446,9 @@ def _cmd_discretize_scan(config, out, svg):
         "'m_grid' must be a non-empty list of positive integers",
     )
     indices = _chaos_indices(system, d, config.get("chaos", "tetrahedral"))
-    basis = list(values_matrix(system, indices).T)
-    n = len(basis)
+    n = len(indices)
     records = scan_point_counts(
-        basis, q, m_grid, trials, seed, system.group, probes=probes, workers=worker_count()
+        system, indices, q, m_grid, trials, seed, probes=probes, workers=worker_count()
     )
     bad = [r for r in records if r["c1"] > r["c2"] + 1e-12]
     summary = summarize_scan(records)

@@ -26,8 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import lq_norm
-from .errors import EmptyScheme, InvalidQ, SizeLimitExceeded
+from .analysis import lq_norm, values_matrix
+from .dissociation import CharacterSystem
+from .errors import InvalidQ, SizeLimitExceeded
 from .groups import TABLE_CELL_LIMIT, FiniteAbelianGroup
 from .parallel import map_indexed, trial_rng
 
@@ -55,65 +56,12 @@ class DiscretizationScheme:
         self.point_indices = idx
         self.weights = w
 
-    @property
-    def size(self) -> int:
-        return int(self.point_indices.size)
-
-    @classmethod
-    def full_group(cls, group: FiniteAbelianGroup, q: float) -> "DiscretizationScheme":
-        """All points with uniform weights 1/|G|: exact for every f and q."""
-        return cls(
-            group,
-            np.arange(group.size),
-            np.full(group.size, 1.0 / group.size),
-            q,
-        )
-
     @classmethod
     def uniform(
         cls, group: FiniteAbelianGroup, point_indices: Sequence[int], q: float
     ) -> "DiscretizationScheme":
         idx = np.asarray(point_indices, dtype=np.int64)
         return cls(group, idx, np.full(idx.size, 1.0 / max(idx.size, 1)), q)
-
-
-def scheme_ratio(
-    basis: Sequence[np.ndarray], scheme: DiscretizationScheme, coefficients
-) -> float:
-    """Discrete-to-true L_q norm ratio for one coefficient vector."""
-    if scheme.size == 0:
-        raise EmptyScheme("cannot evaluate a scheme with no points")
-    matrix = np.stack(basis, axis=1)
-    f_values = matrix @ np.asarray(coefficients, dtype=np.complex128)
-    true_norm = lq_norm(f_values, scheme.q)
-    if true_norm == 0:
-        return float("nan")
-    sampled = np.abs(f_values[scheme.point_indices])
-    discrete = float(np.sum(scheme.weights * sampled ** scheme.q) ** (1.0 / scheme.q))
-    return discrete / true_norm
-
-
-def evaluate_scheme(
-    basis: Sequence[np.ndarray],
-    scheme: DiscretizationScheme,
-    probes: int,
-    seed: int,
-) -> tuple[float, float]:
-    """(C_1, C_2) = extreme discrete-to-true ratios over random probes.
-
-    Probe coefficients are standard complex Gaussians (the ratio is scale
-    invariant, so no normalization is needed); deterministic given seed.
-    """
-    if probes < 1:
-        raise ValueError(f"probes must be >= 1, got {probes}")
-    if scheme.size == 0:
-        raise EmptyScheme("cannot evaluate a scheme with no points")
-    n = len(basis)
-    rng = trial_rng(seed, 0)
-    coeffs = rng.standard_normal((probes, n)) + 1j * rng.standard_normal((probes, n))
-    f_values, true_norms = _probe_values(np.stack(basis, axis=1), coeffs, scheme.q)
-    powered = np.abs(f_values[scheme.point_indices, :]) ** scheme.q
-    return _evaluate_with_probes(scheme, powered, true_norms)
 
 
 def _probe_values(
@@ -150,37 +98,40 @@ def _nested_point_sequence(
 
 
 def scan_point_counts(
-    basis: Sequence[np.ndarray],
+    system: CharacterSystem,
+    indices: Sequence,
     q: float,
     m_grid: Sequence[int],
     trials: int,
     seed: int,
-    group: FiniteAbelianGroup,
     probes: int = 64,
     workers: int = 1,
 ) -> list[dict]:
     """Probe C_1/C_2 of uniformly weighted random schemes across sizes.
 
-    One record per (m, trial):
+    The basis is the value table of the chaos terms ``indices`` of
+    ``system``, built once.  One record per (m, trial):
     {"m", "trial", "c1", "c2", "q", "n_basis", "seed"}.  Within a trial all
     sizes share one nested point sequence and one probe set, so medians
     across the grid reflect pure size growth.  A trial holds an
     |G| x probes and an m x probes table, so either one above
-    ``TABLE_CELL_LIMIT`` cells raises SizeLimitExceeded before any work.
+    ``TABLE_CELL_LIMIT`` cells raises SizeLimitExceeded before the basis
+    is built.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     sizes = sorted(set(int(m) for m in m_grid))
     if not sizes or sizes[0] < 1:
         raise ValueError("m_grid must contain positive point counts")
+    group = system.group
     cells = max(sizes[-1], group.size) * probes
     if cells > TABLE_CELL_LIMIT:
         raise SizeLimitExceeded(
             f"a scan trial needs {cells} cells (max(m, |G|) * probes), "
             f"over the limit {TABLE_CELL_LIMIT}"
         )
-    n = len(basis)
-    matrix = np.stack(basis, axis=1)
+    matrix = values_matrix(system, indices)
+    n = matrix.shape[1]
 
     def run_trial(t: int) -> list[dict]:
         rng = trial_rng(seed, t)
@@ -230,37 +181,6 @@ def summarize_scan(records: Sequence[dict]) -> list[dict]:
             }
         )
     return summary
-
-
-def fit_weights_heuristic(
-    basis: Sequence[np.ndarray],
-    group: FiniteAbelianGroup,
-    point_indices: Sequence[int],
-    q: float,
-    probes: int,
-    seed: int,
-) -> DiscretizationScheme:
-    """Heuristic nonnegative weight fit over a probe set.
-
-    Least-squares match of the discrete q-th powers to the true ones,
-    clipped to be nonnegative and rescaled to unit total weight.  This is a
-    labeled heuristic, not an optimal-weight construction: it tends to
-    tighten C_1/C_2 but guarantees nothing.
-    """
-    idx = np.asarray(point_indices, dtype=np.int64)
-    if idx.size == 0:
-        raise EmptyScheme("cannot fit weights for a scheme with no points")
-    rng = trial_rng(seed, 1)
-    n = len(basis)
-    coeffs = rng.standard_normal((probes, n)) + 1j * rng.standard_normal((probes, n))
-    f_values, true_norms = _probe_values(np.stack(basis, axis=1), coeffs, q)
-    targets = np.array([t ** q for t in true_norms])
-    design = np.abs(f_values[idx, :].T) ** q
-    weights, *_ = np.linalg.lstsq(design, targets, rcond=None)
-    weights = np.clip(weights, 0.0, None)
-    if not weights.any():
-        weights = np.full(idx.size, 1.0 / idx.size)
-    return DiscretizationScheme(group, idx, weights, q)
 
 
 def render_scan_svg(

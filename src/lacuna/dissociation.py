@@ -103,11 +103,6 @@ class CharacterSystem:
             "characters": [list(chi.exponents) for chi in self.characters],
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "CharacterSystem":
-        group = make_group(obj["orders"])
-        return cls.from_exponents(group, obj["characters"])
-
 
 @dataclass(frozen=True)
 class DissociationReport:

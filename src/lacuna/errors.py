@@ -67,7 +67,7 @@ class ZeroPolynomial(LacunaError):
     """A ratio was requested for an identically zero polynomial."""
 
 
-# -- norms, gradients, schemes --------------------------------------------------
+# -- norms and gradients --------------------------------------------------------
 
 class InvalidQ(LacunaError):
     """The function-norm exponent q is outside its admissible range."""
@@ -75,14 +75,6 @@ class InvalidQ(LacunaError):
 
 class InvalidP(LacunaError):
     """The coefficient-norm exponent p is outside its admissible range."""
-
-
-class UnsupportedQ(LacunaError):
-    """Analytic gradients are only available for q in {4, 6, 8}."""
-
-
-class EmptyScheme(LacunaError):
-    """A discretization scheme with no points cannot be evaluated."""
 
 
 # -- command line ----------------------------------------------------------------

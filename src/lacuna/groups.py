@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -102,26 +102,6 @@ class FiniteAbelianGroup:
             tables.append(t)
         return tuple(tables)
 
-    @property
-    def identity(self) -> "GroupElement":
-        return GroupElement(self, (0,) * self.rank)
-
-    def element(self, digits: Sequence[int]) -> "GroupElement":
-        return GroupElement(self, tuple(int(x) for x in digits))
-
-    def element_at(self, index: int) -> "GroupElement":
-        if not 0 <= index < self.size:
-            raise IndexError(f"element index {index} out of range for |G|={self.size}")
-        digits = np.unravel_index(index, self.orders)
-        return GroupElement(self, tuple(int(x) for x in digits))
-
-    def index_of(self, digits: Sequence[int]) -> int:
-        return int(np.ravel_multi_index(tuple(int(x) for x in digits), self.orders))
-
-    def elements(self) -> Iterator["GroupElement"]:
-        for digits in np.ndindex(*self.orders):
-            yield GroupElement(self, tuple(int(x) for x in digits))
-
     def character(self, exponents: Sequence[int]) -> "Character":
         return Character(self, tuple(int(a) for a in exponents))
 
@@ -131,73 +111,19 @@ class FiniteAbelianGroup:
         exps = np.unravel_index(index, self.orders)
         return Character(self, tuple(int(a) for a in exps))
 
-    def characters(self) -> Iterator["Character"]:
-        for exps in np.ndindex(*self.orders):
-            yield Character(self, tuple(int(a) for a in exps))
-
     @property
     def trivial_character(self) -> "Character":
         return Character(self, (0,) * self.rank)
 
-    def to_json_obj(self) -> list[int]:
-        return list(self.orders)
 
-    @classmethod
-    def from_json_obj(cls, obj: Sequence[int]) -> "FiniteAbelianGroup":
-        return make_group(obj)
-
-
-def make_group(orders: Sequence[int], size_limit: int = DEFAULT_SIZE_LIMIT) -> FiniteAbelianGroup:
+def make_group(orders: Sequence[int]) -> FiniteAbelianGroup:
     """Build Z_{m_1} x ... x Z_{m_r}; elements enumerate in lexicographic digit order."""
     group = FiniteAbelianGroup(tuple(int(m) for m in orders))
-    if group.size > size_limit:
+    if group.size > DEFAULT_SIZE_LIMIT:
         raise SizeLimitExceeded(
-            f"group size {group.size} exceeds the limit {size_limit}"
+            f"group size {group.size} exceeds the limit {DEFAULT_SIZE_LIMIT}"
         )
     return group
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """Digit vector g = (g_1 .. g_r) with componentwise addition mod m_i."""
-
-    group: FiniteAbelianGroup
-    digits: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.digits) != self.group.rank:
-            raise ValueError(
-                f"expected {self.group.rank} digits, got {len(self.digits)}"
-            )
-        for g, m in zip(self.digits, self.group.orders):
-            if not 0 <= g < m:
-                raise ValueError(f"digit {g} out of range for factor order {m}")
-
-    @cached_property
-    def index(self) -> int:
-        return self.group.index_of(self.digits)
-
-    @property
-    def is_identity(self) -> bool:
-        return all(g == 0 for g in self.digits)
-
-    def _require_same_group(self, other: "GroupElement"):
-        if self.group != other.group:
-            raise GroupMismatch("elements live on different groups")
-
-    def __add__(self, other: "GroupElement") -> "GroupElement":
-        self._require_same_group(other)
-        digits = tuple(
-            (a + b) % m for a, b, m in zip(self.digits, other.digits, self.group.orders)
-        )
-        return GroupElement(self.group, digits)
-
-    def __neg__(self) -> "GroupElement":
-        digits = tuple((-a) % m for a, m in zip(self.digits, self.group.orders))
-        return GroupElement(self.group, digits)
-
-    def __sub__(self, other: "GroupElement") -> "GroupElement":
-        return self + (-other)
 
 
 @dataclass(frozen=True)
@@ -221,14 +147,6 @@ class Character:
     @property
     def is_trivial(self) -> bool:
         return all(a == 0 for a in self.exponents)
-
-    def __call__(self, g: GroupElement) -> complex:
-        if self.group != g.group:
-            raise GroupMismatch("character and element live on different groups")
-        value = 1 + 0j
-        for a, gi, m, roots in zip(self.exponents, g.digits, self.group.orders, self.group.roots):
-            value *= roots[(a * gi) % m]
-        return value
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -315,30 +233,6 @@ class DensityMeasure:
             and abs(self.mass - 1) <= tol
         )
 
-    def to_json_obj(self) -> list[list[float]]:
-        return [[float(v.real), float(v.imag)] for v in self.values]
-
-    @classmethod
-    def from_json_obj(cls, group: FiniteAbelianGroup, obj) -> "DensityMeasure":
-        vals = np.array([complex(re, im) for re, im in obj], dtype=np.complex128)
-        return cls(group, vals)
-
-
-def haar_density(group: FiniteAbelianGroup) -> DensityMeasure:
-    """Normalized Haar measure: the all-ones density."""
-    return DensityMeasure(group, np.ones(group.size, dtype=np.complex128))
-
-
-def dirac_density(group: FiniteAbelianGroup) -> DensityMeasure:
-    """Point mass at the identity: value |G| at 0, zero elsewhere."""
-    vals = np.zeros(group.size, dtype=np.complex128)
-    vals[0] = group.size
-    return DensityMeasure(group, vals)
-
-
-def character_density(chi: Character) -> DensityMeasure:
-    return DensityMeasure(chi.group, chi.values)
-
 
 @dataclass(eq=False)
 class FourierTable:
@@ -353,15 +247,6 @@ class FourierTable:
             raise ValueError("coefficient table must cover the full dual group")
         arr.flags.writeable = False
         self.coeffs = arr
-
-    def __getitem__(self, chi: Character) -> complex:
-        if chi.group != self.group:
-            raise GroupMismatch("character belongs to a different group")
-        return complex(self.coeffs[self.group.index_of(chi.exponents)])
-
-    def items(self) -> Iterator[tuple[Character, complex]]:
-        for i, c in enumerate(self.coeffs):
-            yield self.group.character_at(i), complex(c)
 
 
 def fourier(f: DensityMeasure) -> FourierTable:

@@ -167,10 +167,6 @@ class ModulationPoint:
         return complex(self._roots[(power * self.digits[index]) % self.base])
 
     @classmethod
-    def zero(cls, base: int, count: int) -> "ModulationPoint":
-        return cls(base, (0,) * count)
-
-    @classmethod
     def random(cls, rng: np.random.Generator, base: int, count: int) -> "ModulationPoint":
         return cls(base, tuple(int(x) for x in rng.integers(0, base, size=count)))
 

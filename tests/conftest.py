@@ -77,6 +77,19 @@ def oracle_character_table(system: CharacterSystem, position: int) -> np.ndarray
     )
 
 
+def oracle_chaos_values(polynomial) -> np.ndarray:
+    """Value table of sum_t A_t prod_i gamma_{k_i}^{alpha_i}, built from oracle tables."""
+    system = polynomial.system
+    tables = [oracle_character_table(system, j) for j in range(len(system))]
+    out = np.zeros(system.group.size, dtype=np.complex128)
+    for index, coeff in polynomial.coefficients.items():
+        term = np.ones(system.group.size, dtype=np.complex128)
+        for b, e in zip(index.bases, index.exponents):
+            term = term * tables[b] ** e
+        out += coeff * term
+    return out
+
+
 def _oracle_digits(group: FiniteAbelianGroup) -> np.ndarray:
     """Shape (|G|, rank): element digits in lexicographic order."""
     return np.array(list(itertools.product(*[range(m) for m in group.orders])))

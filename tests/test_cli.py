@@ -506,6 +506,7 @@ def test_discretize_scan_bounds_cells_before_allocating(tmp_path, capsys, monkey
         raise AssertionError("the scan started its trials")
 
     monkeypatch.setattr(lacuna.discretize, "map_indexed", refuse)
+    _refuse_everywhere(monkeypatch, "term_values")
     config = {
         "command": "discretize-scan",
         "system": {"rademacher": {"count": 4}},
@@ -521,21 +522,21 @@ def test_discretize_scan_bounds_cells_before_allocating(tmp_path, capsys, monkey
     assert not any(out.iterdir())
 
 
-def _refuse_term_values(monkeypatch):
-    """Replace term_values at every lacuna import site with a function that fails."""
+def _refuse_everywhere(monkeypatch, attr):
+    """Replace ``attr`` at every lacuna import site with a function that fails."""
     import sys
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a value-table column was built")
+        raise AssertionError(f"{attr} was called")
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "lacuna" and hasattr(module, "term_values"):
-            monkeypatch.setattr(module, "term_values", refuse)
+        if name.split(".")[0] == "lacuna" and hasattr(module, attr):
+            monkeypatch.setattr(module, attr, refuse)
 
 
 @pytest.mark.parametrize("command", ["khinchin", "sidon", "discretize-scan"])
 def test_value_tables_are_bounded_before_any_column(tmp_path, capsys, monkeypatch, command):
-    _refuse_term_values(monkeypatch)
+    _refuse_everywhere(monkeypatch, "term_values")
     config = {
         "command": command,
         "system": {"rademacher": {"count": 20}},
@@ -550,8 +551,33 @@ def test_value_tables_are_bounded_before_any_column(tmp_path, capsys, monkeypatc
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"command": "khinchin", "system": {"rademacher": {"count": 12}}, "d": 12},
+        {
+            "command": "discretize-scan",
+            "system": {"rademacher": {"count": 20}},
+            "d": 10,
+            "chaos": "tetrahedral",
+            "m_grid": [8],
+        },
+    ],
+    ids=["polynomial", "tetrahedral"],
+)
+def test_chaos_terms_are_counted_before_they_are_listed(tmp_path, capsys, monkeypatch, config):
+    # C(23, 12) = 1,352,078 polynomial terms and C(20, 10) = 184,756 tetrahedral ones
+    for attr in ("enumerate_polynomial", "enumerate_tetrahedral", "term_values"):
+        _refuse_everywhere(monkeypatch, attr)
+    code, out = _run(tmp_path, {**config, "trials": 1})
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "SizeLimitExceeded" in err and "Traceback" not in err
+    assert not any(out.iterdir())
+
+
 def test_discretize_scan_reads_m_grid_before_building_the_basis(tmp_path, capsys, monkeypatch):
-    _refuse_term_values(monkeypatch)
+    _refuse_everywhere(monkeypatch, "term_values")
     config = {
         "command": "discretize-scan",
         "system": {"rademacher": {"count": 4}},

@@ -1,59 +1,53 @@
-"""Discretization schemes: probe bounds, scans, trends, serviceable weights."""
+"""Discretization schemes: probe bounds, scans and trends."""
 
 import numpy as np
 import pytest
 
 import lacuna as lc
-from lacuna.chaos import compress, term_values
+from lacuna.discretize import _evaluate_with_probes, _probe_values
 
 
 def _tetrahedral_basis(m=4, d=2):
     system = lc.rademacher_system(m)
-    indices = lc.enumerate_tetrahedral(m, d)
-    basis = [term_values(system, compress(idx)) for idx in indices]
-    return system.group, basis
+    return system, lc.enumerate_tetrahedral(m, d)
 
 
 def test_full_group_scheme_is_exact_for_every_q():
-    group, basis = _tetrahedral_basis()
+    system, indices = _tetrahedral_basis()
+    basis = lc.values_matrix(system, indices)
+    size = system.group.size
+    coeffs = np.random.default_rng(0).standard_normal((16, basis.shape[1]))
     for q in (1.5, 2, 4, 6):
-        scheme = lc.DiscretizationScheme.full_group(group, q)
-        c1, c2 = lc.evaluate_scheme(basis, scheme, probes=16, seed=0)
+        scheme = lc.DiscretizationScheme.uniform(system.group, np.arange(size), q)
+        f_values, true_norms = _probe_values(basis, coeffs, q)
+        c1, c2 = _evaluate_with_probes(scheme, np.abs(f_values) ** q, true_norms)
         assert c1 == pytest.approx(1.0, abs=1e-12)
         assert c2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_single_point_admits_a_vanishing_probe():
-    group, basis = _tetrahedral_basis()
+    system, indices = _tetrahedral_basis()
+    basis = lc.values_matrix(system, indices[:2])
     point = 3
-    scheme = lc.DiscretizationScheme.uniform(group, [point], 4)
+    scheme = lc.DiscretizationScheme.uniform(system.group, [point], 4)
     # two basis functions, one linear constraint: kill the value at the point
-    b0, b1 = basis[0], basis[1]
+    b0, b1 = basis[:, 0], basis[:, 1]
     coeffs = np.array([b1[point], -b0[point]])
     f = b0 * coeffs[0] + b1 * coeffs[1]
     assert abs(f[point]) < 1e-12 and np.abs(f).max() > 0.5
-    ratio = lc.scheme_ratio(basis[:2], scheme, coeffs)
+    f_values, true_norms = _probe_values(basis, coeffs[None, :], 4)
+    ratio, _ = _evaluate_with_probes(scheme, np.abs(f_values[[point]]) ** 4, true_norms)
     assert ratio == pytest.approx(0.0, abs=1e-12)
 
 
-def test_evaluate_scheme_bounds_ordered_and_deterministic():
-    group, basis = _tetrahedral_basis()
-    scheme = lc.DiscretizationScheme.uniform(group, [0, 3, 7, 9], 4)
-    a = lc.evaluate_scheme(basis, scheme, probes=32, seed=5)
-    b = lc.evaluate_scheme(basis, scheme, probes=32, seed=5)
-    assert a == b
-    assert a[0] <= a[1]
-
-
 def test_empty_scheme_rejected():
-    group, basis = _tetrahedral_basis()
-    scheme = lc.DiscretizationScheme(group, np.array([], dtype=int), np.array([]), 4)
-    with pytest.raises(lc.EmptyScheme):
-        lc.evaluate_scheme(basis, scheme, probes=4, seed=0)
+    system, indices = _tetrahedral_basis()
+    with pytest.raises(ValueError, match="positive point counts"):
+        lc.scan_point_counts(system, indices, 4, [0], trials=1, seed=0)
 
 
 def test_scheme_validation():
-    group, _ = _tetrahedral_basis()
+    group = _tetrahedral_basis()[0].group
     with pytest.raises(ValueError):
         lc.DiscretizationScheme(group, np.array([99]), np.array([1.0]), 4)
     with pytest.raises(ValueError):
@@ -63,39 +57,38 @@ def test_scheme_validation():
 
 
 def test_scan_reproducible_and_ordered():
-    group, basis = _tetrahedral_basis()
+    system, indices = _tetrahedral_basis()
     grid = [4, 8, 16]
-    a = lc.scan_point_counts(basis, 4, grid, trials=6, seed=21, group=group)
-    b = lc.scan_point_counts(basis, 4, grid, trials=6, seed=21, group=group)
+    a = lc.scan_point_counts(system, indices, 4, grid, trials=6, seed=21)
+    b = lc.scan_point_counts(system, indices, 4, grid, trials=6, seed=21)
     assert a == b
     assert [r["m"] for r in a] == sorted(r["m"] for r in a)
     for r in a:
         assert r["c1"] <= r["c2"] + 1e-12
-        assert r["n_basis"] == len(basis) and r["q"] == 4.0
+        assert r["n_basis"] == len(indices) and r["q"] == 4.0
 
 
 def test_scan_parallel_matches_serial():
-    group, basis = _tetrahedral_basis()
-    serial = lc.scan_point_counts(basis, 4, [4, 8], trials=4, seed=2, group=group)
-    parallel = lc.scan_point_counts(
-        basis, 4, [4, 8], trials=4, seed=2, group=group, workers=4
-    )
+    system, indices = _tetrahedral_basis()
+    serial = lc.scan_point_counts(system, indices, 4, [4, 8], trials=4, seed=2)
+    parallel = lc.scan_point_counts(system, indices, 4, [4, 8], trials=4, seed=2, workers=4)
     assert serial == parallel
 
 
 def test_scan_full_group_row_is_exact():
-    group, basis = _tetrahedral_basis()
-    records = lc.scan_point_counts(basis, 4, [group.size], trials=3, seed=3, group=group)
-    for r in records:
-        assert r["c1"] == pytest.approx(1.0, abs=1e-12)
-        assert r["c2"] == pytest.approx(1.0, abs=1e-12)
+    system, indices = _tetrahedral_basis()
+    size = system.group.size
+    # a full-group row weights every point 1/|G|: exact for every f and q
+    for q in (1.5, 2, 4, 6):
+        records = lc.scan_point_counts(system, indices, q, [size], trials=3, seed=3)
+        for r in records:
+            assert r["c1"] == pytest.approx(1.0, abs=1e-12)
+            assert r["c2"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_scan_median_c1_monotone_trend():
-    group, basis = _tetrahedral_basis()
-    records = lc.scan_point_counts(
-        basis, 4, [6, 12, 36, 72], trials=32, seed=29, group=group
-    )
+    system, indices = _tetrahedral_basis()
+    records = lc.scan_point_counts(system, indices, 4, [6, 12, 36, 72], trials=32, seed=29)
     summary = lc.summarize_scan(records)
     medians = [row["median_c1"] for row in summary]
     for small, large in zip(medians, medians[1:]):
@@ -103,15 +96,15 @@ def test_scan_median_c1_monotone_trend():
 
 
 def test_scan_oversampling_beyond_group_size():
-    group, basis = _tetrahedral_basis()
-    records = lc.scan_point_counts(basis, 4, [72], trials=4, seed=31, group=group)
+    system, indices = _tetrahedral_basis()
+    records = lc.scan_point_counts(system, indices, 4, [72], trials=4, seed=31)
     assert all(r["m"] == 72 for r in records)
     assert all(np.isfinite(r["c1"]) and np.isfinite(r["c2"]) for r in records)
 
 
 def test_summarize_scan_fields():
-    group, basis = _tetrahedral_basis()
-    records = lc.scan_point_counts(basis, 4, [4, 16], trials=5, seed=37, group=group)
+    system, indices = _tetrahedral_basis()
+    records = lc.scan_point_counts(system, indices, 4, [4, 16], trials=5, seed=37)
     summary = lc.summarize_scan(records)
     assert [row["m"] for row in summary] == [4, 16]
     for row in summary:
@@ -120,26 +113,13 @@ def test_summarize_scan_fields():
         assert row["trials"] == 5
 
 
-def test_heuristic_weight_fit_nonnegative_and_reasonable():
-    group, basis = _tetrahedral_basis()
-    rng = np.random.default_rng(41)
-    points = rng.choice(group.size, size=10, replace=False)
-    fitted = lc.fit_weights_heuristic(basis, group, points, 4, probes=48, seed=41)
-    assert fitted.weights.min() >= 0
-    uniform = lc.DiscretizationScheme.uniform(group, points, 4)
-    c1_u, c2_u = lc.evaluate_scheme(basis, uniform, probes=64, seed=43)
-    c1_f, c2_f = lc.evaluate_scheme(basis, fitted, probes=64, seed=43)
-    # labeled heuristic: no guarantee, but the fitted spread stays bounded
-    assert c2_f / max(c1_f, 1e-9) < 50 * max(c2_u / max(c1_u, 1e-9), 1.0)
-
-
 def test_render_scan_svg_deterministic():
     from lacuna.discretize import render_scan_svg
 
-    group, basis = _tetrahedral_basis()
-    records = lc.scan_point_counts(basis, 4, [6, 12, 36], trials=4, seed=47, group=group)
+    system, indices = _tetrahedral_basis()
+    records = lc.scan_point_counts(system, indices, 4, [6, 12, 36], trials=4, seed=47)
     summary = lc.summarize_scan(records)
-    svg1 = render_scan_svg(summary, len(basis), 4, 36)
-    svg2 = render_scan_svg(summary, len(basis), 4, 36)
+    svg1 = render_scan_svg(summary, len(indices), 4, 36)
+    svg2 = render_scan_svg(summary, len(indices), 4, 36)
     assert svg1 == svg2
     assert svg1.startswith("<svg") and "polyline" in svg1 and "firebrick" in svg1
