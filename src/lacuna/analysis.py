@@ -10,9 +10,10 @@ coefficient norms are plain ``l_p`` sums.  The two functionals under study:
 Both are scale-invariant in the coefficients, so the estimators search the
 unit sphere: projected gradient ascent on ``||Q||_q^q`` for every finite
 q, and a coordinate-wise phase search that minimizes ``||Q||_inf`` at
-pinned modulus.  Trials are independent, seeded per ``(seed, trial)``,
-and every accepted step improves the objective, so trajectories are
-monotone and results reproduce bit-for-bit.
+pinned modulus, stopping once every coefficient in turn has been scored
+against an unchanged state without improvement.  Trials are independent,
+seeded per ``(seed, trial)``, and every accepted step improves the
+objective, so trajectories are monotone and results reproduce bit-for-bit.
 
 Theoretical ceilings accompany the estimates when their model constants
 are supplied: ``sqrt(d) (2d)^d C kappa_model`` for the Khinchin kind and
@@ -207,14 +208,14 @@ class ConstantEstimate:
         }
 
 
-# one trial: (matrix, its rng) -> (ratio, coefficients, ratio history)
-_Trial = Callable[[np.ndarray, np.random.Generator], tuple[float, np.ndarray, list[float]]]
+# one trial: its rng -> (ratio, coefficients, ratio history)
+_Trial = Callable[[np.random.Generator], tuple[float, np.ndarray, list[float]]]
 
 
 def _best_of_trials(
     kind: str,
     exponent: float,
-    trial: _Trial,
+    make_trial: Callable[[np.ndarray], _Trial],
     system: CharacterSystem,
     d: int,
     trials: int,
@@ -223,15 +224,19 @@ def _best_of_trials(
     ceiling: float | None,
     workers: int,
 ) -> ConstantEstimate:
-    """The body both estimators share: checks, value matrix, trials, best ratio."""
+    """The body both estimators share: checks, value matrix, trials, best ratio.
+
+    ``make_trial`` receives the value matrix once per estimate; whatever it
+    derives from the matrix is shared, read-only, by every trial.
+    """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     require_dissociated(system, d)
     idx = list(indices) if indices is not None else chaos_indices(system, d)
-    matrix = values_matrix(system, idx)
+    trial = make_trial(values_matrix(system, idx))
 
     def run_trial(t: int) -> tuple[float, np.ndarray, list[float]]:
-        return trial(matrix, trial_rng(seed, t))
+        return trial(trial_rng(seed, t))
 
     results = map_indexed(run_trial, trials, workers=workers)
     best = max(range(trials), key=lambda t: results[t][0])
@@ -276,35 +281,39 @@ def estimate_khinchin_constant(
         raise InvalidQ(f"q must exceed 2, got {q}")
     use_ascent = not math.isinf(q)
 
-    def trial(matrix: np.ndarray, rng: np.random.Generator):
-        coeffs = _random_unit(rng, matrix.shape[1])
-        values = matrix @ coeffs
-        ratio = lq_norm(values, q)
-        history = [ratio]
-        if use_ascent:
-            adjoint = matrix.conj().T
-            step = _ASCENT_STEP
-            for _ in range(_ASCENT_MAX_STEPS):
-                grad = _grad_lq_q_matrix(adjoint, values, q)
-                candidate = coeffs + step * grad
-                candidate /= np.linalg.norm(candidate)
-                candidate_values = matrix @ candidate
-                new_ratio = lq_norm(candidate_values, q)
-                if new_ratio > ratio:
-                    gain = new_ratio - ratio
-                    coeffs, values, ratio = candidate, candidate_values, new_ratio
-                    history.append(ratio)
-                    if gain < _ASCENT_TOL:
-                        break
-                else:
-                    step /= 2
-                    if step < 1e-14:
-                        break
-        return ratio, coeffs, history
+    def make_trial(matrix: np.ndarray) -> _Trial:
+        adjoint = matrix.conj().T if use_ascent else None
+
+        def trial(rng: np.random.Generator):
+            coeffs = _random_unit(rng, matrix.shape[1])
+            values = matrix @ coeffs
+            ratio = lq_norm(values, q)
+            history = [ratio]
+            if use_ascent:
+                step = _ASCENT_STEP
+                for _ in range(_ASCENT_MAX_STEPS):
+                    grad = _grad_lq_q_matrix(adjoint, values, q)
+                    candidate = coeffs + step * grad
+                    candidate /= np.linalg.norm(candidate)
+                    candidate_values = matrix @ candidate
+                    new_ratio = lq_norm(candidate_values, q)
+                    if new_ratio > ratio:
+                        gain = new_ratio - ratio
+                        coeffs, values, ratio = candidate, candidate_values, new_ratio
+                        history.append(ratio)
+                        if gain < _ASCENT_TOL:
+                            break
+                    else:
+                        step /= 2
+                        if step < 1e-14:
+                            break
+            return ratio, coeffs, history
+
+        return trial
 
     ceiling = khinchin_ceiling(d, kappa_model) if kappa_model is not None else None
     return _best_of_trials(
-        "khinchin", float(q), trial, system, d, trials, seed, indices, ceiling, workers
+        "khinchin", float(q), make_trial, system, d, trials, seed, indices, ceiling, workers
     )
 
 
@@ -323,9 +332,12 @@ def estimate_sidon_constant(
     The system must be d-dissociated (NotDissociated otherwise).  The
     modulus of every coefficient is pinned to one (the sharpness question
     lives in the phases), so maximizing the ratio means driving ||Q||_inf
-    down: random phase starts followed by coordinate-wise sweeps over the
-    ``_PHASE_GRID`` (16) roots of unity, at most ``_MAX_SWEEPS`` (40) per
-    trial, accepting only strict improvements.  The result's ``histories``
+    down: random phase starts followed by coordinate-wise steps, cycling
+    over the coefficients, that each score the ``_PHASE_GRID`` (16) roots of
+    unity for one coefficient and accept only a strict improvement.  A
+    trial ends once n steps in a row (one per coefficient) are rejected,
+    since every later step would rescore an unchanged state, or after
+    ``_MAX_SWEEPS`` (40) sweeps of n steps.  The result's ``histories``
     holds each trial's ratio after every accepted change.
     """
     default_p = 2 * d / (d + 1)
@@ -334,35 +346,50 @@ def estimate_sidon_constant(
         raise InvalidP(f"p must be >= 1, got {p_eff}")
     candidates = np.exp(2j * np.pi * np.arange(_PHASE_GRID) / _PHASE_GRID)
 
-    def trial(matrix: np.ndarray, rng: np.random.Generator):
+    def make_trial(matrix: np.ndarray) -> _Trial:
         n = matrix.shape[1]
-        coeffs = np.exp(2j * np.pi * rng.uniform(size=n))
-        values = matrix @ coeffs
-        peak = float(np.abs(values).max())
-        coeff_norm = lp_coeff_norm(coeffs, p_eff)
-        history = [coeff_norm / peak]
-        for _ in range(_MAX_SWEEPS):
-            improved = False
-            for t_idx in range(n):
-                shifted = values[:, None] + np.outer(
-                    matrix[:, t_idx], candidates - coeffs[t_idx]
+
+        def trial(rng: np.random.Generator):
+            coeffs = np.exp(2j * np.pi * rng.uniform(size=n))
+            values = matrix @ coeffs
+            peak = float(np.abs(values).max())
+            coeff_norm = lp_coeff_norm(coeffs, p_eff)
+            history = [coeff_norm / peak]
+            # one candidate table per trial, written in place at every step
+            shifted = np.empty((_PHASE_GRID, matrix.shape[0]), dtype=np.complex128)
+            moduli = np.empty(shifted.shape)
+            rejected = 0
+            for step in range(_MAX_SWEEPS * n):
+                t_idx = step % n
+                # row k is values + col * (candidate k - current); the column
+                # stays the left operand so the products round as they always have
+                np.multiply(
+                    np.ascontiguousarray(matrix[:, t_idx]),
+                    (candidates - coeffs[t_idx])[:, None],
+                    out=shifted,
                 )
-                peaks = np.abs(shifted).max(axis=0)
+                shifted += values
+                peaks = np.abs(shifted, out=moduli).max(axis=1)
                 pick = int(np.argmin(peaks))
                 if peaks[pick] < peak - 1e-13:
-                    values = shifted[:, pick]
-                    coeffs = coeffs.copy()
+                    values[:] = shifted[pick]
                     coeffs[t_idx] = candidates[pick]
                     peak = float(peaks[pick])
                     history.append(coeff_norm / peak)
-                    improved = True
-            if not improved:
-                break
-        return coeff_norm / peak, coeffs, history
+                    rejected = 0
+                else:
+                    rejected += 1
+                    # n rejections in a row: every further step would rescore
+                    # a state already scored
+                    if rejected == n:
+                        break
+            return coeff_norm / peak, coeffs, history
+
+        return trial
 
     ceiling = None
     if c_model is not None and abs(p_eff - default_p) < 1e-12:
         ceiling = sidon_ceiling(d, c_model)
     return _best_of_trials(
-        "sidon", p_eff, trial, system, d, trials, seed, indices, ceiling, workers
+        "sidon", p_eff, make_trial, system, d, trials, seed, indices, ceiling, workers
     )

@@ -290,10 +290,12 @@ def _cmd_riesz_report(config, out, svg):
         ["element", "re", "im", "config_sha256", "artifact_version"],
         density_rows,
     )
+    # row i of the digit matrix holds the exponents of character i
+    exponents = system.group.digit_matrix.tolist()
     fourier_rows = [
         [
             i,
-            ":".join(str(a) for a in system.group.character_at(i).exponents),
+            ":".join(map(str, exponents[i])),
             _fmt(c.real),
             _fmt(c.imag),
             sha,

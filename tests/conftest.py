@@ -22,10 +22,13 @@ from lacuna import (
     char_pow,
     hadamard_trig_system,
     is_d_dissociated,
+    lp_coeff_norm,
     require_nondegenerate,
     values_matrix,
     vc_system_from_digit_sets,
 )
+from lacuna.analysis import chaos_indices
+from lacuna.parallel import trial_rng
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -292,3 +295,42 @@ def sample_nondegenerate_system(
         system = hadamard_trig_system(ratio, count, modulus, d=2 * d)
     require_nondegenerate(system, d)
     return system
+
+
+def oracle_sidon_estimate(system, d, trials, seed, max_sweeps):
+    """The Sidon phase search as first written: (constant, coefficients, histories).
+
+    Each step scores the candidates column-major, ``values[:, None] +
+    np.outer(col, delta)``, and a trial stops after a full sweep with no
+    change or after ``max_sweeps`` sweeps; the default exponent p is used.
+    """
+    matrix = values_matrix(system, chaos_indices(system, d))
+    n = matrix.shape[1]
+    p = 2 * d / (d + 1)
+    candidates = np.exp(2j * np.pi * np.arange(16) / 16)
+    results = []
+    for t in range(trials):
+        rng = trial_rng(seed, t)
+        coeffs = np.exp(2j * np.pi * rng.uniform(size=n))
+        values = matrix @ coeffs
+        peak = float(np.abs(values).max())
+        coeff_norm = lp_coeff_norm(coeffs, p)
+        history = [coeff_norm / peak]
+        for _ in range(max_sweeps):
+            improved = False
+            for t_idx in range(n):
+                shifted = values[:, None] + np.outer(matrix[:, t_idx], candidates - coeffs[t_idx])
+                peaks = np.abs(shifted).max(axis=0)
+                pick = int(np.argmin(peaks))
+                if peaks[pick] < peak - 1e-13:
+                    values = shifted[:, pick]
+                    coeffs = coeffs.copy()
+                    coeffs[t_idx] = candidates[pick]
+                    peak = float(peaks[pick])
+                    history.append(coeff_norm / peak)
+                    improved = True
+            if not improved:
+                break
+        results.append((coeff_norm / peak, coeffs, history))
+    best = max(range(trials), key=lambda t: results[t][0])
+    return results[best][0], results[best][1], [r[2] for r in results]

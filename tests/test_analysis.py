@@ -283,6 +283,30 @@ def test_sidon_estimate_improves_on_random_start():
     assert estimate.constant >= lc.sidon_ratio(all_ones) - 1e-9
 
 
+SIDON_ORACLE_SYSTEMS = {
+    "rademacher8": lambda: lc.rademacher_system(8),
+    "hadamard": lambda: lc.hadamard_trig_system(ratio=5, count=4, modulus=2003),
+    "vc7": lambda: lc.vc_system_from_digit_sets(
+        7, [[0], [0, 1], [1, 2], [2, 3]], [[1], [2, 3], [4, 5], [6, 1]]
+    ),
+}
+
+
+@pytest.mark.parametrize("max_sweeps", [40, 2, 1])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(SIDON_ORACLE_SYSTEMS))
+def test_sidon_estimate_matches_sweep_oracle(monkeypatch, name, workers, max_sweeps):
+    from conftest import oracle_sidon_estimate
+
+    system = SIDON_ORACLE_SYSTEMS[name]()
+    monkeypatch.setattr(lc.analysis, "_MAX_SWEEPS", max_sweeps)
+    estimate = lc.estimate_sidon_constant(system, 2, trials=3, seed=11, workers=workers)
+    constant, coefficients, histories = oracle_sidon_estimate(system, 2, 3, 11, max_sweeps)
+    assert estimate.constant == constant
+    assert estimate.coefficients.tobytes() == coefficients.tobytes()
+    assert estimate.histories == histories
+
+
 def test_sidon_estimate_ceiling_only_at_default_exponent():
     system = lc.rademacher_system(4)
     indices = lc.enumerate_tetrahedral(4, 2)

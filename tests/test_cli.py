@@ -84,6 +84,24 @@ def test_riesz_report_artifacts(tmp_path):
     assert density_lines[1].startswith("0,2,")
 
 
+def test_riesz_fourier_csv_names_each_character_by_its_exponents(tmp_path):
+    from lacuna import make_group
+
+    config = {
+        "command": "riesz-report",
+        "system": {"exponents": [[1, 0], [0, 1]], "orders": [3, 4]},
+        "d": 1,
+    }
+    code, out = _run(tmp_path, config)
+    assert code == 0
+    group = make_group([3, 4])
+    rows = [line.split(",") for line in (out / "riesz_fourier.csv").read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == [str(i) for i in range(group.size)]
+    assert [row[1] for row in rows] == [
+        ":".join(str(a) for a in group.character_at(i).exponents) for i in range(group.size)
+    ]
+
+
 def test_riesz_report_flags_non_probability_density(tmp_path):
     # a single order-2 character is 2-dissociated but the degree-2 product
     # carries the trivial power gamma^2, so the mass drifts off 1
@@ -682,3 +700,37 @@ def test_cli_byte_determinism(tmp_path, config, artifacts, svg):
     assert main(argv2) == 0
     for name in artifacts:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+THREADED_CONFIGS = [
+    (DETERMINISM_CONFIGS[0][0], ["khinchin.json", "khinchin.csv"]),
+    (
+        {
+            "command": "sidon",
+            "system": {"rademacher": {"count": 5}},
+            "d": 2,
+            "chaos": "tetrahedral",
+            "trials": 3,
+            "seed": 42,
+        },
+        ["sidon.json", "sidon.csv"],
+    ),
+    (
+        # the grid runs past |G| = 16, so sequences resample points
+        dict(DETERMINISM_CONFIGS[1][0], m_grid=[6, 12, 36]),
+        ["discretize.json", "discretize.csv", "discretize.svg"],
+    ),
+]
+
+
+@pytest.mark.parametrize("config,artifacts", THREADED_CONFIGS)
+def test_cli_artifacts_identical_across_thread_counts(tmp_path, monkeypatch, config, artifacts):
+    cfg = _write_config(tmp_path, config)
+    outs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("LACUNA_THREADS", threads)
+        out = tmp_path / f"threads{threads}"
+        assert main(["--config", str(cfg), "--out", str(out), "--svg"]) == 0
+        outs.append(out)
+    for name in artifacts:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
