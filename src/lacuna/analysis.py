@@ -167,12 +167,15 @@ def _max_variation_bound(d: int) -> float:
 
 def khinchin_ceiling(d: int, kappa_model: float) -> float:
     """sqrt(d) (2d)^d C kappa_model with C = max_s variation bound."""
-    return math.sqrt(d) * (2 * d) ** d * _max_variation_bound(d) * float(kappa_model)
+    # C first: it refuses a d past the float range before (2d)^d overflows
+    c = _max_variation_bound(d)
+    return math.sqrt(d) * (2 * d) ** d * c * float(kappa_model)
 
 
 def sidon_ceiling(d: int, c_model: float) -> float:
     """(2d)^d C / c * d^((d+1)/(2d)) with C = max_s variation bound."""
-    return (2 * d) ** d * _max_variation_bound(d) / float(c_model) * d ** ((d + 1) / (2 * d))
+    c = _max_variation_bound(d)
+    return (2 * d) ** d * c / float(c_model) * d ** ((d + 1) / (2 * d))
 
 
 @dataclass(eq=False)

@@ -9,7 +9,7 @@ is content-deterministic too, since it is rendered by hand).  Every output
 embeds the sha256 of the effective config and the artifact version.
 
 Exit codes: 0 success, 1 property violation or computation error,
-2 invalid configuration.
+2 invalid configuration, a field its command does not read included.
 """
 
 from __future__ import annotations
@@ -27,11 +27,7 @@ import numpy as np
 from . import __version__
 from .analysis import chaos_indices, estimate_khinchin_constant, estimate_sidon_constant
 from .chaos import decompose, random_chaos_polynomial
-from .discretize import (
-    render_scan_svg,
-    scan_point_counts,
-    summarize_scan,
-)
+from .discretize import render_scan_svg, scan_point_counts, summarize_scan
 from .dissociation import (
     CharacterSystem,
     hadamard_trig_system,
@@ -50,16 +46,6 @@ from .riesz import (
     extraction_coefficients,
     require_nondegenerate,
     riesz_density,
-)
-
-_COMMANDS = (
-    "check-dissociated",
-    "riesz-report",
-    "nu-solve",
-    "extract-verify",
-    "khinchin",
-    "sidon",
-    "discretize-scan",
 )
 
 _EXTRACTION_TOL = 1e-8
@@ -87,56 +73,147 @@ def _is_int_list(value) -> bool:
     return isinstance(value, list) and all(_is_int(x) for x in value)
 
 
-def _get_int(config: dict, key: str, minimum: int | None = None, default=None) -> int:
-    if key not in config:
-        _require(default is not None, f"missing required field {key!r}")
-        return default
-    value = config[key]
-    _require(_is_int(value), f"{key!r} must be an integer")
-    if minimum is not None:
-        _require(value >= minimum, f"{key!r} must be >= {minimum}, got {value}")
-    return value
+# -- field checks: each takes (key, value) and raises ConfigInvalid on a bad value
 
 
-def _get_int_list(config: dict, key: str, minimum: int) -> list[int]:
-    value = config.get(key)
-    _require(_is_int_list(value), f"{key!r} must be a list of integers")
-    _require(
-        len(value) > 0 and min(value) >= minimum,
-        f"{key!r} must be a non-empty list of integers >= {minimum}, got {value}",
-    )
-    return value
+def _int(minimum: int | None = None):
+    def check(key, value):
+        _require(_is_int(value), f"{key!r} must be an integer")
+        _require(minimum is None or value >= minimum, f"{key!r} must be >= {minimum}, got {value}")
+
+    return check
 
 
-def _get_int_rows(config: dict, key: str) -> list[list[int]]:
-    value = config.get(key)
-    _require(
-        isinstance(value, list) and all(_is_int_list(row) for row in value),
-        f"{key!r} must be a list of integer lists",
-    )
-    return value
+def _int_list(minimum: int):
+    def check(key, value):
+        _require(_is_int_list(value), f"{key!r} must be a list of integers")
+        message = f"{key!r} must be a non-empty list of integers >= {minimum}, got {value}"
+        _require(len(value) > 0 and min(value) >= minimum, message)
+
+    return check
 
 
-def _get_bool(config: dict, key: str, default: bool) -> bool:
-    value = config.get(key, default)
+def _int_rows(key, value):
+    rows = isinstance(value, list) and all(_is_int_list(row) for row in value)
+    _require(rows, f"{key!r} must be a list of integer lists")
+
+
+def _position_sets(key, value):
+    _int_rows(key, value)
+    _require(len(value) > 0, f"{key!r} must not be empty")
+
+
+def _digit_values(key, value):
+    """One digit value for every position, or one list per position set."""
+    if not _is_int(value):
+        _int_rows(key, value)
+
+
+def _bool(key, value):
     _require(isinstance(value, bool), f"{key!r} must be true or false")
-    return value
 
 
-def _get_number(config: dict, key: str, default, valid, requirement: str):
-    """A number passing ``valid``; an optional field (default None) may be absent or null."""
-    value = config.get(key, default)
-    if value is None and default is None:
-        return None
-    _require(
-        isinstance(value, (int, float)) and not isinstance(value, bool) and valid(value),
-        f"{key!r} must be {requirement}",
-    )
-    return value
+def _number(valid, requirement: str):
+    def check(key, value):
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        # a JSON integer past the float range would overflow where it is used
+        finite = number and abs(value) <= sys.float_info.max
+        _require(finite and valid(value), f"{key!r} must be a finite number {requirement}")
+
+    return check
 
 
-def _get_q(config: dict):
-    return _get_number(config, "q", 4, lambda q: q > 2, "a number > 2")
+def _choice(*options: str):
+    def check(key, value):
+        _require(value in options, f"{key!r} must be one of {', '.join(options)}, got {value!r}")
+
+    return check
+
+
+# -- field tables {field: (check, default)}: a default of ... marks a required field, and
+# null stands for absent exactly where the default is None
+
+_CHAOS = _choice("polynomial", "tetrahedral")
+_MODEL = _number(lambda c: c > 0, "> 0")
+_Q = (_number(lambda q: q > 2, "> 2"), 4)
+
+_SHARED = {"d": (_int(1), ...), "seed": (_int(0), 0)}
+
+_COMMANDS = {
+    "check-dissociated": {"method": (_choice("auto", "direct", "mitm"), "auto")},
+    "riesz-report": {"check_dissociated": (_bool, True)},
+    "nu-solve": {"s": (_int(1), None)},
+    "extract-verify": {
+        "trials": (_int(1), 3),
+        "y_samples": (_int(1), 10),
+        "expectation_mode": (_bool, False),
+    },
+    "khinchin": {
+        "trials": (_int(1), ...),
+        "chaos": (_CHAOS, "polynomial"),
+        "q": _Q,
+        "kappa_model": (_MODEL, 10.0),
+    },
+    "sidon": {
+        "trials": (_int(1), ...),
+        "chaos": (_CHAOS, "polynomial"),
+        "p": (_number(lambda p: p >= 1, ">= 1"), None),
+        "c_model": (_MODEL, 1.0),
+    },
+    "discretize-scan": {
+        "trials": (_int(1), ...),
+        "chaos": (_CHAOS, "tetrahedral"),
+        "q": _Q,
+        "m_grid": (_int_list(1), ...),
+        "probes": (_int(1), 64),
+    },
+}
+
+# each kind's builder, and its fields in the builder's parameter order
+_SYSTEMS = {
+    "hadamard": (
+        hadamard_trig_system,
+        {
+            "ratio": (_int(2), ...),
+            "count": (_int(1), ...),
+            "modulus": (_int(), ...),
+            "d": (_int(1), 1),
+            "include_negatives": (_bool, False),
+        },
+    ),
+    "vc_staircase": (
+        vc_system_from_digit_sets,
+        {
+            "base": (_int(2), ...),
+            "position_sets": (_position_sets, ...),
+            "values": (_digit_values, None),
+            "width": (_int(), None),
+        },
+    ),
+    "rademacher": (
+        rademacher_system,
+        {"count": (_int(1), ...), "base": (_int(2), 2), "value": (_int(1), 1)},
+    ),
+}
+# explicit exponent rows, inside "system" or in the top-level wire format
+_EXPLICIT = {"orders": (_int_list(2), ...), "exponents": (_int_rows, ...)}
+_WIRE = {"orders": (_int_list(2), ...), "characters": (_int_rows, ...)}
+
+
+def _read(source, fields: dict, where: str, also: tuple = ()) -> dict:
+    """Each field's checked value or default; a key not in ``fields`` or ``also`` is refused."""
+    _require(isinstance(source, dict), f"{where} must be a JSON object")
+    for key in source:
+        _require(key in fields or key in also, f"unknown field {key!r} in {where}")
+    values = {}
+    for key, (check, default) in fields.items():
+        if key in source and not (source[key] is None and default is None):
+            check(key, source[key])
+            values[key] = source[key]
+        else:
+            _require(default is not ..., f"missing required field {key!r} in {where}")
+            values[key] = default
+    return values
 
 
 def _require_finite(value, where: str = "config"):
@@ -152,66 +229,29 @@ def _require_finite(value, where: str = "config"):
 
 
 def _build_system(config: dict) -> CharacterSystem:
+    """Check every field of the config's system, then build it."""
     if "characters" in config:
-        _require("orders" in config, "explicit characters need group orders")
-        group = make_group(_get_int_list(config, "orders", minimum=2))
-        return CharacterSystem.from_exponents(group, _get_int_rows(config, "characters"))
-    spec = config.get("system")
-    _require(isinstance(spec, dict), "missing or invalid 'system' specification")
-    if "exponents" in spec:
-        _require("orders" in spec or "orders" in config, "explicit exponents need group orders")
-        source = spec if "orders" in spec else config
-        group = make_group(_get_int_list(source, "orders", minimum=2))
-        return CharacterSystem.from_exponents(group, _get_int_rows(spec, "exponents"))
-    if "hadamard" in spec:
-        h = spec["hadamard"]
-        _require(
-            isinstance(h, dict) and {"ratio", "count", "modulus"} <= h.keys(),
-            "hadamard spec needs 'ratio', 'count', and 'modulus'",
-        )
-        return hadamard_trig_system(
-            ratio=_get_int(h, "ratio", minimum=2),
-            count=_get_int(h, "count", minimum=1),
-            modulus=_get_int(h, "modulus"),
-            d=_get_int(h, "d", minimum=1, default=1),
-            include_negatives=_get_bool(h, "include_negatives", False),
-        )
-    if "vc_staircase" in spec:
-        v = spec["vc_staircase"]
-        _require(
-            isinstance(v, dict) and {"base", "position_sets"} <= v.keys(),
-            "vc_staircase spec needs 'base' and 'position_sets'",
-        )
-        values = v.get("values")
-        if values is not None and not _is_int(values):
-            _get_int_rows(v, "values")
-        base = _get_int(v, "base", minimum=2)
-        position_sets = _get_int_rows(v, "position_sets")
-        _require(len(position_sets) > 0, "'position_sets' must not be empty")
-        return vc_system_from_digit_sets(
-            base=base,
-            digit_position_sets=position_sets,
-            digit_values=values,
-            width=_get_int(v, "width") if v.get("width") is not None else None,
-        )
-    if "rademacher" in spec:
-        r = spec["rademacher"]
-        _require(
-            isinstance(r, dict) and "count" in r, "rademacher spec needs 'count'"
-        )
-        count = _get_int(r, "count", minimum=1)
-        base = _get_int(r, "base", minimum=2, default=2)
-        value = _get_int(r, "value", minimum=1, default=1)
-        _require(value < base, f"'value' must be below 'base' ({base}), got {value}")
-        return rademacher_system(count, base=base, value=value)
-    raise ConfigInvalid(
-        "system must provide 'exponents', 'hadamard', 'vc_staircase', or 'rademacher'"
-    )
-
-
-def _chaos_indices(system: CharacterSystem, d: int, kind: str):
-    _require(kind in ("polynomial", "tetrahedral"), f"unknown chaos kind {kind!r}")
-    return chaos_indices(system, d, tetrahedral=kind == "tetrahedral")
+        explicit = _read({key: config[key] for key in _WIRE if key in config}, _WIRE, "config")
+    else:
+        spec = config.get("system")
+        _require(isinstance(spec, dict), "missing or invalid 'system' specification")
+        kind = next((key for key in spec if key in _SYSTEMS), None)
+        if kind is None:
+            _require("exponents" in spec, f"'system' needs exponents or one of {list(_SYSTEMS)}")
+            # the orders may also sit beside the system, as in the wire format
+            orders = {"orders": config["orders"]} if "orders" in config else {}
+            explicit = _read({**orders, **spec}, _EXPLICIT, "'system'")
+        else:
+            for key in spec:
+                _require(key == kind, f"unknown field {key!r} in 'system'")
+            builder, fields = _SYSTEMS[kind]
+            args = _read(spec[kind], fields, repr(kind))
+            if kind == "rademacher":
+                base, value = args["base"], args["value"]
+                _require(value < base, f"'value' must be below 'base' ({base}), got {value}")
+            return builder(*args.values())
+    orders, rows = explicit.values()
+    return CharacterSystem.from_exponents(make_group(orders), rows)
 
 
 def _write_json(path: Path, command: str, config: dict, results: dict):
@@ -225,13 +265,15 @@ def _write_json(path: Path, command: str, config: dict, results: dict):
     path.write_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list], append: bool = False):
+def _write_csv(path: Path, config: dict, header: list[str], rows: list[list], append: bool = False):
+    """Write ``rows`` under ``header``; every row ends with the config hash and artifact version."""
     mode = "a" if append and path.exists() else "w"
+    stamp = [_config_hash(config), __version__]
     with path.open(mode, newline="") as fh:
         writer = csv.writer(fh)
         if mode == "w":
-            writer.writerow(header)
-        writer.writerows(rows)
+            writer.writerow(header + ["config_sha256", "artifact_version"])
+        writer.writerows(row + stamp for row in rows)
 
 
 def _stats_block(values: np.ndarray) -> dict:
@@ -244,33 +286,22 @@ def _stats_block(values: np.ndarray) -> dict:
     }
 
 
-def _cmd_check_dissociated(config, out, svg):
-    system = _build_system(config)
-    d = _get_int(config, "d", minimum=1)
-    method = config.get("method", "auto")
-    _require(method in ("auto", "direct", "mitm"), f"unknown method {method!r}")
-    if method == "mitm":
+def _cmd_check_dissociated(plan, config, out, svg):
+    system, d, method = plan["system"], plan["d"], plan["method"]
+    try:
+        report = (is_d_dissociated_mitm if method == "mitm" else is_d_dissociated)(system, d)
+    except BudgetExceeded:
+        if method != "auto":
+            raise
         report = is_d_dissociated_mitm(system, d)
-    elif method == "direct":
-        report = is_d_dissociated(system, d)
-    else:
-        try:
-            report = is_d_dissociated(system, d)
-        except BudgetExceeded:
-            report = is_d_dissociated_mitm(system, d)
-    results = {
-        "report": report.to_json_obj(),
-        "system": system.to_json_obj(),
-    }
+    results = {"report": report.to_json_obj(), "system": system.to_json_obj()}
     _write_json(out / "dissociation.json", "check-dissociated", config, results)
     return 0 if report.dissociated else 1
 
 
-def _cmd_riesz_report(config, out, svg):
-    system = _build_system(config)
-    d = _get_int(config, "d", minimum=1)
-    check = _get_bool(config, "check_dissociated", True)
-    rho = riesz_density(system, d, check=check)
+def _cmd_riesz_report(plan, config, out, svg):
+    system, d = plan["system"], plan["d"]
+    rho = riesz_density(system, d, check=plan["check_dissociated"])
     table = fourier(rho)
     ok = rho.is_probability()
     results = {
@@ -280,42 +311,24 @@ def _cmd_riesz_report(config, out, svg):
         "system": system.to_json_obj(),
     }
     _write_json(out / "riesz_report.json", "riesz-report", config, results)
-    sha = _config_hash(config)
-    density_rows = [
-        [i, _fmt(v.real), _fmt(v.imag), sha, __version__]
-        for i, v in enumerate(rho.values)
-    ]
-    _write_csv(
-        out / "riesz_density.csv",
-        ["element", "re", "im", "config_sha256", "artifact_version"],
-        density_rows,
-    )
+    density_rows = [[i, _fmt(v.real), _fmt(v.imag)] for i, v in enumerate(rho.values)]
+    _write_csv(out / "riesz_density.csv", config, ["element", "re", "im"], density_rows)
     # row i of the digit matrix holds the exponents of character i
     exponents = system.group.digit_matrix.tolist()
     fourier_rows = [
-        [
-            i,
-            ":".join(map(str, exponents[i])),
-            _fmt(c.real),
-            _fmt(c.imag),
-            sha,
-            __version__,
-        ]
+        [i, ":".join(map(str, exponents[i])), _fmt(c.real), _fmt(c.imag)]
         for i, c in enumerate(table.coeffs)
     ]
     _write_csv(
-        out / "riesz_fourier.csv",
-        ["character", "exponents", "re", "im", "config_sha256", "artifact_version"],
-        fourier_rows,
+        out / "riesz_fourier.csv", config, ["character", "exponents", "re", "im"], fourier_rows
     )
     return 0 if ok else 1
 
 
-def _cmd_nu_solve(config, out, svg):
-    d = _get_int(config, "d", minimum=1)
-    wanted = [_get_int(config, "s", minimum=1)] if "s" in config else list(range(1, d + 1))
-    _require(all(1 <= x <= d for x in wanted), f"s must lie in 1..{d}")
-    specs = [extraction_coefficients(d, x) for x in wanted]
+def _cmd_nu_solve(plan, config, out, svg):
+    d, s = plan["d"], plan["s"]
+    _require(s is None or s <= d, f"s must lie in 1..{d}")
+    specs = [extraction_coefficients(d, x) for x in ([s] if s else range(1, d + 1))]
     results = {"specs": [spec.to_json_obj() for spec in specs]}
     _write_json(out / "extraction.json", "nu-solve", config, results)
     return 0
@@ -351,26 +364,18 @@ def _extract_verify_once(system, d, rng, y_samples, expectation_mode):
                 "error_of_mean_over_y": err_mean,
             }
         )
-        if not expectation_mode:
-            worst = max(worst, err_nu, err_mod)
-        else:
-            worst = max(worst, err_mean)
+        worst = max(worst, err_mean) if expectation_mode else max(worst, err_nu, err_mod)
     return per_s, worst
 
 
-def _cmd_extract_verify(config, out, svg):
-    system = _build_system(config)
-    d = _get_int(config, "d", minimum=1)
-    trials = _get_int(config, "trials", minimum=1, default=3)
-    y_samples = _get_int(config, "y_samples", minimum=1, default=10)
-    seed = _get_int(config, "seed", minimum=0, default=0)
-    expectation_mode = _get_bool(config, "expectation_mode", False)
+def _cmd_extract_verify(plan, config, out, svg):
+    system, d, expectation_mode = plan["system"], plan["d"], plan["expectation_mode"]
     runs = []
     worst = 0.0
     try:
-        for t in range(trials):
-            rng = trial_rng(seed, t)
-            per_s, w = _extract_verify_once(system, d, rng, y_samples, expectation_mode)
+        for t in range(plan["trials"]):
+            rng = trial_rng(plan["seed"], t)
+            per_s, w = _extract_verify_once(system, d, rng, plan["y_samples"], expectation_mode)
             runs.append({"trial": t, "per_s": per_s})
             worst = max(worst, w)
     except DegenerateOrder as exc:
@@ -391,41 +396,24 @@ def _cmd_extract_verify(config, out, svg):
         "system": system.to_json_obj(),
     }
     _write_json(out / "extract_verify.json", "extract-verify", config, results)
-    if expectation_mode:
-        return 0
-    return 0 if passed else 1
+    return 0 if expectation_mode or passed else 1
 
 
-def _cmd_estimate(config, out, svg):
+def _cmd_estimate(plan, config, out, svg):
     """khinchin and sidon: one constant estimate, its JSON and an appended CSV row."""
     kind = config["command"]
-    system = _build_system(config)
-    d = _get_int(config, "d", minimum=1)
-    trials = _get_int(config, "trials", minimum=1)
-    seed = _get_int(config, "seed", minimum=0, default=0)
-    if kind == "khinchin":
-        estimator, model_key, model_default = estimate_khinchin_constant, "kappa_model", 10.0
-        options = {"q": _get_q(config)}
-    else:
-        estimator, model_key, model_default = estimate_sidon_constant, "c_model", 1.0
-        options = {"p": _get_number(config, "p", None, lambda p: p >= 1, "a number >= 1")}
-    options[model_key] = _get_number(
-        config, model_key, model_default, lambda c: math.isfinite(c) and c > 0, "a finite number > 0"
-    )
-    chaos = config.get("chaos", "polynomial")
-    indices = _chaos_indices(system, d, chaos)
-    estimate = estimator(
-        system, d, trials=trials, seed=seed, indices=indices, workers=worker_count(), **options
-    )
-    results = {"estimate": estimate.to_json_obj(), "chaos": chaos}
+    system, d, seed = plan["system"], plan["d"], plan["seed"]
+    estimator = estimate_khinchin_constant if kind == "khinchin" else estimate_sidon_constant
+    # trials, and q with kappa_model or p with c_model: the estimator's own parameter names
+    names = ("trials", "q", "kappa_model", "p", "c_model")
+    options = {key: plan[key] for key in names if key in plan}
+    indices = chaos_indices(system, d, tetrahedral=plan["chaos"] == "tetrahedral")
+    estimate = estimator(system, d, seed=seed, indices=indices, workers=worker_count(), **options)
+    results = {"estimate": estimate.to_json_obj(), "chaos": plan["chaos"]}
     _write_json(out / f"{kind}.json", kind, config, results)
     row = [kind, d, _fmt(estimate.exponent), len(system), _fmt(estimate.constant), seed]
-    _write_csv(
-        out / f"{kind}.csv",
-        ["kind", "d", "exponent", "m", "estimate", "seed", "config_sha256", "artifact_version"],
-        [row + [_config_hash(config), __version__]],
-        append=True,
-    )
+    header = ["kind", "d", "exponent", "m", "estimate", "seed"]
+    _write_csv(out / f"{kind}.csv", config, header, [row], append=True)
     if estimate.ceiling is not None and estimate.constant > estimate.ceiling:
         print(
             f"violation: estimate {estimate.constant} exceeds ceiling {estimate.ceiling}",
@@ -435,22 +423,12 @@ def _cmd_estimate(config, out, svg):
     return 0
 
 
-def _cmd_discretize_scan(config, out, svg):
-    system = _build_system(config)
-    d = _get_int(config, "d", minimum=1)
-    trials = _get_int(config, "trials", minimum=1)
-    probes = _get_int(config, "probes", minimum=1, default=64)
-    seed = _get_int(config, "seed", minimum=0, default=0)
-    q = _get_q(config)
-    m_grid = config.get("m_grid")
-    _require(
-        _is_int_list(m_grid) and m_grid and min(m_grid) >= 1,
-        "'m_grid' must be a non-empty list of positive integers",
-    )
-    indices = _chaos_indices(system, d, config.get("chaos", "tetrahedral"))
+def _cmd_discretize_scan(plan, config, out, svg):
+    system, d, q, seed = plan["system"], plan["d"], plan["q"], plan["seed"]
+    indices = chaos_indices(system, d, tetrahedral=plan["chaos"] == "tetrahedral")
     n = len(indices)
     records = scan_point_counts(
-        system, indices, q, m_grid, trials, seed, probes=probes, workers=worker_count()
+        system, indices, q, plan["m_grid"], plan["trials"], seed, plan["probes"], worker_count()
     )
     bad = [r for r in records if r["c1"] > r["c2"] + 1e-12]
     summary = summarize_scan(records)
@@ -466,26 +444,11 @@ def _cmd_discretize_scan(config, out, svg):
         ),
     }
     _write_json(out / "discretize.json", "discretize-scan", config, results)
-    sha = _config_hash(config)
     rows = [
-        [
-            r["m"],
-            r["trial"],
-            _fmt(r["c1"]),
-            _fmt(r["c2"]),
-            _fmt(r["q"]),
-            r["n_basis"],
-            r["seed"],
-            sha,
-            __version__,
-        ]
+        [r["m"], r["trial"], _fmt(r["c1"]), _fmt(r["c2"]), _fmt(r["q"]), r["n_basis"], r["seed"]]
         for r in records
     ]
-    _write_csv(
-        out / "discretize.csv",
-        ["m", "trial", "C1", "C2", "q", "N", "seed", "config_sha256", "artifact_version"],
-        rows,
-    )
+    _write_csv(out / "discretize.csv", config, ["m", "trial", "C1", "C2", "q", "N", "seed"], rows)
     if svg:
         (out / "discretize.svg").write_text(render_scan_svg(summary, n, q, marker))
     return 0 if not bad else 1
@@ -503,16 +466,24 @@ _DISPATCH = {
 
 
 def run(config: dict, out_dir: str | Path = ".", svg: bool = False) -> int:
-    """Validate a config dict and execute its command; returns the exit code."""
+    """Validate a config dict and execute its command; returns the exit code.
+
+    Every field is checked, and unknown ones refused, before a system or a
+    table is built.
+    """
     _require(isinstance(config, dict), "config must be a JSON object")
     _require_finite(config)
     command = config.get("command")
     _require(command in _COMMANDS, f"'command' must be one of {', '.join(_COMMANDS)}")
-    if "seed" in config:
-        _get_int(config, "seed", minimum=0)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return _DISPATCH[command](config, out, svg)
+    # every command but nu-solve runs on a system: "system", or the wire format's two keys
+    builds = command != "nu-solve"
+    also = ("command", "system", "orders", "characters") if builds else ("command",)
+    plan = _read(config, {**_SHARED, **_COMMANDS[command]}, "config", also)
+    if builds:
+        plan["system"] = _build_system(config)
+    return _DISPATCH[command](plan, config, out, svg)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -531,12 +502,8 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        if not isinstance(config, dict):
-            print("config error: top level must be a JSON object", file=sys.stderr)
-            return 2
-        config = dict(config)
-        config["seed"] = args.seed
+    if args.seed is not None and isinstance(config, dict):
+        config = {**config, "seed": args.seed}
 
     try:
         return run(config, out_dir=args.out, svg=args.svg)

@@ -54,6 +54,8 @@ with rho_y recovers the same part scaled by (2d)^{-s}.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -62,7 +64,7 @@ import numpy as np
 
 from .chaos import ChaosPolynomial, CompressedIndex, decompose
 from .dissociation import CharacterSystem, require_dissociated
-from .errors import DegenerateOrder
+from .errors import DegenerateOrder, SizeLimitExceeded
 from .groups import (
     Character,
     DensityMeasure,
@@ -278,22 +280,6 @@ def modulation_exponents(
     return tuple(adjusted)
 
 
-def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over the rationals with partial pivoting."""
-    n = len(matrix)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(aug[r][col]))
-        if aug[pivot][col] == 0:
-            raise ZeroDivisionError("singular system")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                scale = aug[r][col] / aug[col][col]
-                aug[r] = [x - scale * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] / aug[i][i] for i in range(n)]
-
-
 @dataclass(frozen=True)
 class ExtractionSpec:
     """Mixing coefficients for the s-fold extraction measure.
@@ -321,17 +307,23 @@ class ExtractionSpec:
 def extraction_coefficients_exact(d: int, s: int) -> tuple[Fraction, ...]:
     """Exact rational mixing coefficients (c_0 .. c_d); c_0 is always 0.
 
-    Row i (i = 1..d) of the solved system states
-    sum_j c_j ((2d)^{-i})^j = [i == s], so the exact residual vanishes.
+    They are the coefficients of the degree-d polynomial P with P(0) = 0
+    and P(x_i) = [i == s] at the nodes x_i = (2d)^{-i}, i = 1..d, so
+    sum_j c_j x_i^j = [i == s] holds exactly.  In Lagrange form
+
+        P(x) = (x / x_s) prod_{i != s} (x - x_i) / (x_s - x_i).
     """
     if not 1 <= s <= d:
         raise ValueError(f"s must lie in 1..{d}, got {s}")
-    n = 2 * d
-    matrix = [
-        [Fraction(1, n ** (i * j)) for j in range(1, d + 1)] for i in range(1, d + 1)
-    ]
-    rhs = [Fraction(1 if i == s else 0) for i in range(1, d + 1)]
-    return (Fraction(0), *_solve_exact(matrix, rhs))
+    nodes = [Fraction(1, (2 * d) ** i) for i in range(1, d + 1)]
+    x_s = nodes[s - 1]
+    poly = [Fraction(0), 1 / x_s]  # coefficients of x / x_s, lowest power first
+    for i, x_i in enumerate(nodes, start=1):
+        if i != s:
+            # multiply by (x - x_i) / (x_s - x_i)
+            scale = x_s - x_i
+            poly = [(lo - x_i * hi) / scale for lo, hi in zip([0, *poly], [*poly, 0])]
+    return tuple(poly)
 
 
 def extraction_coefficients(d: int, s: int) -> ExtractionSpec:
@@ -341,8 +333,16 @@ def extraction_coefficients(d: int, s: int) -> ExtractionSpec:
     the small Vandermonde nodes; the returned floats are correctly rounded
     images of the exact solution.  c_0 is pinned to zero, which only
     affects the trivial character and chaos polynomials have no constant
-    term.
+    term.  The largest coefficient grows like (2d)^{d(d+1)/2} (2^997 at
+    d = 19), so a d past the float range raises SizeLimitExceeded before
+    anything is solved.
     """
+    bits = d * (d + 1) / 2 * math.log2(2 * d)
+    if bits > sys.float_info.max_exp:
+        raise SizeLimitExceeded(
+            f"extraction coefficients at d = {d} reach about 2^{bits:.4g}, past the float "
+            f"range 2^{sys.float_info.max_exp}"
+        )
     exact = extraction_coefficients_exact(d, s)
     coefficients = tuple(float(c) for c in exact)
     bound = float(sum(abs(c) for c in exact))

@@ -560,7 +560,7 @@ def test_value_tables_are_bounded_before_any_column(tmp_path, capsys, monkeypatc
         "system": {"rademacher": {"count": 20}},
         "d": 3,
         "trials": 1,
-        "m_grid": [8],
+        **({"m_grid": [8]} if command == "discretize-scan" else {}),
     }
     code, out = _run(tmp_path, config)
     assert code == 1
@@ -606,6 +606,85 @@ def test_discretize_scan_reads_m_grid_before_building_the_basis(tmp_path, capsys
     code, out = _run(tmp_path, config)
     assert code == 2
     assert "'m_grid' must be" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+_KHINCHIN_3 = {"command": "khinchin", "system": {"rademacher": {"count": 3}}, "d": 1, "trials": 1}
+
+
+@pytest.mark.parametrize(
+    "config,field",
+    [
+        ({**_KHINCHIN_3, "y_sample": 100}, "'y_sample' in config"),
+        ({**_KHINCHIN_3, "m_grid": [8]}, "'m_grid' in config"),
+        ({"command": "nu-solve", "d": 2, "system": {"rademacher": {"count": 3}}}, "'system'"),
+        (
+            {**_KHINCHIN_3, "system": {"rademacher": {"count": 3}, "hadamard": {"ratio": 3}}},
+            "'hadamard' in 'system'",
+        ),
+        (
+            {**_KHINCHIN_3, "system": {"exponents": [[1]], "orders": [5], "order": [5]}},
+            "'order' in 'system'",
+        ),
+        ({**_KHINCHIN_3, "system": {"rademacher": {"count": 3, "bases": 3}}}, "'bases' in"),
+        (
+            {
+                **_KHINCHIN_3,
+                "system": {"vc_staircase": {"base": 3, "position_sets": [[0]], "value": 2}},
+            },
+            "'value' in 'vc_staircase'",
+        ),
+    ],
+    ids=["top-level", "other-command", "nu-solve-system", "two-kinds", "exponents", "spec", "vc"],
+)
+def test_unknown_fields_are_config_errors(tmp_path, capsys, config, field):
+    code, out = _run(tmp_path, config)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"unknown field {field}" in err and "Traceback" not in err
+    assert not any(out.iterdir())
+
+
+def test_nu_solve_null_s_solves_every_s(tmp_path):
+    code, out = _run(tmp_path, {"command": "nu-solve", "d": 2, "s": None})
+    assert code == 0
+    specs = json.loads((out / "extraction.json").read_text())["results"]["specs"]
+    assert [spec["s"] for spec in specs] == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"command": "nu-solve", "d": 20},
+        {"command": "sidon", "system": {"rademacher": {"count": 3}}, "d": 20, "trials": 1},
+        {"command": "khinchin", "system": {"rademacher": {"count": 1}}, "d": 1000, "trials": 1},
+        {
+            "command": "extract-verify",
+            "system": {"hadamard": {"ratio": 41, "count": 2, "modulus": 200000}},
+            "d": 20,
+        },
+    ],
+    ids=["nu-solve", "sidon-ceiling", "khinchin-ceiling", "extract-verify"],
+)
+def test_d_past_the_float_range_is_a_size_limit(tmp_path, capsys, config):
+    # the largest mixing coefficient at d = 20 is about 2^1117, past the float range
+    code, out = _run(tmp_path, config)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "SizeLimitExceeded" in err and "Traceback" not in err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command,key",
+    [("khinchin", "q"), ("khinchin", "kappa_model"), ("sidon", "p"), ("sidon", "c_model")],
+)
+def test_integers_past_the_float_range_are_config_errors(tmp_path, capsys, command, key):
+    config = {**_KHINCHIN_3, "command": command, key: 10**400}
+    code, out = _run(tmp_path, config)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{key!r} must be a finite number" in err and "Traceback" not in err
     assert not any(out.iterdir())
 
 

@@ -1,4 +1,4 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and its field table lists every field."""
 
 import re
 from pathlib import Path
@@ -12,3 +12,17 @@ def test_readme_library_example_runs():
     blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
     assert blocks, "no python block under 'Library example'"
     exec(compile(blocks[0], f"{README}:library-example", "exec"), {})
+
+
+def test_readme_field_table_lists_every_command_field():
+    from lacuna.cli import _COMMANDS, _SHARED
+
+    section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if line.startswith("|") and len(cells) == 2:
+            rows[cells[0].strip("`")] = cells[1]
+    for command, fields in [("every command", _SHARED), *_COMMANDS.items()]:
+        for field in fields:
+            assert f"`{field}` (" in rows[command], f"{command}: {field} missing from the table"

@@ -2,6 +2,7 @@
 
 import cmath
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -290,6 +291,16 @@ def test_extraction_coefficients_residual():
             rhs = np.array([1.0 if i + 1 == s else 0.0 for i in range(d)])
             residual = matrix @ np.array(spec.coefficients[1:]) - rhs
             assert np.abs(residual).max() <= 1e-10
+
+
+def test_extraction_coefficients_refuse_d_past_the_float_range():
+    # (2d)^{d(d+1)/2} is 2^997 at d = 19 and 2^1117 at d = 20
+    for s in range(1, 20):
+        spec = lc.extraction_coefficients(19, s)
+        assert all(math.isfinite(c) for c in spec.coefficients)
+        assert math.isfinite(spec.variation_bound)
+    with pytest.raises(lc.SizeLimitExceeded):
+        lc.extraction_coefficients(20, 1)
 
 
 def test_extraction_coefficients_range():
