@@ -11,7 +11,11 @@ Both are scale-invariant in the coefficients, so the estimators search the
 unit sphere: projected gradient ascent on ``||Q||_q^q`` for every finite
 q, and a coordinate-wise phase search that minimizes ``||Q||_inf`` at
 pinned modulus, stopping once every coefficient in turn has been scored
-against an unchanged state without improvement.  Trials are independent,
+against an unchanged state without improvement.  The phase search scores
+each candidate on the current peak points first: a candidate whose
+modulus there already reaches the current peak cannot be accepted, so
+only the survivors are scored on the whole group, and the pick is the
+same as scoring all of them.  Trials are independent,
 seeded per ``(seed, trial)``, and every accepted step improves the
 objective, so trajectories are monotone and results reproduce bit-for-bit.
 
@@ -48,9 +52,11 @@ from .riesz import extraction_coefficients
 _ASCENT_STEP = 0.1
 _ASCENT_TOL = 1e-9
 _ASCENT_MAX_STEPS = 500
-# Sidon phase search: candidate phases per coefficient, sweeps per trial
+# Sidon phase search: candidate phases per coefficient, sweeps per trial, and
+# the largest-modulus points every candidate is scored on before the whole group
 _PHASE_GRID = 16
 _MAX_SWEEPS = 40
+_PEAK_POINTS = 16
 
 
 def lq_norm(values, q) -> float:
@@ -337,47 +343,68 @@ def estimate_sidon_constant(
     lives in the phases), so maximizing the ratio means driving ||Q||_inf
     down: random phase starts followed by coordinate-wise steps, cycling
     over the coefficients, that each score the ``_PHASE_GRID`` (16) roots of
-    unity for one coefficient and accept only a strict improvement.  A
-    trial ends once n steps in a row (one per coefficient) are rejected,
-    since every later step would rescore an unchanged state, or after
-    ``_MAX_SWEEPS`` (40) sweeps of n steps.  The result's ``histories``
-    holds each trial's ratio after every accepted change.
+    unity for one coefficient and accept only a strict improvement.  Each
+    step first computes the candidates' moduli on the ``_PEAK_POINTS``
+    (16) points where ``|Q|`` is largest, with the same operations as on
+    the whole group, so they are entries of the full candidate table.  A
+    candidate whose maximum there is already within 1e-13 of the current
+    peak scores above every acceptable one, so only the others are scored
+    on the whole group, and the first argmin among them is the first
+    argmin overall: the coefficients and histories are those of scoring
+    every candidate.  A trial ends once n steps in a row (one per
+    coefficient) are rejected, since every later step would rescore an
+    unchanged state, or after ``_MAX_SWEEPS`` (40) sweeps of n steps.  The
+    result's ``histories`` holds each trial's ratio after every accepted
+    change.  A p below 1, or NaN, raises InvalidP.
     """
     default_p = 2 * d / (d + 1)
     p_eff = default_p if p is None else float(p)
-    if p_eff < 1:
+    if not p_eff >= 1:
         raise InvalidP(f"p must be >= 1, got {p_eff}")
     candidates = np.exp(2j * np.pi * np.arange(_PHASE_GRID) / _PHASE_GRID)
 
     def make_trial(matrix: np.ndarray) -> _Trial:
         n = matrix.shape[1]
+        # row t is column t of the matrix, contiguous
+        columns = np.ascontiguousarray(matrix.T)
+        n_top = min(_PEAK_POINTS, matrix.shape[0])
 
         def trial(rng: np.random.Generator):
             coeffs = np.exp(2j * np.pi * rng.uniform(size=n))
             values = matrix @ coeffs
-            peak = float(np.abs(values).max())
+            start_moduli = np.abs(values)
+            peak = float(start_moduli.max())
+            top = np.argpartition(start_moduli, -n_top)[-n_top:]
             coeff_norm = lp_coeff_norm(coeffs, p_eff)
             history = [coeff_norm / peak]
-            # one candidate table per trial, written in place at every step
+            # one candidate table per trial; its first rows are written in place
+            # for the candidates that survive the peak points
             shifted = np.empty((_PHASE_GRID, matrix.shape[0]), dtype=np.complex128)
             moduli = np.empty(shifted.shape)
             rejected = 0
             for step in range(_MAX_SWEEPS * n):
                 t_idx = step % n
-                # row k is values + col * (candidate k - current); the column
-                # stays the left operand so the products round as they always have
-                np.multiply(
-                    np.ascontiguousarray(matrix[:, t_idx]),
-                    (candidates - coeffs[t_idx])[:, None],
-                    out=shifted,
-                )
-                shifted += values
-                peaks = np.abs(shifted, out=moduli).max(axis=1)
-                pick = int(np.argmin(peaks))
-                if peaks[pick] < peak - 1e-13:
-                    values[:] = shifted[pick]
-                    coeffs[t_idx] = candidates[pick]
-                    peak = float(peaks[pick])
+                col = columns[t_idx]
+                delta = (candidates - coeffs[t_idx])[:, None]
+                # row k is values + col * delta[k]; the column stays the left
+                # operand so the products round as they always have, and the
+                # moduli on the peak points are entries of the full table
+                partial = np.abs(col[top] * delta + values[top]).max(axis=1)
+                limit = peak - 1e-13
+                alive = (partial < limit).nonzero()[0]
+                accepted = False
+                if alive.size:
+                    rows = shifted[: alive.size]
+                    np.multiply(col, delta[alive], out=rows)
+                    rows += values
+                    peaks = np.abs(rows, out=moduli[: alive.size]).max(axis=1)
+                    row = int(np.argmin(peaks))
+                    accepted = peaks[row] < limit
+                if accepted:
+                    values[:] = rows[row]
+                    coeffs[t_idx] = candidates[alive[row]]
+                    peak = float(peaks[row])
+                    top = np.argpartition(moduli[row], -n_top)[-n_top:]
                     history.append(coeff_norm / peak)
                     rejected = 0
                 else:

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import lq_norm, values_matrix
+from .analysis import values_matrix
 from .dissociation import CharacterSystem
 from .errors import InvalidQ, SizeLimitExceeded
 from .groups import TABLE_CELL_LIMIT, FiniteAbelianGroup
@@ -62,15 +62,6 @@ class DiscretizationScheme:
     ) -> "DiscretizationScheme":
         idx = np.asarray(point_indices, dtype=np.int64)
         return cls(group, idx, np.full(idx.size, 1.0 / max(idx.size, 1)), q)
-
-
-def _probe_values(
-    matrix: np.ndarray, coeffs: np.ndarray, q: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Values of every probe on the whole group (one column per probe) and their true norms."""
-    f_values = matrix @ coeffs.T
-    true_norms = np.array([lq_norm(f_values[:, i], q) for i in range(coeffs.shape[0])])
-    return f_values, true_norms
 
 
 def _evaluate_with_probes(
@@ -113,13 +104,18 @@ def scan_point_counts(
     ``system``, built once.  One record per (m, trial):
     {"m", "trial", "c1", "c2", "q", "n_basis", "seed"}.  Within a trial all
     sizes share one nested point sequence and one probe set, so medians
-    across the grid reflect pure size growth.  A trial holds an
-    |G| x probes and an m x probes table, so either one above
+    across the grid reflect pure size growth.  A trial raises ``|f|^q``
+    once per group element into an |G| x probes table, and gathers the
+    scheme rows from it into an m x probes table, so either one above
     ``TABLE_CELL_LIMIT`` cells raises SizeLimitExceeded before the basis
-    is built.
+    is built.  ``q`` must be >= 1 (InvalidQ) and ``probes`` >= 1.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if probes < 1:
+        raise ValueError(f"probes must be >= 1, got {probes}")
+    if not q >= 1:
+        raise InvalidQ(f"q must be >= 1, got {q}")
     sizes = sorted(set(int(m) for m in m_grid))
     if not sizes or sizes[0] < 1:
         raise ValueError("m_grid must contain positive point counts")
@@ -137,9 +133,14 @@ def scan_point_counts(
         rng = trial_rng(seed, t)
         sequence = _nested_point_sequence(rng, group.size, sizes[-1])
         coeffs = rng.standard_normal((probes, n)) + 1j * rng.standard_normal((probes, n))
-        f_values, true_norms = _probe_values(matrix, coeffs, q)
-        # |f|^q along the whole sequence; the scheme of size m is its first m rows
-        powered = np.abs(f_values[sequence, :]) ** q
+        # |f|^q once per group element, one column per probe
+        table = np.abs(matrix @ coeffs.T) ** q
+        # the root per probe is a scalar power, as in lq_norm
+        true_norms = np.array(
+            [mean ** (1.0 / q) for mean in np.ascontiguousarray(table.T).mean(axis=1)]
+        )
+        # the scheme of size m is the first m rows
+        powered = table[sequence]
         rows = []
         for m in sizes:
             scheme = DiscretizationScheme.uniform(group, sequence[:m], q)

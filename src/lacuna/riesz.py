@@ -84,6 +84,9 @@ def _inverse_meets_forward(gamma: Character, k: int, top: int) -> bool:
 
 def riesz_inverse_powers(gamma: Character, d: int) -> set[int]:
     """Powers k in 1..d with gamma^{-k} different from every gamma^j, j = 1..d."""
+    if d >= gamma.order:
+        # k + 1 .. k + d holds a multiple of the order for every k
+        return set()
     return {k for k in range(1, d + 1) if not _inverse_meets_forward(gamma, k, d)}
 
 
@@ -123,7 +126,9 @@ def riesz_density(system: CharacterSystem, d: int, check: bool = True) -> Densit
 
     With ``check`` the system is verified to be d-dissociated first.  For
     dissociated systems whose character orders all exceed d the result is a
-    probability density: real, nonnegative, mass one.
+    probability density: real, nonnegative, mass one.  gamma^k depends only
+    on k mod ord(gamma), so at most ord(gamma) distinct powers are built per
+    character, each added once with its count in 1..d.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
@@ -133,8 +138,11 @@ def riesz_density(system: CharacterSystem, d: int, check: bool = True) -> Densit
     values = np.ones(group.size, dtype=np.complex128)
     for gamma in system.characters:
         factor = np.ones(group.size, dtype=np.complex128)
-        for k in range(1, d + 1):
-            factor += char_pow(gamma, k).values / (2 * d)
+        for k in range(1, min(d, gamma.order) + 1):
+            count = (d - k) // gamma.order + 1
+            power = char_pow(gamma, k).values
+            # a count of one adds the power itself, so every d <= ord sums as a plain 1..d loop
+            factor += (power if count == 1 else count * power) / (2 * d)
         for k in riesz_inverse_powers(gamma, d):
             factor += char_pow(gamma, -k).values / (2 * d)
         values *= factor

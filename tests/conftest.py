@@ -23,6 +23,7 @@ from lacuna import (
     hadamard_trig_system,
     is_d_dissociated,
     lp_coeff_norm,
+    lq_norm,
     require_nondegenerate,
     values_matrix,
     vc_system_from_digit_sets,
@@ -334,3 +335,44 @@ def oracle_sidon_estimate(system, d, trials, seed, max_sweeps):
         results.append((coeff_norm / peak, coeffs, history))
     best = max(range(trials), key=lambda t: results[t][0])
     return results[best][0], results[best][1], [r[2] for r in results]
+
+
+def oracle_scan_point_counts(system, indices, q, m_grid, trials, seed, probes=64):
+    """The discretization scan as first written, one trial after another.
+
+    ``|f|^q`` is raised once per row of the point sequence (repeated points
+    are raised again), and each probe's true norm is ``lq_norm`` of its
+    column of values.
+    """
+    matrix = values_matrix(system, indices)
+    size, n = matrix.shape
+    sizes = sorted(set(int(m) for m in m_grid))
+    records = []
+    for t in range(trials):
+        rng = trial_rng(seed, t)
+        sequence = rng.permutation(size)
+        if sizes[-1] > size:
+            tail = rng.integers(0, size, size=sizes[-1] - size)
+            sequence = np.concatenate([sequence, tail])
+        sequence = sequence[: sizes[-1]]
+        coeffs = rng.standard_normal((probes, n)) + 1j * rng.standard_normal((probes, n))
+        f_values = matrix @ coeffs.T
+        true_norms = np.array([lq_norm(f_values[:, i], q) for i in range(probes)])
+        powered = np.abs(f_values[sequence, :]) ** q
+        for m in sizes:
+            weights = np.full(m, 1.0 / m)
+            discrete = np.sum(weights[:, None] * powered[:m], axis=0) ** (1.0 / q)
+            ratios = discrete / true_norms
+            records.append(
+                {
+                    "m": m,
+                    "trial": t,
+                    "c1": float(ratios.min()),
+                    "c2": float(ratios.max()),
+                    "q": float(q),
+                    "n_basis": n,
+                    "seed": seed,
+                }
+            )
+    records.sort(key=lambda r: (r["m"], r["trial"]))
+    return records

@@ -229,6 +229,13 @@ def test_khinchin_estimate_rejects_bad_input():
         lc.estimate_khinchin_constant(bad, 2, 4, trials=1, seed=0)
 
 
+def test_sidon_estimate_rejects_bad_p():
+    system = lc.rademacher_system(3)
+    for p in (0.5, math.nan):
+        with pytest.raises(lc.InvalidP):
+            lc.estimate_sidon_constant(system, 1, trials=1, seed=0, p=p)
+
+
 def test_khinchin_estimate_non_even_q_ascends():
     system = lc.rademacher_system(4)
     estimate = lc.estimate_khinchin_constant(system, 1, 3.5, trials=5, seed=3)
@@ -283,11 +290,21 @@ def test_sidon_estimate_improves_on_random_start():
     assert estimate.constant >= lc.sidon_ratio(all_ones) - 1e-9
 
 
+# name -> (system, d); rademacher3 has fewer group elements (8) than the
+# phase search's peak points (16), and z125 runs at d = 1
 SIDON_ORACLE_SYSTEMS = {
-    "rademacher8": lambda: lc.rademacher_system(8),
-    "hadamard": lambda: lc.hadamard_trig_system(ratio=5, count=4, modulus=2003),
-    "vc7": lambda: lc.vc_system_from_digit_sets(
-        7, [[0], [0, 1], [1, 2], [2, 3]], [[1], [2, 3], [4, 5], [6, 1]]
+    "rademacher8": lambda: (lc.rademacher_system(8), 2),
+    "rademacher3": lambda: (lc.rademacher_system(3), 2),
+    "hadamard": lambda: (lc.hadamard_trig_system(ratio=5, count=4, modulus=2003), 2),
+    "vc7": lambda: (
+        lc.vc_system_from_digit_sets(
+            7, [[0], [0, 1], [1, 2], [2, 3]], [[1], [2, 3], [4, 5], [6, 1]]
+        ),
+        2,
+    ),
+    "z125": lambda: (
+        lc.CharacterSystem.from_exponents(lc.make_group([125]), [[1], [3], [9], [27], [81]]),
+        1,
     ),
 }
 
@@ -298,10 +315,10 @@ SIDON_ORACLE_SYSTEMS = {
 def test_sidon_estimate_matches_sweep_oracle(monkeypatch, name, workers, max_sweeps):
     from conftest import oracle_sidon_estimate
 
-    system = SIDON_ORACLE_SYSTEMS[name]()
+    system, d = SIDON_ORACLE_SYSTEMS[name]()
     monkeypatch.setattr(lc.analysis, "_MAX_SWEEPS", max_sweeps)
-    estimate = lc.estimate_sidon_constant(system, 2, trials=3, seed=11, workers=workers)
-    constant, coefficients, histories = oracle_sidon_estimate(system, 2, 3, 11, max_sweeps)
+    estimate = lc.estimate_sidon_constant(system, d, trials=3, seed=11, workers=workers)
+    constant, coefficients, histories = oracle_sidon_estimate(system, d, 3, 11, max_sweeps)
     assert estimate.constant == constant
     assert estimate.coefficients.tobytes() == coefficients.tobytes()
     assert estimate.histories == histories

@@ -63,6 +63,18 @@ def test_check_dissociated_mitm_method(tmp_path):
     assert code == 0
 
 
+def test_check_dissociated_at_huge_d(tmp_path):
+    config = {"command": "check-dissociated", "orders": [5], "characters": [[1], [2]]}
+    code, out = _run(tmp_path, {**config, "d": 10**17})
+    assert code == 1
+    payload = json.loads((out / "dissociation.json").read_text())
+    # d = 10**17 is 0 mod 5: the witness of d = 5, (-4, -3), shifted down by 10**17 - 5
+    assert payload["results"]["report"]["witness"] == [1 - 10**17, 2 - 10**17]
+    rademacher = {"command": "check-dissociated", "system": {"rademacher": {"count": 3}}}
+    code, _ = _run(tmp_path, {**rademacher, "d": 10**17}, subdir="rademacher")
+    assert code == 0
+
+
 def test_riesz_report_artifacts(tmp_path):
     config = {
         "command": "riesz-report",

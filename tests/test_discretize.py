@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 
 import lacuna as lc
-from lacuna.discretize import _evaluate_with_probes, _probe_values
+from lacuna.discretize import _evaluate_with_probes
 
 
 def _tetrahedral_basis(m=4, d=2):
     system = lc.rademacher_system(m)
     return system, lc.enumerate_tetrahedral(m, d)
+
+
+def _probe_values(basis, coeffs, q):
+    """Values of every probe on the whole group (one column per probe) and their true norms."""
+    f_values = basis @ coeffs.T
+    return f_values, np.array([lc.lq_norm(column, q) for column in f_values.T])
 
 
 def test_full_group_scheme_is_exact_for_every_q():
@@ -66,6 +72,31 @@ def test_scan_reproducible_and_ordered():
     for r in a:
         assert r["c1"] <= r["c2"] + 1e-12
         assert r["n_basis"] == len(indices) and r["q"] == 4.0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("probes", [1, 64])
+@pytest.mark.parametrize("q", [2.5, 4])
+def test_scan_matches_per_row_oracle(workers, probes, q):
+    from conftest import oracle_scan_point_counts
+
+    system, indices = _tetrahedral_basis(5)
+    # 32 points: sizes below, at and past |G|, where the sequence repeats points
+    grid = [3, 32, 90, 200]
+    records = lc.scan_point_counts(
+        system, indices, q, grid, trials=3, seed=19, probes=probes, workers=workers
+    )
+    assert records == oracle_scan_point_counts(system, indices, q, grid, 3, 19, probes)
+
+
+def test_scan_rejects_bad_q_and_probes():
+    system, indices = _tetrahedral_basis()
+    for q in (0.5, float("nan")):
+        with pytest.raises(lc.InvalidQ):
+            lc.scan_point_counts(system, indices, q, [4], trials=1, seed=0)
+    for probes in (0, -3):
+        with pytest.raises(ValueError, match="probes"):
+            lc.scan_point_counts(system, indices, 4, [4], trials=1, seed=0, probes=probes)
 
 
 def test_scan_parallel_matches_serial():

@@ -250,6 +250,22 @@ def test_late_witness_from_order_two_and_three_characters():
     assert lc.is_d_dissociated_mitm(small, 2).witness == witness
 
 
+def test_huge_d_walks_residues_and_reports_true_exponents():
+    # lcm(orders) = 5 and every radix is 5; past d = 10 the walk's sums use
+    # d mod 5 + 5, so a d raised by a multiple of 5 walks the same offsets
+    # and its witness is the smaller d's shifted down
+    system = lc.CharacterSystem.from_exponents(lc.make_group([5]), [[1], [2]])
+    big = 5 * 10**16
+    for d in range(5, 10):
+        witness = oracle_witness(system, d)
+        for check in (lc.is_d_dissociated, lc.is_d_dissociated_mitm):
+            assert check(system, d).witness == witness
+            huge = check(system, d + big)
+            assert huge.witness == tuple(k - big for k in witness)
+            assert lc.verify_witness(system, huge.witness)
+    assert lc.is_d_dissociated(lc.rademacher_system(3), 10**17).dissociated
+
+
 def test_order_two_system_of_twenty_fits_the_default_budget():
     # 2^20 tuples walked; the full scan would need 5^20 and raise
     system = lc.rademacher_system(20)

@@ -9,6 +9,7 @@ import pytest
 
 import lacuna as lc
 from conftest import (
+    oracle_character_table,
     oracle_inverse_powers,
     oracle_modulated_powers,
     oracle_modulation_exponents,
@@ -106,6 +107,31 @@ def test_riesz_density_requires_dissociation():
     # the caller may override the check and still get the raw product
     rho = lc.riesz_density(system, 2, check=False)
     assert rho.values.shape == (5,)
+
+
+def test_riesz_density_counts_repeated_powers():
+    # orders 2, 3, 5 and 30 against d up to 12: at d >= ord each distinct
+    # power is added once with its count, and no inverse power is kept
+    system = _system([2, 3, 5], [[1, 0, 0], [0, 1, 0], [0, 0, 2], [1, 1, 1]])
+    tables = [oracle_character_table(system, j) for j in range(len(system))]
+    for d in range(1, 13):
+        expected = np.ones(system.group.size, dtype=np.complex128)
+        for gamma, table in zip(system.characters, tables):
+            powers = [table**k for k in range(1, d + 1)]
+            powers += [table ** (-k) for k in oracle_inverse_powers(gamma, d)]
+            expected *= 1 + sum(powers) / (2 * d)
+        rho = lc.riesz_density(system, d, check=False)
+        assert np.abs(rho.values - expected).max() < 1e-12
+
+
+def test_riesz_density_at_huge_d():
+    # d = 3,000,000 on order-2 characters: each factor is 1 + (d/2)(gamma + 1)/(2d)
+    system = lc.rademacher_system(3)
+    rho = lc.riesz_density(system, 3_000_000)
+    expected = np.ones(8)
+    for j in range(3):
+        expected *= 1.25 + oracle_character_table(system, j).real / 4
+    assert np.abs(rho.values - expected).max() < 1e-15
 
 
 def test_riesz_density_probability_on_random_systems():
