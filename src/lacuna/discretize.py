@@ -21,6 +21,7 @@ added points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -108,14 +109,14 @@ def scan_point_counts(
     once per group element into an |G| x probes table, and gathers the
     scheme rows from it into an m x probes table, so either one above
     ``TABLE_CELL_LIMIT`` cells raises SizeLimitExceeded before the basis
-    is built.  ``q`` must be >= 1 (InvalidQ) and ``probes`` >= 1.
+    is built.  ``q`` must be finite and >= 1 (InvalidQ) and ``probes`` >= 1.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if probes < 1:
         raise ValueError(f"probes must be >= 1, got {probes}")
-    if not q >= 1:
-        raise InvalidQ(f"q must be >= 1, got {q}")
+    if not 1 <= q < math.inf:
+        raise InvalidQ(f"q must be finite and >= 1, got {q}")
     sizes = sorted(set(int(m) for m in m_grid))
     if not sizes or sizes[0] < 1:
         raise ValueError("m_grid must contain positive point counts")

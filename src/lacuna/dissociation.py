@@ -156,15 +156,14 @@ def _shift(orders: Sequence[int], d: int) -> int:
     """A stand-in for d in the walk's exponent sums, congruent to d mod lcm(orders).
 
     The walk's offset o stands for the exponent o - d, and every character
-    power depends only on the exponent modulo the group exponent lcm(orders).
-    Below twice the lcm this is d itself, so those walks sum what they always
-    have; past it, ``d mod lcm + lcm`` keeps the int64 sums exact for any d.
-    The lcm is added back rather than dropped because numpy's integer
-    remainder ran about 40% slower on the nonnegative sums a zero shift
-    gives (``rademacher(20)`` at d = 2: 100 ms against 72 ms).
+    power depends only on the exponent modulo the group exponent lcm(orders),
+    so ``d mod lcm + lcm`` keeps the int64 sums exact for any d.  The lcm is
+    added back rather than dropped because numpy's integer remainder ran
+    about 40% slower on the nonnegative sums a zero shift gives
+    (``rademacher(20)`` at d = 2: 100 ms against 72 ms).
     """
     exponent = math.lcm(*orders)
-    return d if d < 2 * exponent else d % exponent + exponent
+    return d % exponent + exponent
 
 
 def _nontrivial_power_table(

@@ -76,6 +76,12 @@ from .groups import (
     inverse_fourier,
 )
 
+# Up to this many cells (d x |G|), riesz_density adds
+# gamma^1 .. gamma^d one at a time in k order, so its floats match those of
+# every earlier release bit for bit.  Past it, each distinct power is added
+# once times its count, which bounds the work but moves last bits.
+_TERM_BY_TERM_CELLS = 1 << 20
+
 
 def _inverse_meets_forward(gamma: Character, k: int, top: int) -> bool:
     """Whether gamma^{-k} = gamma^j for some j in 1..top, i.e. ord(gamma) divides some j + k."""
@@ -126,9 +132,10 @@ def riesz_density(system: CharacterSystem, d: int, check: bool = True) -> Densit
 
     With ``check`` the system is verified to be d-dissociated first.  For
     dissociated systems whose character orders all exceed d the result is a
-    probability density: real, nonnegative, mass one.  gamma^k depends only
-    on k mod ord(gamma), so at most ord(gamma) distinct powers are built per
-    character, each added once with its count in 1..d.
+    probability density: real, nonnegative, mass one.  Where d x |G| exceeds
+    ``_TERM_BY_TERM_CELLS`` and d > ord(gamma), the powers of gamma are
+    summed by residue class: gamma^k depends only on k mod ord(gamma), so
+    each distinct power is added once times its count in 1..d.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
@@ -138,11 +145,15 @@ def riesz_density(system: CharacterSystem, d: int, check: bool = True) -> Densit
     values = np.ones(group.size, dtype=np.complex128)
     for gamma in system.characters:
         factor = np.ones(group.size, dtype=np.complex128)
-        for k in range(1, min(d, gamma.order) + 1):
-            count = (d - k) // gamma.order + 1
-            power = char_pow(gamma, k).values
-            # a count of one adds the power itself, so every d <= ord sums as a plain 1..d loop
-            factor += (power if count == 1 else count * power) / (2 * d)
+        if d * group.size <= _TERM_BY_TERM_CELLS:
+            for k in range(1, d + 1):
+                factor += char_pow(gamma, k).values / (2 * d)
+        else:
+            for k in range(1, min(d, gamma.order) + 1):
+                count = (d - k) // gamma.order + 1
+                power = char_pow(gamma, k).values
+                # a count of one adds the power itself, so d <= ord sums as the loop above
+                factor += (power if count == 1 else count * power) / (2 * d)
         for k in riesz_inverse_powers(gamma, d):
             factor += char_pow(gamma, -k).values / (2 * d)
         values *= factor

@@ -91,7 +91,7 @@ def test_scan_matches_per_row_oracle(workers, probes, q):
 
 def test_scan_rejects_bad_q_and_probes():
     system, indices = _tetrahedral_basis()
-    for q in (0.5, float("nan")):
+    for q in (0.5, float("nan"), float("inf")):
         with pytest.raises(lc.InvalidQ):
             lc.scan_point_counts(system, indices, q, [4], trials=1, seed=0)
     for probes in (0, -3):

@@ -251,8 +251,8 @@ def test_late_witness_from_order_two_and_three_characters():
 
 
 def test_huge_d_walks_residues_and_reports_true_exponents():
-    # lcm(orders) = 5 and every radix is 5; past d = 10 the walk's sums use
-    # d mod 5 + 5, so a d raised by a multiple of 5 walks the same offsets
+    # lcm(orders) = 5 and every radix is 5; the walk's sums use d mod 5 + 5,
+    # so a d raised by a multiple of 5 walks the same offsets
     # and its witness is the smaller d's shifted down
     system = lc.CharacterSystem.from_exponents(lc.make_group([5]), [[1], [2]])
     big = 5 * 10**16

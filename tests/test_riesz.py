@@ -124,6 +124,40 @@ def test_riesz_density_counts_repeated_powers():
         assert np.abs(rho.values - expected).max() < 1e-12
 
 
+def _term_by_term_density(system, d):
+    """The density with gamma^1 .. gamma^d added one at a time in k order."""
+    values = np.ones(system.group.size, dtype=np.complex128)
+    for gamma in system.characters:
+        factor = np.ones(system.group.size, dtype=np.complex128)
+        for k in range(1, d + 1):
+            factor += lc.char_pow(gamma, k).values / (2 * d)
+        for k in sorted(oracle_inverse_powers(gamma, d)):
+            factor += lc.char_pow(gamma, -k).values / (2 * d)
+        values *= factor
+    return values
+
+
+def test_riesz_density_floats_past_the_orders_are_the_term_by_term_sum(monkeypatch):
+    # rademacher(3) at d = 3 > ord = 2, as every release has written it
+    rho = lc.riesz_density(lc.rademacher_system(3), 3)
+    assert rho.values.tolist() == [
+        3.3750000000000018, 1.8750000000000009, 1.8750000000000007, 1.041666666666667,
+        1.8750000000000007, 1.041666666666667, 1.041666666666667, 0.5787037037037038,
+    ]
+    system = _system([2, 3, 5], [[1, 0, 0], [0, 1, 0], [0, 0, 2], [1, 1, 1]])
+    for d in range(1, 13):
+        expected = _term_by_term_density(system, d)
+        assert np.array_equal(lc.riesz_density(system, d, check=False).values, expected)
+        # past the cell bound the powers are summed by residue class, which
+        # keeps every d <= ord(gamma) factor and moves the others in last bits
+        monkeypatch.setattr(lc.riesz, "_TERM_BY_TERM_CELLS", 0)
+        by_class = lc.riesz_density(system, d, check=False).values
+        monkeypatch.undo()
+        assert np.abs(by_class - expected).max() <= 1e-14 * np.abs(expected).max()
+        if d <= 2:
+            assert np.array_equal(by_class, expected)
+
+
 def test_riesz_density_at_huge_d():
     # d = 3,000,000 on order-2 characters: each factor is 1 + (d/2)(gamma + 1)/(2d)
     system = lc.rademacher_system(3)
