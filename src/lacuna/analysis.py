@@ -61,19 +61,19 @@ _PEAK_POINTS = 16
 
 def lq_norm(values, q) -> float:
     """Normalized-Haar L_q norm of a value table; q = inf gives max |f|."""
-    vals = np.abs(np.asarray(values, dtype=np.complex128))
-    if math.isinf(q):
-        return float(vals.max())
     q = float(q)
-    if q < 1:
+    if not 1 <= q <= math.inf:
         raise InvalidQ(f"q must be >= 1 or infinity, got {q}")
+    vals = np.abs(np.asarray(values, dtype=np.complex128))
+    if q == math.inf:
+        return float(vals.max())
     return float(np.mean(vals**q) ** (1.0 / q))
 
 
 def lp_coeff_norm(coefficients, p) -> float:
     """(sum |A_i|^p)^(1/p) over a coefficient vector."""
     p = float(p)
-    if p < 1:
+    if not 1 <= p <= math.inf:
         raise InvalidP(f"p must be >= 1, got {p}")
     mags = np.abs(np.asarray(coefficients, dtype=np.complex128))
     if math.isinf(p):
@@ -90,7 +90,7 @@ def _nonzero_coefficients(polynomial: ChaosPolynomial) -> np.ndarray:
 
 def khinchin_ratio(polynomial: ChaosPolynomial, q) -> float:
     """||Q||_q / ||A||_2 for q > 2."""
-    if not math.isinf(q) and float(q) <= 2:
+    if not 2 < float(q) <= math.inf:
         raise InvalidQ(f"the L_2-L_q comparison needs q > 2, got {q}")
     coeffs = _nonzero_coefficients(polynomial)
     return lq_norm(polynomial.values(), q) / lp_coeff_norm(coeffs, 2)
@@ -231,7 +231,6 @@ def _best_of_trials(
     seed: int,
     indices: Sequence | None,
     ceiling: float | None,
-    workers: int,
 ) -> ConstantEstimate:
     """The body both estimators share: checks, value matrix, trials, best ratio.
 
@@ -247,7 +246,7 @@ def _best_of_trials(
     def run_trial(t: int) -> tuple[float, np.ndarray, list[float]]:
         return trial(trial_rng(seed, t))
 
-    results = map_indexed(run_trial, trials, workers=workers)
+    results = map_indexed(run_trial, trials)
     best = max(range(trials), key=lambda t: results[t][0])
     return ConstantEstimate(
         kind=kind,
@@ -276,7 +275,6 @@ def estimate_khinchin_constant(
     seed: int,
     indices: Sequence | None = None,
     kappa_model: float | None = None,
-    workers: int = 1,
 ) -> ConstantEstimate:
     """Maximize ||Q||_q / ||A||_2 over unit coefficient vectors.
 
@@ -322,7 +320,7 @@ def estimate_khinchin_constant(
 
     ceiling = khinchin_ceiling(d, kappa_model) if kappa_model is not None else None
     return _best_of_trials(
-        "khinchin", float(q), make_trial, system, d, trials, seed, indices, ceiling, workers
+        "khinchin", float(q), make_trial, system, d, trials, seed, indices, ceiling
     )
 
 
@@ -334,7 +332,6 @@ def estimate_sidon_constant(
     p: float | None = None,
     indices: Sequence | None = None,
     c_model: float | None = None,
-    workers: int = 1,
 ) -> ConstantEstimate:
     """Maximize ||A||_p / ||Q||_inf over unimodular coefficient patterns.
 
@@ -421,5 +418,5 @@ def estimate_sidon_constant(
     if c_model is not None and abs(p_eff - default_p) < 1e-12:
         ceiling = sidon_ceiling(d, c_model)
     return _best_of_trials(
-        "sidon", p_eff, make_trial, system, d, trials, seed, indices, ceiling, workers
+        "sidon", p_eff, make_trial, system, d, trials, seed, indices, ceiling
     )

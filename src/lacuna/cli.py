@@ -38,7 +38,7 @@ from .dissociation import (
 )
 from .errors import BudgetExceeded, ConfigInvalid, DegenerateOrder, LacunaError
 from .groups import fourier, make_group
-from .parallel import trial_rng, worker_count
+from .parallel import trial_rng
 from .riesz import (
     ModulationPoint,
     extract_homogeneous,
@@ -408,7 +408,7 @@ def _cmd_estimate(plan, config, out, svg):
     names = ("trials", "q", "kappa_model", "p", "c_model")
     options = {key: plan[key] for key in names if key in plan}
     indices = chaos_indices(system, d, tetrahedral=plan["chaos"] == "tetrahedral")
-    estimate = estimator(system, d, seed=seed, indices=indices, workers=worker_count(), **options)
+    estimate = estimator(system, d, seed=seed, indices=indices, **options)
     results = {"estimate": estimate.to_json_obj(), "chaos": plan["chaos"]}
     _write_json(out / f"{kind}.json", kind, config, results)
     row = [kind, d, _fmt(estimate.exponent), len(system), _fmt(estimate.constant), seed]
@@ -428,7 +428,7 @@ def _cmd_discretize_scan(plan, config, out, svg):
     indices = chaos_indices(system, d, tetrahedral=plan["chaos"] == "tetrahedral")
     n = len(indices)
     records = scan_point_counts(
-        system, indices, q, plan["m_grid"], plan["trials"], seed, plan["probes"], worker_count()
+        system, indices, q, plan["m_grid"], plan["trials"], seed, plan["probes"]
     )
     bad = [r for r in records if r["c1"] > r["c2"] + 1e-12]
     summary = summarize_scan(records)

@@ -52,8 +52,8 @@ class DiscretizationScheme:
             raise ValueError("point index out of range")
         if w.size and w.min() < 0:
             raise ValueError("weights must be nonnegative")
-        if float(self.q) < 1:
-            raise InvalidQ(f"q must be >= 1, got {self.q}")
+        if not 1 <= float(self.q) < math.inf:
+            raise InvalidQ(f"q must be finite and >= 1, got {self.q}")
         self.point_indices = idx
         self.weights = w
 
@@ -97,7 +97,6 @@ def scan_point_counts(
     trials: int,
     seed: int,
     probes: int = 64,
-    workers: int = 1,
 ) -> list[dict]:
     """Probe C_1/C_2 of uniformly weighted random schemes across sizes.
 
@@ -159,7 +158,7 @@ def scan_point_counts(
             )
         return rows
 
-    nested = map_indexed(run_trial, trials, workers=workers)
+    nested = map_indexed(run_trial, trials)
     records = [row for rows in nested for row in rows]
     records.sort(key=lambda r: (r["m"], r["trial"]))
     return records

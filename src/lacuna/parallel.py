@@ -1,41 +1,28 @@
-"""Deterministic trial fan-out helpers.
+"""Seeded trials, run in order in the calling thread.
 
 Every randomized study derives one PRNG stream per trial from
-``(seed, trial_index)``, and reductions always happen in trial order, so
-serial and parallel runs produce bit-identical results.  The worker count
-is capped by the ``LACUNA_THREADS`` environment variable.
+``(seed, trial_index)`` and reduces the trial results in trial order, so a
+run reproduces bit-for-bit.
+
+``map_indexed`` is a plain list comprehension.  It stays a named function
+because the benchmark harness (``bench/tracing.py``) wraps it to count the
+trials and time each one as a span.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, TypeVar
 
 import numpy as np
 
 T = TypeVar("T")
 
-_MAX_WORKERS = 64
-
-
-def worker_count(default: int = 1) -> int:
-    raw = os.environ.get("LACUNA_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return default
-    return max(1, min(n, _MAX_WORKERS))
-
 
 def trial_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent stream for one trial; stable across worker counts."""
+    """Independent stream for one trial."""
     return np.random.default_rng([int(seed), int(index)])
 
 
-def map_indexed(fn: Callable[[int], T], count: int, workers: int = 1) -> list[T]:
-    """[fn(0), .., fn(count-1)] with results always in index order."""
-    if workers <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=min(workers, count)) as pool:
-        return list(pool.map(fn, range(count)))
+def map_indexed(fn: Callable[[int], T], count: int) -> list[T]:
+    """[fn(0), .., fn(count-1)]."""
+    return [fn(i) for i in range(count)]

@@ -192,6 +192,13 @@ class ModulationPoint:
         return cls(base, tuple(int(x) for x in rng.integers(0, base, size=count)))
 
 
+def _require_modulation_point(system: CharacterSystem, d: int, y: ModulationPoint):
+    if y.base != 2 * d + 1:
+        raise ValueError(f"modulation base {y.base} must equal 2d+1 = {2 * d + 1}")
+    if len(y.digits) != len(system):
+        raise ValueError("one modulation digit per system character is required")
+
+
 def modulated_riesz_density(
     system: CharacterSystem,
     d: int,
@@ -205,10 +212,7 @@ def modulated_riesz_density(
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    if y.base != 2 * d + 1:
-        raise ValueError(f"modulation base {y.base} must equal 2d+1 = {2 * d + 1}")
-    if len(y.digits) != len(system):
-        raise ValueError("one modulation digit per system character is required")
+    _require_modulation_point(system, d, y)
     if check and len(system):
         require_dissociated(system, d)
     group = system.group
@@ -423,12 +427,17 @@ def extract_homogeneous_modulated(
     Builds the polynomial whose term for index (k, alpha) carries the extra
     factor prod_i w^{-alpha'_i * y_{k_i}} and convolves it with rho_y.  In
     the nondegenerate regime the weights cancel against the coefficients of
-    rho_y and the result is Q^(s) / (2d)^s pointwise, for every y.
+    rho_y and the result is Q^(s) / (2d)^s pointwise, for every y.  An s
+    outside 1..d, or a point of the wrong base or digit count, raises
+    ValueError before any work.
     """
     d = polynomial.degree
-    if check:
-        require_nondegenerate(polynomial.system, d)
     system = polynomial.system
+    if not 1 <= s <= d:
+        raise ValueError(f"s must lie in 1..{d}, got {s}")
+    _require_modulation_point(system, d, y)
+    if check:
+        require_nondegenerate(system, d)
 
     def weight(index: CompressedIndex) -> complex:
         w = 1 + 0j

@@ -40,16 +40,22 @@ def test_lq_norm_monotone_in_q():
 
 
 def test_lq_norm_invalid():
-    with pytest.raises(lc.InvalidQ):
-        lc.lq_norm(np.ones(4), 0.5)
+    # a NaN exponent must not read as 1.0 on an all-ones table
+    for values in (np.ones(4), np.arange(4.0)):
+        for q in (0.5, math.nan, -math.inf):
+            with pytest.raises(lc.InvalidQ):
+                lc.lq_norm(values, q)
 
 
 def test_lp_coeff_norm_examples():
     assert lc.lp_coeff_norm([1, 0, 0], 1) == pytest.approx(1.0)
     assert lc.lp_coeff_norm([1, 0, 0], 3.7) == pytest.approx(1.0)
     assert lc.lp_coeff_norm([1, 1, 1], 4 / 3) == pytest.approx(3 ** (3 / 4))
+    for p in (0.9, math.nan, -math.inf):
+        with pytest.raises(lc.InvalidP):
+            lc.lp_coeff_norm([1], p)
     with pytest.raises(lc.InvalidP):
-        lc.lp_coeff_norm([1], 0.9)
+        lc.sidon_ratio(_rademacher_sum(), math.nan)
 
 
 def test_sidon_exponent_for_degree_two():
@@ -83,8 +89,9 @@ def test_khinchin_ratio_scale_invariant():
 
 
 def test_khinchin_ratio_requires_q_above_two():
-    with pytest.raises(lc.InvalidQ):
-        lc.khinchin_ratio(_rademacher_sum(), 2)
+    for q in (2, math.nan, -math.inf):
+        with pytest.raises(lc.InvalidQ):
+            lc.khinchin_ratio(_rademacher_sum(), q)
 
 
 def test_ratio_zero_polynomial():
@@ -200,14 +207,6 @@ def test_khinchin_estimate_deterministic():
     assert np.array_equal(a.coefficients, b.coefficients)
 
 
-def test_khinchin_estimate_parallel_matches_serial():
-    system = lc.rademacher_system(4)
-    serial = lc.estimate_khinchin_constant(system, 2, 4, trials=4, seed=9, workers=1)
-    parallel = lc.estimate_khinchin_constant(system, 2, 4, trials=4, seed=9, workers=4)
-    assert serial.constant == parallel.constant
-    assert np.array_equal(serial.coefficients, parallel.coefficients)
-
-
 def test_khinchin_trajectories_monotone():
     system = lc.rademacher_system(5)
     estimate = lc.estimate_khinchin_constant(system, 2, 4, trials=4, seed=11)
@@ -266,15 +265,12 @@ def test_sidon_estimate_single_character():
         assert estimate.constant == pytest.approx(1.0)
 
 
-def test_sidon_estimate_deterministic_and_parallel_safe():
+def test_sidon_estimate_deterministic():
     system = lc.rademacher_system(5)
     indices = lc.enumerate_tetrahedral(5, 2)
     a = lc.estimate_sidon_constant(system, 2, trials=3, seed=5, indices=indices)
     b = lc.estimate_sidon_constant(system, 2, trials=3, seed=5, indices=indices)
-    c = lc.estimate_sidon_constant(
-        system, 2, trials=3, seed=5, indices=indices, workers=3
-    )
-    assert a.constant == b.constant == c.constant
+    assert a.constant == b.constant
 
 
 def test_sidon_estimate_improves_on_random_start():
@@ -310,14 +306,13 @@ SIDON_ORACLE_SYSTEMS = {
 
 
 @pytest.mark.parametrize("max_sweeps", [40, 2, 1])
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("name", sorted(SIDON_ORACLE_SYSTEMS))
-def test_sidon_estimate_matches_sweep_oracle(monkeypatch, name, workers, max_sweeps):
+def test_sidon_estimate_matches_sweep_oracle(monkeypatch, name, max_sweeps):
     from conftest import oracle_sidon_estimate
 
     system, d = SIDON_ORACLE_SYSTEMS[name]()
     monkeypatch.setattr(lc.analysis, "_MAX_SWEEPS", max_sweeps)
-    estimate = lc.estimate_sidon_constant(system, d, trials=3, seed=11, workers=workers)
+    estimate = lc.estimate_sidon_constant(system, d, trials=3, seed=11)
     constant, coefficients, histories = oracle_sidon_estimate(system, d, 3, 11, max_sweeps)
     assert estimate.constant == constant
     assert estimate.coefficients.tobytes() == coefficients.tobytes()

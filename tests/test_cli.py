@@ -741,6 +741,18 @@ def test_run_rejects_non_dict():
         run(["not", "a", "dict"])
 
 
+_SCAN_CONFIG = {
+    "command": "discretize-scan",
+    "system": {"rademacher": {"count": 4}},
+    "d": 2,
+    "chaos": "tetrahedral",
+    "q": 4,
+    "m_grid": [6, 12],
+    "trials": 4,
+    "probes": 8,
+    "seed": 42,
+}
+
 DETERMINISM_CONFIGS = [
     (
         {
@@ -754,21 +766,7 @@ DETERMINISM_CONFIGS = [
         ["khinchin.json", "khinchin.csv"],
         False,
     ),
-    (
-        {
-            "command": "discretize-scan",
-            "system": {"rademacher": {"count": 4}},
-            "d": 2,
-            "chaos": "tetrahedral",
-            "q": 4,
-            "m_grid": [6, 12],
-            "trials": 4,
-            "probes": 8,
-            "seed": 42,
-        },
-        ["discretize.json", "discretize.csv", "discretize.svg"],
-        True,
-    ),
+    (_SCAN_CONFIG, ["discretize.json", "discretize.csv", "discretize.svg"], True),
     (
         {
             "command": "riesz-report",
@@ -777,6 +775,24 @@ DETERMINISM_CONFIGS = [
         },
         ["riesz_report.json", "riesz_density.csv", "riesz_fourier.csv"],
         False,
+    ),
+    (
+        {
+            "command": "sidon",
+            "system": {"rademacher": {"count": 5}},
+            "d": 2,
+            "chaos": "tetrahedral",
+            "trials": 3,
+            "seed": 42,
+        },
+        ["sidon.json", "sidon.csv"],
+        False,
+    ),
+    (
+        # the grid runs past |G| = 16, so sequences resample points
+        dict(_SCAN_CONFIG, m_grid=[6, 12, 36]),
+        ["discretize.json", "discretize.csv", "discretize.svg"],
+        True,
     ),
 ]
 
@@ -793,35 +809,20 @@ def test_cli_byte_determinism(tmp_path, config, artifacts, svg):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-THREADED_CONFIGS = [
-    (DETERMINISM_CONFIGS[0][0], ["khinchin.json", "khinchin.csv"]),
-    (
-        {
-            "command": "sidon",
-            "system": {"rademacher": {"count": 5}},
-            "d": 2,
-            "chaos": "tetrahedral",
-            "trials": 3,
-            "seed": 42,
-        },
-        ["sidon.json", "sidon.csv"],
-    ),
-    (
-        # the grid runs past |G| = 16, so sequences resample points
-        dict(DETERMINISM_CONFIGS[1][0], m_grid=[6, 12, 36]),
-        ["discretize.json", "discretize.csv", "discretize.svg"],
-    ),
-]
+def test_cli_trials_start_no_thread(tmp_path, monkeypatch):
+    import threading
 
+    started = []
+    start = threading.Thread.start
 
-@pytest.mark.parametrize("config,artifacts", THREADED_CONFIGS)
-def test_cli_artifacts_identical_across_thread_counts(tmp_path, monkeypatch, config, artifacts):
-    cfg = _write_config(tmp_path, config)
-    outs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("LACUNA_THREADS", threads)
-        out = tmp_path / f"threads{threads}"
-        assert main(["--config", str(cfg), "--out", str(out), "--svg"]) == 0
-        outs.append(out)
-    for name in artifacts:
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    def counting_start(thread):
+        started.append(thread)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    # a set LACUNA_THREADS must not start a worker pool
+    monkeypatch.setenv("LACUNA_THREADS", "4")
+    for config in (DETERMINISM_CONFIGS[0][0], _SCAN_CONFIG):
+        cfg = _write_config(tmp_path, config)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / config["command"])]) == 0
+    assert started == []

@@ -290,6 +290,19 @@ def test_modulated_base_must_match():
         lc.modulated_riesz_density(system, 2, lc.ModulationPoint(5, (1, 1)))
 
 
+def test_modulated_extract_rejects_bad_s_and_point(monkeypatch):
+    system = _system([9, 9], [[1, 0], [0, 1]])
+    q = lc.random_chaos_polynomial(system, 2, np.random.default_rng(5))
+    y = lc.ModulationPoint(5, (0, 0))
+    monkeypatch.setattr(lc.riesz, "decompose", None)  # no work may start
+    for s in (0, -1, 3):
+        with pytest.raises(ValueError, match=r"s must lie in 1\.\.2"):
+            lc.extract_homogeneous_modulated(q, s, y)
+    for bad in (lc.ModulationPoint(7, (0, 0)), lc.ModulationPoint(5, (0,))):
+        with pytest.raises(ValueError, match="modulation"):
+            lc.extract_homogeneous_modulated(q, 2, bad)
+
+
 # -- adjusted exponents ----------------------------------------------------------------------
 
 
