@@ -306,17 +306,20 @@ SIDON_ORACLE_SYSTEMS = {
 
 
 @pytest.mark.parametrize("max_sweeps", [40, 2, 1])
+@pytest.mark.parametrize("runs", [1, 2])
 @pytest.mark.parametrize("name", sorted(SIDON_ORACLE_SYSTEMS))
-def test_sidon_estimate_matches_sweep_oracle(monkeypatch, name, max_sweeps):
+def test_sidon_estimate_matches_sweep_oracle(monkeypatch, name, runs, max_sweeps):
     from conftest import oracle_sidon_estimate
 
     system, d = SIDON_ORACLE_SYSTEMS[name]()
     monkeypatch.setattr(lc.analysis, "_MAX_SWEEPS", max_sweeps)
-    estimate = lc.estimate_sidon_constant(system, d, trials=3, seed=11)
+    # a second run reads the group tables the first one cached and must not move
+    estimates = [lc.estimate_sidon_constant(system, d, trials=3, seed=11) for _ in range(runs)]
     constant, coefficients, histories = oracle_sidon_estimate(system, d, 3, 11, max_sweeps)
-    assert estimate.constant == constant
-    assert estimate.coefficients.tobytes() == coefficients.tobytes()
-    assert estimate.histories == histories
+    for estimate in estimates:
+        assert estimate.constant == constant
+        assert estimate.coefficients.tobytes() == coefficients.tobytes()
+        assert estimate.histories == histories
 
 
 def test_sidon_estimate_ceiling_only_at_default_exponent():

@@ -77,16 +77,23 @@ def test_scan_reproducible_and_ordered():
         assert r["n_basis"] == len(indices) and r["q"] == 4.0
 
 
+@pytest.mark.parametrize("runs", [1, 2])
 @pytest.mark.parametrize("probes", [1, 64])
 @pytest.mark.parametrize("q", [2.5, 4])
-def test_scan_matches_per_row_oracle(probes, q):
+def test_scan_matches_per_row_oracle(probes, q, runs):
     from conftest import oracle_scan_point_counts
 
     system, indices = _tetrahedral_basis(5)
     # 32 points: sizes below, at and past |G|, where the sequence repeats points
     grid = [3, 32, 90, 200]
-    records = lc.scan_point_counts(system, indices, q, grid, trials=3, seed=19, probes=probes)
-    assert records == oracle_scan_point_counts(system, indices, q, grid, 3, 19, probes)
+    # a second run reads the group tables the first one cached and must not move
+    results = [
+        lc.scan_point_counts(system, indices, q, grid, trials=3, seed=19, probes=probes)
+        for _ in range(runs)
+    ]
+    expected = oracle_scan_point_counts(system, indices, q, grid, 3, 19, probes)
+    for records in results:
+        assert records == expected
 
 
 def test_scan_rejects_bad_q_and_probes():
