@@ -18,6 +18,10 @@ only the survivors are scored on the whole group, and the pick is the
 same as scoring all of them.  Trials are independent,
 seeded per ``(seed, trial)``, and every accepted step improves the
 objective, so trajectories are monotone and results reproduce bit-for-bit.
+The Khinchin trials step together: their coefficients form one block, and
+each step takes every product row by row inside one batched call, so each
+trial's result is bit-for-bit what it would be alone.  The Sidon trials run
+one after another.
 
 Theoretical ceilings accompany the estimates when their model constants
 are supplied: ``sqrt(d) (2d)^d C kappa_model`` for the Khinchin kind and
@@ -146,11 +150,13 @@ def values_matrix(system: CharacterSystem, indices: Sequence) -> np.ndarray:
 def _grad_lq_q_matrix(adjoint: np.ndarray, values: np.ndarray, q: float) -> np.ndarray:
     """Complex gradient ``q |f|^(q-2) f`` of ||Q||_q^q in the coefficients.
 
-    ``adjoint`` is ``matrix.conj().T`` and ``values`` is ``matrix @ coeffs``.
+    ``adjoint`` is ``matrix.conj().T`` and ``values`` is ``matrix @ coeffs``,
+    or a block with one such row per trial, giving one gradient row each.
     Entry t is d/dRe(A_t) + i * d/dIm(A_t).
     """
     weight = np.abs(values) ** (q - 2) * values
-    return q * (adjoint @ weight) / adjoint.shape[1]
+    # one matrix-vector product per row, each rounded as ``adjoint @ row``
+    return q * np.matmul(adjoint, weight[..., None])[..., 0] / adjoint.shape[1]
 
 
 def grad_lq_q(polynomial: ChaosPolynomial, q: float) -> np.ndarray:
@@ -217,14 +223,16 @@ class ConstantEstimate:
         }
 
 
-# one trial: its rng -> (ratio, coefficients, ratio history)
-_Trial = Callable[[np.random.Generator], tuple[float, np.ndarray, list[float]]]
+# one trial's result: (ratio, coefficients, ratio history)
+_Result = tuple[float, np.ndarray, list[float]]
+# every trial of one estimate: their rngs -> their results, in trial order
+_Trials = Callable[[list[np.random.Generator]], list[_Result]]
 
 
 def _best_of_trials(
     kind: str,
     exponent: float,
-    make_trial: Callable[[np.ndarray], _Trial],
+    make_trials: Callable[[np.ndarray], _Trials],
     system: CharacterSystem,
     d: int,
     trials: int,
@@ -234,19 +242,16 @@ def _best_of_trials(
 ) -> ConstantEstimate:
     """The body both estimators share: checks, value matrix, trials, best ratio.
 
-    ``make_trial`` receives the value matrix once per estimate; whatever it
-    derives from the matrix is shared, read-only, by every trial.
+    ``make_trials`` receives the value matrix once per estimate and returns
+    the runner of its trials, which gets trial t's rng ``trial_rng(seed, t)``
+    for every t.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     require_dissociated(system, d)
     idx = list(indices) if indices is not None else chaos_indices(system, d)
-    trial = make_trial(values_matrix(system, idx))
-
-    def run_trial(t: int) -> tuple[float, np.ndarray, list[float]]:
-        return trial(trial_rng(seed, t))
-
-    results = map_indexed(run_trial, trials)
+    run_trials = make_trials(values_matrix(system, idx))
+    results = run_trials([trial_rng(seed, t) for t in range(trials)])
     best = max(range(trials), key=lambda t: results[t][0])
     return ConstantEstimate(
         kind=kind,
@@ -267,6 +272,89 @@ def _random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
+def _row_products(matrix: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """``matrix @ row`` for every row of a block, each rounded as on its own."""
+    return np.matmul(matrix, block[:, :, None])[..., 0]
+
+
+def _row_norms(block: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of every row of a complex block, bit-for-bit.
+
+    That norm is ``sqrt(re . re + im . im)`` with two real dot products,
+    and a batched matmul makes the same dot product per row.
+    """
+
+    def dots(part):
+        return np.matmul(part[:, None, :], part[:, :, None])[:, 0, 0]
+
+    return np.sqrt(dots(block.real) + dots(block.imag))
+
+
+def _row_lq_norms(values: np.ndarray, q) -> np.ndarray:
+    """``lq_norm`` of every row of a value block, bit-for-bit."""
+    q = float(q)
+    moduli = np.abs(values)
+    if q == math.inf:
+        return moduli.max(axis=1)
+    # the means along contiguous rows are lq_norm's; the root is a scalar
+    # power per row, as there, since an array power may round differently
+    return np.array([mean ** (1.0 / q) for mean in (moduli**q).mean(axis=1)])
+
+
+def _ascend(
+    matrix: np.ndarray, q, rngs: list[np.random.Generator]
+) -> list[_Result]:
+    """Every trial's projected gradient ascent, stepped together.
+
+    Row r of each block belongs to trial ``live[r]``.  A step takes every
+    product one row at a time inside a single call, so each live trial
+    follows, bit for bit, the path it would follow alone: its own step
+    size, accept rule and stop.  A trial that stops leaves the blocks.
+    """
+    coeffs = np.stack([_random_unit(rng, matrix.shape[1]) for rng in rngs])
+    values = _row_products(matrix, coeffs)
+    ratios = _row_lq_norms(values, q)
+    histories = [[float(ratio)] for ratio in ratios]
+    results: list = [None] * len(rngs)
+    live = np.arange(len(rngs))
+
+    def retire(rows):
+        for r in rows:
+            results[live[r]] = (float(ratios[r]), coeffs[r].copy(), histories[live[r]])
+
+    if math.isfinite(q):
+        adjoint = matrix.conj().T
+        steps = np.full(live.size, _ASCENT_STEP)
+        for _ in range(_ASCENT_MAX_STEPS):
+            grad = _grad_lq_q_matrix(adjoint, values, q)
+            candidates = coeffs + steps[:, None] * grad
+            candidates /= _row_norms(candidates)[:, None]
+            candidate_values = _row_products(matrix, candidates)
+            new_ratios = _row_lq_norms(candidate_values, q)
+            accepted = new_ratios > ratios
+            stalled = np.zeros(live.size, dtype=bool)
+            stalled[accepted] = new_ratios[accepted] - ratios[accepted] < _ASCENT_TOL
+            coeffs[accepted] = candidates[accepted]
+            values[accepted] = candidate_values[accepted]
+            ratios[accepted] = new_ratios[accepted]
+            for r in accepted.nonzero()[0]:
+                histories[live[r]].append(float(ratios[r]))
+            steps[~accepted] /= 2
+            # a live trial's step is at least 1e-14, so only one just halved
+            # can fall below it
+            stopped = stalled | (steps < 1e-14)
+            if stopped.any():
+                retire(stopped.nonzero()[0])
+                kept = ~stopped
+                live, coeffs, values = live[kept], coeffs[kept], values[kept]
+                ratios, steps = ratios[kept], steps[kept]
+                if not live.size:
+                    break
+    # the trials still live at the step cap, or at q = inf, which takes no step
+    retire(range(live.size))
+    return results
+
+
 def estimate_khinchin_constant(
     system: CharacterSystem,
     d: int,
@@ -281,46 +369,20 @@ def estimate_khinchin_constant(
     The system must be d-dissociated (NotDissociated otherwise).  Each
     trial starts from a random unit vector; for every finite q it then runs
     projected gradient ascent (step 0.1, halved on non-improvement, stop at
-    relative stall 1e-9 or 500 steps).  The result's ``histories``
-    holds each trial's ratio after every accepted step.
+    relative stall 1e-9 or 500 steps).  The trials step together, one
+    batched product per step, and each trial's result is bit-for-bit the
+    one it would reach alone.  The result's ``histories`` holds each
+    trial's ratio after every accepted step.
     """
     if not q > 2:
         raise InvalidQ(f"q must exceed 2, got {q}")
-    use_ascent = not math.isinf(q)
 
-    def make_trial(matrix: np.ndarray) -> _Trial:
-        adjoint = matrix.conj().T if use_ascent else None
-
-        def trial(rng: np.random.Generator):
-            coeffs = _random_unit(rng, matrix.shape[1])
-            values = matrix @ coeffs
-            ratio = lq_norm(values, q)
-            history = [ratio]
-            if use_ascent:
-                step = _ASCENT_STEP
-                for _ in range(_ASCENT_MAX_STEPS):
-                    grad = _grad_lq_q_matrix(adjoint, values, q)
-                    candidate = coeffs + step * grad
-                    candidate /= np.linalg.norm(candidate)
-                    candidate_values = matrix @ candidate
-                    new_ratio = lq_norm(candidate_values, q)
-                    if new_ratio > ratio:
-                        gain = new_ratio - ratio
-                        coeffs, values, ratio = candidate, candidate_values, new_ratio
-                        history.append(ratio)
-                        if gain < _ASCENT_TOL:
-                            break
-                    else:
-                        step /= 2
-                        if step < 1e-14:
-                            break
-            return ratio, coeffs, history
-
-        return trial
+    def make_trials(matrix: np.ndarray) -> _Trials:
+        return lambda rngs: _ascend(matrix, q, rngs)
 
     ceiling = khinchin_ceiling(d, kappa_model) if kappa_model is not None else None
     return _best_of_trials(
-        "khinchin", float(q), make_trial, system, d, trials, seed, indices, ceiling
+        "khinchin", float(q), make_trials, system, d, trials, seed, indices, ceiling
     )
 
 
@@ -360,13 +422,13 @@ def estimate_sidon_constant(
         raise InvalidP(f"p must be >= 1, got {p_eff}")
     candidates = np.exp(2j * np.pi * np.arange(_PHASE_GRID) / _PHASE_GRID)
 
-    def make_trial(matrix: np.ndarray) -> _Trial:
+    def make_trials(matrix: np.ndarray) -> _Trials:
         n = matrix.shape[1]
         # row t is column t of the matrix, contiguous
         columns = np.ascontiguousarray(matrix.T)
         n_top = min(_PEAK_POINTS, matrix.shape[0])
 
-        def trial(rng: np.random.Generator):
+        def trial(rng: np.random.Generator) -> _Result:
             coeffs = np.exp(2j * np.pi * rng.uniform(size=n))
             values = matrix @ coeffs
             start_moduli = np.abs(values)
@@ -412,11 +474,12 @@ def estimate_sidon_constant(
                         break
             return coeff_norm / peak, coeffs, history
 
-        return trial
+        # the survivor sets are ragged, so the trials run one after another
+        return lambda rngs: map_indexed(lambda t: trial(rngs[t]), len(rngs))
 
     ceiling = None
     if c_model is not None and abs(p_eff - default_p) < 1e-12:
         ceiling = sidon_ceiling(d, c_model)
     return _best_of_trials(
-        "sidon", p_eff, make_trial, system, d, trials, seed, indices, ceiling
+        "sidon", p_eff, make_trials, system, d, trials, seed, indices, ceiling
     )

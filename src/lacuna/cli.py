@@ -423,6 +423,14 @@ def _cmd_estimate(plan, config, out, svg):
     return 0
 
 
+def _marker_m(n: int, q: float) -> int | None:
+    """N^(q/2) rounded, where the scan's plot draws its marker; None past the float range."""
+    try:
+        return round(n ** (q / 2))
+    except OverflowError:
+        return None
+
+
 def _cmd_discretize_scan(plan, config, out, svg):
     system, d, q, seed = plan["system"], plan["d"], plan["q"], plan["seed"]
     indices = chaos_indices(system, d, tetrahedral=plan["chaos"] == "tetrahedral")
@@ -432,7 +440,7 @@ def _cmd_discretize_scan(plan, config, out, svg):
     )
     bad = [r for r in records if r["c1"] > r["c2"] + 1e-12]
     summary = summarize_scan(records)
-    marker = round(n ** (q / 2))
+    marker = _marker_m(n, q)
     results = {
         "n_basis": n,
         "q": float(q),

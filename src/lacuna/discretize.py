@@ -22,6 +22,7 @@ added points.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -66,10 +67,18 @@ class DiscretizationScheme:
 
 
 def _evaluate_with_probes(
-    scheme: DiscretizationScheme, powered: np.ndarray, true_norms: np.ndarray
+    scheme: DiscretizationScheme,
+    powered: np.ndarray,
+    true_norms: np.ndarray,
+    weighted: np.ndarray | None = None,
 ) -> tuple[float, float]:
-    """(C_1, C_2) from |f(xi_i)|^q (row i for point i, one column per probe)."""
-    discrete = np.sum(scheme.weights[:, None] * powered, axis=0) ** (1.0 / scheme.q)
+    """(C_1, C_2) from |f(xi_i)|^q (row i for point i, one column per probe).
+
+    ``weighted``, if given, is a buffer of ``powered``'s shape that takes
+    the weighted rows in place of a fresh table.
+    """
+    weighted = np.multiply(scheme.weights[:, None], powered, out=weighted)
+    discrete = np.sum(weighted, axis=0) ** (1.0 / scheme.q)
     ratios = discrete / true_norms
     return float(ratios.min()), float(ratios.max())
 
@@ -109,6 +118,14 @@ def scan_point_counts(
     scheme rows from it into an m x probes table, so either one above
     ``TABLE_CELL_LIMIT`` cells raises SizeLimitExceeded before the basis
     is built.  ``q`` must be finite and >= 1 (InvalidQ) and ``probes`` >= 1.
+
+    The scan allocates its work buffers once and every trial overwrites
+    them: the complex |G| x probes product, its ``|f|^q`` table, the
+    gathered max(m) x probes scheme rows and their weighted copy.  They
+    take the same operations in the same order as fresh arrays would, so
+    the records do not depend on them.  A q at which some probe's true
+    norm is not finite and positive (``|f|^q`` past the float range)
+    raises InvalidQ.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -128,23 +145,36 @@ def scan_point_counts(
         )
     matrix = values_matrix(system, indices)
     n = matrix.shape[1]
+    # one set of work buffers per scan, overwritten by every trial
+    product = np.empty((group.size, probes), dtype=np.complex128)
+    table = np.empty((group.size, probes))
+    gathered = np.empty((sizes[-1], probes))
+    weighted = np.empty_like(gathered)
 
     def run_trial(t: int) -> list[dict]:
         rng = trial_rng(seed, t)
         sequence = _nested_point_sequence(rng, group.size, sizes[-1])
         coeffs = rng.standard_normal((probes, n)) + 1j * rng.standard_normal((probes, n))
-        # |f|^q once per group element, one column per probe
-        table = np.abs(matrix @ coeffs.T) ** q
+        # |f|^q once per group element, one column per probe; the in-place
+        # ``**=`` takes the path of ``np.abs(...) ** q`` (np.square at q = 2)
+        np.abs(np.matmul(matrix, coeffs.T, out=product), out=table)
+        with np.errstate(over="ignore"):
+            operator.ipow(table, q)
+            means = np.ascontiguousarray(table.T).mean(axis=1)
         # the root per probe is a scalar power, as in lq_norm
-        true_norms = np.array(
-            [mean ** (1.0 / q) for mean in np.ascontiguousarray(table.T).mean(axis=1)]
-        )
-        # the scheme of size m is the first m rows
-        powered = table[sequence]
+        true_norms = np.array([mean ** (1.0 / q) for mean in means])
+        if not (np.isfinite(true_norms) & (true_norms > 0)).all():
+            raise InvalidQ(
+                f"q = {q} takes the probes' |f|^q out of the float range, so "
+                "their true norms are not finite and positive"
+            )
+        # the scheme of size m is the first m rows; every index is in range,
+        # and "clip" writes straight into the buffer where "raise" copies
+        powered = np.take(table, sequence, axis=0, out=gathered, mode="clip")
         rows = []
         for m in sizes:
             scheme = DiscretizationScheme.uniform(group, sequence[:m], q)
-            c1, c2 = _evaluate_with_probes(scheme, powered[:m], true_norms)
+            c1, c2 = _evaluate_with_probes(scheme, powered[:m], true_norms, weighted[:m])
             rows.append(
                 {
                     "m": m,

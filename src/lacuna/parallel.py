@@ -4,9 +4,11 @@ Every randomized study derives one PRNG stream per trial from
 ``(seed, trial_index)`` and reduces the trial results in trial order, so a
 run reproduces bit-for-bit.
 
-``map_indexed`` is a plain list comprehension.  It stays a named function
-because the benchmark harness (``bench/tracing.py``) wraps it to count the
-trials and time each one as a span.
+``map_indexed`` is a plain list comprehension.  It serves the Sidon phase
+search and the discretization scan, whose trials run one after another;
+the Khinchin trials step together instead (see ``analysis``).  It stays a
+named function because the benchmark harness (``bench/tracing.py``) wraps
+it to count the trials and time each one as a span.
 """
 
 from __future__ import annotations

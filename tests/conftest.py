@@ -337,6 +337,52 @@ def oracle_sidon_estimate(system, d, trials, seed, max_sweeps):
     return results[best][0], results[best][1], [r[2] for r in results]
 
 
+def oracle_khinchin_estimate(system, d, q, trials, seed, indices=None):
+    """The Khinchin ascent as first written, one trial after another.
+
+    Returns (constant, coefficients, histories).  Each trial runs its own
+    chain of matrix-vector products, with the step size, tolerance and
+    step cap read from ``lacuna.analysis`` at call time, so a test that
+    patches them patches the oracle too.
+    """
+    from lacuna import analysis
+
+    if indices is None:
+        indices = chaos_indices(system, d)
+    matrix = values_matrix(system, indices)
+    adjoint = matrix.conj().T
+    results = []
+    for t in range(trials):
+        rng = trial_rng(seed, t)
+        vec = rng.standard_normal(matrix.shape[1]) + 1j * rng.standard_normal(matrix.shape[1])
+        coeffs = vec / np.linalg.norm(vec)
+        values = matrix @ coeffs
+        ratio = lq_norm(values, q)
+        history = [ratio]
+        if not math.isinf(q):
+            step = analysis._ASCENT_STEP
+            for _ in range(analysis._ASCENT_MAX_STEPS):
+                weight = np.abs(values) ** (q - 2) * values
+                grad = q * (adjoint @ weight) / adjoint.shape[1]
+                candidate = coeffs + step * grad
+                candidate /= np.linalg.norm(candidate)
+                candidate_values = matrix @ candidate
+                new_ratio = lq_norm(candidate_values, q)
+                if new_ratio > ratio:
+                    gain = new_ratio - ratio
+                    coeffs, values, ratio = candidate, candidate_values, new_ratio
+                    history.append(ratio)
+                    if gain < analysis._ASCENT_TOL:
+                        break
+                else:
+                    step /= 2
+                    if step < 1e-14:
+                        break
+        results.append((ratio, coeffs, history))
+    best = max(range(trials), key=lambda t: results[t][0])
+    return results[best][0], results[best][1], [r[2] for r in results]
+
+
 def oracle_scan_point_counts(system, indices, q, m_grid, trials, seed, probes=64):
     """The discretization scan as first written, one trial after another.
 

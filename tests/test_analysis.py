@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lacuna as lc
+from lacuna.analysis import chaos_indices
 
 
 def _rademacher_sum(count=3):
@@ -253,6 +254,46 @@ def test_khinchin_estimate_monotone_in_q():
         for q in (3, 4, 5)
     ]
     assert constants == sorted(constants)
+
+
+# name -> system; each runs at d = 1 and 2, in both chaos kinds
+KHINCHIN_ORACLE_SYSTEMS = {
+    "rademacher8": lambda: lc.rademacher_system(8),
+    "rademacher6_base3": lambda: lc.rademacher_system(6, base=3),
+    "hadamard4": lambda: lc.hadamard_trig_system(ratio=5, count=4, modulus=2003),
+    "hadamard3": lambda: lc.hadamard_trig_system(ratio=6, count=3, modulus=877),
+    "vc7": lambda: lc.vc_system_from_digit_sets(
+        7, [[0], [0, 1], [1, 2], [2, 3]], [[1], [2, 3], [4, 5], [6, 1]]
+    ),
+}
+KHINCHIN_ORACLE_QS = (2.5, 3, 4, 5, 6, 7.3, math.inf)
+
+
+# a cap of 1 or 3 steps retires trials at the cap, the default one by tolerance
+@pytest.mark.parametrize("max_steps", [500, 3, 1])
+@pytest.mark.parametrize("name", sorted(KHINCHIN_ORACLE_SYSTEMS))
+def test_khinchin_estimate_matches_ascent_oracle(monkeypatch, name, max_steps):
+    from conftest import oracle_khinchin_estimate
+
+    system = KHINCHIN_ORACLE_SYSTEMS[name]()
+    monkeypatch.setattr(lc.analysis, "_ASCENT_MAX_STEPS", max_steps)
+    kinds = [(d, tetrahedral) for d in (1, 2) for tetrahedral in (False, True)]
+    shift = sorted(KHINCHIN_ORACLE_SYSTEMS).index(name)
+    for k, q in enumerate(KHINCHIN_ORACLE_QS):
+        # across the five systems every q meets both degrees, both chaos
+        # kinds and every trial count
+        d, tetrahedral = kinds[(k + shift) % len(kinds)]
+        trials = (1, 3, 8)[(k + shift) % 3]
+        indices = chaos_indices(system, d, tetrahedral=tetrahedral)
+        estimate = lc.estimate_khinchin_constant(
+            system, d, q, trials=trials, seed=5, indices=indices
+        )
+        constant, coefficients, histories = oracle_khinchin_estimate(
+            system, d, q, trials, 5, indices
+        )
+        assert estimate.constant == constant, (d, tetrahedral, q, trials)
+        assert estimate.coefficients.tobytes() == coefficients.tobytes()
+        assert estimate.histories == histories
 
 
 # -- Sidon estimator ------------------------------------------------------------------------------

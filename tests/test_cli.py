@@ -552,6 +552,34 @@ def test_discretize_scan_bounds_cells_before_allocating(tmp_path, capsys, monkey
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"system": {"rademacher": {"count": 10}}, "d": 2, "chaos": "tetrahedral", "q": 400,
+         "m_grid": [45, 90]},
+        {"system": {"rademacher": {"count": 4}}, "d": 1, "q": 1000, "m_grid": [4, 8]},
+    ],
+    ids=["q400", "q1000"],
+)
+def test_discretize_scan_past_the_float_range_is_one_error_line(tmp_path, capsys, config):
+    # |f|^q overflows: q = 400 used to die in the marker's round(N^(q/2)) and
+    # q = 1000 in the JSON writer, on NaN constants
+    code, out = _run(tmp_path, {"command": "discretize-scan", "trials": 2, **config})
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("error (InvalidQ): q = ") and str(config["q"]) in err
+    assert not any(out.iterdir())
+
+
+def test_scan_marker_is_none_past_the_float_range():
+    from lacuna.cli import _marker_m
+
+    assert _marker_m(45, 4) == 2025
+    assert _marker_m(1, 10**6) == 1
+    assert _marker_m(45, 400) is None
+
+
 def _refuse_everywhere(monkeypatch, attr):
     """Replace ``attr`` at every lacuna import site with a function that fails."""
     import sys

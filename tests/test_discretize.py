@@ -83,17 +83,24 @@ def test_scan_reproducible_and_ordered():
 def test_scan_matches_per_row_oracle(probes, q, runs):
     from conftest import oracle_scan_point_counts
 
-    system, indices = _tetrahedral_basis(5)
-    # 32 points: sizes below, at and past |G|, where the sequence repeats points
-    grid = [3, 32, 90, 200]
-    # a second run reads the group tables the first one cached and must not move
-    results = [
-        lc.scan_point_counts(system, indices, q, grid, trials=3, seed=19, probes=probes)
-        for _ in range(runs)
+    # on 32 points: sizes below, at and past |G|, where the sequence repeats
+    # points; a largest size below |G|; an unsorted grid with duplicates; then
+    # a scan on 16 points.  They run back to back, each with its own buffers.
+    scans = [
+        (5, [3, 32, 90, 200]),
+        (5, [20, 5, 5, 12]),
+        (4, [40, 7, 16, 7]),
     ]
-    expected = oracle_scan_point_counts(system, indices, q, grid, 3, 19, probes)
-    for records in results:
-        assert records == expected
+    for m, grid in scans:
+        system, indices = _tetrahedral_basis(m)
+        # a second run reads the group tables the first one cached and must not move
+        results = [
+            lc.scan_point_counts(system, indices, q, grid, trials=3, seed=19, probes=probes)
+            for _ in range(runs)
+        ]
+        expected = oracle_scan_point_counts(system, indices, q, grid, 3, 19, probes)
+        for records in results:
+            assert records == expected
 
 
 def test_scan_rejects_bad_q_and_probes():
@@ -101,6 +108,9 @@ def test_scan_rejects_bad_q_and_probes():
     for q in (0.5, float("nan"), float("inf")):
         with pytest.raises(lc.InvalidQ):
             lc.scan_point_counts(system, indices, q, [4], trials=1, seed=0)
+    # |f|^1000 leaves the float range for these probes, which gave NaN constants
+    with pytest.raises(lc.InvalidQ, match="q = 1000"):
+        lc.scan_point_counts(system, indices, 1000, [4], trials=1, seed=0)
     for probes in (0, -3):
         with pytest.raises(ValueError, match="probes"):
             lc.scan_point_counts(system, indices, 4, [4], trials=1, seed=0, probes=probes)
