@@ -90,8 +90,4 @@ from .analysis import (
     sidon_ratio,
     values_matrix,
 )
-from .discretize import (
-    DiscretizationScheme,
-    scan_point_counts,
-    summarize_scan,
-)
+from .discretize import scan_point_counts, summarize_scan

@@ -33,6 +33,7 @@ one-sided (boundedness) claims are ever asserted against the ceilings.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -225,14 +226,12 @@ class ConstantEstimate:
 
 # one trial's result: (ratio, coefficients, ratio history)
 _Result = tuple[float, np.ndarray, list[float]]
-# every trial of one estimate: their rngs -> their results, in trial order
-_Trials = Callable[[list[np.random.Generator]], list[_Result]]
 
 
 def _best_of_trials(
     kind: str,
     exponent: float,
-    make_trials: Callable[[np.ndarray], _Trials],
+    run_trials: Callable[[np.ndarray, list[np.random.Generator]], list[_Result]],
     system: CharacterSystem,
     d: int,
     trials: int,
@@ -242,16 +241,16 @@ def _best_of_trials(
 ) -> ConstantEstimate:
     """The body both estimators share: checks, value matrix, trials, best ratio.
 
-    ``make_trials`` receives the value matrix once per estimate and returns
-    the runner of its trials, which gets trial t's rng ``trial_rng(seed, t)``
-    for every t.
+    ``run_trials`` receives the value matrix and trial t's rng
+    ``trial_rng(seed, t)`` for every t, and returns the results in trial
+    order.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     require_dissociated(system, d)
     idx = list(indices) if indices is not None else chaos_indices(system, d)
-    run_trials = make_trials(values_matrix(system, idx))
-    results = run_trials([trial_rng(seed, t) for t in range(trials)])
+    matrix = values_matrix(system, idx)
+    results = run_trials(matrix, [trial_rng(seed, t) for t in range(trials)])
     best = max(range(trials), key=lambda t: results[t][0])
     return ConstantEstimate(
         kind=kind,
@@ -291,18 +290,29 @@ def _row_norms(block: np.ndarray) -> np.ndarray:
 
 
 def _row_lq_norms(values: np.ndarray, q) -> np.ndarray:
-    """``lq_norm`` of every row of a value block, bit-for-bit."""
+    """``lq_norm`` of every row of a value block, bit-for-bit.
+
+    InvalidQ if some ``|f|^q`` takes a row's norm out of the float range.
+    """
     q = float(q)
     moduli = np.abs(values)
     if q == math.inf:
         return moduli.max(axis=1)
     # the means along contiguous rows are lq_norm's; the root is a scalar
     # power per row, as there, since an array power may round differently
-    return np.array([mean ** (1.0 / q) for mean in (moduli**q).mean(axis=1)])
+    norms = np.array([mean ** (1.0 / q) for mean in (moduli**q).mean(axis=1)])
+    if not np.isfinite(norms).all():
+        raise InvalidQ(
+            f"q = {q} takes |f|^q out of the float range, so the L_q norms are not finite"
+        )
+    return norms
 
 
+# numpy's overflow warnings stay quiet: at large q an overflow shows as a
+# nonfinite norm, which the step scales away or _row_lq_norms refuses
+@np.errstate(over="ignore", invalid="ignore")
 def _ascend(
-    matrix: np.ndarray, q, rngs: list[np.random.Generator]
+    matrix: np.ndarray, rngs: list[np.random.Generator], q
 ) -> list[_Result]:
     """Every trial's projected gradient ascent, stepped together.
 
@@ -328,7 +338,14 @@ def _ascend(
         for _ in range(_ASCENT_MAX_STEPS):
             grad = _grad_lq_q_matrix(adjoint, values, q)
             candidates = coeffs + steps[:, None] * grad
-            candidates /= _row_norms(candidates)[:, None]
+            norms = _row_norms(candidates)
+            # at large q the squares in a row's norm can overflow: scale that
+            # row by its largest modulus first
+            huge = ~np.isfinite(norms)
+            if huge.any():
+                candidates[huge] /= np.abs(candidates[huge]).max(axis=1)[:, None]
+                norms[huge] = _row_norms(candidates[huge])
+            candidates /= norms[:, None]
             candidate_values = _row_products(matrix, candidates)
             new_ratios = _row_lq_norms(candidate_values, q)
             accepted = new_ratios > ratios
@@ -377,12 +394,10 @@ def estimate_khinchin_constant(
     if not q > 2:
         raise InvalidQ(f"q must exceed 2, got {q}")
 
-    def make_trials(matrix: np.ndarray) -> _Trials:
-        return lambda rngs: _ascend(matrix, q, rngs)
-
     ceiling = khinchin_ceiling(d, kappa_model) if kappa_model is not None else None
+    run_trials = functools.partial(_ascend, q=q)
     return _best_of_trials(
-        "khinchin", float(q), make_trials, system, d, trials, seed, indices, ceiling
+        "khinchin", float(q), run_trials, system, d, trials, seed, indices, ceiling
     )
 
 
@@ -422,7 +437,7 @@ def estimate_sidon_constant(
         raise InvalidP(f"p must be >= 1, got {p_eff}")
     candidates = np.exp(2j * np.pi * np.arange(_PHASE_GRID) / _PHASE_GRID)
 
-    def make_trials(matrix: np.ndarray) -> _Trials:
+    def run_trials(matrix: np.ndarray, rngs: list[np.random.Generator]) -> list[_Result]:
         n = matrix.shape[1]
         # row t is column t of the matrix, contiguous
         columns = np.ascontiguousarray(matrix.T)
@@ -475,11 +490,11 @@ def estimate_sidon_constant(
             return coeff_norm / peak, coeffs, history
 
         # the survivor sets are ragged, so the trials run one after another
-        return lambda rngs: map_indexed(lambda t: trial(rngs[t]), len(rngs))
+        return map_indexed(lambda t: trial(rngs[t]), len(rngs))
 
     ceiling = None
     if c_model is not None and abs(p_eff - default_p) < 1e-12:
         ceiling = sidon_ceiling(d, c_model)
     return _best_of_trials(
-        "sidon", p_eff, make_trials, system, d, trials, seed, indices, ceiling
+        "sidon", p_eff, run_trials, system, d, trials, seed, indices, ceiling
     )

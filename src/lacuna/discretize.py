@@ -14,16 +14,15 @@ inherent to probing and is documented with the output rather than closed.
 
 ``scan_point_counts`` draws nested random point sequences per trial (a
 uniform permutation extended by uniform resampling once every group
-element is used) and evaluates each requested scheme size on the same
-probe set, so growing a scheme within a trial changes nothing but the
-added points.
+element is used), weights every point of an m-point scheme 1/m, and
+evaluates each requested scheme size on the same probe set, so growing a
+scheme within a trial changes nothing but the added points.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -31,54 +30,21 @@ import numpy as np
 from .analysis import values_matrix
 from .dissociation import CharacterSystem
 from .errors import InvalidQ, SizeLimitExceeded
-from .groups import TABLE_CELL_LIMIT, FiniteAbelianGroup
+from .groups import TABLE_CELL_LIMIT
 from .parallel import map_indexed, trial_rng
 
 
-@dataclass(eq=False)
-class DiscretizationScheme:
-    """Points (by element index), nonnegative weights, and the norm exponent."""
-
-    group: FiniteAbelianGroup
-    point_indices: np.ndarray
-    weights: np.ndarray
-    q: float
-
-    def __post_init__(self):
-        idx = np.asarray(self.point_indices, dtype=np.int64)
-        w = np.asarray(self.weights, dtype=np.float64)
-        if idx.ndim != 1 or w.shape != idx.shape:
-            raise ValueError("point indices and weights must be matching vectors")
-        if idx.size and (idx.min() < 0 or idx.max() >= self.group.size):
-            raise ValueError("point index out of range")
-        if w.size and w.min() < 0:
-            raise ValueError("weights must be nonnegative")
-        if not 1 <= float(self.q) < math.inf:
-            raise InvalidQ(f"q must be finite and >= 1, got {self.q}")
-        self.point_indices = idx
-        self.weights = w
-
-    @classmethod
-    def uniform(
-        cls, group: FiniteAbelianGroup, point_indices: Sequence[int], q: float
-    ) -> "DiscretizationScheme":
-        idx = np.asarray(point_indices, dtype=np.int64)
-        return cls(group, idx, np.full(idx.size, 1.0 / max(idx.size, 1)), q)
-
-
 def _evaluate_with_probes(
-    scheme: DiscretizationScheme,
-    powered: np.ndarray,
-    true_norms: np.ndarray,
-    weighted: np.ndarray | None = None,
+    powered: np.ndarray, q: float, true_norms: np.ndarray, weighted: np.ndarray | None = None
 ) -> tuple[float, float]:
-    """(C_1, C_2) from |f(xi_i)|^q (row i for point i, one column per probe).
+    """(C_1, C_2) of the uniformly weighted scheme whose point i has row i of ``powered``.
 
-    ``weighted``, if given, is a buffer of ``powered``'s shape that takes
-    the weighted rows in place of a fresh table.
+    ``powered`` holds |f(xi_i)|^q, one column per probe, and every row takes
+    the weight 1/m.  ``weighted``, if given, is a buffer of ``powered``'s
+    shape that takes the weighted rows in place of a fresh table.
     """
-    weighted = np.multiply(scheme.weights[:, None], powered, out=weighted)
-    discrete = np.sum(weighted, axis=0) ** (1.0 / scheme.q)
+    weighted = np.multiply(1.0 / powered.shape[0], powered, out=weighted)
+    discrete = np.sum(weighted, axis=0) ** (1.0 / q)
     ratios = discrete / true_norms
     return float(ratios.min()), float(ratios.max())
 
@@ -173,8 +139,7 @@ def scan_point_counts(
         powered = np.take(table, sequence, axis=0, out=gathered, mode="clip")
         rows = []
         for m in sizes:
-            scheme = DiscretizationScheme.uniform(group, sequence[:m], q)
-            c1, c2 = _evaluate_with_probes(scheme, powered[:m], true_norms, weighted[:m])
+            c1, c2 = _evaluate_with_probes(powered[:m], q, true_norms, weighted[:m])
             rows.append(
                 {
                     "m": m,

@@ -20,18 +20,25 @@ keeps the product character and the triviality of every factor power, and
 gives a tuple coordinatewise <= the original.  So the lexicographically
 first violating tuple of the full (2d+1)^m scan is already made of least
 representatives, and the reduced walk meets it first.  The same argument
-makes the meet-in-the-middle table's "first right tuple per residue" and
-its first matching left tuple those of the full scan.  When every order
-exceeds 2d the radices are all 2d+1 and the walk is the full scan.
+makes the join's "first right tuple per residue" and its first matching
+left tuple those of the full scan.  When every order exceeds 2d the
+radices are all 2d+1 and the walk is the full scan.
 
-The direct checker walks prod r_j tuples; the meet-in-the-middle variant
-walks each half once (the larger half's count is its budget), trading
-memory for time, and returns the identical verdict and witness.
+Both checkers run one join (Horowitz and Sahni, J. ACM 21, 1974), split at
+two places.  The right-hand coordinates' tuples are indexed by residue sum,
+keeping the first tuple per residue; the left-hand tuples are walked in
+order, each looking up the residue that cancels its own.  A left tuple
+whose factor powers are all trivial has the trivial product, so it
+violates only with a right tuple of residue 0 that has a nontrivial
+factor: the first such right tuple is one row, shared by all of them.  The
+direct checker puts the longest suffix of at most one block on the right,
+so it holds one block at a time, and its budget is prod r_j.  The
+meet-in-the-middle checker splits at ceil(m/2), and its budget is the
+larger half's tuple count.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -179,9 +186,65 @@ def _nontrivial_power_table(
     return powers.any(axis=2)
 
 
-def _exponents(offsets: np.ndarray, d: int) -> tuple[int, ...]:
-    """The true exponents o - d of a walked offset row, as Python ints."""
-    return tuple(int(o) - d for o in offsets)
+def _first_violation(
+    system: CharacterSystem, d: int, left_len: int
+) -> tuple[int, ...] | None:
+    """The first violating tuple, joining the first ``left_len`` coordinates to the rest.
+
+    Both sides are walked in ``_CHUNK``-row blocks.  The right table holds
+    the sorted mixed-radix codes of the residue sums and the first row per
+    code, merged block by block; it is built only when the left side is not
+    empty, since the empty left tuple needs only the first right row with
+    residue 0 and a nontrivial factor.  Left rows look up their cancelling
+    code with ``searchsorted``.  Returns the true exponents, or None.
+    """
+    radices = _radices(system, d)
+    left_shape, right_shape = radices[:left_len], radices[left_len:]
+    exponents = system.exponent_matrix
+    orders = np.asarray(system.group.orders, dtype=np.int64)
+    shift = _shift(system.group.orders, d)
+    nontrivial = _nontrivial_power_table(exponents, orders, radices, shift)
+    # code of a residue vector: its mixed-radix number over the orders, < |G|
+    place = np.cumprod((system.group.orders[1:] + (1,))[::-1])[::-1]
+
+    def walk(side: slice, start: int):
+        """Offset rows, residue sums and "some factor is nontrivial" of one block."""
+        shape = radices[side]
+        offsets = _offset_rows(shape, start, min(start + _CHUNK, math.prod(shape)))
+        residues = ((offsets - shift) @ exponents[side]) % orders
+        cols = np.arange(len(shape))
+        return offsets, residues, nontrivial[side][cols[None, :], offsets].any(axis=1)
+
+    right, left = slice(left_len, None), slice(None, left_len)
+    first_zero = None  # the first right row with residue 0 and a nontrivial factor
+    keys = rows = np.empty(0, dtype=np.int64)
+    for start in range(0, math.prod(right_shape), _CHUNK):
+        _, residues, has_nontrivial = walk(right, start)
+        if first_zero is None:
+            hits = np.flatnonzero(has_nontrivial & ~residues.any(axis=1))
+            first_zero = start + int(hits[0]) if hits.size else None
+        if left_len:
+            codes = np.concatenate([keys, residues @ place])
+            keys, first = np.unique(codes, return_index=True)
+            rows = np.concatenate([rows, np.arange(start, start + len(residues))])[first]
+
+    def witness(left_offsets: np.ndarray, row: int) -> tuple[int, ...]:
+        """The true exponents o - d of a left row and right row ``row``, as Python ints."""
+        offsets = np.concatenate([left_offsets, _offset_rows(right_shape, row, row + 1)[0]])
+        return tuple(int(o) - d for o in offsets)
+
+    if not left_len:
+        return None if first_zero is None else witness(np.empty(0, np.int64), first_zero)
+    for start in range(0, math.prod(left_shape), _CHUNK):
+        offsets, residues, has_nontrivial = walk(left, start)
+        targets = ((-residues) % orders) @ place
+        pos = np.minimum(np.searchsorted(keys, targets), keys.size - 1)
+        matched = np.where(has_nontrivial, keys[pos] == targets, first_zero is not None)
+        hits = np.flatnonzero(matched)
+        if hits.size:
+            i = hits[0]
+            return witness(offsets[i], rows[pos[i]] if has_nontrivial[i] else first_zero)
+    return None
 
 
 def _validate_check_args(d: int):
@@ -196,8 +259,10 @@ def is_d_dissociated(
     """Direct enumeration, one exponent per residue class on each coordinate.
 
     Coordinate j walks -d .. -d + r_j - 1 with r_j = min(2d+1, ord(gamma_j)),
-    so prod r_j tuples are walked and compared against ``budget``.  Returns
-    the lexicographically first witness of the full (2d+1)^m scan
+    so prod r_j tuples are covered and compared against ``budget``.  The
+    right side of the join is the longest suffix of at most ``_CHUNK``
+    tuples (at least one coordinate), so one block bounds the memory.
+    Returns the lexicographically first witness of the full (2d+1)^m scan
     (coordinates ordered -d < ... < d) when the system is not d-dissociated.
     """
     _validate_check_args(d)
@@ -211,38 +276,11 @@ def is_d_dissociated(
             f"direct enumeration needs {total} tuples (> budget {budget}); "
             "try is_d_dissociated_mitm"
         )
-    exponents = system.exponent_matrix
-    orders = np.asarray(system.group.orders, dtype=np.int64)
-    shift = _shift(system.group.orders, d)
-    nontrivial = _nontrivial_power_table(exponents, orders, radices, shift)
-
-    suffix_len = m
-    while math.prod(radices[m - suffix_len :]) > _CHUNK and suffix_len > 1:
-        suffix_len -= 1
-    prefix_len = m - suffix_len
-    suffix_offsets = _offset_rows(radices[prefix_len:])
-    suffix_sum = (suffix_offsets - shift) @ exponents[prefix_len:]
-    cols = np.arange(suffix_len)
-    suffix_nontrivial = nontrivial[prefix_len:][cols[None, :], suffix_offsets].any(axis=1)
-
-    for prefix in itertools.product(*(range(r) for r in radices[:prefix_len])):
-        if prefix_len:
-            prefix_sum = (np.asarray(prefix, dtype=np.int64) - shift) @ exponents[:prefix_len]
-            prefix_nontrivial = bool(any(nontrivial[j, o] for j, o in enumerate(prefix)))
-        else:
-            prefix_sum = np.zeros(system.group.rank, dtype=np.int64)
-            prefix_nontrivial = False
-        total = (prefix_sum[None, :] + suffix_sum) % orders
-        trivial_product = ~total.any(axis=1)
-        if prefix_nontrivial:
-            violations = trivial_product
-        else:
-            violations = trivial_product & suffix_nontrivial
-        hits = np.flatnonzero(violations)
-        if hits.size:
-            witness = tuple(o - d for o in prefix) + _exponents(suffix_offsets[hits[0]], d)
-            return DissociationReport(d=d, dissociated=False, witness=witness)
-    return DissociationReport(d=d, dissociated=True)
+    left_len = m - 1
+    while left_len and math.prod(radices[left_len - 1 :]) <= _CHUNK:
+        left_len -= 1
+    witness = _first_violation(system, d, left_len)
+    return DissociationReport(d=d, dissociated=witness is None, witness=witness)
 
 
 def require_dissociated(system: CharacterSystem, d: int) -> None:
@@ -260,11 +298,9 @@ def is_d_dissociated_mitm(
 ) -> DissociationReport:
     """Meet-in-the-middle check; same verdict and witness as the direct scan.
 
-    Splits the system into a left half of ceil(m/2) characters and a right
-    half, indexes the right partial products by residue, then walks the left
-    tuples in lexicographic order.  Storing the first matching right tuple
-    per residue (and the first with a nontrivial factor) reproduces the
-    direct scan's lexicographically minimal witness.
+    The same join as ``is_d_dissociated``, split at a left half of
+    ceil(m/2) characters: each half is walked once, and the larger half's
+    tuple count is compared against ``budget``.
     """
     _validate_check_args(d)
     m = len(system)
@@ -272,58 +308,13 @@ def is_d_dissociated_mitm(
         return DissociationReport(d=d, dissociated=True)
     radices = _radices(system, d)
     left_len = (m + 1) // 2
-    left_shape, right_shape = radices[:left_len], radices[left_len:]
-    left_total, right_total = math.prod(left_shape), math.prod(right_shape)
-    per_side = max(left_total, right_total)
+    per_side = max(math.prod(radices[:left_len]), math.prod(radices[left_len:]))
     if per_side > budget:
         raise BudgetExceeded(
             f"meet-in-the-middle needs {per_side} tuples per side (> budget {budget})"
         )
-    exponents = system.exponent_matrix
-    orders = np.asarray(system.group.orders, dtype=np.int64)
-    shift = _shift(system.group.orders, d)
-    nontrivial = _nontrivial_power_table(exponents, orders, radices, shift)
-    right_len = m - left_len
-
-    # residue -> (first right tuple, first right tuple with a nontrivial factor)
-    table: dict[bytes, tuple[tuple[int, ...], tuple[int, ...] | None]] = {}
-    right_cols = np.arange(right_len)
-    for start in range(0, right_total, _CHUNK):
-        stop = min(start + _CHUNK, right_total)
-        offsets = _offset_rows(right_shape, start, stop)
-        residues = ((offsets - shift) @ exponents[left_len:]) % orders
-        has_nontrivial = (
-            nontrivial[left_len:][right_cols[None, :], offsets].any(axis=1)
-            if right_len
-            else np.zeros(stop - start, dtype=bool)
-        )
-        for i in range(stop - start):
-            key = residues[i].tobytes()
-            ks = _exponents(offsets[i], d)
-            first, first_nt = table.get(key, (None, None))
-            if first is None:
-                first = ks
-            if first_nt is None and has_nontrivial[i]:
-                first_nt = ks
-            table[key] = (first, first_nt)
-
-    left_cols = np.arange(left_len)
-    for start in range(0, left_total, _CHUNK):
-        stop = min(start + _CHUNK, left_total)
-        offsets = _offset_rows(left_shape, start, stop)
-        targets = (-((offsets - shift) @ exponents[:left_len])) % orders
-        left_nontrivial = nontrivial[:left_len][left_cols[None, :], offsets].any(axis=1)
-        for i in range(stop - start):
-            entry = table.get(targets[i].tobytes())
-            if entry is None:
-                continue
-            first, first_nt = entry
-            right = first if left_nontrivial[i] else first_nt
-            if right is None:
-                continue
-            witness = _exponents(offsets[i], d) + right
-            return DissociationReport(d=d, dissociated=False, witness=witness)
-    return DissociationReport(d=d, dissociated=True)
+    witness = _first_violation(system, d, left_len)
+    return DissociationReport(d=d, dissociated=witness is None, witness=witness)
 
 
 def verify_witness(system: CharacterSystem, witness: Sequence[int]) -> bool:

@@ -256,6 +256,15 @@ def test_khinchin_estimate_monotone_in_q():
     assert constants == sorted(constants)
 
 
+def test_khinchin_estimate_at_large_q_reaches_the_closed_form():
+    # the candidates' squared norms overflow at q = 1000; the ascent used to
+    # reject every step there and report 1.7068 (seed 0) or 1.5185 (seed 6)
+    system = lc.rademacher_system(4)
+    for seed in (0, 6):
+        estimate = lc.estimate_khinchin_constant(system, 1, 1000, trials=2, seed=seed)
+        assert estimate.constant == pytest.approx(2 * 8 ** (-1 / 1000), abs=1e-12)
+
+
 # name -> system; each runs at d = 1 and 2, in both chaos kinds
 KHINCHIN_ORACLE_SYSTEMS = {
     "rademacher8": lambda: lc.rademacher_system(8),

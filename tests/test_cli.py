@@ -572,6 +572,18 @@ def test_discretize_scan_past_the_float_range_is_one_error_line(tmp_path, capsys
     assert not any(out.iterdir())
 
 
+def test_khinchin_past_the_float_range_is_one_error_line(tmp_path, capsys):
+    # |f|^1500 overflows: the ascent used to die in the JSON writer on an inf
+    config = {"command": "khinchin", "system": {"rademacher": {"count": 4}}, "d": 1,
+              "trials": 2, "q": 1500}
+    code, out = _run(tmp_path, config)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("error (InvalidQ): q = 1500")
+    assert not any(out.iterdir())
+
+
 def test_scan_marker_is_none_past_the_float_range():
     from lacuna.cli import _marker_m
 

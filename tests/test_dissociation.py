@@ -1,6 +1,7 @@
 """Dissociation verdicts, witnesses, generators, and the independent oracle."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -207,6 +208,11 @@ def test_reduced_walk_matches_full_scan_oracle(case):
     expected = lc.DissociationReport(d=d, dissociated=witness is None, witness=witness)
     assert lc.is_d_dissociated(system, d) == expected
     assert lc.is_d_dissociated_mitm(system, d) == expected
+    # blocks of 4 rows: both sides span several blocks, and the right table
+    # is merged block by block
+    with mock.patch.object(lc.dissociation, "_CHUNK", 4):
+        assert lc.is_d_dissociated(system, d) == expected
+        assert lc.is_d_dissociated_mitm(system, d) == expected
 
 
 def test_reduced_walk_on_order_three_rademacher_system():
@@ -264,6 +270,23 @@ def test_huge_d_walks_residues_and_reports_true_exponents():
             assert huge.witness == tuple(k - big for k in witness)
             assert lc.verify_witness(system, huge.witness)
     assert lc.is_d_dissociated(lc.rademacher_system(3), 10**17).dissociated
+
+
+def test_sixteen_random_characters_on_a_large_cyclic_group():
+    # 5^8 tuples per side for mitm; the direct scan needs a budget of 5^16
+    group = lc.make_group([1000003])
+    exponents = np.random.default_rng(16).choice(np.arange(1, 1000003), 16, replace=False)
+    system = lc.CharacterSystem.from_exponents(group, [[int(e)] for e in exponents])
+    mitm = lc.is_d_dissociated_mitm(system, 2)
+    assert not mitm.dissociated and lc.verify_witness(system, mitm.witness)
+    assert lc.is_d_dissociated(system, 2, budget=5**16) == mitm
+
+
+def test_lacunary_system_of_eleven_is_walked_in_full():
+    # dissociated, so both checkers cover all 5^11 tuples
+    system = lc.hadamard_trig_system(3, 11, 1000003, d=2)
+    assert lc.is_d_dissociated(system, 2).dissociated
+    assert lc.is_d_dissociated_mitm(system, 2).dissociated
 
 
 def test_order_two_system_of_twenty_fits_the_default_budget():
