@@ -7,7 +7,7 @@ homogeneous chaos parts, and estimates Khinchin and Sidon constants
 empirically.  See the README for the CLI and the acceptance suite.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .errors import (
     BudgetExceeded,
@@ -52,8 +52,6 @@ from .dissociation import (
 )
 from .chaos import (
     ChaosPolynomial,
-    CompressedIndex,
-    compress,
     decompose,
     enumerate_polynomial,
     enumerate_tetrahedral,

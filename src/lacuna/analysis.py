@@ -43,7 +43,6 @@ import numpy as np
 from .chaos import (
     ChaosPolynomial,
     FullIndex,
-    compress,
     enumerate_polynomial,
     enumerate_tetrahedral,
     term_values,
@@ -87,7 +86,7 @@ def lp_coeff_norm(coefficients, p) -> float:
 
 
 def _nonzero_coefficients(polynomial: ChaosPolynomial) -> np.ndarray:
-    coeffs = polynomial.coefficient_vector()
+    coeffs = polynomial.coefficients
     if coeffs.size == 0 or not np.abs(coeffs).max():
         raise ZeroPolynomial("ratio undefined for the zero polynomial")
     return coeffs
@@ -144,7 +143,7 @@ def values_matrix(system: CharacterSystem, indices: Sequence) -> np.ndarray:
     _require_table_cells(len(indices), system.group.size)
     matrix = np.empty((system.group.size, len(indices)), dtype=np.complex128)
     for t, idx in enumerate(indices):
-        matrix[:, t] = term_values(system, compress(idx))
+        matrix[:, t] = term_values(system, idx)
     return matrix
 
 
@@ -163,14 +162,14 @@ def _grad_lq_q_matrix(adjoint: np.ndarray, values: np.ndarray, q: float) -> np.n
 def grad_lq_q(polynomial: ChaosPolynomial, q: float) -> np.ndarray:
     """Gradient of ||Q||_q^q over (re, im) of each coefficient, for finite q > 2.
 
-    Returned as one complex number per term in canonical term order: the
-    real part is the derivative in Re(A_t), the imaginary part in Im(A_t).
+    Returned as one complex number per term, aligned with
+    ``polynomial.indices``: the real part is the derivative in Re(A_t), the
+    imaginary part in Im(A_t).
     """
     if not (math.isfinite(q) and q > 2):
         raise InvalidQ(f"the gradient needs a finite q > 2, got {q}")
-    indices = [idx for idx, _ in polynomial.terms()]
-    matrix = values_matrix(polynomial.system, indices)
-    return _grad_lq_q_matrix(matrix.conj().T, matrix @ polynomial.coefficient_vector(), q)
+    matrix = values_matrix(polynomial.system, polynomial.indices)
+    return _grad_lq_q_matrix(matrix.conj().T, matrix @ polynomial.coefficients, q)
 
 
 def _max_variation_bound(d: int) -> float:

@@ -60,8 +60,10 @@ from .groups import Character, FiniteAbelianGroup, make_group
 
 DEFAULT_ENUM_BUDGET = 10**8
 
-# rows materialized per numpy chunk during enumeration
+# rows materialized per numpy chunk during enumeration; the left walk's
+# first block is shorter, so an early witness returns before a whole chunk
 _CHUNK = 1 << 16
+_FIRST_BLOCK = 1 << 10
 
 _offset_cache: dict[tuple[int, ...], np.ndarray] = {}
 
@@ -191,7 +193,8 @@ def _first_violation(
 ) -> tuple[int, ...] | None:
     """The first violating tuple, joining the first ``left_len`` coordinates to the rest.
 
-    Both sides are walked in ``_CHUNK``-row blocks.  The right table holds
+    Both sides are walked in ``_CHUNK``-row blocks, the left side after a
+    first block of ``min(_FIRST_BLOCK, _CHUNK)`` rows.  The right table holds
     the sorted mixed-radix codes of the residue sums and the first row per
     code, merged block by block; it is built only when the left side is not
     empty, since the empty left tuple needs only the first right row with
@@ -207,10 +210,10 @@ def _first_violation(
     # code of a residue vector: its mixed-radix number over the orders, < |G|
     place = np.cumprod((system.group.orders[1:] + (1,))[::-1])[::-1]
 
-    def walk(side: slice, start: int):
+    def walk(side: slice, start: int, stop: int):
         """Offset rows, residue sums and "some factor is nontrivial" of one block."""
         shape = radices[side]
-        offsets = _offset_rows(shape, start, min(start + _CHUNK, math.prod(shape)))
+        offsets = _offset_rows(shape, start, min(stop, math.prod(shape)))
         residues = ((offsets - shift) @ exponents[side]) % orders
         cols = np.arange(len(shape))
         return offsets, residues, nontrivial[side][cols[None, :], offsets].any(axis=1)
@@ -219,14 +222,19 @@ def _first_violation(
     first_zero = None  # the first right row with residue 0 and a nontrivial factor
     keys = rows = np.empty(0, dtype=np.int64)
     for start in range(0, math.prod(right_shape), _CHUNK):
-        _, residues, has_nontrivial = walk(right, start)
+        _, residues, has_nontrivial = walk(right, start, start + _CHUNK)
         if first_zero is None:
             hits = np.flatnonzero(has_nontrivial & ~residues.any(axis=1))
             first_zero = start + int(hits[0]) if hits.size else None
         if left_len:
             codes = np.concatenate([keys, residues @ place])
-            keys, first = np.unique(codes, return_index=True)
-            rows = np.concatenate([rows, np.arange(start, start + len(residues))])[first]
+            rows = np.concatenate([rows, np.arange(start, start + len(residues))])
+            # the least row of each run of equal codes; np.unique's stable sort was
+            # half of a check whose witness lies in the first left block
+            order = np.argsort(codes)
+            codes, rows = codes[order], rows[order]
+            runs = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
+            keys, rows = codes[runs], np.minimum.reduceat(rows, runs)
 
     def witness(left_offsets: np.ndarray, row: int) -> tuple[int, ...]:
         """The true exponents o - d of a left row and right row ``row``, as Python ints."""
@@ -235,8 +243,10 @@ def _first_violation(
 
     if not left_len:
         return None if first_zero is None else witness(np.empty(0, np.int64), first_zero)
-    for start in range(0, math.prod(left_shape), _CHUNK):
-        offsets, residues, has_nontrivial = walk(left, start)
+    total = math.prod(left_shape)
+    bounds = [0, *range(min(_FIRST_BLOCK, _CHUNK), total, _CHUNK), total]
+    for start, stop in zip(bounds, bounds[1:]):
+        offsets, residues, has_nontrivial = walk(left, start, stop)
         targets = ((-residues) % orders) @ place
         pos = np.minimum(np.searchsorted(keys, targets), keys.size - 1)
         matched = np.where(has_nontrivial, keys[pos] == targets, first_zero is not None)

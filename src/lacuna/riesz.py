@@ -62,7 +62,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chaos import ChaosPolynomial, CompressedIndex, decompose
+from .chaos import ChaosPolynomial, FullIndex, decompose
 from .dissociation import CharacterSystem, require_dissociated
 from .errors import DegenerateOrder, SizeLimitExceeded
 from .groups import (
@@ -75,13 +75,6 @@ from .groups import (
     convolve,
     inverse_fourier,
 )
-
-# Up to this many cells (d x |G|), riesz_density adds
-# gamma^1 .. gamma^d one at a time in k order, so its floats match those of
-# every earlier release bit for bit.  Past it, each distinct power is added
-# once times its count, which bounds the work but moves last bits.
-_TERM_BY_TERM_CELLS = 1 << 20
-
 
 def _inverse_meets_forward(gamma: Character, k: int, top: int) -> bool:
     """Whether gamma^{-k} = gamma^j for some j in 1..top, i.e. ord(gamma) divides some j + k."""
@@ -132,10 +125,10 @@ def riesz_density(system: CharacterSystem, d: int, check: bool = True) -> Densit
 
     With ``check`` the system is verified to be d-dissociated first.  For
     dissociated systems whose character orders all exceed d the result is a
-    probability density: real, nonnegative, mass one.  Where d x |G| exceeds
-    ``_TERM_BY_TERM_CELLS`` and d > ord(gamma), the powers of gamma are
-    summed by residue class: gamma^k depends only on k mod ord(gamma), so
-    each distinct power is added once times its count in 1..d.
+    probability density: real, nonnegative, mass one.  The powers of gamma
+    are summed by residue class: gamma^k depends only on k mod ord(gamma),
+    so each distinct power is added once times its count in 1..d, and a d
+    far past the orders costs no more than d = ord(gamma).
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
@@ -145,15 +138,11 @@ def riesz_density(system: CharacterSystem, d: int, check: bool = True) -> Densit
     values = np.ones(group.size, dtype=np.complex128)
     for gamma in system.characters:
         factor = np.ones(group.size, dtype=np.complex128)
-        if d * group.size <= _TERM_BY_TERM_CELLS:
-            for k in range(1, d + 1):
-                factor += char_pow(gamma, k).values / (2 * d)
-        else:
-            for k in range(1, min(d, gamma.order) + 1):
-                count = (d - k) // gamma.order + 1
-                power = char_pow(gamma, k).values
-                # a count of one adds the power itself, so d <= ord sums as the loop above
-                factor += (power if count == 1 else count * power) / (2 * d)
+        for k in range(1, min(d, gamma.order) + 1):
+            count = (d - k) // gamma.order + 1
+            power = char_pow(gamma, k).values
+            # a count of one adds the power itself, so d <= ord sums gamma^1 .. gamma^d in order
+            factor += (power if count == 1 else count * power) / (2 * d)
         for k in riesz_inverse_powers(gamma, d):
             factor += char_pow(gamma, -k).values / (2 * d)
         values *= factor
@@ -286,16 +275,18 @@ def expected_modulated_coefficient(
 
 
 def modulation_exponents(
-    system: CharacterSystem, index: CompressedIndex, d: int
+    system: CharacterSystem, index: FullIndex, d: int
 ) -> tuple[int, ...]:
-    """Adjusted power per factor of a compressed chaos index, for the modulated weights.
+    """Adjusted power per distinct base of a chaos index, for the modulated weights.
 
-    The power alpha_i stays unless gamma^{-alpha_i} = gamma^j for some j <
-    alpha_i, in which case it flips to 2d+1-alpha_i.  For character orders
-    > 2d no flip ever happens.
+    Base k_i with multiplicity alpha_i contributes one entry, in increasing
+    base order.  The power alpha_i stays unless gamma^{-alpha_i} = gamma^j
+    for some j < alpha_i, in which case it flips to 2d+1-alpha_i.  For
+    character orders > 2d no flip ever happens.
     """
     adjusted = []
-    for b, a in zip(index.bases, index.exponents):
+    for b in sorted(set(index)):
+        a = index.count(b)
         if not 1 <= a <= d:
             raise ValueError(f"power {a} outside 1..{d}")
         flips = _inverse_meets_forward(system.characters[b], a, a - 1)
@@ -424,8 +415,9 @@ def extract_homogeneous_modulated(
 ) -> np.ndarray:
     """Weighted-polynomial route to the s-homogeneous part, scaled by (2d)^-s.
 
-    Builds the polynomial whose term for index (k, alpha) carries the extra
-    factor prod_i w^{-alpha'_i * y_{k_i}} and convolves it with rho_y.  In
+    Builds the polynomial whose term for an index with distinct bases k_i
+    of multiplicities alpha_i carries the extra factor
+    prod_i w^{-alpha'_i * y_{k_i}}, and convolves it with rho_y.  In
     the nondegenerate regime the weights cancel against the coefficients of
     rho_y and the result is Q^(s) / (2d)^s pointwise, for every y.  An s
     outside 1..d, or a point of the wrong base or digit count, raises
@@ -439,15 +431,17 @@ def extract_homogeneous_modulated(
     if check:
         require_nondegenerate(system, d)
 
-    def weight(index: CompressedIndex) -> complex:
+    def weight(index: FullIndex) -> complex:
         w = 1 + 0j
-        for b, a_prime in zip(index.bases, modulation_exponents(system, index, d)):
+        for b, a_prime in zip(sorted(set(index)), modulation_exponents(system, index, d)):
             w *= y.rademacher_value(b, -a_prime)
         return w
 
     part = decompose(polynomial)[s - 1]
     weighted = ChaosPolynomial(
-        system, d, {index: coeff * weight(index) for index, coeff in part.coefficients.items()}
+        system,
+        d,
+        {index: c * weight(index) for index, c in zip(part.indices, part.coefficients.tolist())},
     )
     rho_y = modulated_riesz_density(system, d, y, check=False)
     return convolve(weighted.as_density(), rho_y).values

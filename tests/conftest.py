@@ -15,7 +15,6 @@ import numpy as np
 
 from lacuna import (
     CharacterSystem,
-    CompressedIndex,
     DensityMeasure,
     FiniteAbelianGroup,
     FourierTable,
@@ -82,14 +81,14 @@ def oracle_character_table(system: CharacterSystem, position: int) -> np.ndarray
 
 
 def oracle_chaos_values(polynomial) -> np.ndarray:
-    """Value table of sum_t A_t prod_i gamma_{k_i}^{alpha_i}, built from oracle tables."""
+    """Value table of sum_t A_t gamma_{k_1} ... gamma_{k_d}, one oracle table per entry."""
     system = polynomial.system
     tables = [oracle_character_table(system, j) for j in range(len(system))]
     out = np.zeros(system.group.size, dtype=np.complex128)
-    for index, coeff in polynomial.coefficients.items():
+    for index, coeff in zip(polynomial.indices, polynomial.coefficients):
         term = np.ones(system.group.size, dtype=np.complex128)
-        for b, e in zip(index.bases, index.exponents):
-            term = term * tables[b] ** e
+        for b in index:
+            term = term * tables[b]
         out += coeff * term
     return out
 
@@ -158,11 +157,15 @@ def oracle_modulated_powers(gamma, d: int) -> set[int]:
 
 
 def oracle_modulation_exponents(
-    system: CharacterSystem, index: CompressedIndex, d: int
+    system: CharacterSystem, index: tuple[int, ...], d: int
 ) -> tuple[int, ...]:
-    """Adjusted powers: alpha flips to 2d+1-alpha when gamma^{-alpha} = gamma^j, j < alpha."""
+    """Adjusted powers: alpha flips to 2d+1-alpha when gamma^{-alpha} = gamma^j, j < alpha.
+
+    alpha is the multiplicity of each distinct base of the index, in increasing base order.
+    """
     adjusted = []
-    for b, a in zip(index.bases, index.exponents):
+    for b in sorted(set(index)):
+        a = index.count(b)
         gamma = system.characters[b]
         inverse = char_pow(gamma, -a).exponents
         hit = any(char_pow(gamma, j).exponents == inverse for j in range(1, a))

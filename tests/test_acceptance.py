@@ -183,7 +183,7 @@ def extraction_study():
                 modulated = lc.extract_homogeneous_modulated(poly, s, y, check=False)
                 worst_mod = max(worst_mod, float(np.abs(modulated - scaled).max()))
         values = poly.values()
-        coeffs = poly.coefficient_vector()
+        coeffs = poly.coefficients
         bound_rows.append(
             {
                 "d": d,
@@ -358,11 +358,8 @@ def test_criterion_09_gradient_vs_central_differences():
         d = trial % 2 + 1
         q = (3, 4, 5, 6, 8)[trial % 5]
         poly = lc.random_chaos_polynomial(system, d, rng)
-        indices = [idx for idx, _ in poly.terms()]
         analytic = lc.grad_lq_q(poly, q)
-        numeric = finite_difference_gradient(
-            system, indices, poly.coefficient_vector(), q
-        )
+        numeric = finite_difference_gradient(system, poly.indices, poly.coefficients, q)
         rel = np.abs(analytic - numeric).max() / max(np.abs(numeric).max(), 1e-12)
         worst = max(worst, rel)
     ok = worst <= 1e-5

@@ -1,11 +1,10 @@
-"""Index enumeration, compression, evaluation, and homogeneous decomposition."""
+"""Index enumeration, the polynomial's sorted form, evaluation, and homogeneous decomposition."""
 
 import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import lacuna as lc
 from conftest import oracle_chaos_values
@@ -43,36 +42,6 @@ def test_enumeration_counts_match_closed_forms():
             assert len(lc.enumerate_polynomial(m, d)) == math.comb(m + d - 1, d)
             if d <= m:
                 assert len(lc.enumerate_tetrahedral(m, d)) == math.comb(m, d)
-
-
-# -- compression ------------------------------------------------------------------
-
-
-def test_compress_examples():
-    ci = lc.compress((1, 1, 3))
-    assert ci.bases == (1, 3) and ci.exponents == (2, 1)
-    ci = lc.compress((0, 1, 2))
-    assert ci.distinct_count == 3 and ci.exponents == (1, 1, 1)
-    ci = lc.compress((2, 2, 2, 2))
-    assert ci.bases == (2,) and ci.exponents == (4,)
-
-
-def test_compress_expand_bijection_exhaustive():
-    for m in range(1, 9):
-        for d in range(1, 6):
-            for idx in lc.enumerate_polynomial(m, d):
-                ci = lc.compress(idx)
-                assert ci.expand() == idx
-                assert lc.compress(ci.expand()) == ci
-
-
-def test_compressed_index_validation():
-    with pytest.raises(ValueError):
-        lc.CompressedIndex((1, 1), (1, 1))  # bases not strictly increasing
-    with pytest.raises(ValueError):
-        lc.CompressedIndex((0,), (0,))  # zero multiplicity
-    with pytest.raises(ValueError):
-        lc.CompressedIndex((0, 2), (1,))  # shape mismatch
 
 
 # -- polynomials ---------------------------------------------------------------------
@@ -115,6 +84,15 @@ def test_values_match_pointwise_evaluate():
         assert table[g] == pytest.approx(oracle[g], abs=1e-12)
 
 
+def test_indices_are_sorted_and_coefficients_aligned_and_read_only():
+    q = lc.ChaosPolynomial(lc.rademacher_system(2), 2, {(1, 0): 2, (0, 0): 1})
+    assert q.indices == ((0, 0), (0, 1))
+    assert q.coefficients.dtype == np.complex128
+    assert q.coefficients.tolist() == [1, 2]
+    with pytest.raises(ValueError):
+        q.coefficients[0] = 3
+
+
 def test_coefficient_validation():
     system = _z3_single_char_system()
     with pytest.raises(ValueError):
@@ -125,6 +103,8 @@ def test_coefficient_validation():
     with pytest.raises(ValueError):
         # (1, 0) canonicalizes to (0, 1): a duplicate key, not a new term
         lc.ChaosPolynomial(two, 2, {(0, 1): 1, (1, 0): 2})
+    with pytest.raises(ValueError):
+        lc.ChaosPolynomial(two, 2, {(-1, 0): 1})  # negative base
 
 
 # -- decomposition ----------------------------------------------------------------------
@@ -136,9 +116,9 @@ def test_decompose_by_distinct_base_count():
     parts = lc.decompose(q)
     assert len(parts) == 2
     for s, part in enumerate(parts, start=1):
-        assert all(index.distinct_count == s for index in part.coefficients)
-    assert parts[0].coefficients == {lc.compress((0, 0)): 1}
-    assert parts[1].coefficients == {lc.compress((0, 1)): 2}
+        assert all(len(set(index)) == s for index in part.indices)
+    assert parts[0].indices == ((0, 0),) and parts[0].coefficients.tolist() == [1]
+    assert parts[1].indices == ((0, 1),) and parts[1].coefficients.tolist() == [2]
 
 
 def test_decompose_tetrahedral_is_top_part():
@@ -146,7 +126,7 @@ def test_decompose_tetrahedral_is_top_part():
     coeffs = {idx: 1.0 for idx in lc.enumerate_tetrahedral(4, 2)}
     q = lc.ChaosPolynomial(system, 2, coeffs)
     parts = lc.decompose(q)
-    assert not parts[0].coefficients
+    assert not parts[0].indices and not parts[0].coefficients.size
     assert np.abs(parts[1].values() - q.values()).max() < 1e-12
 
 
@@ -176,19 +156,12 @@ def test_relabeling_preserves_coefficient_multiset_exactly():
     indices = lc.enumerate_polynomial(2, 3)
     coeffs = rng.standard_normal(len(indices)) + 1j * rng.standard_normal(len(indices))
     q = lc.ChaosPolynomial(system, 3, dict(zip(indices, coeffs)))
-    original = sorted(q.coefficient_vector(), key=lambda z: (z.real, z.imag))
+    original = sorted(q.coefficients, key=lambda z: (z.real, z.imag))
     relabeled = sorted(
-        (c for part in lc.decompose(q) for c in part.coefficient_vector()),
+        (c for part in lc.decompose(q) for c in part.coefficients),
         key=lambda z: (z.real, z.imag),
     )
     assert original == relabeled  # exact: the same complex numbers, re-keyed
-    l2_a = float(np.linalg.norm(q.coefficient_vector()))
+    l2_a = float(np.linalg.norm(q.coefficients))
     l2_c = float(np.sqrt(sum(abs(c) ** 2 for c in relabeled)))
     assert l2_a == pytest.approx(l2_c, abs=0)
-
-
-@settings(max_examples=25, deadline=None)
-@given(full=st.lists(st.integers(0, 7), min_size=1, max_size=5))
-def test_compress_round_trip_hypothesis(full):
-    idx = tuple(sorted(full))
-    assert lc.compress(idx).expand() == idx

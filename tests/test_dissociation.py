@@ -208,9 +208,12 @@ def test_reduced_walk_matches_full_scan_oracle(case):
     expected = lc.DissociationReport(d=d, dissociated=witness is None, witness=witness)
     assert lc.is_d_dissociated(system, d) == expected
     assert lc.is_d_dissociated_mitm(system, d) == expected
-    # blocks of 4 rows: both sides span several blocks, and the right table
-    # is merged block by block
-    with mock.patch.object(lc.dissociation, "_CHUNK", 4):
+    # blocks of 4 rows after a first left block of 2: both sides span several
+    # blocks, the right table is merged block by block, and the short block,
+    # the full blocks and their boundary all meet the oracle
+    with mock.patch.object(lc.dissociation, "_CHUNK", 4), mock.patch.object(
+        lc.dissociation, "_FIRST_BLOCK", 2
+    ):
         assert lc.is_d_dissociated(system, d) == expected
         assert lc.is_d_dissociated_mitm(system, d) == expected
 

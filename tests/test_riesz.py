@@ -66,9 +66,9 @@ def test_power_coincidence_rule_matches_exponent_oracle(orders):
             assert lc.riesz_modulated_powers(gamma, d) == oracle_modulated_powers(gamma, d)
             for a in range(1, d + 1):
                 # one factor alone, and next to the first character at power d
-                indices = [lc.CompressedIndex((b,), (a,))]
+                indices = [(b,) * a]
                 if b:
-                    indices.append(lc.CompressedIndex((0, b), (d, a)))
+                    indices.append((0,) * d + (b,) * a)
                 for index in indices:
                     assert lc.modulation_exponents(system, index, d) == (
                         oracle_modulation_exponents(system, index, d)
@@ -137,22 +137,20 @@ def _term_by_term_density(system, d):
     return values
 
 
-def test_riesz_density_floats_past_the_orders_are_the_term_by_term_sum(monkeypatch):
-    # rademacher(3) at d = 3 > ord = 2, as every release has written it
+def test_riesz_density_floats_past_the_orders_are_the_term_by_term_sum():
+    # rademacher(3) at d = 3 > ord = 2: each distinct power is added once,
+    # times its count, and the floats come out exact
     rho = lc.riesz_density(lc.rademacher_system(3), 3)
     assert rho.values.tolist() == [
-        3.3750000000000018, 1.8750000000000009, 1.8750000000000007, 1.041666666666667,
-        1.8750000000000007, 1.041666666666667, 1.041666666666667, 0.5787037037037038,
+        3.375, 1.875, 1.875, 1.0416666666666667,
+        1.875, 1.0416666666666667, 1.0416666666666667, 0.5787037037037038,
     ]
     system = _system([2, 3, 5], [[1, 0, 0], [0, 1, 0], [0, 0, 2], [1, 1, 1]])
     for d in range(1, 13):
         expected = _term_by_term_density(system, d)
-        assert np.array_equal(lc.riesz_density(system, d, check=False).values, expected)
-        # past the cell bound the powers are summed by residue class, which
-        # keeps every d <= ord(gamma) factor and moves the others in last bits
-        monkeypatch.setattr(lc.riesz, "_TERM_BY_TERM_CELLS", 0)
         by_class = lc.riesz_density(system, d, check=False).values
-        monkeypatch.undo()
+        # summing by residue class keeps every d <= ord(gamma) factor and
+        # moves the others in last bits
         assert np.abs(by_class - expected).max() <= 1e-14 * np.abs(expected).max()
         if d <= 2:
             assert np.array_equal(by_class, expected)
@@ -309,17 +307,17 @@ def test_modulated_extract_rejects_bad_s_and_point(monkeypatch):
 def test_modulation_exponents_examples():
     d = 2
     sys9 = _system([9], [[1]])
-    index = lc.CompressedIndex((0,), (2,))
+    index = (0, 0)  # base 0 with multiplicity 2
     adjusted = lc.modulation_exponents(sys9, index, d)
-    assert adjusted == (2,) and adjusted == index.exponents  # no flip
+    assert adjusted == (2,) and adjusted == (index.count(0),)  # no flip
 
     sys3 = _system([3], [[1]])
     adjusted = lc.modulation_exponents(sys3, index, d)
-    assert adjusted == (3,) and adjusted != index.exponents  # flipped: 2d+1-2 = 3
+    assert adjusted == (3,) and adjusted != (index.count(0),)  # flipped: 2d+1-2 = 3
 
     sys4 = _system([4], [[1]])
     adjusted = lc.modulation_exponents(sys4, index, d)
-    assert adjusted == (2,) and adjusted == index.exponents  # no flip: j=2 is not < 2
+    assert adjusted == (2,) and adjusted == (index.count(0),)  # no flip: j=2 is not < 2
 
 
 # -- extraction coefficients -------------------------------------------------------------------
