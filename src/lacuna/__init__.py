@@ -45,7 +45,6 @@ from .dissociation import (
     DissociationReport,
     hadamard_trig_system,
     is_d_dissociated,
-    is_d_dissociated_mitm,
     rademacher_system,
     vc_system_from_digit_sets,
     verify_witness,

@@ -32,11 +32,10 @@ from .dissociation import (
     CharacterSystem,
     hadamard_trig_system,
     is_d_dissociated,
-    is_d_dissociated_mitm,
     rademacher_system,
     vc_system_from_digit_sets,
 )
-from .errors import BudgetExceeded, ConfigInvalid, DegenerateOrder, LacunaError
+from .errors import ConfigInvalid, DegenerateOrder, LacunaError
 from .groups import fourier, make_group
 from .parallel import trial_rng
 from .riesz import (
@@ -140,7 +139,7 @@ _Q = (_number(lambda q: q > 2, "> 2"), 4)
 _SHARED = {"d": (_int(1), ...), "seed": (_int(0), 0)}
 
 _COMMANDS = {
-    "check-dissociated": {"method": (_choice("auto", "direct", "mitm"), "auto")},
+    "check-dissociated": {},
     "riesz-report": {"check_dissociated": (_bool, True)},
     "nu-solve": {"s": (_int(1), None)},
     "extract-verify": {
@@ -287,13 +286,8 @@ def _stats_block(values: np.ndarray) -> dict:
 
 
 def _cmd_check_dissociated(plan, config, out, svg):
-    system, d, method = plan["system"], plan["d"], plan["method"]
-    try:
-        report = (is_d_dissociated_mitm if method == "mitm" else is_d_dissociated)(system, d)
-    except BudgetExceeded:
-        if method != "auto":
-            raise
-        report = is_d_dissociated_mitm(system, d)
+    system = plan["system"]
+    report = is_d_dissociated(system, plan["d"])
     results = {"report": report.to_json_obj(), "system": system.to_json_obj()}
     _write_json(out / "dissociation.json", "check-dissociated", config, results)
     return 0 if report.dissociated else 1
@@ -335,8 +329,6 @@ def _cmd_nu_solve(plan, config, out, svg):
 
 
 def _extract_verify_once(system, d, rng, y_samples, expectation_mode):
-    if not expectation_mode:
-        require_nondegenerate(system, d)
     poly = random_chaos_polynomial(system, d, rng)
     parts = decompose(poly)
     base = 2 * d + 1
@@ -373,6 +365,8 @@ def _cmd_extract_verify(plan, config, out, svg):
     runs = []
     worst = 0.0
     try:
+        if not expectation_mode:
+            require_nondegenerate(system, d)
         for t in range(plan["trials"]):
             rng = trial_rng(plan["seed"], t)
             per_s, w = _extract_verify_once(system, d, rng, plan["y_samples"], expectation_mode)

@@ -6,12 +6,12 @@ whose product gamma_1^{k_1} ... gamma_m^{k_m} is the trivial character are
 the ones where every single factor gamma_j^{k_j} is already trivial.
 
 Verdicts apply to the finite set that was handed in; nothing is inferred
-about supersets.  Both checkers report the lexicographically first
-violating tuple (coordinate order -d < ... < d) as a witness, so their
+about supersets.  The checker reports the lexicographically first
+violating tuple (coordinate order -d < ... < d) as a witness, so its
 output is deterministic.
 
-Residue rule: gamma_j^k depends only on k mod ord(gamma_j), so the checkers
-walk one representative per residue class, the least one in -d..d.  On
+Residue rule: gamma_j^k depends only on k mod ord(gamma_j), so the checker
+walks one representative per residue class, the least one in -d..d.  On
 coordinate j that is -d .. -d + r_j - 1 with radix r_j = min(2d+1,
 ord(gamma_j)), and the walk covers prod r_j tuples in mixed-radix
 lexicographic order.  This changes no verdict and no witness: replacing
@@ -24,17 +24,15 @@ makes the join's "first right tuple per residue" and its first matching
 left tuple those of the full scan.  When every order exceeds 2d the
 radices are all 2d+1 and the walk is the full scan.
 
-Both checkers run one join (Horowitz and Sahni, J. ACM 21, 1974), split at
-two places.  The right-hand coordinates' tuples are indexed by residue sum,
-keeping the first tuple per residue; the left-hand tuples are walked in
-order, each looking up the residue that cancels its own.  A left tuple
-whose factor powers are all trivial has the trivial product, so it
-violates only with a right tuple of residue 0 that has a nontrivial
-factor: the first such right tuple is one row, shared by all of them.  The
-direct checker puts the longest suffix of at most one block on the right,
-so it holds one block at a time, and its budget is prod r_j.  The
-meet-in-the-middle checker splits at ceil(m/2), and its budget is the
-larger half's tuple count.
+The check is a meet-in-the-middle join (Horowitz and Sahni, J. ACM 21,
+1974) split at a left half of ceil(m/2) coordinates.  The right half's
+tuples are indexed by residue sum, keeping the first tuple per residue;
+the left half's tuples are walked in order, each looking up the residue
+that cancels its own.  A left tuple whose factor powers are all trivial
+has the trivial product, so it violates only with a right tuple of
+residue 0 that has a nontrivial factor: the first such right tuple is one
+row, shared by all of them.  Each half is walked once, so the budget
+bounds the larger half's tuple count, not prod r_j.
 """
 
 from __future__ import annotations
@@ -58,6 +56,7 @@ from .errors import (
 )
 from .groups import Character, FiniteAbelianGroup, make_group
 
+# tuples walked on the larger half of the join
 DEFAULT_ENUM_BUDGET = 10**8
 
 # rows materialized per numpy chunk during enumeration; the left walk's
@@ -196,10 +195,9 @@ def _first_violation(
     Both sides are walked in ``_CHUNK``-row blocks, the left side after a
     first block of ``min(_FIRST_BLOCK, _CHUNK)`` rows.  The right table holds
     the sorted mixed-radix codes of the residue sums and the first row per
-    code, merged block by block; it is built only when the left side is not
-    empty, since the empty left tuple needs only the first right row with
-    residue 0 and a nontrivial factor.  Left rows look up their cancelling
-    code with ``searchsorted``.  Returns the true exponents, or None.
+    code, merged block by block.  Left rows look up their cancelling code
+    with ``searchsorted``; ``left_len`` is at least 1.  Returns the true
+    exponents, or None.
     """
     radices = _radices(system, d)
     left_shape, right_shape = radices[:left_len], radices[left_len:]
@@ -226,23 +224,20 @@ def _first_violation(
         if first_zero is None:
             hits = np.flatnonzero(has_nontrivial & ~residues.any(axis=1))
             first_zero = start + int(hits[0]) if hits.size else None
-        if left_len:
-            codes = np.concatenate([keys, residues @ place])
-            rows = np.concatenate([rows, np.arange(start, start + len(residues))])
-            # the least row of each run of equal codes; np.unique's stable sort was
-            # half of a check whose witness lies in the first left block
-            order = np.argsort(codes)
-            codes, rows = codes[order], rows[order]
-            runs = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
-            keys, rows = codes[runs], np.minimum.reduceat(rows, runs)
+        codes = np.concatenate([keys, residues @ place])
+        rows = np.concatenate([rows, np.arange(start, start + len(residues))])
+        # the least row of each run of equal codes; np.unique's stable sort was
+        # half of a check whose witness lies in the first left block
+        order = np.argsort(codes)
+        codes, rows = codes[order], rows[order]
+        runs = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
+        keys, rows = codes[runs], np.minimum.reduceat(rows, runs)
 
     def witness(left_offsets: np.ndarray, row: int) -> tuple[int, ...]:
         """The true exponents o - d of a left row and right row ``row``, as Python ints."""
         offsets = np.concatenate([left_offsets, _offset_rows(right_shape, row, row + 1)[0]])
         return tuple(int(o) - d for o in offsets)
 
-    if not left_len:
-        return None if first_zero is None else witness(np.empty(0, np.int64), first_zero)
     total = math.prod(left_shape)
     bounds = [0, *range(min(_FIRST_BLOCK, _CHUNK), total, _CHUNK), total]
     for start, stop in zip(bounds, bounds[1:]):
@@ -257,38 +252,28 @@ def _first_violation(
     return None
 
 
-def _validate_check_args(d: int):
-    # CharacterSystem already refuses the trivial character
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-
-
 def is_d_dissociated(
     system: CharacterSystem, d: int, budget: int = DEFAULT_ENUM_BUDGET
 ) -> DissociationReport:
-    """Direct enumeration, one exponent per residue class on each coordinate.
+    """Check d-dissociation by a meet-in-the-middle join over one exponent per residue class.
 
-    Coordinate j walks -d .. -d + r_j - 1 with r_j = min(2d+1, ord(gamma_j)),
-    so prod r_j tuples are covered and compared against ``budget``.  The
-    right side of the join is the longest suffix of at most ``_CHUNK``
-    tuples (at least one coordinate), so one block bounds the memory.
+    Coordinate j walks -d .. -d + r_j - 1 with r_j = min(2d+1, ord(gamma_j)).
+    The join splits at a left half of ceil(m/2) coordinates and walks each
+    half once; the larger half's tuple count is compared against ``budget``.
     Returns the lexicographically first witness of the full (2d+1)^m scan
     (coordinates ordered -d < ... < d) when the system is not d-dissociated.
     """
-    _validate_check_args(d)
+    # CharacterSystem already refuses the trivial character
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
     m = len(system)
     if m == 0:
         return DissociationReport(d=d, dissociated=True)
     radices = _radices(system, d)
-    total = math.prod(radices)
-    if total > budget:
-        raise BudgetExceeded(
-            f"direct enumeration needs {total} tuples (> budget {budget}); "
-            "try is_d_dissociated_mitm"
-        )
-    left_len = m - 1
-    while left_len and math.prod(radices[left_len - 1 :]) <= _CHUNK:
-        left_len -= 1
+    left_len = (m + 1) // 2
+    per_side = max(math.prod(radices[:left_len]), math.prod(radices[left_len:]))
+    if per_side > budget:
+        raise BudgetExceeded(f"the check walks {per_side} tuples per side (> budget {budget})")
     witness = _first_violation(system, d, left_len)
     return DissociationReport(d=d, dissociated=witness is None, witness=witness)
 
@@ -301,30 +286,6 @@ def require_dissociated(system: CharacterSystem, d: int) -> None:
             f"system is not {d}-dissociated; witness {report.witness}",
             report=report,
         )
-
-
-def is_d_dissociated_mitm(
-    system: CharacterSystem, d: int, budget: int = DEFAULT_ENUM_BUDGET
-) -> DissociationReport:
-    """Meet-in-the-middle check; same verdict and witness as the direct scan.
-
-    The same join as ``is_d_dissociated``, split at a left half of
-    ceil(m/2) characters: each half is walked once, and the larger half's
-    tuple count is compared against ``budget``.
-    """
-    _validate_check_args(d)
-    m = len(system)
-    if m == 0:
-        return DissociationReport(d=d, dissociated=True)
-    radices = _radices(system, d)
-    left_len = (m + 1) // 2
-    per_side = max(math.prod(radices[:left_len]), math.prod(radices[left_len:]))
-    if per_side > budget:
-        raise BudgetExceeded(
-            f"meet-in-the-middle needs {per_side} tuples per side (> budget {budget})"
-        )
-    witness = _first_violation(system, d, left_len)
-    return DissociationReport(d=d, dissociated=witness is None, witness=witness)
 
 
 def verify_witness(system: CharacterSystem, witness: Sequence[int]) -> bool:
@@ -403,8 +364,8 @@ def vc_system_from_digit_sets(
     """Vilenkin-Chrestenson characters supported on staircase position sets.
 
     Each set must contain a digit position absent from all preceding sets
-    (the staircase condition); the resulting system is then d-dissociated
-    for every d within the enumeration budget.  ``digit_values`` assigns the
+    (the staircase condition); for a prime base the resulting system is
+    then d-dissociated for every d.  ``digit_values`` assigns the
     exponent at each position: ``None`` means all ones, an int broadcasts,
     and a nested list gives per-position values in {1 .. base-1}.
     """

@@ -180,7 +180,7 @@ def oracle_witness(system: CharacterSystem, d: int) -> tuple[int, ...] | None:
     trivial iff its value table is within 1e-9 of the constant 1.  The
     smallest nontrivial root of unity at the group sizes used in tests is
     far from 1, so the threshold is safe.  The scan order (-d < ... < d on
-    every coordinate, lexicographic) is the one the checkers document, and
+    every coordinate, lexicographic) is the one the checker documents, and
     it walks every tuple, with no reduction by character order.
     """
     m = len(system)

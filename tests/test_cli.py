@@ -56,11 +56,12 @@ def test_check_dissociated_wire_format_and_failure_exit(tmp_path):
     assert payload["results"]["report"]["witness"] == [-2, 1]
 
 
-def test_check_dissociated_mitm_method(tmp_path):
-    config = dict(HADAMARD_EXAMPLE)
-    config["method"] = "mitm"
-    code, _ = _run(tmp_path, config)
-    assert code == 0
+def test_check_dissociated_mitm_method(tmp_path, capsys):
+    # one checker, so no field picks one
+    code, out = _run(tmp_path, {**HADAMARD_EXAMPLE, "method": "mitm"})
+    assert code == 2
+    assert "unknown field 'method' in config" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_check_dissociated_at_huge_d(tmp_path):
@@ -171,7 +172,7 @@ def test_extract_verify_degenerate_points_to_expectation_mode(tmp_path, capsys):
     assert "expectation_mode" in captured.err
 
 
-def test_extract_verify_checks_dissociation_once_per_trial(tmp_path, monkeypatch):
+def test_extract_verify_checks_dissociation_once_per_run(tmp_path, monkeypatch):
     import lacuna.dissociation
 
     calls = []
@@ -192,7 +193,8 @@ def test_extract_verify_checks_dissociation_once_per_trial(tmp_path, monkeypatch
     }
     code, _ = _run(tmp_path, config)
     assert code == 0
-    assert len(calls) == 3
+    # the system is the same in every trial, so it is checked once, not 3 times
+    assert calls == [(calls[0][0], 4)]
 
 
 def test_extract_verify_expectation_mode_runs_degenerate(tmp_path):

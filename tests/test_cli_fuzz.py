@@ -19,7 +19,6 @@ _BASE_CONFIGS = [
         "command": "check-dissociated",
         "system": {"hadamard": {"ratio": 3, "count": 3, "modulus": 1000, "d": 2}},
         "d": 2,
-        "method": "mitm",
     },
     {"command": "riesz-report", "system": {"exponents": [[1, 0], [0, 1]], "orders": [9, 9]}, "d": 1},
     {"command": "nu-solve", "d": 2},
@@ -60,7 +59,7 @@ _ANY_JSON = st.recursive(
     | st.integers(-3, 12)
     | st.floats(-12, 12)
     | st.text(max_size=4)
-    | st.sampled_from(["polynomial", "tetrahedral", "direct", "mitm", "auto"]),
+    | st.sampled_from(["polynomial", "tetrahedral"]),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6,

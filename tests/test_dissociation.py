@@ -44,7 +44,7 @@ def test_system_json_round_trip():
     assert back.exponent_matrix.tolist() == system.exponent_matrix.tolist()
 
 
-# -- direct checker ----------------------------------------------------------------
+# -- checker -------------------------------------------------------------------------
 
 
 def test_z5_exponents_12_is_1_dissociated():
@@ -79,10 +79,12 @@ def test_empty_system_is_dissociated():
     assert report.dissociated
 
 
-def test_budget_exceeded_suggests_mitm():
+def test_budget_counts_the_larger_side():
+    # radix 5 on each of three coordinates: 5^2 tuples on the left, 5 on the right
     system = _system([7], [[1], [2], [3]])
-    with pytest.raises(lc.BudgetExceeded, match="mitm"):
-        lc.is_d_dissociated(system, 2, budget=10)
+    assert lc.is_d_dissociated(system, 2, budget=25) == lc.is_d_dissociated(system, 2)
+    with pytest.raises(lc.BudgetExceeded, match="25 tuples per side"):
+        lc.is_d_dissociated(system, 2, budget=24)
 
 
 def test_witness_soundness_on_random_failures():
@@ -123,38 +125,26 @@ def test_monotonicity_in_d():
             assert small or not large
 
 
-# -- meet in the middle ---------------------------------------------------------------
+# -- larger walks -------------------------------------------------------------------
 
 
-def test_mitm_matches_direct_on_z7_subsets():
+def test_checker_matches_full_scan_oracle_on_z7_subsets():
     group = lc.make_group([7])
     chars = [(e,) for e in range(1, 7)]
-    for size in (2, 3):
+    for size in (1, 2, 3):
         for subset in itertools.combinations(chars, size):
             system = lc.CharacterSystem.from_exponents(group, subset)
             for d in (1, 2, 3):
-                direct = lc.is_d_dissociated(system, d)
-                mitm = lc.is_d_dissociated_mitm(system, d)
-                assert direct == mitm
-
-
-def test_mitm_single_character():
-    report = lc.is_d_dissociated_mitm(_system([9], [[1]]), 2)
-    assert report.dissociated
-
-
-def test_mitm_budget():
-    system = _system([7], [[1], [2], [3], [4]])
-    with pytest.raises(lc.BudgetExceeded):
-        lc.is_d_dissociated_mitm(system, 3, budget=6)
+                witness = oracle_witness(system, d)
+                expected = lc.DissociationReport(d, witness is None, witness)
+                assert lc.is_d_dissociated(system, d) == expected
 
 
 def test_large_system_exercises_chunked_enumeration():
-    # 3^12 tuples force the direct scan through multiple prefix blocks
+    # 3^6 = 729 tuples per side, walked in blocks of 256 after a first left block of 256
     system = lc.rademacher_system(12, base=3)
-    direct = lc.is_d_dissociated(system, 1)
-    assert direct.dissociated
-    assert lc.is_d_dissociated_mitm(system, 1) == direct
+    with mock.patch.object(lc.dissociation, "_CHUNK", 1 << 8):
+        assert lc.is_d_dissociated(system, 1).dissociated
 
 
 def test_late_witness_found_in_chunked_scan():
@@ -171,15 +161,14 @@ def test_late_witness_found_in_chunked_scan():
     tail[0] = 2
     exps.append(tuple(tail))
     system = lc.CharacterSystem.from_exponents(group, exps)
-    direct = lc.is_d_dissociated(system, 1)
-    assert not direct.dissociated
-    assert direct.witness == (-1,) + (0,) * 10 + (-1,)
-    assert lc.verify_witness(system, direct.witness)
-    assert lc.is_d_dissociated_mitm(system, 1) == direct
+    report = lc.is_d_dissociated(system, 1)
+    assert not report.dissociated
+    assert report.witness == (-1,) + (0,) * 10 + (-1,)
+    assert lc.verify_witness(system, report.witness)
 
 
 # -- one exponent per residue class ---------------------------------------------------------
-# The checkers walk -d .. -d + r_j - 1 on coordinate j, r_j = min(2d+1, ord(gamma_j)).
+# The checker walks -d .. -d + r_j - 1 on coordinate j, r_j = min(2d+1, ord(gamma_j)).
 # Characters of order <= 2d make that walk shorter than the full (2d+1)^m scan, and it
 # must still find the full scan's verdict and lexicographically first witness.
 
@@ -207,7 +196,6 @@ def test_reduced_walk_matches_full_scan_oracle(case):
     witness = oracle_witness(system, d)
     expected = lc.DissociationReport(d=d, dissociated=witness is None, witness=witness)
     assert lc.is_d_dissociated(system, d) == expected
-    assert lc.is_d_dissociated_mitm(system, d) == expected
     # blocks of 4 rows after a first left block of 2: both sides span several
     # blocks, the right table is merged block by block, and the short block,
     # the full blocks and their boundary all meet the oracle
@@ -215,17 +203,14 @@ def test_reduced_walk_matches_full_scan_oracle(case):
         lc.dissociation, "_FIRST_BLOCK", 2
     ):
         assert lc.is_d_dissociated(system, d) == expected
-        assert lc.is_d_dissociated_mitm(system, d) == expected
 
 
 def test_reduced_walk_on_order_three_rademacher_system():
-    # order-3 characters at d=2: 3^12 tuples walked instead of 5^12
+    # order-3 characters at d=2: 3^6 tuples per side instead of 5^6
     system = lc.rademacher_system(12, base=3)
-    direct = lc.is_d_dissociated(system, 2, budget=3**12)
-    assert direct.dissociated
-    assert lc.is_d_dissociated_mitm(system, 2) == direct
-    with pytest.raises(lc.BudgetExceeded, match=str(3**12)):
-        lc.is_d_dissociated(system, 2, budget=3**12 - 1)
+    assert lc.is_d_dissociated(system, 2, budget=3**6).dissociated
+    with pytest.raises(lc.BudgetExceeded, match=str(3**6)):
+        lc.is_d_dissociated(system, 2, budget=3**6 - 1)
 
 
 def _order_two_three_system(threes: int) -> lc.CharacterSystem:
@@ -245,18 +230,16 @@ def _order_two_three_system(threes: int) -> lc.CharacterSystem:
 def test_late_witness_from_order_two_and_three_characters():
     # k_0 + k_last = 0 mod 2, k_1 + k_last = 0 mod 3 and k_i = 0 mod 3 otherwise:
     # the first violation takes k_0 = k_1 = -2, k_last = 2 and the largest
-    # representative 0 on every middle coordinate, past the first chunk of
-    # the 2 * 3^10 * 5-tuple walk
+    # representative 0 on every middle coordinate, so its right half is the
+    # last of the 3^5 * 5 right tuples
     system = _order_two_three_system(10)
-    direct = lc.is_d_dissociated(system, 2)
-    assert direct.witness == (-2, -2) + (0,) * 9 + (2,)
-    assert lc.verify_witness(system, direct.witness)
-    assert lc.is_d_dissociated_mitm(system, 2) == direct
+    report = lc.is_d_dissociated(system, 2)
+    assert report.witness == (-2, -2) + (0,) * 9 + (2,)
+    assert lc.verify_witness(system, report.witness)
     small = _order_two_three_system(3)
     witness = oracle_witness(small, 2)
     assert witness == (-2, -2, 0, 0, 2)
     assert lc.is_d_dissociated(small, 2).witness == witness
-    assert lc.is_d_dissociated_mitm(small, 2).witness == witness
 
 
 def test_huge_d_walks_residues_and_reports_true_exponents():
@@ -267,37 +250,42 @@ def test_huge_d_walks_residues_and_reports_true_exponents():
     big = 5 * 10**16
     for d in range(5, 10):
         witness = oracle_witness(system, d)
-        for check in (lc.is_d_dissociated, lc.is_d_dissociated_mitm):
-            assert check(system, d).witness == witness
-            huge = check(system, d + big)
-            assert huge.witness == tuple(k - big for k in witness)
-            assert lc.verify_witness(system, huge.witness)
+        assert lc.is_d_dissociated(system, d).witness == witness
+        huge = lc.is_d_dissociated(system, d + big)
+        assert huge.witness == tuple(k - big for k in witness)
+        assert lc.verify_witness(system, huge.witness)
     assert lc.is_d_dissociated(lc.rademacher_system(3), 10**17).dissociated
 
 
 def test_sixteen_random_characters_on_a_large_cyclic_group():
-    # 5^8 tuples per side for mitm; the direct scan needs a budget of 5^16
+    # 5^8 tuples per side, where a single pass would walk 5^16
     group = lc.make_group([1000003])
     exponents = np.random.default_rng(16).choice(np.arange(1, 1000003), 16, replace=False)
     system = lc.CharacterSystem.from_exponents(group, [[int(e)] for e in exponents])
-    mitm = lc.is_d_dissociated_mitm(system, 2)
-    assert not mitm.dissociated and lc.verify_witness(system, mitm.witness)
-    assert lc.is_d_dissociated(system, 2, budget=5**16) == mitm
+    report = lc.is_d_dissociated(system, 2)
+    assert not report.dissociated and lc.verify_witness(system, report.witness)
+    with pytest.raises(lc.BudgetExceeded, match=str(5**8)):
+        lc.is_d_dissociated(system, 2, budget=5**8 - 1)
 
 
 def test_lacunary_system_of_eleven_is_walked_in_full():
-    # dissociated, so both checkers cover all 5^11 tuples
+    # dissociated, so the join covers all 5^11 tuples
     system = lc.hadamard_trig_system(3, 11, 1000003, d=2)
     assert lc.is_d_dissociated(system, 2).dissociated
-    assert lc.is_d_dissociated_mitm(system, 2).dissociated
 
 
 def test_order_two_system_of_twenty_fits_the_default_budget():
-    # 2^20 tuples walked; the full scan would need 5^20 and raise
+    # 2^10 tuples per side; the full scan would need 5^20 and raise
     system = lc.rademacher_system(20)
     assert lc.is_d_dissociated(system, 2).dissociated
-    with pytest.raises(lc.BudgetExceeded, match="mitm"):
-        lc.is_d_dissociated(system, 2, budget=2**20 - 1)
+    with pytest.raises(lc.BudgetExceeded, match=str(2**10)):
+        lc.is_d_dissociated(system, 2, budget=2**10 - 1)
+
+
+def test_lacunary_system_of_eighteen_characters_fits_the_default_budget():
+    # 3^9 tuples per side at d = 1, where a single pass would walk 3^18 > 10^8
+    system = lc.hadamard_trig_system(2, 18, 2**20)
+    assert lc.is_d_dissociated(system, 1).dissociated
 
 
 # -- oracle agreement (small-scale; the acceptance suite runs the full sweep) ---------
