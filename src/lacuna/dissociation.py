@@ -273,7 +273,10 @@ def is_d_dissociated(
     left_len = (m + 1) // 2
     per_side = max(math.prod(radices[:left_len]), math.prod(radices[left_len:]))
     if per_side > budget:
-        raise BudgetExceeded(f"the check walks {per_side} tuples per side (> budget {budget})")
+        raise BudgetExceeded(
+            f"the meet-in-the-middle (mitm) join walks {per_side} tuples per side "
+            f"(> budget {budget}); pass a larger budget to check this system"
+        )
     witness = _first_violation(system, d, left_len)
     return DissociationReport(d=d, dissociated=witness is None, witness=witness)
 

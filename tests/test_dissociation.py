@@ -79,6 +79,12 @@ def test_empty_system_is_dissociated():
     assert report.dissociated
 
 
+def test_budget_exceeded_suggests_mitm():
+    system = _system([7], [[1], [2], [3]])
+    with pytest.raises(lc.BudgetExceeded, match="mitm"):
+        lc.is_d_dissociated(system, 2, budget=10)
+
+
 def test_budget_counts_the_larger_side():
     # radix 5 on each of three coordinates: 5^2 tuples on the left, 5 on the right
     system = _system([7], [[1], [2], [3]])
@@ -128,7 +134,8 @@ def test_monotonicity_in_d():
 # -- larger walks -------------------------------------------------------------------
 
 
-def test_checker_matches_full_scan_oracle_on_z7_subsets():
+def test_mitm_matches_direct_on_z7_subsets():
+    # the meet-in-the-middle checker against the direct full (2d+1)^m scan
     group = lc.make_group([7])
     chars = [(e,) for e in range(1, 7)]
     for size in (1, 2, 3):
@@ -138,6 +145,19 @@ def test_checker_matches_full_scan_oracle_on_z7_subsets():
                 witness = oracle_witness(system, d)
                 expected = lc.DissociationReport(d, witness is None, witness)
                 assert lc.is_d_dissociated(system, d) == expected
+
+
+def test_mitm_single_character():
+    # one coordinate on the left, none on the right
+    report = lc.is_d_dissociated(_system([9], [[1]]), 2)
+    assert report.dissociated
+
+
+def test_mitm_budget():
+    # 7^2 tuples on each side
+    system = _system([7], [[1], [2], [3], [4]])
+    with pytest.raises(lc.BudgetExceeded):
+        lc.is_d_dissociated(system, 3, budget=6)
 
 
 def test_large_system_exercises_chunked_enumeration():
