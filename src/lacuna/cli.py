@@ -331,19 +331,19 @@ def _cmd_nu_solve(plan, config, out, svg):
 def _extract_verify_once(system, d, rng, y_samples, expectation_mode):
     poly = random_chaos_polynomial(system, d, rng)
     parts = decompose(poly)
+    extracted = extract_homogeneous(poly, check=False)
     base = 2 * d + 1
     per_s = []
     worst = 0.0
-    for s in range(1, d + 1):
-        target = parts[s - 1].values()
-        direct = extract_homogeneous(poly, s, check=False)
+    for s, (part, direct) in enumerate(zip(parts, extracted), start=1):
+        target = part.values()
         err_nu = float(np.abs(direct - target).max())
         scaled_target = target / (2 * d) ** s
         errs_mod = []
         mean_accum = np.zeros_like(target)
         for _ in range(y_samples):
             y = ModulationPoint.random(rng, base, len(system))
-            modulated = extract_homogeneous_modulated(poly, s, y, check=False)
+            modulated = extract_homogeneous_modulated(part, y, check=False)
             mean_accum += modulated
             errs_mod.append(float(np.abs(modulated - scaled_target).max()))
         err_mod = max(errs_mod)

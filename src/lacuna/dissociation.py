@@ -64,8 +64,6 @@ DEFAULT_ENUM_BUDGET = 10**8
 _CHUNK = 1 << 16
 _FIRST_BLOCK = 1 << 10
 
-_offset_cache: dict[tuple[int, ...], np.ndarray] = {}
-
 
 @dataclass(frozen=True)
 class CharacterSystem:
@@ -137,27 +135,11 @@ def _radices(system: CharacterSystem, d: int) -> tuple[int, ...]:
     return tuple(min(2 * d + 1, chi.order) for chi in system.characters)
 
 
-def _offset_rows(shape: tuple[int, ...], start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Rows start..stop-1 of the lexicographic tuples with entry j in 0..shape[j]-1.
-
-    A whole table of at most _CHUNK rows is cached by shape (read-only).
-    """
-    total = math.prod(shape)
-    stop = total if stop is None else stop
-    whole = start == 0 and stop == total and total <= _CHUNK
-    if whole and shape in _offset_cache:
-        return _offset_cache[shape]
-    if shape:
-        rows = np.stack(np.unravel_index(np.arange(start, stop), shape), axis=1)
-        rows = rows.astype(np.int64)
-    else:
-        rows = np.zeros((stop - start, 0), dtype=np.int64)
-    if whole:
-        rows.flags.writeable = False
-        if len(_offset_cache) > 64:
-            _offset_cache.clear()
-        _offset_cache[shape] = rows
-    return rows
+def _offset_rows(shape: tuple[int, ...], start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of the lexicographic tuples with entry j in 0..shape[j]-1."""
+    if not shape:
+        return np.zeros((stop - start, 0), dtype=np.int64)
+    return np.stack(np.unravel_index(np.arange(start, stop), shape), axis=1).astype(np.int64)
 
 
 def _shift(orders: Sequence[int], d: int) -> int:
@@ -165,7 +147,11 @@ def _shift(orders: Sequence[int], d: int) -> int:
 
     The walk's offset o stands for the exponent o - d, and every character
     power depends only on the exponent modulo the group exponent lcm(orders),
-    so ``d mod lcm + lcm`` keeps the int64 sums exact for any d.  The lcm is
+    so ``d mod lcm + lcm`` keeps the int64 sums exact for any d.  Exact, that
+    is, under ``make_group``'s size limit: a sum has at most m < 2^20 terms,
+    each below 2 * lcm(orders) * max(order) <= 2^41, so it stays under 2^61.
+    Lifting the limit needs its own bound first; on a cyclic modulus past
+    about 2^30 the sums wrap and the check answers wrongly.  The lcm is
     added back rather than dropped because numpy's integer remainder ran
     about 40% slower on the nonnegative sums a zero shift gives
     (``rademacher(20)`` at d = 2: 100 ms against 72 ms).
@@ -212,6 +198,7 @@ def _first_violation(
         """Offset rows, residue sums and "some factor is nontrivial" of one block."""
         shape = radices[side]
         offsets = _offset_rows(shape, start, min(stop, math.prod(shape)))
+        # exact in int64 only because |G| <= 2^20 bounds lcm(orders) and m (see _shift)
         residues = ((offsets - shift) @ exponents[side]) % orders
         cols = np.arange(len(shape))
         return offsets, residues, nontrivial[side][cols[None, :], offsets].any(axis=1)
@@ -345,7 +332,7 @@ def hadamard_trig_system(
     return CharacterSystem.from_exponents(group, exps)
 
 
-def _normalize_digit_values(position_sets, digit_values, base):
+def _normalize_digit_values(position_sets, digit_values):
     if digit_values is None:
         return [[1] * len(s) for s in position_sets]
     if isinstance(digit_values, int):
@@ -377,7 +364,7 @@ def vc_system_from_digit_sets(
     sets = [sorted(set(int(p) for p in s)) for s in digit_position_sets]
     if not sets:
         raise ValueError("at least one digit-position set is required")
-    values = _normalize_digit_values(sets, digit_values, base)
+    values = _normalize_digit_values(sets, digit_values)
     for row in values:
         for v in row:
             if not 1 <= v <= base - 1:

@@ -117,7 +117,13 @@ class FiniteAbelianGroup:
 
 
 def make_group(orders: Sequence[int]) -> FiniteAbelianGroup:
-    """Build Z_{m_1} x ... x Z_{m_r}; elements enumerate in lexicographic digit order."""
+    """Build Z_{m_1} x ... x Z_{m_r}; elements enumerate in lexicographic digit order.
+
+    The size limit bounds the value tables, and it also keeps the int64
+    exponent sums of the dissociation check exact: they reach about
+    m * 2 * lcm(orders) * max(order), which wraps once a cyclic modulus
+    passes about 2^30.  A larger limit needs its own bound on those sums.
+    """
     group = FiniteAbelianGroup(tuple(int(m) for m in orders))
     if group.size > DEFAULT_SIZE_LIMIT:
         raise SizeLimitExceeded(

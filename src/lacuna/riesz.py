@@ -47,9 +47,11 @@ themselves can always be constructed.
 The extraction measure nu_s = c_1 rho + c_2 rho*rho + ... + c_d rho^{*d}
 solves a d x d power system in the nodes (2d)^{-i} so that its Fourier
 coefficients are 1 on s-fold products and 0 on j-fold products for
-j <= d, j != s.  Convolving a degree-d chaos polynomial with nu_s therefore
-isolates its s-homogeneous part, and convolving the weighted polynomial
-with rho_y recovers the same part scaled by (2d)^{-s}.
+j <= d, j != s.  Every nu_s is a function of the one Fourier table of rho,
+so ``extract_homogeneous(Q)`` transforms rho and Q once and returns all d
+parts: row s-1 is Q * nu_s = Q^(s).  ``extract_homogeneous_modulated``
+takes the part itself: the weighted Q^(s) convolved with rho_y is
+Q^(s) / (2d)^s.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chaos import ChaosPolynomial, FullIndex, decompose
+from .chaos import ChaosPolynomial, FullIndex
 from .dissociation import CharacterSystem, require_dissociated
 from .errors import DegenerateOrder, SizeLimitExceeded
 from .groups import (
@@ -98,11 +100,6 @@ def riesz_modulated_powers(gamma: Character, d: int) -> set[int]:
     return {k for k in range(1, d + 1) if not _inverse_meets_forward(gamma, k, k - 1)}
 
 
-def degenerate_characters(system: CharacterSystem, d: int) -> list[int]:
-    """Positions of characters whose order is at most 2d."""
-    return [i for i, chi in enumerate(system.characters) if chi.order <= 2 * d]
-
-
 def require_nondegenerate(system: CharacterSystem, d: int):
     """Guard for the exact coefficient laws.
 
@@ -110,7 +107,7 @@ def require_nondegenerate(system: CharacterSystem, d: int):
     NotDissociated when the system is not 2d-dissociated; both conditions
     together make bounded product representations unique.
     """
-    bad = degenerate_characters(system, d)
+    bad = [i for i, chi in enumerate(system.characters) if chi.order <= 2 * d]
     if bad:
         orders = [system.characters[i].order for i in bad]
         raise DegenerateOrder(
@@ -363,18 +360,21 @@ def extraction_coefficients(d: int, s: int) -> ExtractionSpec:
     return ExtractionSpec(d=d, s=s, coefficients=coefficients, variation_bound=bound)
 
 
-def _extraction_hat(system: CharacterSystem, d: int, s: int, check: bool) -> np.ndarray:
-    """Fourier table of nu_s: sum_j c_j rho_hat^j from one transform of rho."""
-    spec = extraction_coefficients(d, s)
-    if check:
-        require_nondegenerate(system, d)
-    rho_hat = fourier(riesz_density(system, d, check=False)).coeffs
-    nu_hat = np.full(system.group.size, spec.coefficients[0], dtype=np.complex128)
+def _extraction_hat(rho_hat: np.ndarray, spec: ExtractionSpec) -> np.ndarray:
+    """Fourier table of nu_s: sum_j c_j rho_hat^j, the powers taken pointwise."""
+    nu_hat = np.full(rho_hat.shape, spec.coefficients[0], dtype=np.complex128)
     power = np.ones_like(rho_hat)
-    for j in range(1, d + 1):
+    for j in range(1, spec.d + 1):
         power = power * rho_hat
         nu_hat += spec.coefficients[j] * power
     return nu_hat
+
+
+def _riesz_hat(system: CharacterSystem, d: int, check: bool) -> np.ndarray:
+    """Fourier table of rho, after the nondegenerate regime is checked if asked."""
+    if check:
+        require_nondegenerate(system, d)
+    return fourier(riesz_density(system, d, check=False)).coeffs
 
 
 def extraction_measure(
@@ -388,45 +388,44 @@ def extraction_measure(
     nondegenerate regime is enforced, which is what guarantees the
     indicator law.
     """
-    nu_hat = _extraction_hat(system, d, s, check)
+    spec = extraction_coefficients(d, s)
+    nu_hat = _extraction_hat(_riesz_hat(system, d, check), spec)
     return inverse_fourier(FourierTable(system.group, nu_hat))
 
 
-def extract_homogeneous(polynomial: ChaosPolynomial, s: int, check: bool = True) -> np.ndarray:
-    """Convolve Q with the s-fold extraction measure; returns value table.
+def extract_homogeneous(polynomial: ChaosPolynomial, check: bool = True) -> np.ndarray:
+    """Convolve Q with every extraction measure nu_1 .. nu_d; returns a (d, |G|) table.
 
-    The convolution is a product of Fourier tables, and nu_s is used in
-    Fourier space as built, so the call runs three transforms: rho and Q
-    forward, the product back.  In the nondegenerate regime the result
-    equals the s-homogeneous part of Q pointwise (within one convolution
-    round trip of error).
+    Row s-1 holds Q * nu_s.  The convolutions are products of Fourier
+    tables sharing one rho: rho and Q are transformed forward once, and
+    each row costs one inverse transform.  In the nondegenerate regime row
+    s-1 equals the s-homogeneous part Q^(s) pointwise (within one
+    convolution round trip of error).  A d past the float range of the
+    mixing coefficients raises SizeLimitExceeded before the regime check.
     """
-    system = polynomial.system
-    nu_hat = _extraction_hat(system, polynomial.degree, s, check)
+    system, d = polynomial.system, polynomial.degree
+    specs = [extraction_coefficients(d, s) for s in range(1, d + 1)]
+    rho_hat = _riesz_hat(system, d, check)
     q_hat = fourier(polynomial.as_density()).coeffs
-    return inverse_fourier(FourierTable(system.group, q_hat * nu_hat)).values
+    rows = [q_hat * _extraction_hat(rho_hat, spec) for spec in specs]
+    return np.stack([inverse_fourier(FourierTable(system.group, row)).values for row in rows])
 
 
 def extract_homogeneous_modulated(
-    polynomial: ChaosPolynomial,
-    s: int,
-    y: ModulationPoint,
-    check: bool = True,
+    part: ChaosPolynomial, y: ModulationPoint, check: bool = True
 ) -> np.ndarray:
-    """Weighted-polynomial route to the s-homogeneous part, scaled by (2d)^-s.
+    """Weight the polynomial given and convolve it with rho_y; returns value table.
 
-    Builds the polynomial whose term for an index with distinct bases k_i
-    of multiplicities alpha_i carries the extra factor
-    prod_i w^{-alpha'_i * y_{k_i}}, and convolves it with rho_y.  In
-    the nondegenerate regime the weights cancel against the coefficients of
-    rho_y and the result is Q^(s) / (2d)^s pointwise, for every y.  An s
-    outside 1..d, or a point of the wrong base or digit count, raises
-    ValueError before any work.
+    Each term, an index with distinct bases k_i of multiplicities alpha_i,
+    carries the extra factor prod_i w^{-alpha'_i * y_{k_i}}.  In the
+    nondegenerate regime the weights cancel against the coefficients of
+    rho_y, for every y: an s-homogeneous part Q^(s) gives Q^(s) / (2d)^s
+    pointwise, and any other polynomial Q gives sum_s Q^(s) / (2d)^s.  A
+    point of the wrong base or digit count raises ValueError before any
+    work.
     """
-    d = polynomial.degree
-    system = polynomial.system
-    if not 1 <= s <= d:
-        raise ValueError(f"s must lie in 1..{d}, got {s}")
+    d = part.degree
+    system = part.system
     _require_modulation_point(system, d, y)
     if check:
         require_nondegenerate(system, d)
@@ -437,7 +436,6 @@ def extract_homogeneous_modulated(
             w *= y.rademacher_value(b, -a_prime)
         return w
 
-    part = decompose(polynomial)[s - 1]
     weighted = ChaosPolynomial(
         system,
         d,

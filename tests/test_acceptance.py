@@ -174,13 +174,14 @@ def extraction_study():
         ys = [
             lc.ModulationPoint.random(rng, 2 * d + 1, len(system)) for _ in range(10)
         ]
+        extracted = lc.extract_homogeneous(poly, check=False)
         for s in range(1, d + 1):
             target = parts[s - 1].values()
-            direct = lc.extract_homogeneous(poly, s, check=False)
+            direct = extracted[s - 1]
             worst_nu = max(worst_nu, float(np.abs(direct - target).max()))
             scaled = target / (2 * d) ** s
             for y in ys:
-                modulated = lc.extract_homogeneous_modulated(poly, s, y, check=False)
+                modulated = lc.extract_homogeneous_modulated(parts[s - 1], y, check=False)
                 worst_mod = max(worst_mod, float(np.abs(modulated - scaled).max()))
         values = poly.values()
         coeffs = poly.coefficients

@@ -197,6 +197,38 @@ def test_extract_verify_checks_dissociation_once_per_run(tmp_path, monkeypatch):
     assert calls == [(calls[0][0], 4)]
 
 
+def test_extract_verify_decomposes_and_builds_rho_once_per_trial(tmp_path, monkeypatch):
+    import sys
+
+    import lacuna.chaos
+    import lacuna.riesz
+
+    counts = {}
+    for module, name in ((lacuna.chaos, "decompose"), (lacuna.riesz, "riesz_density")):
+        original = getattr(module, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        # every lacuna module that bound the function by name calls through it
+        for mod in [m for key, m in sys.modules.items() if key.split(".")[0] == "lacuna"]:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counting)
+    config = {
+        "command": "extract-verify",
+        "system": {"exponents": [[1, 0], [0, 1]], "orders": [9, 9]},
+        "d": 2,
+        "trials": 3,
+        "y_samples": 4,
+        "seed": 5,
+    }
+    code, _ = _run(tmp_path, config)
+    assert code == 0
+    # one split of Q and one rho per trial, however many s and y samples it covers
+    assert counts == {"decompose": 3, "riesz_density": 3}
+
+
 def test_extract_verify_expectation_mode_runs_degenerate(tmp_path):
     config = {
         "command": "extract-verify",

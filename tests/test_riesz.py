@@ -291,14 +291,12 @@ def test_modulated_base_must_match():
 def test_modulated_extract_rejects_bad_s_and_point(monkeypatch):
     system = _system([9, 9], [[1, 0], [0, 1]])
     q = lc.random_chaos_polynomial(system, 2, np.random.default_rng(5))
-    y = lc.ModulationPoint(5, (0, 0))
-    monkeypatch.setattr(lc.riesz, "decompose", None)  # no work may start
-    for s in (0, -1, 3):
-        with pytest.raises(ValueError, match=r"s must lie in 1\.\.2"):
-            lc.extract_homogeneous_modulated(q, s, y)
+    # the part carries its own s, so only the point can be wrong
+    monkeypatch.setattr(lc.riesz, "modulated_riesz_density", None)  # no work may start
+    monkeypatch.setattr(lc.riesz, "require_nondegenerate", None)
     for bad in (lc.ModulationPoint(7, (0, 0)), lc.ModulationPoint(5, (0,))):
         with pytest.raises(ValueError, match="modulation"):
-            lc.extract_homogeneous_modulated(q, 2, bad)
+            lc.extract_homogeneous_modulated(q, bad)
 
 
 # -- adjusted exponents ----------------------------------------------------------------------
@@ -437,32 +435,32 @@ def test_extract_tetrahedral_top_part_is_identity():
     system = _system([9, 9, 9], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     coeffs = {idx: 1.0 + 0.5j for idx in lc.enumerate_tetrahedral(3, 2)}
     q = lc.ChaosPolynomial(system, 2, coeffs)
-    extracted = lc.extract_homogeneous(q, 2)
+    extracted = lc.extract_homogeneous(q)[1]
     assert np.abs(extracted - q.values()).max() < 1e-8
 
 
 def test_extract_missing_part_is_zero():
     system = _system([9, 9], [[1, 0], [0, 1]])
     q = lc.ChaosPolynomial(system, 2, {(0, 0): 1.0, (1, 1): 2.0})  # s=1 only
-    extracted = lc.extract_homogeneous(q, 2)
+    extracted = lc.extract_homogeneous(q)[1]
     assert np.abs(extracted).max() < 1e-8
 
 
 def test_extract_zero_polynomial():
     system = _system([9, 9], [[1, 0], [0, 1]])
     q = lc.ChaosPolynomial(system, 2, {(0, 1): 0.0})
-    assert np.abs(lc.extract_homogeneous(q, 1)).max() < 1e-12
+    assert np.abs(lc.extract_homogeneous(q)).max() < 1e-12
     y = lc.ModulationPoint(5, (0, 0))
-    assert np.abs(lc.extract_homogeneous_modulated(q, 1, y)).max() < 1e-12
+    assert np.abs(lc.extract_homogeneous_modulated(lc.decompose(q)[0], y)).max() < 1e-12
 
 
 def test_modulated_extract_zero_point_d2():
     rng = np.random.default_rng(127)
     system = _system([9, 9], [[1, 0], [0, 1]])
     q = lc.random_chaos_polynomial(system, 2, rng)
-    part2 = lc.decompose(q)[1].values()
-    result = lc.extract_homogeneous_modulated(q, 2, lc.ModulationPoint(5, (0, 0)))
-    assert np.abs(result - part2 / 16).max() < 1e-8
+    part2 = lc.decompose(q)[1]
+    result = lc.extract_homogeneous_modulated(part2, lc.ModulationPoint(5, (0, 0)))
+    assert np.abs(result - part2.values() / 16).max() < 1e-8
 
 
 def test_both_identities_random_trials():
@@ -472,13 +470,20 @@ def test_both_identities_random_trials():
         system = sample_nondegenerate_system(rng, d, max_m=3)
         q = lc.random_chaos_polynomial(system, d, rng)
         parts = lc.decompose(q)
+        extracted = lc.extract_homogeneous(q, check=False)
+        assert extracted.shape == (d, system.group.size)
+        scaled_sum = np.zeros(system.group.size, dtype=np.complex128)
         for s in range(1, d + 1):
             target = parts[s - 1].values()
-            direct = lc.extract_homogeneous(q, s, check=False)
+            direct = extracted[s - 1]
             assert np.abs(direct - target).max() <= 1e-8
             y = lc.ModulationPoint.random(rng, 2 * d + 1, len(system))
-            modulated = lc.extract_homogeneous_modulated(q, s, y, check=False)
+            modulated = lc.extract_homogeneous_modulated(parts[s - 1], y, check=False)
             assert np.abs(modulated - target / (2 * d) ** s).max() <= 1e-8
+            scaled_sum += target / (2 * d) ** s
+        # a polynomial that is not homogeneous gives the sum of its scaled parts
+        whole = lc.extract_homogeneous_modulated(q, y, check=False)
+        assert np.abs(whole - scaled_sum).max() <= 1e-8
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -486,19 +491,27 @@ def test_extract_homogeneous_equals_convolution_with_nu(d):
     rng = np.random.default_rng(137 + d)
     system = sample_nondegenerate_system(rng, d, max_m=3)
     q = lc.random_chaos_polynomial(system, d, rng)
+    extracted = lc.extract_homogeneous(q)
     for s in range(1, d + 1):
         nu = lc.extraction_measure(system, d, s)
         expected = lc.convolve(q.as_density(), nu).values
-        assert np.abs(lc.extract_homogeneous(q, s) - expected).max() <= 1e-10
+        assert np.abs(extracted[s - 1] - expected).max() <= 1e-10
 
 
 def test_degenerate_system_rejected_with_pointer_to_transform():
     system = _system([4], [[1]])  # order 4 <= 2d for d = 2
     q = lc.ChaosPolynomial(system, 2, {(0, 0): 1.0})
     with pytest.raises(lc.DegenerateOrder):
-        lc.extract_homogeneous(q, 1)
+        lc.extract_homogeneous(q)
     with pytest.raises(lc.DegenerateOrder):
-        lc.extract_homogeneous_modulated(q, 1, lc.ModulationPoint(5, (0,)))
+        lc.extract_homogeneous_modulated(q, lc.ModulationPoint(5, (0,)))
+
+
+def test_extract_refuses_d_past_the_float_range_before_the_regime_check():
+    system = _system([4], [[1]])  # degenerate at any d >= 2
+    q = lc.ChaosPolynomial(system, 20, {(0,) * 20: 1.0})
+    with pytest.raises(lc.SizeLimitExceeded):
+        lc.extract_homogeneous(q)
 
 
 def test_degenerate_order4_expectation_over_y_recovers_identity():
@@ -508,12 +521,13 @@ def test_degenerate_order4_expectation_over_y_recovers_identity():
     system = _system([4], [[1]])
     d = 2
     q = lc.ChaosPolynomial(system, 2, {(0, 0): 1.5 - 0.5j})
-    target = lc.decompose(q)[0].values() / (2 * d)
+    part = lc.decompose(q)[0]
+    target = part.values() / (2 * d)
     pointwise_errors = []
     accum = np.zeros(system.group.size, dtype=np.complex128)
     for digit in range(5):
         y = lc.ModulationPoint(5, (digit,))
-        out = lc.extract_homogeneous_modulated(q, 1, y, check=False)
+        out = lc.extract_homogeneous_modulated(part, y, check=False)
         accum += out
         pointwise_errors.append(np.abs(out - target).max())
     assert max(pointwise_errors) > 1e-3  # pointwise identity genuinely fails
