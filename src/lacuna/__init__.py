@@ -60,15 +60,12 @@ from .chaos import (
 from .riesz import (
     ExtractionSpec,
     ModulationPoint,
-    expected_modulated_coefficient,
-    expected_riesz_coefficient,
     extract_homogeneous,
     extract_homogeneous_modulated,
     extraction_coefficients,
     extraction_measure,
     modulated_riesz_density,
     modulation_exponents,
-    product_character,
     require_nondegenerate,
     riesz_density,
     riesz_inverse_powers,

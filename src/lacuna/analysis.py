@@ -64,14 +64,11 @@ _PEAK_POINTS = 16
 
 
 def lq_norm(values, q) -> float:
-    """Normalized-Haar L_q norm of a value table; q = inf gives max |f|."""
+    """Normalized-Haar L_q norm of a value table; q = inf gives max |f|.  Raises InvalidQ."""
     q = float(q)
     if not 1 <= q <= math.inf:
         raise InvalidQ(f"q must be >= 1 or infinity, got {q}")
-    vals = np.abs(np.asarray(values, dtype=np.complex128))
-    if q == math.inf:
-        return float(vals.max())
-    return float(np.mean(vals**q) ** (1.0 / q))
+    return float(_row_lq_norms(np.asarray(values, dtype=np.complex128).reshape(1, -1), q)[0])
 
 
 def lp_coeff_norm(coefficients, p) -> float:
@@ -289,7 +286,7 @@ def _row_norms(block: np.ndarray) -> np.ndarray:
 
 
 def _row_lq_norms(values: np.ndarray, q) -> np.ndarray:
-    """``lq_norm`` of every row of a value block, bit-for-bit.
+    """The normalized-Haar L_q norm of every row of a value block.
 
     InvalidQ if some ``|f|^q`` takes a row's norm out of the float range.
     """
@@ -297,9 +294,10 @@ def _row_lq_norms(values: np.ndarray, q) -> np.ndarray:
     moduli = np.abs(values)
     if q == math.inf:
         return moduli.max(axis=1)
-    # the means along contiguous rows are lq_norm's; the root is a scalar
-    # power per row, as there, since an array power may round differently
-    norms = np.array([mean ** (1.0 / q) for mean in (moduli**q).mean(axis=1)])
+    # a scalar root per row, as the scan takes its true norms: an array power may round differently
+    with np.errstate(over="ignore"):
+        powered = moduli**q
+    norms = np.array([mean ** (1.0 / q) for mean in powered.mean(axis=1)])
     if not np.isfinite(norms).all():
         raise InvalidQ(
             f"q = {q} takes |f|^q out of the float range, so the L_q norms are not finite"

@@ -21,7 +21,9 @@ generalized Rademacher functions with base 2d+1 at y:
                         ( w^{k*y_i} gamma_i^k(x) + w^{-k*y_i} gamma_i^{-k}(x) ) ],
 
 where S''_i drops a power k as soon as gamma_i^{-k} equals gamma_i^j for
-some j < k.  Each factor is again real and nonnegative.
+some j < k.  Each factor is again real and nonnegative.  Both densities
+come from one product loop that adds w * gamma_i^k / (2d) per weighted
+power; rho weights gamma_i^k by its count in 1..d, and each inverse by 1.
 
 Both sets, and the flipped powers 2d+1-alpha of the weighted polynomial
 below, come from one closed-form rule: gamma^{-k} = gamma^j exactly when
@@ -71,7 +73,6 @@ from .groups import (
     Character,
     DensityMeasure,
     FourierTable,
-    char_mul,
     char_pow,
     fourier,
     convolve,
@@ -117,6 +118,27 @@ def require_nondegenerate(system: CharacterSystem, d: int):
     require_dissociated(system, 2 * d)
 
 
+def _riesz_product(system: CharacterSystem, d: int, check: bool, terms) -> DensityMeasure:
+    """prod_i [ 1 + sum_{(w, k) in terms(i, gamma_i)} w * gamma_i^k / (2d) ].
+
+    The one loop behind both densities: the pairs are added in the order
+    ``terms`` returns them.  With ``check`` the system is verified to be
+    d-dissociated first.
+    """
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    if check and len(system):
+        require_dissociated(system, d)
+    group = system.group
+    values = np.ones(group.size, dtype=np.complex128)
+    for i, gamma in enumerate(system.characters):
+        factor = np.ones(group.size, dtype=np.complex128)
+        for w, k in terms(i, gamma):
+            factor += w * char_pow(gamma, k).values / (2 * d)
+        values *= factor
+    return DensityMeasure(group, values)
+
+
 def riesz_density(system: CharacterSystem, d: int, check: bool = True) -> DensityMeasure:
     """The degree-d Riesz product density over the full finite system.
 
@@ -127,23 +149,12 @@ def riesz_density(system: CharacterSystem, d: int, check: bool = True) -> Densit
     so each distinct power is added once times its count in 1..d, and a d
     far past the orders costs no more than d = ord(gamma).
     """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if check and len(system):
-        require_dissociated(system, d)
-    group = system.group
-    values = np.ones(group.size, dtype=np.complex128)
-    for gamma in system.characters:
-        factor = np.ones(group.size, dtype=np.complex128)
-        for k in range(1, min(d, gamma.order) + 1):
-            count = (d - k) // gamma.order + 1
-            power = char_pow(gamma, k).values
-            # a count of one adds the power itself, so d <= ord sums gamma^1 .. gamma^d in order
-            factor += (power if count == 1 else count * power) / (2 * d)
-        for k in riesz_inverse_powers(gamma, d):
-            factor += char_pow(gamma, -k).values / (2 * d)
-        values *= factor
-    return DensityMeasure(group, values)
+
+    def terms(i: int, gamma: Character) -> list[tuple[int, int]]:
+        forward = [((d - k) // gamma.order + 1, k) for k in range(1, min(d, gamma.order) + 1)]
+        return forward + [(1, -k) for k in riesz_inverse_powers(gamma, d)]
+
+    return _riesz_product(system, d, check, terms)
 
 
 @dataclass(frozen=True)
@@ -196,79 +207,16 @@ def modulated_riesz_density(
     Every factor is real and nonnegative pointwise, so the total variation
     equals the mass; for systems with all orders > d both equal 1.
     """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
     _require_modulation_point(system, d, y)
-    if check and len(system):
-        require_dissociated(system, d)
-    group = system.group
-    values = np.ones(group.size, dtype=np.complex128)
-    for i, gamma in enumerate(system.characters):
-        factor = np.ones(group.size, dtype=np.complex128)
-        for k in riesz_modulated_powers(gamma, d):
-            factor += y.rademacher_value(i, k) * char_pow(gamma, k).values / (2 * d)
-            factor += y.rademacher_value(i, -k) * char_pow(gamma, -k).values / (2 * d)
-        values *= factor
-    return DensityMeasure(group, values)
 
+    def terms(i: int, gamma: Character) -> list[tuple[complex, int]]:
+        return [
+            (y.rademacher_value(i, sign * k), sign * k)
+            for k in riesz_modulated_powers(gamma, d)
+            for sign in (1, -1)
+        ]
 
-def product_character(
-    system: CharacterSystem, bases: tuple[int, ...], exponents: tuple[int, ...]
-) -> Character:
-    """gamma_{bases_1}^{e_1} * ... * gamma_{bases_s}^{e_s} as a dual element."""
-    chi = system.group.trivial_character
-    for b, e in zip(bases, exponents):
-        chi = char_mul(chi, char_pow(system.characters[b], e))
-    return chi
-
-
-def _validate_product_spec(system, d, bases, exponents):
-    if len(bases) != len(exponents):
-        raise ValueError("bases and exponents must have equal length")
-    if len(set(bases)) != len(bases):
-        raise ValueError("product bases must be distinct")
-    if any(not 0 <= b < len(system) for b in bases):
-        raise ValueError("product bases must reference system characters")
-    for e in exponents:
-        if e == 0 or not -d <= e <= d:
-            raise ValueError(f"exponent {e} outside the admissible range for d={d}")
-
-
-def expected_riesz_coefficient(
-    system: CharacterSystem,
-    d: int,
-    bases: tuple[int, ...] = (),
-    exponents: tuple[int, ...] = (),
-) -> complex:
-    """Closed-form Fourier coefficient of rho on an s-fold product: (2d)^{-s}.
-
-    Valid for nonzero exponents with |e_i| <= d in the nondegenerate
-    regime, which is checked; the empty product (the trivial character)
-    returns the mass 1.
-    """
-    _validate_product_spec(system, d, bases, exponents)
-    require_nondegenerate(system, d)
-    return complex((2 * d) ** (-len(bases)))
-
-
-def expected_modulated_coefficient(
-    system: CharacterSystem,
-    d: int,
-    bases: tuple[int, ...],
-    exponents: tuple[int, ...],
-    y: ModulationPoint,
-) -> complex:
-    """Closed-form Fourier coefficient of rho_y on an s-fold product.
-
-    In the nondegenerate regime, which is checked, the coefficient is the
-    monomial prod_i w^{e_i * y_{bases_i}} / (2d)^s with signed exponents e_i.
-    """
-    _validate_product_spec(system, d, bases, exponents)
-    require_nondegenerate(system, d)
-    weight = 1 + 0j
-    for b, e in zip(bases, exponents):
-        weight *= y.rademacher_value(b, e)
-    return weight / (2 * d) ** len(bases)
+    return _riesz_product(system, d, check, terms)
 
 
 def modulation_exponents(

@@ -138,6 +138,13 @@ def naive_convolve(f: DensityMeasure, h: DensityMeasure) -> DensityMeasure:
     return DensityMeasure(group, out / group.size)
 
 
+def oracle_product_index(system: CharacterSystem, exps) -> int:
+    """Flat dual index of prod_i gamma_i^{exps_i}: the exponent rows summed mod the orders."""
+    orders = system.group.orders
+    exponents = np.asarray(exps, dtype=np.int64) @ system.exponent_matrix % np.asarray(orders)
+    return int(np.ravel_multi_index(tuple(exponents), orders))
+
+
 def oracle_inverse_powers(gamma, d: int) -> set[int]:
     """S': powers k in 1..d whose gamma^{-k} matches no gamma^j, j = 1..d, by exponents."""
     forward = {char_pow(gamma, j).exponents for j in range(1, d + 1)}

@@ -1,5 +1,6 @@
 """Norms, ratios, gradients, and the two constant estimators."""
 
+import itertools
 import math
 
 import numpy as np
@@ -46,6 +47,14 @@ def test_lq_norm_invalid():
         for q in (0.5, math.nan, -math.inf):
             with pytest.raises(lc.InvalidQ):
                 lc.lq_norm(values, q)
+
+
+def test_lq_norm_past_the_float_range_raises():
+    # 4^1500 = 2^3000 overflows: the norm is not finite, as in the estimator
+    with pytest.raises(lc.InvalidQ):
+        lc.lq_norm(np.full(16, 4.0), 1500)
+    with pytest.raises(lc.InvalidQ):
+        lc.khinchin_ratio(_rademacher_sum(4), 1500)
 
 
 def test_lp_coeff_norm_examples():
@@ -263,6 +272,15 @@ def test_khinchin_estimate_at_large_q_reaches_the_closed_form():
         assert estimate.constant == pytest.approx(2 * 8 ** (-1 / 1000), abs=1e-12)
 
 
+def test_khinchin_estimate_pins_the_exact_rademacher_constant():
+    # sup of ||sum a_i r_i||_4 over unit vectors is (E X^4)^(1/4) at equal
+    # real weights, with E X^4 = 3 (sum a_i^2)^2 - 2 sum a_i^4 = 3 - 2/m
+    for m in (4, 6, 8, 10):
+        exact = (3 - 2 / m) ** 0.25
+        estimate = lc.estimate_khinchin_constant(lc.rademacher_system(m), 1, 4, trials=4, seed=0)
+        assert exact * (1 - 1e-7) <= estimate.constant <= exact * (1 + 1e-12), m
+
+
 # name -> system; each runs at d = 1 and 2, in both chaos kinds
 KHINCHIN_ORACLE_SYSTEMS = {
     "rademacher8": lambda: lc.rademacher_system(8),
@@ -311,6 +329,21 @@ def test_sidon_estimate_single_character():
     for d in (1, 2, 3):
         estimate = lc.estimate_sidon_constant(system, d, trials=2, seed=1)
         assert estimate.constant == pytest.approx(1.0)
+
+
+def test_sidon_estimate_reaches_the_exhaustive_phase_grid_optimum():
+    # at d = 1 the exponent is p = 1, so the ratio is m / ||Q||_inf; the
+    # first phase is fixed, as a common rotation leaves ||Q||_inf unchanged
+    system = lc.rademacher_system(4)
+    matrix = lc.values_matrix(system, chaos_indices(system, 1))
+    grid = np.exp(2j * np.pi * np.arange(16) / 16)
+    patterns = np.array([(1, *rest) for rest in itertools.product(grid, repeat=3)])
+    optimum = 4 / np.abs(patterns @ matrix.T).max(axis=1).min()
+    assert optimum == pytest.approx(1.5307337294603591, abs=1e-12)
+    estimate = lc.estimate_sidon_constant(system, 1, trials=8, seed=0)
+    assert estimate.constant == pytest.approx(optimum, abs=1e-12)
+    for seed in range(5):
+        assert lc.estimate_sidon_constant(system, 1, trials=4, seed=seed).constant <= math.pi / 2
 
 
 def test_sidon_estimate_deterministic():

@@ -13,6 +13,7 @@ from conftest import (
     oracle_inverse_powers,
     oracle_modulated_powers,
     oracle_modulation_exponents,
+    oracle_product_index,
     sample_dissociated_system,
     sample_nondegenerate_system,
 )
@@ -189,17 +190,22 @@ def test_riesz_density_mass_shows_order_at_most_d_degeneracy():
 
 
 def test_expected_riesz_coefficient_examples():
-    assert lc.expected_riesz_coefficient(_system([4], [[1]]), 1, (0,), (1,)) == 0.5
+    # in the nondegenerate regime rho-hat is (2d)^{-s} on every s-fold product
+    system4 = _system([4], [[1]])
+    lc.require_nondegenerate(system4, 1)
+    rho_hat = lc.fourier(lc.riesz_density(system4, 1)).coeffs
+    assert rho_hat[oracle_product_index(system4, (1,))] == pytest.approx(0.5)
     system99 = _system([9, 9], [[1, 0], [0, 1]])
-    assert lc.expected_riesz_coefficient(system99, 2, (0, 1), (1, 2)) == pytest.approx(
-        1 / 16
-    )
-    assert lc.expected_riesz_coefficient(system99, 2) == 1  # trivial character: mass
+    lc.require_nondegenerate(system99, 2)
+    rho_hat = lc.fourier(lc.riesz_density(system99, 2)).coeffs
+    assert rho_hat[oracle_product_index(system99, (1, 2))] == pytest.approx(1 / 16)
+    # the trivial character: the mass
+    assert rho_hat[oracle_product_index(system99, (0, 0))] == pytest.approx(1)
 
 
 def test_expected_riesz_coefficient_degenerate_order():
     with pytest.raises(lc.DegenerateOrder):
-        lc.expected_riesz_coefficient(_system([4], [[1]]), 2, (0,), (1,))
+        lc.require_nondegenerate(_system([4], [[1]]), 2)
 
 
 def test_expected_riesz_coefficient_requires_2d_dissociation():
@@ -210,7 +216,7 @@ def test_expected_riesz_coefficient_requires_2d_dissociation():
     measured = lc.fourier(rho).coeffs.reshape(system.group.orders)[chi1.exponents]
     assert measured == pytest.approx(0.75)  # not (2d)^-1 = 0.5
     with pytest.raises(lc.NotDissociated):
-        lc.expected_riesz_coefficient(system, 1, (0,), (1,))
+        lc.require_nondegenerate(system, 1)
 
 
 def test_riesz_fourier_law_full_spectrum():
@@ -223,10 +229,8 @@ def test_riesz_fourier_law_full_spectrum():
         expected = np.zeros(system.group.size, dtype=np.complex128)
         m = len(system)
         for exps in itertools.product(range(-d, d + 1), repeat=m):
-            bases = tuple(i for i, e in enumerate(exps) if e)
-            chi = lc.product_character(system, bases, tuple(e for e in exps if e))
-            idx = np.ravel_multi_index(chi.exponents, system.group.orders)
-            expected[idx] = (2 * d) ** (-len(bases))
+            s = sum(1 for e in exps if e)
+            expected[oracle_product_index(system, exps)] = (2 * d) ** (-s)
         assert np.abs(table.coeffs - expected).max() < 1e-9
 
 
@@ -262,7 +266,9 @@ def test_modulated_coefficient_single_order9():
     gamma2 = system.group.character([2])
     measured = lc.fourier(rho_y).coeffs.reshape(system.group.orders)[gamma2.exponents]
     assert measured == pytest.approx(OMEGA5**2 / 4)
-    expected = lc.expected_modulated_coefficient(system, d, (0,), (2,), y)
+    # the product of the weights over (2d)^s, in the nondegenerate regime
+    lc.require_nondegenerate(system, d)
+    expected = y.rademacher_value(0, 2) / (2 * d) ** 1
     assert measured == pytest.approx(expected)
 
 
@@ -396,11 +402,11 @@ def test_extraction_measure_d1_is_twice_rho():
 def test_extraction_measure_indicator_law_d2():
     system = _system([9, 9], [[1, 0], [0, 1]])
     nu2 = lc.extraction_measure(system, 2, 2)
-    table = lc.fourier(nu2).coeffs.reshape(system.group.orders)
-    g1g2 = lc.product_character(system, (0, 1), (1, 1))
-    g1 = lc.product_character(system, (0,), (1,))
-    assert table[g1g2.exponents] == pytest.approx(1.0)
-    assert table[g1.exponents] == pytest.approx(0.0, abs=1e-10)
+    table = lc.fourier(nu2).coeffs
+    g1g2 = oracle_product_index(system, (1, 1))
+    g1 = oracle_product_index(system, (1, 0))
+    assert table[g1g2] == pytest.approx(1.0)
+    assert table[g1] == pytest.approx(0.0, abs=1e-10)
     spec = lc.extraction_coefficients(2, 2)
     assert nu2.total_variation <= spec.variation_bound + 1e-8
 
@@ -412,7 +418,7 @@ def test_extraction_measure_full_indicator_law_random():
         system = sample_nondegenerate_system(rng, d, max_m=3, max_size=2500)
         for s in range(1, d + 1):
             nu = lc.extraction_measure(system, d, s, check=False)
-            table = lc.fourier(nu).coeffs.reshape(system.group.orders)
+            table = lc.fourier(nu).coeffs
             spec = lc.extraction_coefficients(d, s)
             assert nu.total_variation <= spec.variation_bound + 1e-8
             m = len(system)
@@ -420,12 +426,8 @@ def test_extraction_measure_full_indicator_law_random():
                 j = sum(1 for e in exps if e)
                 if not 1 <= j <= d:
                     continue  # the indicator law speaks about 1 <= j <= d only
-                bases = tuple(i for i, e in enumerate(exps) if e)
-                chi = lc.product_character(
-                    system, bases, tuple(e for e in exps if e)
-                )
                 want = 1.0 if j == s else 0.0
-                assert abs(table[chi.exponents] - want) < 1e-8
+                assert abs(table[oracle_product_index(system, exps)] - want) < 1e-8
 
 
 # -- the two convolution identities -----------------------------------------------------------------
