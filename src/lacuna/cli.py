@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -33,6 +34,7 @@ from .dissociation import (
     hadamard_trig_system,
     is_d_dissociated,
     rademacher_system,
+    require_dissociated,
     vc_system_from_digit_sets,
 )
 from .errors import ConfigInvalid, DegenerateOrder, LacunaError
@@ -140,13 +142,9 @@ _SHARED = {"d": (_int(1), ...), "seed": (_int(0), 0)}
 
 _COMMANDS = {
     "check-dissociated": {},
-    "riesz-report": {"check_dissociated": (_bool, True)},
+    "riesz-report": {},
     "nu-solve": {"s": (_int(1), None)},
-    "extract-verify": {
-        "trials": (_int(1), 3),
-        "y_samples": (_int(1), 10),
-        "expectation_mode": (_bool, False),
-    },
+    "extract-verify": {"trials": (_int(1), 3), "y_samples": (_int(1), 10)},
     "khinchin": {
         "trials": (_int(1), ...),
         "chaos": (_CHAOS, "polynomial"),
@@ -237,9 +235,7 @@ def _build_system(config: dict) -> CharacterSystem:
         kind = next((key for key in spec if key in _SYSTEMS), None)
         if kind is None:
             _require("exponents" in spec, f"'system' needs exponents or one of {list(_SYSTEMS)}")
-            # the orders may also sit beside the system, as in the wire format
-            orders = {"orders": config["orders"]} if "orders" in config else {}
-            explicit = _read({**orders, **spec}, _EXPLICIT, "'system'")
+            explicit = _read(spec, _EXPLICIT, "'system'")
         else:
             for key in spec:
                 _require(key == kind, f"unknown field {key!r} in 'system'")
@@ -285,7 +281,7 @@ def _stats_block(values: np.ndarray) -> dict:
     }
 
 
-def _cmd_check_dissociated(plan, config, out, svg):
+def _cmd_check_dissociation(plan, config, out, svg):
     system = plan["system"]
     report = is_d_dissociated(system, plan["d"])
     results = {"report": report.to_json_obj(), "system": system.to_json_obj()}
@@ -295,7 +291,8 @@ def _cmd_check_dissociated(plan, config, out, svg):
 
 def _cmd_riesz_report(plan, config, out, svg):
     system, d = plan["system"], plan["d"]
-    rho = riesz_density(system, d, check=plan["check_dissociated"])
+    require_dissociated(system, d)
+    rho = riesz_density(system, d)
     table = fourier(rho)
     ok = rho.is_probability()
     results = {
@@ -307,11 +304,11 @@ def _cmd_riesz_report(plan, config, out, svg):
     _write_json(out / "riesz_report.json", "riesz-report", config, results)
     density_rows = [[i, _fmt(v.real), _fmt(v.imag)] for i, v in enumerate(rho.values)]
     _write_csv(out / "riesz_density.csv", config, ["element", "re", "im"], density_rows)
-    # row i of the digit matrix holds the exponents of character i
-    exponents = system.group.digit_matrix.tolist()
+    # characters enumerate in lexicographic exponent order, as elements do
+    exponents = itertools.product(*map(range, system.group.orders))
     fourier_rows = [
-        [i, ":".join(map(str, exponents[i])), _fmt(c.real), _fmt(c.imag)]
-        for i, c in enumerate(table.coeffs)
+        [i, ":".join(map(str, a)), _fmt(c.real), _fmt(c.imag)]
+        for i, (a, c) in enumerate(zip(exponents, table.coeffs))
     ]
     _write_csv(
         out / "riesz_fourier.csv", config, ["character", "exponents", "re", "im"], fourier_rows
@@ -328,7 +325,7 @@ def _cmd_nu_solve(plan, config, out, svg):
     return 0
 
 
-def _extract_verify_once(system, d, rng, y_samples, expectation_mode):
+def _extract_verify_once(system, d, rng, y_samples, expectation):
     poly = random_chaos_polynomial(system, d, rng)
     parts = decompose(poly)
     extracted = extract_homogeneous(poly, check=False)
@@ -356,41 +353,36 @@ def _extract_verify_once(system, d, rng, y_samples, expectation_mode):
                 "error_of_mean_over_y": err_mean,
             }
         )
-        worst = max(worst, err_mean) if expectation_mode else max(worst, err_nu, err_mod)
+        worst = max(worst, err_mean) if expectation else max(worst, err_nu, err_mod)
     return per_s, worst
 
 
 def _cmd_extract_verify(plan, config, out, svg):
-    system, d, expectation_mode = plan["system"], plan["d"], plan["expectation_mode"]
+    system, d = plan["system"], plan["d"]
+    try:
+        require_nondegenerate(system, d)
+        expectation = False
+    except DegenerateOrder:
+        expectation = True
     runs = []
     worst = 0.0
-    try:
-        if not expectation_mode:
-            require_nondegenerate(system, d)
-        for t in range(plan["trials"]):
-            rng = trial_rng(plan["seed"], t)
-            per_s, w = _extract_verify_once(system, d, rng, plan["y_samples"], expectation_mode)
-            runs.append({"trial": t, "per_s": per_s})
-            worst = max(worst, w)
-    except DegenerateOrder as exc:
-        print(
-            f"error: {exc}\nhint: rerun with \"expectation_mode\": true to record "
-            "observed expectation-over-y residuals for degenerate systems",
-            file=sys.stderr,
-        )
-        return 1
+    for t in range(plan["trials"]):
+        rng = trial_rng(plan["seed"], t)
+        per_s, w = _extract_verify_once(system, d, rng, plan["y_samples"], expectation)
+        runs.append({"trial": t, "per_s": per_s})
+        worst = max(worst, w)
     passed = worst <= _EXTRACTION_TOL
     results = {
         "d": d,
-        "mode": "expectation" if expectation_mode else "pointwise",
+        "mode": "expectation" if expectation else "pointwise",
         "worst_error": worst,
         "tolerance": _EXTRACTION_TOL,
-        "passed": passed if not expectation_mode else None,
+        "passed": None if expectation else passed,
         "runs": runs,
         "system": system.to_json_obj(),
     }
     _write_json(out / "extract_verify.json", "extract-verify", config, results)
-    return 0 if expectation_mode or passed else 1
+    return 0 if expectation or passed else 1
 
 
 def _cmd_estimate(plan, config, out, svg):
@@ -457,7 +449,7 @@ def _cmd_discretize_scan(plan, config, out, svg):
 
 
 _DISPATCH = {
-    "check-dissociated": _cmd_check_dissociated,
+    "check-dissociated": _cmd_check_dissociation,
     "riesz-report": _cmd_riesz_report,
     "nu-solve": _cmd_nu_solve,
     "extract-verify": _cmd_extract_verify,
@@ -479,9 +471,11 @@ def run(config: dict, out_dir: str | Path = ".", svg: bool = False) -> int:
     _require(command in _COMMANDS, f"'command' must be one of {', '.join(_COMMANDS)}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # every command but nu-solve runs on a system: "system", or the wire format's two keys
+    # every command but nu-solve runs on a system, named once: by "system", or by the
+    # wire format's two keys; a key of the other spelling is refused as unknown
     builds = command != "nu-solve"
-    also = ("command", "system", "orders", "characters") if builds else ("command",)
+    spelling = ("system",) if "system" in config else ("orders", "characters")
+    also = ("command", *spelling) if builds else ("command",)
     plan = _read(config, {**_SHARED, **_COMMANDS[command]}, "config", also)
     if builds:
         plan["system"] = _build_system(config)

@@ -239,14 +239,13 @@ def _first_violation(
     return None
 
 
-def is_d_dissociated(
-    system: CharacterSystem, d: int, budget: int = DEFAULT_ENUM_BUDGET
-) -> DissociationReport:
+def is_d_dissociated(system: CharacterSystem, d: int) -> DissociationReport:
     """Check d-dissociation by a meet-in-the-middle join over one exponent per residue class.
 
     Coordinate j walks -d .. -d + r_j - 1 with r_j = min(2d+1, ord(gamma_j)).
     The join splits at a left half of ceil(m/2) coordinates and walks each
-    half once; the larger half's tuple count is compared against ``budget``.
+    half once; the larger half's tuple count must not pass
+    ``DEFAULT_ENUM_BUDGET``, or BudgetExceeded is raised.
     Returns the lexicographically first witness of the full (2d+1)^m scan
     (coordinates ordered -d < ... < d) when the system is not d-dissociated.
     """
@@ -259,10 +258,10 @@ def is_d_dissociated(
     radices = _radices(system, d)
     left_len = (m + 1) // 2
     per_side = max(math.prod(radices[:left_len]), math.prod(radices[left_len:]))
-    if per_side > budget:
+    if per_side > DEFAULT_ENUM_BUDGET:
         raise BudgetExceeded(
             f"the meet-in-the-middle (mitm) join walks {per_side} tuples per side "
-            f"(> budget {budget}); pass a larger budget to check this system"
+            f"(> budget {DEFAULT_ENUM_BUDGET})"
         )
     witness = _first_violation(system, d, left_len)
     return DissociationReport(d=d, dissociated=witness is None, witness=witness)

@@ -76,15 +76,6 @@ class FiniteAbelianGroup:
         return len(self.orders)
 
     @cached_property
-    def digit_matrix(self) -> np.ndarray:
-        """Array of shape (size, rank): row i holds the digits of element i."""
-        digits = np.stack(
-            np.unravel_index(np.arange(self.size), self.orders), axis=1
-        ).astype(np.int64)
-        digits.flags.writeable = False
-        return digits
-
-    @cached_property
     def roots(self) -> tuple[np.ndarray, ...]:
         """Per-factor tables of the m_i-th roots of unity.
 
@@ -156,12 +147,18 @@ class Character:
 
     @cached_property
     def values(self) -> np.ndarray:
-        """Value table over the whole group, in element enumeration order."""
-        digits = self.group.digit_matrix
-        out = np.ones(self.group.size, dtype=np.complex128)
-        for i, (a, m) in enumerate(zip(self.exponents, self.group.orders)):
+        """Value table over the whole group, in element enumeration order.
+
+        It is built on the factor grid, with coordinate i's roots broadcast
+        along axis i.
+        """
+        orders = self.group.orders
+        out = np.ones(orders, dtype=np.complex128)
+        for i, (a, m) in enumerate(zip(self.exponents, orders)):
             if a:
-                out *= self.group.roots[i][(a * digits[:, i]) % m]
+                shape = (1,) * i + (m,) + (1,) * (len(orders) - i - 1)
+                out *= self.group.roots[i][(a * np.arange(m)) % m].reshape(shape)
+        out = out.ravel()
         out.flags.writeable = False
         return out
 
@@ -231,8 +228,9 @@ class DensityMeasure:
     def total_variation(self) -> float:
         return float(np.abs(self.values).mean())
 
-    def is_probability(self, tol: float = 1e-10) -> bool:
-        """Real within tol, bounded below by -tol, and mass within tol of 1."""
+    def is_probability(self) -> bool:
+        """Real within 1e-10, bounded below by -1e-10, and mass within 1e-10 of 1."""
+        tol = 1e-10
         return (
             float(np.abs(self.values.imag).max()) <= tol
             and float(self.values.real.min()) >= -tol

@@ -1,6 +1,6 @@
 """Riesz-product densities, modulated variants, and extraction measures.
 
-For a d-dissociated system {gamma_1 .. gamma_m} the degree-d Riesz product
+For a character system {gamma_1 .. gamma_m} the degree-d Riesz product
 is the pointwise product of one factor per character,
 
     rho(x) = prod_i [ 1 + (1/2d) * ( sum_{k=1..d} gamma_i^k(x)
@@ -8,9 +8,12 @@ is the pointwise product of one factor per character,
 
 where S'_i keeps exactly the inverse powers gamma_i^{-k} that do not
 coincide with any forward power gamma_i^j, j = 1..d.  Every factor is a
-real trigonometric expression bounded below by 0, so rho is a probability
-density whenever no character power gamma_i^k, k <= d, degenerates to the
-trivial character (i.e. whenever all orders exceed d).
+real trigonometric expression bounded below by 0.  When the system is
+d-dissociated and every order exceeds d, only the all-zero exponent tuple
+of the expanded product gives the trivial character, so the mass is 1 and
+rho is a probability density.  Both densities are built for any system,
+but without dissociation the mass may leave 1: on Z_5 with the characters
+1 and 2 at d = 2 it is 1.25.
 
 The modulated variant attaches a unimodular weight to every power.  With
 w = exp(2*pi*i/(2d+1)) and a digit vector y (one digit per character), the
@@ -118,17 +121,14 @@ def require_nondegenerate(system: CharacterSystem, d: int):
     require_dissociated(system, 2 * d)
 
 
-def _riesz_product(system: CharacterSystem, d: int, check: bool, terms) -> DensityMeasure:
+def _riesz_product(system: CharacterSystem, d: int, terms) -> DensityMeasure:
     """prod_i [ 1 + sum_{(w, k) in terms(i, gamma_i)} w * gamma_i^k / (2d) ].
 
     The one loop behind both densities: the pairs are added in the order
-    ``terms`` returns them.  With ``check`` the system is verified to be
-    d-dissociated first.
+    ``terms`` returns them.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    if check and len(system):
-        require_dissociated(system, d)
     group = system.group
     values = np.ones(group.size, dtype=np.complex128)
     for i, gamma in enumerate(system.characters):
@@ -139,12 +139,12 @@ def _riesz_product(system: CharacterSystem, d: int, check: bool, terms) -> Densi
     return DensityMeasure(group, values)
 
 
-def riesz_density(system: CharacterSystem, d: int, check: bool = True) -> DensityMeasure:
+def riesz_density(system: CharacterSystem, d: int) -> DensityMeasure:
     """The degree-d Riesz product density over the full finite system.
 
-    With ``check`` the system is verified to be d-dissociated first.  For
-    dissociated systems whose character orders all exceed d the result is a
-    probability density: real, nonnegative, mass one.  The powers of gamma
+    It is built for any system.  For d-dissociated systems whose character
+    orders all exceed d the result is a probability density: real,
+    nonnegative, mass one.  The powers of gamma
     are summed by residue class: gamma^k depends only on k mod ord(gamma),
     so each distinct power is added once times its count in 1..d, and a d
     far past the orders costs no more than d = ord(gamma).
@@ -154,7 +154,7 @@ def riesz_density(system: CharacterSystem, d: int, check: bool = True) -> Densit
         forward = [((d - k) // gamma.order + 1, k) for k in range(1, min(d, gamma.order) + 1)]
         return forward + [(1, -k) for k in riesz_inverse_powers(gamma, d)]
 
-    return _riesz_product(system, d, check, terms)
+    return _riesz_product(system, d, terms)
 
 
 @dataclass(frozen=True)
@@ -197,15 +197,13 @@ def _require_modulation_point(system: CharacterSystem, d: int, y: ModulationPoin
 
 
 def modulated_riesz_density(
-    system: CharacterSystem,
-    d: int,
-    y: ModulationPoint,
-    check: bool = True,
+    system: CharacterSystem, d: int, y: ModulationPoint
 ) -> DensityMeasure:
     """Riesz product with unimodular weights w^{+-k*y_i} on the powers.
 
     Every factor is real and nonnegative pointwise, so the total variation
-    equals the mass; for systems with all orders > d both equal 1.
+    equals the mass; for d-dissociated systems with all orders > d both
+    equal 1.
     """
     _require_modulation_point(system, d, y)
 
@@ -216,7 +214,7 @@ def modulated_riesz_density(
             for sign in (1, -1)
         ]
 
-    return _riesz_product(system, d, check, terms)
+    return _riesz_product(system, d, terms)
 
 
 def modulation_exponents(
@@ -322,7 +320,7 @@ def _riesz_hat(system: CharacterSystem, d: int, check: bool) -> np.ndarray:
     """Fourier table of rho, after the nondegenerate regime is checked if asked."""
     if check:
         require_nondegenerate(system, d)
-    return fourier(riesz_density(system, d, check=False)).coeffs
+    return fourier(riesz_density(system, d)).coeffs
 
 
 def extraction_measure(
@@ -389,5 +387,5 @@ def extract_homogeneous_modulated(
         d,
         {index: c * weight(index) for index, c in zip(part.indices, part.coefficients.tolist())},
     )
-    rho_y = modulated_riesz_density(system, d, y, check=False)
+    rho_y = modulated_riesz_density(system, d, y)
     return convolve(weighted.as_density(), rho_y).values

@@ -43,7 +43,7 @@ def test_criterion_01_riesz_product_validity():
     for trial in range(200):
         d = trial % 3 + 1
         system = sample_dissociated_system(rng, d, max_m=5, max_size=4096)
-        rho = lc.riesz_density(system, d, check=False)  # sampler already verified
+        rho = lc.riesz_density(system, d)
         worst_imag = max(worst_imag, float(np.abs(rho.values.imag).max()))
         worst_min = min(worst_min, float(rho.values.real.min()))
         worst_mass = max(worst_mass, abs(rho.mass - 1))
@@ -95,13 +95,13 @@ def test_criterion_02_coefficient_law():
     for d in (1, 2, 3):
         for _ in range(4):
             system = sample_nondegenerate_system(rng, d, max_m=3, max_size=4096)
-            rho = lc.riesz_density(system, d, check=False)
+            rho = lc.riesz_density(system, d)
             table = lc.fourier(rho)
             expected = _expected_riesz_table(system, d)
             worst_plain = max(worst_plain, float(np.abs(table.coeffs - expected).max()))
             for _ in range(20):
                 y = lc.ModulationPoint.random(rng, 2 * d + 1, len(system))
-                rho_y = lc.modulated_riesz_density(system, d, y, check=False)
+                rho_y = lc.modulated_riesz_density(system, d, y)
                 table_y = lc.fourier(rho_y)
                 expected_y = _expected_modulated_table(system, d, y)
                 worst_mod = max(

@@ -61,6 +61,7 @@ def test_lp_coeff_norm_examples():
     assert lc.lp_coeff_norm([1, 0, 0], 1) == pytest.approx(1.0)
     assert lc.lp_coeff_norm([1, 0, 0], 3.7) == pytest.approx(1.0)
     assert lc.lp_coeff_norm([1, 1, 1], 4 / 3) == pytest.approx(3 ** (3 / 4))
+    assert lc.lp_coeff_norm([3, -4j, 1], math.inf) == 4.0
     for p in (0.9, math.nan, -math.inf):
         with pytest.raises(lc.InvalidP):
             lc.lp_coeff_norm([1], p)

@@ -130,6 +130,19 @@ def test_riesz_report_flags_non_probability_density(tmp_path):
     assert payload["results"]["density_stats"]["mass_re"] == pytest.approx(1.25)
 
 
+def test_riesz_report_checks_dissociation_first(tmp_path, capsys):
+    config = {
+        "command": "riesz-report",
+        "system": {"exponents": [[1], [2]], "orders": [5]},
+        "d": 2,
+    }
+    code, out = _run(tmp_path, config)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error (NotDissociated): system is not 2-dissociated; witness (-2, 1)\n"
+    assert not any(out.iterdir())
+
+
 def test_nu_solve_artifact(tmp_path):
     config = {"command": "nu-solve", "d": 2}
     code, out = _run(tmp_path, config)
@@ -158,18 +171,19 @@ def test_extract_verify_nondegenerate(tmp_path):
     assert payload["results"]["worst_error"] <= 1e-8
 
 
-def test_extract_verify_degenerate_points_to_expectation_mode(tmp_path, capsys):
+def test_extract_verify_not_2d_dissociated_still_exits_one(tmp_path, capsys):
+    # every order exceeds 2d, so the run is pointwise, and its regime check fails
     config = {
         "command": "extract-verify",
-        "system": {"exponents": [[1]], "orders": [4]},
-        "d": 2,
+        "system": {"exponents": [[1], [2]], "orders": [9]},
+        "d": 1,
         "trials": 1,
-        "seed": 1,
     }
-    code, _ = _run(tmp_path, config)
-    captured = capsys.readouterr()
+    code, out = _run(tmp_path, config)
     assert code == 1
-    assert "expectation_mode" in captured.err
+    err = capsys.readouterr().err
+    assert err == "error (NotDissociated): system is not 2-dissociated; witness (-2, 1)\n"
+    assert not any(out.iterdir())
 
 
 def test_extract_verify_checks_dissociation_once_per_run(tmp_path, monkeypatch):
@@ -229,7 +243,8 @@ def test_extract_verify_decomposes_and_builds_rho_once_per_trial(tmp_path, monke
     assert counts == {"decompose": 3, "riesz_density": 3}
 
 
-def test_extract_verify_expectation_mode_runs_degenerate(tmp_path):
+def test_extract_verify_expectation_mode_runs_degenerate(tmp_path, capsys):
+    # an order <= 2d selects the mode: no field asks for it
     config = {
         "command": "extract-verify",
         "system": {"exponents": [[1]], "orders": [4]},
@@ -237,10 +252,10 @@ def test_extract_verify_expectation_mode_runs_degenerate(tmp_path):
         "trials": 1,
         "y_samples": 20,
         "seed": 1,
-        "expectation_mode": True,
     }
     code, out = _run(tmp_path, config)
     assert code == 0
+    assert capsys.readouterr().err == ""
     payload = json.loads((out / "extract_verify.json").read_text())
     assert payload["results"]["mode"] == "expectation"
     assert payload["results"]["passed"] is None
@@ -312,6 +327,28 @@ def test_sidon_run(tmp_path):
     assert estimate["kind"] == "sidon"
     assert estimate["exponent"] == pytest.approx(4 / 3)
     assert (out / "sidon.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command,model",
+    [("khinchin", {"kappa_model": 1e-300}), ("sidon", {"c_model": 1e300})],
+    ids=["khinchin", "sidon"],
+)
+def test_estimate_past_its_ceiling_exits_one_with_its_artifacts(tmp_path, capsys, command, model):
+    config = {
+        "command": command,
+        "system": {"rademacher": {"count": 4}},
+        "d": 1,
+        "trials": 2,
+        **model,
+    }
+    code, out = _run(tmp_path, config)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("violation: estimate ") and " exceeds ceiling " in err
+    estimate = json.loads((out / f"{command}.json").read_text())["results"]["estimate"]
+    assert estimate["constant"] > estimate["ceiling"]
+    assert len((out / f"{command}.csv").read_text().splitlines()) == 2
 
 
 def test_discretize_scan_with_svg(tmp_path):
@@ -531,19 +568,6 @@ def test_model_constants_must_be_positive_numbers(tmp_path, capsys, command, key
     "config",
     [
         {
-            "command": "extract-verify",
-            "system": {"exponents": [[1]], "orders": [9]},
-            "d": 1,
-            "trials": 1,
-            "expectation_mode": "no",
-        },
-        {
-            "command": "riesz-report",
-            "system": {"exponents": [[1]], "orders": [4]},
-            "d": 1,
-            "check_dissociated": 0,
-        },
-        {
             "command": "check-dissociated",
             "system": {
                 "hadamard": {"ratio": 3, "count": 3, "modulus": 1000, "include_negatives": "false"}
@@ -551,7 +575,7 @@ def test_model_constants_must_be_positive_numbers(tmp_path, capsys, command, key
             "d": 1,
         },
     ],
-    ids=["expectation_mode", "check_dissociated", "include_negatives"],
+    ids=["include_negatives"],
 )
 def test_boolean_fields_must_be_json_booleans(tmp_path, capsys, config):
     code, out = _run(tmp_path, config)
@@ -720,8 +744,61 @@ _KHINCHIN_3 = {"command": "khinchin", "system": {"rademacher": {"count": 3}}, "d
             },
             "'value' in 'vc_staircase'",
         ),
+        # the mode and the check are no longer settings
+        (
+            {
+                "command": "extract-verify",
+                "system": {"exponents": [[1]], "orders": [4]},
+                "d": 2,
+                "expectation_mode": True,
+            },
+            "'expectation_mode' in config",
+        ),
+        (
+            {
+                "command": "riesz-report",
+                "system": {"exponents": [[1], [2]], "orders": [5]},
+                "d": 2,
+                "check_dissociated": False,
+            },
+            "'check_dissociated' in config",
+        ),
+        # a system is named once: by "system", or by "orders" and "characters"
+        (
+            {
+                "command": "check-dissociated",
+                "orders": [5],
+                "characters": [[1], [2]],
+                "system": {"rademacher": {"count": 3}},
+                "d": 1,
+            },
+            "'orders' in config",
+        ),
+        ({**_KHINCHIN_3, "orders": [5]}, "'orders' in config"),
+        (
+            {**_KHINCHIN_3, "system": {"exponents": [[1]], "orders": [7]}, "orders": [5]},
+            "'orders' in config",
+        ),
+        (
+            {**_KHINCHIN_3, "system": {"exponents": [[1], [2]]}, "orders": [5]},
+            "'orders' in config",
+        ),
     ],
-    ids=["top-level", "other-command", "nu-solve-system", "two-kinds", "exponents", "spec", "vc"],
+    ids=[
+        "top-level",
+        "other-command",
+        "nu-solve-system",
+        "two-kinds",
+        "exponents",
+        "spec",
+        "vc",
+        "expectation_mode",
+        "check_dissociated",
+        "wire-and-system",
+        "orders-beside-system",
+        "orders-twice",
+        "orders-beside-exponents",
+    ],
 )
 def test_unknown_fields_are_config_errors(tmp_path, capsys, config, field):
     code, out = _run(tmp_path, config)

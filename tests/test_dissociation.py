@@ -60,6 +60,9 @@ def test_z5_exponents_12_fails_at_d2_with_lex_first_witness():
     # in the documented scan order -d < ... < d
     assert report.witness == (-2, 1)
     assert lc.verify_witness(system, report.witness)
+    # a witness needs one exponent per character
+    assert not lc.verify_witness(system, (-2,))
+    assert not lc.verify_witness(system, (-2, 1, 0))
 
 
 def test_order_two_character_is_dissociated():
@@ -79,18 +82,28 @@ def test_empty_system_is_dissociated():
     assert report.dissociated
 
 
-def test_budget_exceeded_suggests_mitm():
+def _budget(monkeypatch, tuples: int):
+    """Lower the join's fixed tuple budget for one test."""
+    monkeypatch.setattr(lc.dissociation, "DEFAULT_ENUM_BUDGET", tuples)
+
+
+def test_budget_exceeded_suggests_mitm(monkeypatch):
     system = _system([7], [[1], [2], [3]])
-    with pytest.raises(lc.BudgetExceeded, match="mitm"):
-        lc.is_d_dissociated(system, 2, budget=10)
+    _budget(monkeypatch, 10)
+    with pytest.raises(lc.BudgetExceeded, match="mitm") as err:
+        lc.is_d_dissociated(system, 2)
+    assert "budget 10)" in str(err.value) and "pass" not in str(err.value)
 
 
-def test_budget_counts_the_larger_side():
+def test_budget_counts_the_larger_side(monkeypatch):
     # radix 5 on each of three coordinates: 5^2 tuples on the left, 5 on the right
     system = _system([7], [[1], [2], [3]])
-    assert lc.is_d_dissociated(system, 2, budget=25) == lc.is_d_dissociated(system, 2)
+    expected = lc.is_d_dissociated(system, 2)
+    _budget(monkeypatch, 25)
+    assert lc.is_d_dissociated(system, 2) == expected
+    _budget(monkeypatch, 24)
     with pytest.raises(lc.BudgetExceeded, match="25 tuples per side"):
-        lc.is_d_dissociated(system, 2, budget=24)
+        lc.is_d_dissociated(system, 2)
 
 
 def test_witness_soundness_on_random_failures():
@@ -153,11 +166,12 @@ def test_mitm_single_character():
     assert report.dissociated
 
 
-def test_mitm_budget():
+def test_mitm_budget(monkeypatch):
     # 7^2 tuples on each side
     system = _system([7], [[1], [2], [3], [4]])
+    _budget(monkeypatch, 6)
     with pytest.raises(lc.BudgetExceeded):
-        lc.is_d_dissociated(system, 3, budget=6)
+        lc.is_d_dissociated(system, 3)
 
 
 def test_large_system_exercises_chunked_enumeration():
@@ -225,12 +239,14 @@ def test_reduced_walk_matches_full_scan_oracle(case):
         assert lc.is_d_dissociated(system, d) == expected
 
 
-def test_reduced_walk_on_order_three_rademacher_system():
+def test_reduced_walk_on_order_three_rademacher_system(monkeypatch):
     # order-3 characters at d=2: 3^6 tuples per side instead of 5^6
     system = lc.rademacher_system(12, base=3)
-    assert lc.is_d_dissociated(system, 2, budget=3**6).dissociated
+    _budget(monkeypatch, 3**6)
+    assert lc.is_d_dissociated(system, 2).dissociated
+    _budget(monkeypatch, 3**6 - 1)
     with pytest.raises(lc.BudgetExceeded, match=str(3**6)):
-        lc.is_d_dissociated(system, 2, budget=3**6 - 1)
+        lc.is_d_dissociated(system, 2)
 
 
 def _order_two_three_system(threes: int) -> lc.CharacterSystem:
@@ -277,15 +293,16 @@ def test_huge_d_walks_residues_and_reports_true_exponents():
     assert lc.is_d_dissociated(lc.rademacher_system(3), 10**17).dissociated
 
 
-def test_sixteen_random_characters_on_a_large_cyclic_group():
+def test_sixteen_random_characters_on_a_large_cyclic_group(monkeypatch):
     # 5^8 tuples per side, where a single pass would walk 5^16
     group = lc.make_group([1000003])
     exponents = np.random.default_rng(16).choice(np.arange(1, 1000003), 16, replace=False)
     system = lc.CharacterSystem.from_exponents(group, [[int(e)] for e in exponents])
     report = lc.is_d_dissociated(system, 2)
     assert not report.dissociated and lc.verify_witness(system, report.witness)
+    _budget(monkeypatch, 5**8 - 1)
     with pytest.raises(lc.BudgetExceeded, match=str(5**8)):
-        lc.is_d_dissociated(system, 2, budget=5**8 - 1)
+        lc.is_d_dissociated(system, 2)
 
 
 def test_lacunary_system_of_eleven_is_walked_in_full():
@@ -294,12 +311,13 @@ def test_lacunary_system_of_eleven_is_walked_in_full():
     assert lc.is_d_dissociated(system, 2).dissociated
 
 
-def test_order_two_system_of_twenty_fits_the_default_budget():
+def test_order_two_system_of_twenty_fits_the_default_budget(monkeypatch):
     # 2^10 tuples per side; the full scan would need 5^20 and raise
     system = lc.rademacher_system(20)
     assert lc.is_d_dissociated(system, 2).dissociated
+    _budget(monkeypatch, 2**10 - 1)
     with pytest.raises(lc.BudgetExceeded, match=str(2**10)):
-        lc.is_d_dissociated(system, 2, budget=2**10 - 1)
+        lc.is_d_dissociated(system, 2)
 
 
 def test_lacunary_system_of_eighteen_characters_fits_the_default_budget():

@@ -40,7 +40,7 @@ def test_make_group_size_limit():
 
 def test_element_enumeration_is_lexicographic():
     group = lc.make_group([2, 3])
-    digits = [tuple(int(x) for x in row) for row in group.digit_matrix]
+    digits = [tuple(int(x) for x in row) for row in _oracle_digits(group)]
     assert digits == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
     for i, d in enumerate(digits):
         assert np.ravel_multi_index(d, group.orders) == i

@@ -15,6 +15,7 @@ def test_readme_library_example_runs():
 
 
 def test_readme_field_table_lists_every_command_field():
+    """Each row lists exactly the fields its command reads: none missing, none extra."""
     from lacuna.cli import _COMMANDS, _SHARED
 
     section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
@@ -26,3 +27,5 @@ def test_readme_field_table_lists_every_command_field():
     for command, fields in [("every command", _SHARED), *_COMMANDS.items()]:
         for field in fields:
             assert f"`{field}` (" in rows[command], f"{command}: {field} missing from the table"
+        for name in re.findall(r"`([^`]+)` \(", rows[command]):
+            assert name in fields, f"{command}: {name} is in the table but not read"

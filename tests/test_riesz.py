@@ -101,13 +101,16 @@ def test_riesz_density_two_rademachers():
 
 
 def test_riesz_density_requires_dissociation():
+    # for unit mass, not to be built: on this system, which is not
+    # 2-dissociated, the four power pairs gamma_1^a gamma_2^b with a + 2b = 0
+    # mod 5 each add 1/16 to the constant term
     system = _system([5], [[1], [2]])
     with pytest.raises(lc.NotDissociated) as err:
-        lc.riesz_density(system, 2)
+        lc.dissociation.require_dissociated(system, 2)
     assert err.value.report.witness == (-2, 1)
-    # the caller may override the check and still get the raw product
-    rho = lc.riesz_density(system, 2, check=False)
+    rho = lc.riesz_density(system, 2)
     assert rho.values.shape == (5,)
+    assert rho.mass == pytest.approx(1.25)
 
 
 def test_riesz_density_counts_repeated_powers():
@@ -121,7 +124,7 @@ def test_riesz_density_counts_repeated_powers():
             powers = [table**k for k in range(1, d + 1)]
             powers += [table ** (-k) for k in oracle_inverse_powers(gamma, d)]
             expected *= 1 + sum(powers) / (2 * d)
-        rho = lc.riesz_density(system, d, check=False)
+        rho = lc.riesz_density(system, d)
         assert np.abs(rho.values - expected).max() < 1e-12
 
 
@@ -149,7 +152,7 @@ def test_riesz_density_floats_past_the_orders_are_the_term_by_term_sum():
     system = _system([2, 3, 5], [[1, 0, 0], [0, 1, 0], [0, 0, 2], [1, 1, 1]])
     for d in range(1, 13):
         expected = _term_by_term_density(system, d)
-        by_class = lc.riesz_density(system, d, check=False).values
+        by_class = lc.riesz_density(system, d).values
         # summing by residue class keeps every d <= ord(gamma) factor and
         # moves the others in last bits
         assert np.abs(by_class - expected).max() <= 1e-14 * np.abs(expected).max()
@@ -172,8 +175,8 @@ def test_riesz_density_probability_on_random_systems():
     for _ in range(30):
         d = int(rng.integers(1, 4))
         system = sample_dissociated_system(rng, d)
-        rho = lc.riesz_density(system, d, check=False)
-        assert rho.is_probability(tol=1e-10)
+        rho = lc.riesz_density(system, d)
+        assert rho.is_probability()
 
 
 def test_riesz_density_mass_shows_order_at_most_d_degeneracy():
@@ -224,7 +227,7 @@ def test_riesz_fourier_law_full_spectrum():
     for _ in range(6):
         d = int(rng.integers(1, 4))
         system = sample_nondegenerate_system(rng, d, max_m=3, max_size=2500)
-        rho = lc.riesz_density(system, d, check=False)
+        rho = lc.riesz_density(system, d)
         table = lc.fourier(rho)
         expected = np.zeros(system.group.size, dtype=np.complex128)
         m = len(system)
@@ -251,9 +254,9 @@ def test_modulated_zero_point_matches_plain_product_nondegenerate():
     for _ in range(5):
         d = int(rng.integers(1, 4))
         system = sample_nondegenerate_system(rng, d, max_m=3)
-        rho = lc.riesz_density(system, d, check=False)
+        rho = lc.riesz_density(system, d)
         rho0 = lc.modulated_riesz_density(
-            system, d, lc.ModulationPoint(2 * d + 1, (0,) * len(system)), check=False
+            system, d, lc.ModulationPoint(2 * d + 1, (0,) * len(system))
         )
         assert np.abs(rho.values - rho0.values).max() < 1e-12
 
@@ -278,7 +281,7 @@ def test_modulated_variation_is_one():
         d = int(rng.integers(1, 4))
         system = sample_dissociated_system(rng, d)
         y = lc.ModulationPoint.random(rng, 2 * d + 1, len(system))
-        rho_y = lc.modulated_riesz_density(system, d, y, check=False)
+        rho_y = lc.modulated_riesz_density(system, d, y)
         assert abs(rho_y.total_variation - 1) < 1e-9
         assert abs(rho_y.mass - 1) < 1e-9
         # each factor is a real nonnegative function
