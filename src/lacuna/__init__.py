@@ -7,7 +7,7 @@ homogeneous chaos parts, and estimates Khinchin and Sidon constants
 empirically.  See the README for the CLI and the acceptance suite.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .errors import (
     BudgetExceeded,
@@ -55,6 +55,7 @@ from .chaos import (
     enumerate_polynomial,
     enumerate_tetrahedral,
     random_chaos_polynomial,
+    term_positions,
     term_values,
 )
 from .riesz import (

@@ -14,18 +14,27 @@ increasing tuples.
 
 A polynomial stores its terms sparsely: the sorted index tuples in
 increasing order, and one coefficient vector aligned with them.
+
+Every term is one character, the product of its bases' powers, so it has
+a position in the dual group: its summed exponent row, reduced modulo the
+orders, read as a mixed-radix code in the dual-group enumeration.  Two
+terms are the same character exactly when their positions are equal (on
+base-2 Rademacher systems every r_i^2 is the trivial character), and the
+Fourier table of a polynomial is its coefficients added up at the
+positions of their terms.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .dissociation import CharacterSystem
 from .errors import DegreeExceedsSystem
-from .groups import DensityMeasure, char_pow
+from .groups import char_pow
 
 FullIndex = tuple[int, ...]
 
@@ -56,6 +65,21 @@ def term_values(system: CharacterSystem, index: Sequence[int]) -> np.ndarray:
     for b, run in itertools.groupby(sorted(index)):
         out = out * char_pow(system.characters[b], len(list(run))).values
     return out
+
+
+def term_positions(system: CharacterSystem, indices: Sequence[Sequence[int]]) -> np.ndarray:
+    """Dual-group position of every term, as one int64 mixed-radix code per index.
+
+    The code is that of the summed exponent row of the index's bases, taken
+    modulo the orders, in the dual-group enumeration, so it indexes a
+    Fourier table directly.  Only exponent arithmetic is done, no |G| work;
+    an empty index list gives an empty array.
+    """
+    if not len(indices):
+        return np.zeros(0, dtype=np.int64)
+    rows = system.exponent_matrix[np.asarray(indices, dtype=np.int64)].sum(axis=1)
+    orders = system.group.orders
+    return np.ravel_multi_index(tuple((rows % orders).T), orders).astype(np.int64, copy=False)
 
 
 class ChaosPolynomial:
@@ -95,8 +119,27 @@ class ChaosPolynomial:
                 out += coeff * term_values(self.system, index)
         return out
 
-    def as_density(self) -> DensityMeasure:
-        return DensityMeasure(self.system.group, self.values())
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """``term_positions`` of the indices, read-only and aligned with ``coefficients``."""
+        positions = term_positions(self.system, self.indices)
+        positions.flags.writeable = False
+        return positions
+
+    def spectrum(self, weights: Sequence[complex] | None = None) -> np.ndarray:
+        """The exact Fourier table: every coefficient added at its term's position.
+
+        Terms that are the same character add up.  It is the Fourier table
+        of ``values()``, made with no transform and no value table.
+        ``weights``, one per term, scale the coefficients first: the table
+        is then that of the weighted polynomial.
+        """
+        coefficients = self.coefficients
+        if weights is not None:
+            coefficients = coefficients * np.asarray(weights, dtype=np.complex128)
+        table = np.zeros(self.system.group.size, dtype=np.complex128)
+        np.add.at(table, self.positions, coefficients)
+        return table
 
 
 def decompose(polynomial: ChaosPolynomial) -> list[ChaosPolynomial]:

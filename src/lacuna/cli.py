@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import chaos_indices, estimate_khinchin_constant, estimate_sidon_constant
-from .chaos import decompose, random_chaos_polynomial
+from .chaos import decompose, random_chaos_polynomial, term_positions
 from .discretize import render_scan_svg, scan_point_counts, summarize_scan
 from .dissociation import (
     CharacterSystem,
@@ -281,6 +281,12 @@ def _stats_block(values: np.ndarray) -> dict:
     }
 
 
+def _position_counts(system, indices) -> tuple[int, int]:
+    """(distinct term positions, largest multiplicity of one position) over the chaos terms."""
+    _, counts = np.unique(term_positions(system, indices), return_counts=True)
+    return len(counts), int(counts.max())
+
+
 def _cmd_check_dissociation(plan, config, out, svg):
     system = plan["system"]
     report = is_d_dissociated(system, plan["d"])
@@ -395,7 +401,13 @@ def _cmd_estimate(plan, config, out, svg):
     options = {key: plan[key] for key in names if key in plan}
     indices = chaos_indices(system, d, tetrahedral=plan["chaos"] == "tetrahedral")
     estimate = estimator(system, d, seed=seed, indices=indices, **options)
-    results = {"estimate": estimate.to_json_obj(), "chaos": plan["chaos"]}
+    n_distinct, gram_max = _position_counts(system, indices)
+    results = {
+        "estimate": estimate.to_json_obj(),
+        "chaos": plan["chaos"],
+        "n_distinct": n_distinct,
+        "gram_max": gram_max,
+    }
     _write_json(out / f"{kind}.json", kind, config, results)
     row = [kind, d, _fmt(estimate.exponent), len(system), _fmt(estimate.constant), seed]
     header = ["kind", "d", "exponent", "m", "estimate", "seed"]
@@ -429,6 +441,7 @@ def _cmd_discretize_scan(plan, config, out, svg):
     marker = _marker_m(n, q)
     results = {
         "n_basis": n,
+        "n_distinct": _position_counts(system, indices)[0],
         "q": float(q),
         "marker_m": marker,
         "summary": summary,

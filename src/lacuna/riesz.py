@@ -53,10 +53,12 @@ The extraction measure nu_s = c_1 rho + c_2 rho*rho + ... + c_d rho^{*d}
 solves a d x d power system in the nodes (2d)^{-i} so that its Fourier
 coefficients are 1 on s-fold products and 0 on j-fold products for
 j <= d, j != s.  Every nu_s is a function of the one Fourier table of rho,
-so ``extract_homogeneous(Q)`` transforms rho and Q once and returns all d
-parts: row s-1 is Q * nu_s = Q^(s).  ``extract_homogeneous_modulated``
-takes the part itself: the weighted Q^(s) convolved with rho_y is
-Q^(s) / (2d)^s.
+so ``extract_homogeneous(Q)`` transforms rho once and returns all d parts:
+row s-1 is Q * nu_s = Q^(s).  Q itself is never transformed: its exact
+Fourier table is read off its terms' dual-group positions.
+``extract_homogeneous_modulated`` takes the part itself: the weighted
+Q^(s) convolved with rho_y is Q^(s) / (2d)^s, from one forward transform
+of rho_y and one inverse.
 """
 
 from __future__ import annotations
@@ -78,7 +80,6 @@ from .groups import (
     FourierTable,
     char_pow,
     fourier,
-    convolve,
     inverse_fourier,
 )
 
@@ -343,16 +344,17 @@ def extract_homogeneous(polynomial: ChaosPolynomial, check: bool = True) -> np.n
     """Convolve Q with every extraction measure nu_1 .. nu_d; returns a (d, |G|) table.
 
     Row s-1 holds Q * nu_s.  The convolutions are products of Fourier
-    tables sharing one rho: rho and Q are transformed forward once, and
-    each row costs one inverse transform.  In the nondegenerate regime row
-    s-1 equals the s-homogeneous part Q^(s) pointwise (within one
-    convolution round trip of error).  A d past the float range of the
+    tables sharing one rho: rho is transformed forward once, Q's table is
+    read off its term positions with no transform, and each row costs one
+    inverse transform.  In the nondegenerate regime row s-1 equals the
+    s-homogeneous part Q^(s) pointwise (within one convolution round trip
+    of error).  A d past the float range of the
     mixing coefficients raises SizeLimitExceeded before the regime check.
     """
     system, d = polynomial.system, polynomial.degree
     specs = [extraction_coefficients(d, s) for s in range(1, d + 1)]
     rho_hat = _riesz_hat(system, d, check)
-    q_hat = fourier(polynomial.as_density()).coeffs
+    q_hat = polynomial.spectrum()
     rows = [q_hat * _extraction_hat(rho_hat, spec) for spec in specs]
     return np.stack([inverse_fourier(FourierTable(system.group, row)).values for row in rows])
 
@@ -363,12 +365,14 @@ def extract_homogeneous_modulated(
     """Weight the polynomial given and convolve it with rho_y; returns value table.
 
     Each term, an index with distinct bases k_i of multiplicities alpha_i,
-    carries the extra factor prod_i w^{-alpha'_i * y_{k_i}}.  In the
-    nondegenerate regime the weights cancel against the coefficients of
-    rho_y, for every y: an s-homogeneous part Q^(s) gives Q^(s) / (2d)^s
-    pointwise, and any other polynomial Q gives sum_s Q^(s) / (2d)^s.  A
-    point of the wrong base or digit count raises ValueError before any
-    work.
+    carries the extra factor prod_i w^{-alpha'_i * y_{k_i}}.  The weighted
+    coefficients put at the terms' positions are the weighted polynomial's
+    exact Fourier table, so the convolution costs one forward transform of
+    rho_y and one inverse.  In the nondegenerate regime the weights cancel
+    against the coefficients of rho_y, for every y: an s-homogeneous part
+    Q^(s) gives Q^(s) / (2d)^s pointwise, and any other polynomial Q gives
+    sum_s Q^(s) / (2d)^s.  A point of the wrong base or digit count raises
+    ValueError before any work.
     """
     d = part.degree
     system = part.system
@@ -382,10 +386,6 @@ def extract_homogeneous_modulated(
             w *= y.rademacher_value(b, -a_prime)
         return w
 
-    weighted = ChaosPolynomial(
-        system,
-        d,
-        {index: c * weight(index) for index, c in zip(part.indices, part.coefficients.tolist())},
-    )
-    rho_y = modulated_riesz_density(system, d, y)
-    return convolve(weighted.as_density(), rho_y).values
+    weighted_hat = part.spectrum([weight(index) for index in part.indices])
+    rho_y_hat = fourier(modulated_riesz_density(system, d, y)).coeffs
+    return inverse_fourier(FourierTable(system.group, weighted_hat * rho_y_hat)).values

@@ -1,10 +1,12 @@
-"""Index enumeration, the polynomial's sorted form, evaluation, and homogeneous decomposition."""
+"""Index enumeration, the polynomial's sorted form, evaluation, term positions and
+spectrum, and homogeneous decomposition."""
 
 import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lacuna as lc
 from conftest import oracle_chaos_values
@@ -165,3 +167,89 @@ def test_relabeling_preserves_coefficient_multiset_exactly():
     l2_a = float(np.linalg.norm(q.coefficients))
     l2_c = float(np.sqrt(sum(abs(c) ** 2 for c in relabeled)))
     assert l2_a == pytest.approx(l2_c, abs=0)
+
+
+# -- term positions and the exact spectrum ----------------------------------------------
+
+
+def _explicit(orders, exponents):
+    return lc.CharacterSystem.from_exponents(lc.make_group(orders), exponents)
+
+
+@st.composite
+def _small_chaos(draw):
+    """A system on at most two small cyclic factors, so powers coincide often, and a degree."""
+    orders = draw(st.lists(st.integers(2, 6), min_size=1, max_size=2))
+    group = lc.make_group(orders)
+    nontrivial = [group.character_at(i).exponents for i in range(1, group.size)]
+    size = min(4, len(nontrivial))
+    exps = draw(st.lists(st.sampled_from(nontrivial), min_size=1, max_size=size, unique=True))
+    return lc.CharacterSystem.from_exponents(group, exps), draw(st.integers(1, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_chaos())
+def test_terms_share_a_position_exactly_when_their_value_columns_are_equal(case):
+    system, d = case
+    indices = lc.enumerate_polynomial(len(system), d)
+    positions = lc.term_positions(system, indices)
+    assert positions.dtype == np.int64 and positions.shape == (len(indices),)
+    assert ((0 <= positions) & (positions < system.group.size)).all()
+    columns = np.stack([lc.term_values(system, index) for index in indices])
+    same_values = np.abs(columns[:, None, :] - columns[None, :, :]).max(axis=2) < 1e-9
+    assert (same_values == (positions[:, None] == positions[None, :])).all()
+
+
+def test_positions_of_coinciding_powers():
+    # on Z_5 with the characters 1 and 2, gamma_0 gamma_1^2 and every fifth power are trivial
+    system = _explicit([5], [[1], [2]])
+    assert lc.term_positions(system, lc.enumerate_polynomial(2, 3)).tolist() == [3, 4, 0, 1]
+    assert lc.term_positions(system, [(1,) * 5, (0,) * 5]).tolist() == [0, 0]
+    # every r_i^2 of base-2 Rademacher characters is the trivial character
+    assert lc.term_positions(lc.rademacher_system(3), [(0, 0), (1, 1), (2, 2)]).tolist() == [0] * 3
+
+
+SPECTRUM_CASES = {
+    "Z9xZ9 d2": (lambda: _explicit([9, 9], [[1, 0], [0, 1]]), 2),
+    "Z2503 d3": (lambda: _explicit([2503], [[7], [49]]), 3),
+    "Z4093 d3": (lambda: _explicit([4093], [[8], [64]]), 3),
+    "Z45xZ56 d2": (lambda: _explicit([45, 56], [[1, 2], [3, 1]]), 2),
+    "Z5 [1],[2] d2": (lambda: _explicit([5], [[1], [2]]), 2),
+    "Z4 [1] d2": (lambda: _explicit([4], [[1]]), 2),
+    "rademacher10 d2": (lambda: lc.rademacher_system(10), 2),
+}
+
+
+@pytest.mark.parametrize("case", SPECTRUM_CASES.values(), ids=SPECTRUM_CASES)
+def test_spectrum_matches_the_transform_of_the_value_table(case):
+    build, d = case
+    system = build()
+    q = lc.random_chaos_polynomial(system, d, np.random.default_rng(53))
+    assert np.linalg.norm(q.coefficients) == pytest.approx(1, abs=1e-15)
+    spectrum, values = q.spectrum(), q.values()
+    transform = lc.fourier(lc.DensityMeasure(system.group, values)).coeffs
+    assert np.abs(spectrum - transform).max() <= 1e-15
+    # coinciding terms add up: the table's squared norm is ||Q||_2^2, not ||A||_2^2
+    l2_squared = np.mean(np.abs(values) ** 2)
+    assert np.vdot(spectrum, spectrum).real == pytest.approx(l2_squared, rel=1e-12)
+
+
+def test_spectrum_weights_scale_each_term():
+    system = _explicit([5], [[1], [2]])
+    q = lc.ChaosPolynomial(system, 2, {(0, 0): 1.0, (1, 1): 2.0, (0, 1): 3.0})
+    # the weights follow the sorted indices (0, 0), (0, 1), (1, 1), at positions 2, 3, 4
+    assert q.positions.tolist() == [2, 3, 4]
+    assert np.array_equal(q.spectrum([1j, -1, 0.5]), [0, 0, 1j, -3, 1])
+    assert np.array_equal(q.spectrum(), [0, 0, 1, 3, 2])
+
+
+def test_empty_part_has_no_positions_and_a_zero_spectrum():
+    system = _explicit([9, 9], [[1, 0], [0, 1]])
+    q = lc.random_chaos_polynomial(system, 3, np.random.default_rng(59))
+    empty = lc.decompose(q)[2]  # three distinct bases among two characters
+    assert empty.indices == () and empty.coefficients.size == 0
+    assert empty.positions.dtype == np.int64 and empty.positions.size == 0
+    assert lc.term_positions(system, []).size == 0
+    assert np.array_equal(empty.spectrum(), np.zeros(system.group.size))
+    y = lc.ModulationPoint(7, (3, 5))
+    assert np.array_equal(lc.extract_homogeneous_modulated(empty, y), np.zeros(system.group.size))

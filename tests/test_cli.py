@@ -299,6 +299,49 @@ def test_khinchin_csv_append_only(tmp_path):
     assert lines[1] == lines[2]
 
 
+def test_khinchin_on_coinciding_rademacher_squares_reads_sqrt_gram_max(tmp_path):
+    """Every r_i^2 of base-2 Rademacher characters is the trivial character.
+
+    The polynomial chaos at d = 2 on rademacher(10) has 55 terms at 46
+    positions, 10 of them at the trivial one, so the search finds the
+    constant polynomial and the ratio reads sqrt(gram_max) = sqrt(10).
+    """
+    config = {
+        "command": "khinchin",
+        "system": {"rademacher": {"count": 10}},
+        "d": 2,
+        "q": 4,
+        "trials": 1,
+        "seed": 0,
+    }
+    code, out = _run(tmp_path, config)
+    assert code == 0
+    results = json.loads((out / "khinchin.json").read_text())["results"]
+    assert (results["n_distinct"], results["gram_max"]) == (46, 10)
+    assert len(results["estimate"]["coefficients"]) == 55
+    assert results["estimate"]["constant"] == pytest.approx(10**0.5, rel=1e-9)
+
+
+@pytest.mark.parametrize("command", ["sidon", "discretize-scan"])
+def test_sidon_and_scan_record_distinct_positions(tmp_path, command):
+    # polynomial chaos on rademacher(4) at d = 2: 10 terms, the 4 squares all trivial
+    config = {
+        "command": command,
+        "system": {"rademacher": {"count": 4}},
+        "d": 2,
+        "chaos": "polynomial",
+        "trials": 1,
+        **({"m_grid": [8]} if command == "discretize-scan" else {}),
+    }
+    code, out = _run(tmp_path, config)
+    assert code == 0
+    artifact = "sidon.json" if command == "sidon" else "discretize.json"
+    results = json.loads((out / artifact).read_text())["results"]
+    assert results["n_distinct"] == 7
+    # the scan records no Gram multiplicity
+    assert results.get("gram_max") == (4 if command == "sidon" else None)
+
+
 def test_khinchin_trials_zero_is_config_invalid(tmp_path):
     config = {
         "command": "khinchin",
@@ -366,7 +409,7 @@ def test_discretize_scan_with_svg(tmp_path):
     code, out = _run(tmp_path, config, svg=True)
     assert code == 0
     payload = json.loads((out / "discretize.json").read_text())
-    assert payload["results"]["n_basis"] == 6
+    assert payload["results"]["n_basis"] == payload["results"]["n_distinct"] == 6
     assert payload["results"]["marker_m"] == 36
     assert "probe estimates" in payload["results"]["note"]
     lines = (out / "discretize.csv").read_text().strip().splitlines()

@@ -499,7 +499,7 @@ def test_extract_homogeneous_equals_convolution_with_nu(d):
     extracted = lc.extract_homogeneous(q)
     for s in range(1, d + 1):
         nu = lc.extraction_measure(system, d, s)
-        expected = lc.convolve(q.as_density(), nu).values
+        expected = lc.convolve(lc.DensityMeasure(system.group, q.values()), nu).values
         assert np.abs(extracted[s - 1] - expected).max() <= 1e-10
 
 
@@ -537,3 +537,52 @@ def test_degenerate_order4_expectation_over_y_recovers_identity():
         pointwise_errors.append(np.abs(out - target).max())
     assert max(pointwise_errors) > 1e-3  # pointwise identity genuinely fails
     assert np.abs(accum / 5 - target).max() < 1e-10  # the mean restores it
+
+
+def test_extract_verify_transforms_rho_and_each_rho_y_once_and_never_tabulates_q(
+    tmp_path, monkeypatch
+):
+    """Per trial: one transform of rho, and one of rho_y per y sample for each part.
+
+    Q's tables are read off its term positions, so neither extraction route
+    may evaluate a polynomial over the group.
+    """
+    from lacuna import cli
+
+    counts = {"fourier": 0, "values_inside": 0}
+    inside = [0]
+    fourier, values = lc.riesz.fourier, lc.ChaosPolynomial.values
+
+    def counted_fourier(f):
+        counts["fourier"] += 1
+        return fourier(f)
+
+    def watched_values(self):
+        counts["values_inside"] += inside[0] > 0
+        return values(self)
+
+    def entered(route):
+        def run(*args, **kwargs):
+            inside[0] += 1
+            try:
+                return route(*args, **kwargs)
+            finally:
+                inside[0] -= 1
+
+        return run
+
+    # groups.fourier too, so a transform made through groups.convolve is counted as well
+    for module in (lc.riesz, lc.groups):
+        monkeypatch.setattr(module, "fourier", counted_fourier)
+    monkeypatch.setattr(lc.ChaosPolynomial, "values", watched_values)
+    for name in ("extract_homogeneous", "extract_homogeneous_modulated"):
+        monkeypatch.setattr(cli, name, entered(getattr(cli, name)))
+    config = {
+        "command": "extract-verify",
+        "system": {"exponents": [[1, 0], [0, 1]], "orders": [9, 9]},
+        "d": 2,
+        "trials": 2,
+        "y_samples": 3,
+    }
+    assert cli.run(config, out_dir=tmp_path) == 0
+    assert counts == {"fourier": 2 * (1 + 2 * 3), "values_inside": 0}
