@@ -28,6 +28,13 @@ some j < k.  Each factor is again real and nonnegative.  Both densities
 come from one product loop that adds w * gamma_i^k / (2d) per weighted
 power; rho weights gamma_i^k by its count in 1..d, and each inverse by 1.
 
+The same (weight, power) lists give both Fourier tables with no
+transform.  Factor i's table is 1 at the trivial character plus w / (2d)
+at the dual-group position of each gamma_i^k, so the product's table is
+the convolution of m short factor tables, nonzero on at most (2d+1)^m
+characters (Rudin, 1960).  ``_riesz_spectrum`` walks it one factor at a
+time; the densities themselves are built only for reports and as oracles.
+
 Both sets, and the flipped powers 2d+1-alpha of the weighted polynomial
 below, come from one closed-form rule: gamma^{-k} = gamma^j exactly when
 ord(gamma) divides j + k.  So gamma^{-k} meets some gamma^j with j in 1..J
@@ -53,12 +60,13 @@ The extraction measure nu_s = c_1 rho + c_2 rho*rho + ... + c_d rho^{*d}
 solves a d x d power system in the nodes (2d)^{-i} so that its Fourier
 coefficients are 1 on s-fold products and 0 on j-fold products for
 j <= d, j != s.  Every nu_s is a function of the one Fourier table of rho,
-so ``extract_homogeneous(Q)`` transforms rho once and returns all d parts:
-row s-1 is Q * nu_s = Q^(s).  Q itself is never transformed: its exact
-Fourier table is read off its terms' dual-group positions.
+so ``extract_homogeneous(Q)`` reads rho's table off its factor terms once
+and returns all d parts: row s-1 is Q * nu_s = Q^(s).  Q's exact Fourier
+table is read off its terms' dual-group positions.
 ``extract_homogeneous_modulated`` takes the part itself: the weighted
-Q^(s) convolved with rho_y is Q^(s) / (2d)^s, from one forward transform
-of rho_y and one inverse.
+Q^(s) convolved with rho_y is Q^(s) / (2d)^s, with rho_y's table read off
+its factor terms and one inverse transform.  No forward transform is left
+on either extraction route.
 """
 
 from __future__ import annotations
@@ -79,7 +87,6 @@ from .groups import (
     DensityMeasure,
     FourierTable,
     char_pow,
-    fourier,
     inverse_fourier,
 )
 
@@ -100,9 +107,12 @@ def riesz_modulated_powers(gamma: Character, d: int) -> set[int]:
     """Powers k in 1..d kept in the modulated factor.
 
     k is dropped as soon as gamma^{-k} equals gamma^j for some j < k, so
-    each self-paired power appears exactly once.
+    each self-paired power appears exactly once.  No k past ord(gamma) is
+    kept: k + 1 .. 2k - 1 then holds a multiple of the order, so a d far
+    past the order costs no more than d = ord(gamma).
     """
-    return {k for k in range(1, d + 1) if not _inverse_meets_forward(gamma, k, k - 1)}
+    top = min(d, gamma.order)
+    return {k for k in range(1, top + 1) if not _inverse_meets_forward(gamma, k, k - 1)}
 
 
 def require_nondegenerate(system: CharacterSystem, d: int):
@@ -122,22 +132,111 @@ def require_nondegenerate(system: CharacterSystem, d: int):
     require_dissociated(system, 2 * d)
 
 
+def _riesz_terms(system: CharacterSystem, d: int) -> list[list[tuple[int, int]]]:
+    """rho's (weight, power) pairs, one list per character.
+
+    The powers of gamma are summed by residue class: gamma^k depends only
+    on k mod ord(gamma), so each distinct power comes once with its count in
+    1..d, and a d far past the orders costs no more than d = ord(gamma).
+    """
+    return [
+        [((d - k) // gamma.order + 1, k) for k in range(1, min(d, gamma.order) + 1)]
+        + [(1, -k) for k in riesz_inverse_powers(gamma, d)]
+        for gamma in system.characters
+    ]
+
+
+def _modulated_terms(
+    system: CharacterSystem, d: int, y: ModulationPoint
+) -> list[list[tuple[complex, int]]]:
+    """rho_y's (weight, power) pairs, one list per character: w^{+-k*y_i} on gamma_i^{+-k}."""
+    return [
+        [
+            (y.rademacher_value(i, sign * k), sign * k)
+            for k in riesz_modulated_powers(gamma, d)
+            for sign in (1, -1)
+        ]
+        for i, gamma in enumerate(system.characters)
+    ]
+
+
 def _riesz_product(system: CharacterSystem, d: int, terms) -> DensityMeasure:
-    """prod_i [ 1 + sum_{(w, k) in terms(i, gamma_i)} w * gamma_i^k / (2d) ].
+    """prod_i [ 1 + sum_{(w, k) in terms[i]} w * gamma_i^k / (2d) ], pointwise.
 
     The one loop behind both densities: the pairs are added in the order
-    ``terms`` returns them.
+    ``terms`` lists them.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     group = system.group
     values = np.ones(group.size, dtype=np.complex128)
-    for i, gamma in enumerate(system.characters):
+    for gamma, pairs in zip(system.characters, terms):
         factor = np.ones(group.size, dtype=np.complex128)
-        for w, k in terms(i, gamma):
+        for w, k in pairs:
             factor += w * char_pow(gamma, k).values / (2 * d)
         values *= factor
     return DensityMeasure(group, values)
+
+
+def _scatter(positions: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """A |G| table holding the sum of the values at each position."""
+    real = np.bincount(positions, weights=values.real, minlength=size)
+    if not np.iscomplexobj(values):
+        return real
+    table = np.empty(size, dtype=np.complex128)
+    table.real = real
+    table.imag = np.bincount(positions, weights=values.imag, minlength=size)
+    return table
+
+
+def _riesz_spectrum(system: CharacterSystem, d: int, terms) -> np.ndarray:
+    """Fourier table of ``_riesz_product(system, d, terms)``, built in the dual group.
+
+    Factor i's table is 1 at the trivial character plus w / (2d) at the
+    position of gamma_i^k for each pair (w, k) of ``terms[i]``, the pairs
+    whose powers agree modulo ord(gamma_i) added up, so the product's
+    table is the convolution of the m factor tables.  The walk keeps the
+    (position, value) pairs reached so far, repeats allowed, and adds one
+    factor at a time: each power in the factor's table contributes a copy
+    of them, positions shifted by that power of gamma_i's exponent row and
+    values scaled by its entry.  Repeats are merged, by one scatter into a
+    |G| table, only when a factor's copies would pass |G| entries; that
+    factor's copies are then scattered a chunk of powers at a time, each
+    chunk at most |G| entries.  So no block passes |G| cells at any d, and
+    no transform is run.
+    """
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    group = system.group
+    orders = np.array(group.orders, dtype=np.int64)
+    strides = np.array([math.prod(group.orders[j + 1 :]) for j in range(group.rank)])
+    positions = np.zeros(1, dtype=np.int64)
+    values = np.ones(1)
+    for gamma, pairs in zip(system.characters, terms):
+        # the factor's own table first: powers equal modulo the order are one position
+        powers, slot = np.unique([0] + [k % gamma.order for _, k in pairs], return_inverse=True)
+        weights = _scatter(slot, np.array([1] + [w / (2 * d) for w, _ in pairs]), len(powers))
+
+        def copies(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+            """Positions and values of the copies for powers lo .. hi-1, flattened."""
+            shifted = np.repeat(positions[None, :], hi - lo, axis=0)
+            for c in np.flatnonzero(gamma.exponents):
+                digit = positions // strides[c] % orders[c]
+                moved = (digit + powers[lo:hi, None] * gamma.exponents[c]) % orders[c]
+                shifted += (moved - digit) * strides[c]
+            return shifted.ravel(), (weights[lo:hi, None] * values).ravel()
+
+        if len(positions) * len(powers) <= group.size:
+            positions, values = copies(0, len(powers))
+        else:
+            chunk = group.size // len(positions)
+            table = sum(
+                _scatter(*copies(lo, min(lo + chunk, len(powers))), group.size)
+                for lo in range(0, len(powers), chunk)
+            )
+            positions = np.flatnonzero(table)
+            values = table[positions]
+    return _scatter(positions, values, group.size).astype(np.complex128, copy=False)
 
 
 def riesz_density(system: CharacterSystem, d: int) -> DensityMeasure:
@@ -145,17 +244,10 @@ def riesz_density(system: CharacterSystem, d: int) -> DensityMeasure:
 
     It is built for any system.  For d-dissociated systems whose character
     orders all exceed d the result is a probability density: real,
-    nonnegative, mass one.  The powers of gamma
-    are summed by residue class: gamma^k depends only on k mod ord(gamma),
-    so each distinct power is added once times its count in 1..d, and a d
-    far past the orders costs no more than d = ord(gamma).
+    nonnegative, mass one.  The extraction routes never build it: they read
+    rho's Fourier table off the same factor terms (``_riesz_spectrum``).
     """
-
-    def terms(i: int, gamma: Character) -> list[tuple[int, int]]:
-        forward = [((d - k) // gamma.order + 1, k) for k in range(1, min(d, gamma.order) + 1)]
-        return forward + [(1, -k) for k in riesz_inverse_powers(gamma, d)]
-
-    return _riesz_product(system, d, terms)
+    return _riesz_product(system, d, _riesz_terms(system, d))
 
 
 @dataclass(frozen=True)
@@ -207,15 +299,7 @@ def modulated_riesz_density(
     equal 1.
     """
     _require_modulation_point(system, d, y)
-
-    def terms(i: int, gamma: Character) -> list[tuple[complex, int]]:
-        return [
-            (y.rademacher_value(i, sign * k), sign * k)
-            for k in riesz_modulated_powers(gamma, d)
-            for sign in (1, -1)
-        ]
-
-    return _riesz_product(system, d, terms)
+    return _riesz_product(system, d, _modulated_terms(system, d, y))
 
 
 def modulation_exponents(
@@ -321,7 +405,7 @@ def _riesz_hat(system: CharacterSystem, d: int, check: bool) -> np.ndarray:
     """Fourier table of rho, after the nondegenerate regime is checked if asked."""
     if check:
         require_nondegenerate(system, d)
-    return fourier(riesz_density(system, d)).coeffs
+    return _riesz_spectrum(system, d, _riesz_terms(system, d))
 
 
 def extraction_measure(
@@ -330,10 +414,10 @@ def extraction_measure(
     """The measure whose Fourier coefficients indicate s-fold products.
 
     Built as the c_j-weighted sum of convolution powers of rho: the powers
-    are taken pointwise on the Fourier table of rho, so the whole measure
-    costs one forward and one inverse transform.  With ``check`` the
-    nondegenerate regime is enforced, which is what guarantees the
-    indicator law.
+    are taken pointwise on the Fourier table of rho, read off its factor
+    terms, so the whole measure costs one inverse transform.  With
+    ``check`` the nondegenerate regime is enforced, which is what
+    guarantees the indicator law.
     """
     spec = extraction_coefficients(d, s)
     nu_hat = _extraction_hat(_riesz_hat(system, d, check), spec)
@@ -344,12 +428,12 @@ def extract_homogeneous(polynomial: ChaosPolynomial, check: bool = True) -> np.n
     """Convolve Q with every extraction measure nu_1 .. nu_d; returns a (d, |G|) table.
 
     Row s-1 holds Q * nu_s.  The convolutions are products of Fourier
-    tables sharing one rho: rho is transformed forward once, Q's table is
-    read off its term positions with no transform, and each row costs one
-    inverse transform.  In the nondegenerate regime row s-1 equals the
-    s-homogeneous part Q^(s) pointwise (within one convolution round trip
-    of error).  A d past the float range of the
-    mixing coefficients raises SizeLimitExceeded before the regime check.
+    tables sharing one rho: rho's table is read off its factor terms and
+    Q's off its term positions, with no forward transform, and each row
+    costs one inverse transform.  In the nondegenerate regime row s-1
+    equals the s-homogeneous part Q^(s) pointwise (within one inverse
+    transform of error).  A d past the float range of the mixing
+    coefficients raises SizeLimitExceeded before the regime check.
     """
     system, d = polynomial.system, polynomial.degree
     specs = [extraction_coefficients(d, s) for s in range(1, d + 1)]
@@ -367,12 +451,13 @@ def extract_homogeneous_modulated(
     Each term, an index with distinct bases k_i of multiplicities alpha_i,
     carries the extra factor prod_i w^{-alpha'_i * y_{k_i}}.  The weighted
     coefficients put at the terms' positions are the weighted polynomial's
-    exact Fourier table, so the convolution costs one forward transform of
-    rho_y and one inverse.  In the nondegenerate regime the weights cancel
-    against the coefficients of rho_y, for every y: an s-homogeneous part
-    Q^(s) gives Q^(s) / (2d)^s pointwise, and any other polynomial Q gives
-    sum_s Q^(s) / (2d)^s.  A point of the wrong base or digit count raises
-    ValueError before any work.
+    exact Fourier table, and rho_y's is read off its factor terms, so the
+    convolution costs one inverse transform and no forward one.  In the
+    nondegenerate regime the weights cancel against the coefficients of
+    rho_y, for every y: an s-homogeneous part Q^(s) gives Q^(s) / (2d)^s
+    pointwise, and any other polynomial Q gives sum_s Q^(s) / (2d)^s.  A
+    point of the wrong base or digit count raises ValueError before any
+    work.
     """
     d = part.degree
     system = part.system
@@ -387,5 +472,5 @@ def extract_homogeneous_modulated(
         return w
 
     weighted_hat = part.spectrum([weight(index) for index in part.indices])
-    rho_y_hat = fourier(modulated_riesz_density(system, d, y)).coeffs
+    rho_y_hat = _riesz_spectrum(system, d, _modulated_terms(system, d, y))
     return inverse_fourier(FourierTable(system.group, weighted_hat * rho_y_hat)).values

@@ -218,7 +218,13 @@ def test_extract_verify_decomposes_and_builds_rho_once_per_trial(tmp_path, monke
     import lacuna.riesz
 
     counts = {}
-    for module, name in ((lacuna.chaos, "decompose"), (lacuna.riesz, "riesz_density")):
+    watched = (
+        (lacuna.chaos, "decompose"),
+        (lacuna.riesz, "_riesz_hat"),
+        (lacuna.riesz, "riesz_density"),
+        (lacuna.riesz, "modulated_riesz_density"),
+    )
+    for module, name in watched:
         original = getattr(module, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
@@ -239,8 +245,9 @@ def test_extract_verify_decomposes_and_builds_rho_once_per_trial(tmp_path, monke
     }
     code, _ = _run(tmp_path, config)
     assert code == 0
-    # one split of Q and one rho per trial, however many s and y samples it covers
-    assert counts == {"decompose": 3, "riesz_density": 3}
+    # one split of Q and one spectrum of rho per trial, however many s and y
+    # samples it covers; no density is built, the spectra come off the factor terms
+    assert counts == {"decompose": 3, "_riesz_hat": 3}
 
 
 def test_extract_verify_expectation_mode_runs_degenerate(tmp_path, capsys):

@@ -237,6 +237,80 @@ def test_riesz_fourier_law_full_spectrum():
         assert np.abs(table.coeffs - expected).max() < 1e-9
 
 
+# -- both tables in the dual group, off the factor terms ----------------------------------
+
+SPECTRUM_CASES = {
+    "Z9xZ9 d2": (lambda: _system([9, 9], [[1, 0], [0, 1]]), 2),
+    # every r_i^2 is trivial, so powers coincide
+    "rademacher10 d2": (lambda: lc.rademacher_system(10), 2),
+    "rademacher base 3 d2": (lambda: lc.rademacher_system(4, base=3), 2),
+    # not dissociated: rho has mass 1.25
+    "Z5 [1],[2] d2": (lambda: _system([5], [[1], [2]]), 2),
+    "empty": (lambda: lc.CharacterSystem(lc.make_group([6]), ()), 2),
+    "rademacher3 d3e6": (lambda: lc.rademacher_system(3), 3_000_000),
+}
+
+
+@pytest.mark.parametrize("case", SPECTRUM_CASES.values(), ids=SPECTRUM_CASES)
+def test_riesz_spectrum_is_the_transform_of_both_densities(case):
+    build, d = case
+    system = build()
+    rho_hat = lc.riesz._riesz_spectrum(system, d, lc.riesz._riesz_terms(system, d))
+    assert rho_hat.dtype == np.complex128 and rho_hat.shape == (system.group.size,)
+    assert np.abs(rho_hat - lc.fourier(lc.riesz_density(system, d)).coeffs).max() <= 1e-15
+    rng = np.random.default_rng(59)
+    for _ in range(4):
+        y = lc.ModulationPoint.random(rng, 2 * d + 1, len(system))
+        rho_y_hat = lc.riesz._riesz_spectrum(system, d, lc.riesz._modulated_terms(system, d, y))
+        oracle = lc.fourier(lc.modulated_riesz_density(system, d, y)).coeffs
+        assert np.abs(rho_y_hat - oracle).max() <= 1e-15
+
+
+def test_riesz_spectrum_of_rademacher20_at_d1_is_two_to_the_minus_support_size():
+    # each factor is 1 + r_i/2, so the coefficient at prod_{i in S} r_i is 2^{-|S|};
+    # no density of 2^20 points is built
+    system = lc.rademacher_system(20)
+    rho_hat = lc.riesz._riesz_spectrum(system, 1, lc.riesz._riesz_terms(system, 1))
+    codes = np.arange(system.group.size)
+    support_size = sum((codes >> j) & 1 for j in range(20))
+    assert np.array_equal(rho_hat, 2.0 ** -support_size)
+
+
+def test_riesz_spectrum_memory_stays_order_g_past_the_group_order():
+    # Z_N, N = 1024 * 1023, at d = N + 1: the characters of orders 1024 and
+    # 1023 reach every position, and the order-8 one then asks for 9 shifted
+    # copies of all N of them, which the walk scatters one copy at a time
+    import tracemalloc
+
+    n = 1024 * 1023
+    system = _system([n], [[1023], [1024], [n // 8]])
+    d = n + 1
+
+    def factor(order):
+        # 1 at the trivial character, then count(k) / (2d) on gamma^k, k = 1 .. order
+        k = np.arange(1, order + 1)
+        table = np.zeros(order)
+        np.add.at(table, k % order, ((d - k) // order + 1) / (2 * d))
+        table[0] += 1
+        return table
+
+    terms = lc.riesz._riesz_terms(system, d)
+    tracemalloc.start()
+    try:
+        rho_hat = lc.riesz._riesz_spectrum(system, d, terms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table_bytes = 16 * n
+    assert peak < 5 * table_bytes  # one unchunked block of 9 copies would take 9 tables
+    # the orders 1024 and 1023 are coprime, so gamma_0^a gamma_1^b covers Z_N once
+    a, b = np.meshgrid(np.arange(1024), np.arange(1023), indexing="ij")
+    expected = np.zeros(n)
+    expected[(1023 * a + 1024 * b) % n] = np.outer(factor(1024), factor(1023))
+    expected = sum(c * np.roll(expected, j * (n // 8)) for j, c in enumerate(factor(8)))
+    assert np.abs(rho_hat - expected).max() <= 1e-15
+
+
 # -- modulated product -------------------------------------------------------------------
 
 
@@ -301,7 +375,7 @@ def test_modulated_extract_rejects_bad_s_and_point(monkeypatch):
     system = _system([9, 9], [[1, 0], [0, 1]])
     q = lc.random_chaos_polynomial(system, 2, np.random.default_rng(5))
     # the part carries its own s, so only the point can be wrong
-    monkeypatch.setattr(lc.riesz, "modulated_riesz_density", None)  # no work may start
+    monkeypatch.setattr(lc.riesz, "_riesz_spectrum", None)  # no work may start
     monkeypatch.setattr(lc.riesz, "require_nondegenerate", None)
     for bad in (lc.ModulationPoint(7, (0, 0)), lc.ModulationPoint(5, (0,))):
         with pytest.raises(ValueError, match="modulation"):
@@ -539,23 +613,25 @@ def test_degenerate_order4_expectation_over_y_recovers_identity():
     assert np.abs(accum / 5 - target).max() < 1e-10  # the mean restores it
 
 
-def test_extract_verify_transforms_rho_and_each_rho_y_once_and_never_tabulates_q(
-    tmp_path, monkeypatch
-):
-    """Per trial: one transform of rho, and one of rho_y per y sample for each part.
+def test_extract_verify_runs_no_forward_transform_and_never_tabulates_q(tmp_path, monkeypatch):
+    """Per trial: no forward transform, and one inverse per part of Q and per (part, y) pair.
 
-    Q's tables are read off its term positions, so neither extraction route
-    may evaluate a polynomial over the group.
+    rho's and rho_y's tables are read off their factor terms and Q's off
+    its term positions, so neither extraction route may transform forward
+    or evaluate a polynomial over the group.
     """
     from lacuna import cli
 
-    counts = {"fourier": 0, "values_inside": 0}
+    counts = {"fourier": 0, "inverse_fourier": 0, "values_inside": 0}
     inside = [0]
-    fourier, values = lc.riesz.fourier, lc.ChaosPolynomial.values
+    values = lc.ChaosPolynomial.values
 
-    def counted_fourier(f):
-        counts["fourier"] += 1
-        return fourier(f)
+    def counted(name, transform):
+        def run(*args, **kwargs):
+            counts[name] += 1
+            return transform(*args, **kwargs)
+
+        return run
 
     def watched_values(self):
         counts["values_inside"] += inside[0] > 0
@@ -571,9 +647,13 @@ def test_extract_verify_transforms_rho_and_each_rho_y_once_and_never_tabulates_q
 
         return run
 
-    # groups.fourier too, so a transform made through groups.convolve is counted as well
-    for module in (lc.riesz, lc.groups):
-        monkeypatch.setattr(module, "fourier", counted_fourier)
+    # every module that binds a transform by name, so a transform made
+    # through groups.convolve is counted as well
+    for name in ("fourier", "inverse_fourier"):
+        original = getattr(lc.groups, name)
+        for module in (lc.groups, lc.riesz, cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted(name, original))
     monkeypatch.setattr(lc.ChaosPolynomial, "values", watched_values)
     for name in ("extract_homogeneous", "extract_homogeneous_modulated"):
         monkeypatch.setattr(cli, name, entered(getattr(cli, name)))
@@ -585,4 +665,5 @@ def test_extract_verify_transforms_rho_and_each_rho_y_once_and_never_tabulates_q
         "y_samples": 3,
     }
     assert cli.run(config, out_dir=tmp_path) == 0
-    assert counts == {"fourier": 2 * (1 + 2 * 3), "values_inside": 0}
+    # d = 2 parts from extract_homogeneous, and 2 parts times 3 points modulated
+    assert counts == {"fourier": 0, "inverse_fourier": 2 * (2 + 2 * 3), "values_inside": 0}
