@@ -43,9 +43,9 @@ import numpy as np
 from .chaos import (
     ChaosPolynomial,
     FullIndex,
+    _term_tables,
     enumerate_polynomial,
     enumerate_tetrahedral,
-    term_values,
 )
 from .dissociation import CharacterSystem, require_dissociated
 from .errors import InvalidP, InvalidQ, SizeLimitExceeded, ZeroPolynomial
@@ -135,12 +135,13 @@ def values_matrix(system: CharacterSystem, indices: Sequence) -> np.ndarray:
 
     A table of more than ``TABLE_CELL_LIMIT`` cells raises SizeLimitExceeded
     before any column is built.  Columns are written into the preallocated
-    table, so it is held in memory once.
+    table, so it is held in memory once; the power tables they share are
+    freed when it returns.
     """
     _require_table_cells(len(indices), system.group.size)
     matrix = np.empty((system.group.size, len(indices)), dtype=np.complex128)
-    for t, idx in enumerate(indices):
-        matrix[:, t] = term_values(system, idx)
+    for t, table in enumerate(_term_tables(system, indices)):
+        matrix[:, t] = table
     return matrix
 
 

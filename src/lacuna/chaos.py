@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .dissociation import CharacterSystem
 from .errors import DegreeExceedsSystem
-from .groups import char_pow
+from .groups import _scatter, char_pow
 
 FullIndex = tuple[int, ...]
 
@@ -59,12 +59,22 @@ def enumerate_polynomial(m: int, d: int) -> list[FullIndex]:
     return list(itertools.combinations_with_replacement(range(m), d))
 
 
+def _term_tables(system: CharacterSystem, indices: Sequence) -> Iterator[np.ndarray]:
+    """``term_values`` of each index in turn; the power tables they share die with the generator."""
+    powers: dict[tuple[int, int], np.ndarray] = {}
+    for index in indices:
+        out = np.ones(system.group.size, dtype=np.complex128)
+        for b, run in itertools.groupby(sorted(index)):
+            key = (b, len(list(run)))
+            if key not in powers:
+                powers[key] = char_pow(system.characters[b], key[1]).values()
+            out = out * powers[key]
+        yield out
+
+
 def term_values(system: CharacterSystem, index: Sequence[int]) -> np.ndarray:
     """Value table of prod_b gamma_b^(multiplicity of b in the index), bases increasing."""
-    out = np.ones(system.group.size, dtype=np.complex128)
-    for b, run in itertools.groupby(sorted(index)):
-        out = out * char_pow(system.characters[b], len(list(run))).values
-    return out
+    return next(_term_tables(system, [index]))
 
 
 def term_positions(system: CharacterSystem, indices: Sequence[Sequence[int]]) -> np.ndarray:
@@ -113,10 +123,11 @@ class ChaosPolynomial:
 
     def values(self) -> np.ndarray:
         """Value table over the whole group in element enumeration order."""
+        coeffs = self.coefficients.tolist()
+        live = [t for t, c in enumerate(coeffs) if c]
         out = np.zeros(self.system.group.size, dtype=np.complex128)
-        for index, coeff in zip(self.indices, self.coefficients.tolist()):
-            if coeff:
-                out += coeff * term_values(self.system, index)
+        for t, table in zip(live, _term_tables(self.system, [self.indices[t] for t in live])):
+            out += coeffs[t] * table
         return out
 
     @cached_property
@@ -137,9 +148,7 @@ class ChaosPolynomial:
         coefficients = self.coefficients
         if weights is not None:
             coefficients = coefficients * np.asarray(weights, dtype=np.complex128)
-        table = np.zeros(self.system.group.size, dtype=np.complex128)
-        np.add.at(table, self.positions, coefficients)
-        return table
+        return _scatter(self.positions, coefficients, self.system.group.size)
 
 
 def decompose(polynomial: ChaosPolynomial) -> list[ChaosPolynomial]:

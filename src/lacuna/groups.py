@@ -28,16 +28,16 @@ convolution kept there as oracles.  Roots of unity for pointwise character
 evaluation are precomputed once per cyclic factor, so repeated evaluation
 does not accumulate phase drift.
 
-All types are immutable after construction and every operation is a pure
-function, so concurrent callers need no locking.  The only state filled in
-later is memoized derived data (value tables, character powers), which
-every caller computes identically.
+All types are immutable values and every operation is a pure function, so
+concurrent callers need no locking.  The only state filled in later is a
+group's size and its per-factor root tables, O(m_1 + ... + m_r) numbers.
+A value table belongs to the call that builds it; no character keeps one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -129,25 +129,26 @@ class Character:
 
     group: FiniteAbelianGroup
     exponents: tuple[int, ...]
+    # least t >= 1 with chi^t trivial; always divides |G|
+    order: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.exponents) != self.group.rank:
             raise ValueError(
                 f"expected {self.group.rank} exponents, got {len(self.exponents)}"
             )
-        object.__setattr__(
-            self,
-            "exponents",
-            tuple(int(a) % m for a, m in zip(self.exponents, self.group.orders)),
-        )
+        orders = self.group.orders
+        exponents = tuple(int(a) % m for a, m in zip(self.exponents, orders))
+        object.__setattr__(self, "exponents", exponents)
+        order = math.lcm(*(m // math.gcd(a, m) for a, m in zip(exponents, orders)))
+        object.__setattr__(self, "order", order)
 
     @property
     def is_trivial(self) -> bool:
         return all(a == 0 for a in self.exponents)
 
-    @cached_property
     def values(self) -> np.ndarray:
-        """Value table over the whole group, in element enumeration order.
+        """A fresh |G| value table, in element enumeration order, on each call.
 
         It is built on the factor grid, with coordinate i's roots broadcast
         along axis i.
@@ -162,18 +163,6 @@ class Character:
         out.flags.writeable = False
         return out
 
-    @cached_property
-    def _powers(self) -> dict[int, "Character"]:
-        """char_pow results keyed by k mod order; lives as long as this character."""
-        return {}
-
-    @cached_property
-    def order(self) -> int:
-        """Least t >= 1 with chi^t trivial; always divides |G|."""
-        return math.lcm(
-            *(m // math.gcd(a, m) for a, m in zip(self.exponents, self.group.orders))
-        )
-
 
 def char_mul(chi1: Character, chi2: Character) -> Character:
     if chi1.group != chi2.group:
@@ -187,15 +176,16 @@ def char_mul(chi1: Character, chi2: Character) -> Character:
 def char_pow(chi: Character, k: int) -> Character:
     """chi^k for any integer k; k = -1 gives the conjugate character.
 
-    The result is stored on ``chi``, so repeated powers share one Character
-    and with it one value table.
+    A fresh Character on each call; nothing is stored on ``chi``.
     """
-    k %= chi.order
-    power = chi._powers.get(k)
-    if power is None:
-        exps = tuple((a * k) % m for a, m in zip(chi.exponents, chi.group.orders))
-        power = chi._powers[k] = Character(chi.group, exps)
-    return power
+    return Character(chi.group, tuple(a * k for a in chi.exponents))
+
+
+def _scatter(positions: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """A |G| table holding the sum of the values at each position, added in the order given."""
+    table = np.zeros(size, dtype=np.result_type(values, 0.0))
+    np.add.at(table, positions, values)
+    return table
 
 
 @dataclass(eq=False)

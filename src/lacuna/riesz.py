@@ -75,7 +75,6 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -86,6 +85,7 @@ from .groups import (
     Character,
     DensityMeasure,
     FourierTable,
+    _scatter,
     char_pow,
     inverse_fourier,
 )
@@ -173,20 +173,9 @@ def _riesz_product(system: CharacterSystem, d: int, terms) -> DensityMeasure:
     for gamma, pairs in zip(system.characters, terms):
         factor = np.ones(group.size, dtype=np.complex128)
         for w, k in pairs:
-            factor += w * char_pow(gamma, k).values / (2 * d)
+            factor += w * char_pow(gamma, k).values() / (2 * d)
         values *= factor
     return DensityMeasure(group, values)
-
-
-def _scatter(positions: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """A |G| table holding the sum of the values at each position."""
-    real = np.bincount(positions, weights=values.real, minlength=size)
-    if not np.iscomplexobj(values):
-        return real
-    table = np.empty(size, dtype=np.complex128)
-    table.real = real
-    table.imag = np.bincount(positions, weights=values.imag, minlength=size)
-    return table
 
 
 def _riesz_spectrum(system: CharacterSystem, d: int, terms) -> np.ndarray:
@@ -268,14 +257,10 @@ class ModulationPoint:
         if any(not 0 <= y < self.base for y in self.digits):
             raise ValueError(f"digits must lie in 0..{self.base - 1}")
 
-    @cached_property
-    def _roots(self) -> np.ndarray:
-        roots = np.exp(2j * np.pi * np.arange(self.base) / self.base)
-        roots.flags.writeable = False
-        return roots
-
     def rademacher_value(self, index: int, power: int) -> complex:
-        return complex(self._roots[(power * self.digits[index]) % self.base])
+        # numpy's loops, not cmath: bit-identical to np.exp(2j*np.pi*np.arange(base)/base)[k]
+        k = (power * self.digits[index]) % self.base
+        return complex(np.exp(2j * np.pi * np.array([k]) / self.base)[0])
 
     @classmethod
     def random(cls, rng: np.random.Generator, base: int, count: int) -> "ModulationPoint":

@@ -8,8 +8,10 @@ a genuine cross-check.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from lacuna import (
     is_d_dissociated,
     lp_coeff_norm,
     lq_norm,
+    rademacher_system,
     require_nondegenerate,
     values_matrix,
     vc_system_from_digit_sets,
@@ -91,6 +94,30 @@ def oracle_chaos_values(polynomial) -> np.ndarray:
             term = term * tables[b]
         out += coeff * term
     return out
+
+
+def bytes_left_behind(call) -> int:
+    """Bytes, as tracemalloc counts them, still allocated once ``call()``'s result is dropped.
+
+    Warm any state the caller means to allow (a group's root tables, a
+    system's exponent matrix) before calling this, and warm lazy module
+    state with a first call on another system, so that the measured
+    system's characters start with nothing stored on them.
+    """
+    tracemalloc.start()
+    try:
+        call()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def fresh_rademacher_system(count: int) -> CharacterSystem:
+    """A new Rademacher system with its group's root tables and its exponent matrix built."""
+    system = rademacher_system(count)
+    system.group.roots, system.exponent_matrix
+    return system
 
 
 def _oracle_digits(group: FiniteAbelianGroup) -> np.ndarray:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lacuna as lc
+from conftest import bytes_left_behind, fresh_rademacher_system
 from lacuna.analysis import chaos_indices
 
 
@@ -138,6 +139,15 @@ def test_sidon_ratio_phase_invariant():
         system, 2, {k: phase * v for k, v in zip(base.indices, base.coefficients)}
     )
     assert lc.sidon_ratio(base) == pytest.approx(lc.sidon_ratio(rotated))
+
+
+def test_values_matrix_leaves_no_tables_behind():
+    # 78 terms of rademacher(12) at d = 2 share 24 power tables of 64 KB each;
+    # once the matrix is dropped, none of them may still be held
+    lc.values_matrix(fresh_rademacher_system(4), lc.enumerate_polynomial(4, 2))
+    system = fresh_rademacher_system(12)
+    indices = lc.enumerate_polynomial(12, 2)
+    assert bytes_left_behind(lambda: lc.values_matrix(system, indices)) < 16 * system.group.size // 4
 
 
 # -- gradients ------------------------------------------------------------------------------
@@ -320,6 +330,13 @@ def test_khinchin_estimate_matches_ascent_oracle(monkeypatch, name, max_steps):
         assert estimate.constant == constant, (d, tetrahedral, q, trials)
         assert estimate.coefficients.tobytes() == coefficients.tobytes()
         assert estimate.histories == histories
+
+
+def test_khinchin_estimate_leaves_no_tables_behind():
+    lc.estimate_khinchin_constant(fresh_rademacher_system(4), 2, 4, trials=2, seed=0)
+    system = fresh_rademacher_system(12)
+    left = bytes_left_behind(lambda: lc.estimate_khinchin_constant(system, 2, 4, trials=2, seed=0))
+    assert left < 16 * system.group.size // 4
 
 
 # -- Sidon estimator ------------------------------------------------------------------------------

@@ -644,7 +644,7 @@ def test_discretize_scan_bounds_cells_before_allocating(tmp_path, capsys, monkey
         raise AssertionError("the scan started its trials")
 
     monkeypatch.setattr(lacuna.discretize, "map_indexed", refuse)
-    _refuse_everywhere(monkeypatch, "term_values")
+    _refuse_everywhere(monkeypatch, "_term_tables")
     config = {
         "command": "discretize-scan",
         "system": {"rademacher": {"count": 4}},
@@ -714,7 +714,7 @@ def _refuse_everywhere(monkeypatch, attr):
 
 @pytest.mark.parametrize("command", ["khinchin", "sidon", "discretize-scan"])
 def test_value_tables_are_bounded_before_any_column(tmp_path, capsys, monkeypatch, command):
-    _refuse_everywhere(monkeypatch, "term_values")
+    _refuse_everywhere(monkeypatch, "_term_tables")
     config = {
         "command": command,
         "system": {"rademacher": {"count": 20}},
@@ -745,7 +745,7 @@ def test_value_tables_are_bounded_before_any_column(tmp_path, capsys, monkeypatc
 )
 def test_chaos_terms_are_counted_before_they_are_listed(tmp_path, capsys, monkeypatch, config):
     # C(23, 12) = 1,352,078 polynomial terms and C(20, 10) = 184,756 tetrahedral ones
-    for attr in ("enumerate_polynomial", "enumerate_tetrahedral", "term_values"):
+    for attr in ("enumerate_polynomial", "enumerate_tetrahedral", "_term_tables"):
         _refuse_everywhere(monkeypatch, attr)
     code, out = _run(tmp_path, {**config, "trials": 1})
     assert code == 1
@@ -755,7 +755,7 @@ def test_chaos_terms_are_counted_before_they_are_listed(tmp_path, capsys, monkey
 
 
 def test_discretize_scan_reads_m_grid_before_building_the_basis(tmp_path, capsys, monkeypatch):
-    _refuse_everywhere(monkeypatch, "term_values")
+    _refuse_everywhere(monkeypatch, "_term_tables")
     config = {
         "command": "discretize-scan",
         "system": {"rademacher": {"count": 4}},

@@ -121,7 +121,7 @@ def _reject_constant(name):
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(config=_near_valid_configs())
 def test_cli_refuses_bad_configs_with_exit_codes_only(config):
-    with tempfile.TemporaryDirectory() as tmp, _counting_calls("term_values") as calls:
+    with tempfile.TemporaryDirectory() as tmp, _counting_calls("_term_tables") as calls:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
         out = Path(tmp) / "out"
@@ -132,6 +132,6 @@ def test_cli_refuses_bad_configs_with_exit_codes_only(config):
         assert "Traceback" not in err.getvalue()
         # a size refused by a limit is refused before any value table is built
         if "SizeLimitExceeded" in err.getvalue():
-            assert not calls, "term_values ran before a SizeLimitExceeded refusal"
+            assert not calls, "a value table was built before a SizeLimitExceeded refusal"
         for artifact in out.glob("*.json"):
             json.loads(artifact.read_text(), parse_constant=_reject_constant)

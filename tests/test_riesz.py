@@ -9,6 +9,8 @@ import pytest
 
 import lacuna as lc
 from conftest import (
+    bytes_left_behind,
+    fresh_rademacher_system,
     oracle_character_table,
     oracle_inverse_powers,
     oracle_modulated_powers,
@@ -134,9 +136,9 @@ def _term_by_term_density(system, d):
     for gamma in system.characters:
         factor = np.ones(system.group.size, dtype=np.complex128)
         for k in range(1, d + 1):
-            factor += lc.char_pow(gamma, k).values / (2 * d)
+            factor += lc.char_pow(gamma, k).values() / (2 * d)
         for k in sorted(oracle_inverse_powers(gamma, d)):
-            factor += lc.char_pow(gamma, -k).values / (2 * d)
+            factor += lc.char_pow(gamma, -k).values() / (2 * d)
         values *= factor
     return values
 
@@ -187,6 +189,14 @@ def test_riesz_density_mass_shows_order_at_most_d_degeneracy():
     assert lc.is_d_dissociated(system, 2).dissociated
     rho = lc.riesz_density(system, 2)
     assert rho.mass == pytest.approx(1.25)
+
+
+def test_riesz_density_leaves_no_tables_behind():
+    # rademacher(12) at d = 2 uses 24 character powers of 64 KB each; once
+    # rho is dropped, none of their tables may still be held
+    lc.riesz_density(fresh_rademacher_system(4), 2)
+    system = fresh_rademacher_system(12)
+    assert bytes_left_behind(lambda: lc.riesz_density(system, 2)) < 16 * system.group.size // 4
 
 
 # -- closed-form coefficients ----------------------------------------------------------
@@ -321,6 +331,30 @@ def test_modulation_point_validation():
     assert y.rademacher_value(0, 1) == pytest.approx(OMEGA5**2)
     assert y.rademacher_value(0, -1) == pytest.approx(OMEGA5**-2)
     assert y.rademacher_value(1, 3) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("base", [3, 5, 7, 41])
+def test_modulation_value_matches_the_whole_root_table_bit_for_bit(base):
+    table = np.exp(2j * np.pi * np.arange(base) / base)
+    for digit in range(base):
+        y = lc.ModulationPoint(base, (digit,))
+        for power in range(-base, base + 1):
+            value, want = y.rademacher_value(0, power), complex(table[(power * digit) % base])
+            assert (value.real.hex(), value.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+def test_modulation_value_at_a_huge_base_computes_one_root():
+    import tracemalloc
+
+    y = lc.ModulationPoint(6_000_001, (1, 2, 3))
+    tracemalloc.start()
+    try:
+        value = y.rademacher_value(0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096  # a table of all 6,000,001 roots takes 96 MB
+    assert value == pytest.approx(cmath.exp(2j * cmath.pi / 6_000_001))
 
 
 def test_modulated_zero_point_matches_plain_product_nondegenerate():
