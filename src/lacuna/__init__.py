@@ -26,14 +26,12 @@ from .errors import (
     SizeLimitExceeded,
     StaircaseViolated,
     TrivialCharacterPresent,
-    ZeroPolynomial,
 )
 from .groups import (
     Character,
     DensityMeasure,
     FiniteAbelianGroup,
     FourierTable,
-    char_mul,
     char_pow,
     convolve,
     fourier,
@@ -47,7 +45,6 @@ from .dissociation import (
     is_d_dissociated,
     rademacher_system,
     vc_system_from_digit_sets,
-    verify_witness,
 )
 from .chaos import (
     ChaosPolynomial,
@@ -76,13 +73,10 @@ from .analysis import (
     ConstantEstimate,
     estimate_khinchin_constant,
     estimate_sidon_constant,
-    grad_lq_q,
     khinchin_ceiling,
-    khinchin_ratio,
     lp_coeff_norm,
     lq_norm,
     sidon_ceiling,
-    sidon_ratio,
     values_matrix,
 )
 from .discretize import scan_point_counts, summarize_scan

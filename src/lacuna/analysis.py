@@ -41,14 +41,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .chaos import (
-    ChaosPolynomial,
     FullIndex,
     _term_tables,
     enumerate_polynomial,
     enumerate_tetrahedral,
 )
 from .dissociation import CharacterSystem, require_dissociated
-from .errors import InvalidP, InvalidQ, SizeLimitExceeded, ZeroPolynomial
+from .errors import InvalidP, InvalidQ, SizeLimitExceeded
 from .groups import TABLE_CELL_LIMIT
 from .parallel import map_indexed, trial_rng
 from .riesz import extraction_coefficients
@@ -72,47 +71,39 @@ def lq_norm(values, q) -> float:
 
 
 def lp_coeff_norm(coefficients, p) -> float:
-    """(sum |A_i|^p)^(1/p) over a coefficient vector."""
+    """(sum |A_i|^p)^(1/p) over a coefficient vector.
+
+    When the sum leaves the float range, or underflows to 0 on a nonzero
+    vector, the norm is taken as ``M (sum (|A_i|/M)^p)^(1/p)`` with
+    ``M = max |A_i|``, whose sum lies between 1 and n.
+    """
     p = float(p)
     if not 1 <= p <= math.inf:
         raise InvalidP(f"p must be >= 1, got {p}")
     mags = np.abs(np.asarray(coefficients, dtype=np.complex128))
     if math.isinf(p):
         return float(mags.max())
-    return float(np.sum(mags**p) ** (1.0 / p))
+    with np.errstate(over="ignore"):
+        total = np.sum(mags**p)
+    if 0 < total < math.inf:
+        return float(total ** (1.0 / p))
+    # |A_i|^p left the float range (or the vector is zero): scale by the largest modulus
+    top = mags.max(initial=0.0)
+    if not top:
+        return 0.0
+    return float(top * np.sum((mags / top) ** p) ** (1.0 / p))
 
 
-def _nonzero_coefficients(polynomial: ChaosPolynomial) -> np.ndarray:
-    coeffs = polynomial.coefficients
-    if coeffs.size == 0 or not np.abs(coeffs).max():
-        raise ZeroPolynomial("ratio undefined for the zero polynomial")
-    return coeffs
+def _require_table_cells(rows: int, columns: int, shape: str):
+    """SizeLimitExceeded if a rows x columns table would pass ``TABLE_CELL_LIMIT``.
 
-
-def khinchin_ratio(polynomial: ChaosPolynomial, q) -> float:
-    """||Q||_q / ||A||_2 for q > 2."""
-    if not 2 < float(q) <= math.inf:
-        raise InvalidQ(f"the L_2-L_q comparison needs q > 2, got {q}")
-    coeffs = _nonzero_coefficients(polynomial)
-    return lq_norm(polynomial.values(), q) / lp_coeff_norm(coeffs, 2)
-
-
-def sidon_ratio(polynomial: ChaosPolynomial, p: float | None = None) -> float:
-    """||A||_p / ||Q||_inf with p defaulting to 2d/(d+1)."""
-    coeffs = _nonzero_coefficients(polynomial)
-    if p is None:
-        d = polynomial.degree
-        p = 2 * d / (d + 1)
-    return lp_coeff_norm(coeffs, p) / lq_norm(polynomial.values(), math.inf)
-
-
-def _require_table_cells(terms: int, group_size: int):
-    """SizeLimitExceeded if a terms x |G| value table would pass ``TABLE_CELL_LIMIT``."""
-    cells = terms * group_size
+    ``shape`` names the two sides in the message, as in ``"terms x |G|"``.
+    """
+    cells = rows * columns
     if cells > TABLE_CELL_LIMIT:
         raise SizeLimitExceeded(
-            f"a value table needs {cells} cells ({terms} terms x |G| = "
-            f"{group_size}), over the limit {TABLE_CELL_LIMIT}"
+            f"a table of {shape} needs {cells} cells ({rows} x {columns}), "
+            f"over the limit {TABLE_CELL_LIMIT}"
         )
 
 
@@ -126,7 +117,7 @@ def chaos_indices(
     """
     m = len(system)
     terms = math.comb(m, d) if tetrahedral else math.comb(m + d - 1, d)
-    _require_table_cells(terms, system.group.size)
+    _require_table_cells(terms, system.group.size, "terms x |G|")
     return (enumerate_tetrahedral if tetrahedral else enumerate_polynomial)(m, d)
 
 
@@ -135,10 +126,10 @@ def values_matrix(system: CharacterSystem, indices: Sequence) -> np.ndarray:
 
     A table of more than ``TABLE_CELL_LIMIT`` cells raises SizeLimitExceeded
     before any column is built.  Columns are written into the preallocated
-    table, so it is held in memory once; the power tables they share are
-    freed when it returns.
+    table, so it is held in memory once; each power table the columns share
+    is freed after the last column that uses it.
     """
-    _require_table_cells(len(indices), system.group.size)
+    _require_table_cells(len(indices), system.group.size, "terms x |G|")
     matrix = np.empty((system.group.size, len(indices)), dtype=np.complex128)
     for t, table in enumerate(_term_tables(system, indices)):
         matrix[:, t] = table
@@ -157,35 +148,39 @@ def _grad_lq_q_matrix(adjoint: np.ndarray, values: np.ndarray, q: float) -> np.n
     return q * np.matmul(adjoint, weight[..., None])[..., 0] / adjoint.shape[1]
 
 
-def grad_lq_q(polynomial: ChaosPolynomial, q: float) -> np.ndarray:
-    """Gradient of ||Q||_q^q over (re, im) of each coefficient, for finite q > 2.
-
-    Returned as one complex number per term, aligned with
-    ``polynomial.indices``: the real part is the derivative in Re(A_t), the
-    imaginary part in Im(A_t).
-    """
-    if not (math.isfinite(q) and q > 2):
-        raise InvalidQ(f"the gradient needs a finite q > 2, got {q}")
-    matrix = values_matrix(polynomial.system, polynomial.indices)
-    return _grad_lq_q_matrix(matrix.conj().T, matrix @ polynomial.coefficients, q)
-
-
 def _max_variation_bound(d: int) -> float:
     """C = max_s of the extraction measures' variation bounds for this d."""
     return max(extraction_coefficients(d, s).variation_bound for s in range(1, d + 1))
 
 
+def _finite_ceiling(kind: str, d: int, ceiling: float) -> float:
+    """The ceiling, or SizeLimitExceeded when it has left the float range."""
+    if not math.isfinite(ceiling):
+        raise SizeLimitExceeded(
+            f"the {kind} ceiling at d = {d} is {ceiling}, past the float range"
+        )
+    return ceiling
+
+
 def khinchin_ceiling(d: int, kappa_model: float) -> float:
-    """sqrt(d) (2d)^d C kappa_model with C = max_s variation bound."""
+    """sqrt(d) (2d)^d C kappa_model with C = max_s variation bound.
+
+    SizeLimitExceeded when it is not finite: at d = 19 with kappa_model = 10.
+    """
     # C first: it refuses a d past the float range before (2d)^d overflows
     c = _max_variation_bound(d)
-    return math.sqrt(d) * (2 * d) ** d * c * float(kappa_model)
+    ceiling = math.sqrt(d) * (2 * d) ** d * c * float(kappa_model)
+    return _finite_ceiling("Khinchin", d, ceiling)
 
 
 def sidon_ceiling(d: int, c_model: float) -> float:
-    """(2d)^d C / c * d^((d+1)/(2d)) with C = max_s variation bound."""
+    """(2d)^d C / c * d^((d+1)/(2d)) with C = max_s variation bound.
+
+    SizeLimitExceeded when it is not finite: at d = 19 with c_model = 1.
+    """
     c = _max_variation_bound(d)
-    return (2 * d) ** d * c / float(c_model) * d ** ((d + 1) / (2 * d))
+    ceiling = (2 * d) ** d * c / float(c_model) * d ** ((d + 1) / (2 * d))
+    return _finite_ceiling("Sidon", d, ceiling)
 
 
 @dataclass(eq=False)
@@ -235,17 +230,23 @@ def _best_of_trials(
     seed: int,
     indices: Sequence | None,
     ceiling: float | None,
+    lockstep: bool = False,
 ) -> ConstantEstimate:
     """The body both estimators share: checks, value matrix, trials, best ratio.
 
     ``run_trials`` receives the value matrix and trial t's rng
     ``trial_rng(seed, t)`` for every t, and returns the results in trial
-    order.
+    order.  ``lockstep`` trials hold ``(trials, |G|)`` and ``(trials, n)``
+    blocks, which are sized against ``TABLE_CELL_LIMIT`` before the matrix
+    is built.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     require_dissociated(system, d)
     idx = list(indices) if indices is not None else chaos_indices(system, d)
+    if lockstep:
+        width = max(system.group.size, len(idx))
+        _require_table_cells(trials, width, "trials x max(|G|, terms)")
     matrix = values_matrix(system, idx)
     results = run_trials(matrix, [trial_rng(seed, t) for t in range(trials)])
     best = max(range(trials), key=lambda t: results[t][0])
@@ -386,8 +387,10 @@ def estimate_khinchin_constant(
     projected gradient ascent (step 0.1, halved on non-improvement, stop at
     relative stall 1e-9 or 500 steps).  The trials step together, one
     batched product per step, and each trial's result is bit-for-bit the
-    one it would reach alone.  The result's ``histories`` holds each
-    trial's ratio after every accepted step.
+    one it would reach alone.  Their ``(trials, |G|)`` and ``(trials, n)``
+    blocks are sized against ``TABLE_CELL_LIMIT`` before the value matrix
+    is built.  The result's ``histories`` holds each trial's ratio after
+    every accepted step.
     """
     if not q > 2:
         raise InvalidQ(f"q must exceed 2, got {q}")
@@ -395,7 +398,8 @@ def estimate_khinchin_constant(
     ceiling = khinchin_ceiling(d, kappa_model) if kappa_model is not None else None
     run_trials = functools.partial(_ascend, q=q)
     return _best_of_trials(
-        "khinchin", float(q), run_trials, system, d, trials, seed, indices, ceiling
+        "khinchin", float(q), run_trials, system, d, trials, seed, indices, ceiling,
+        lockstep=True,
     )
 
 

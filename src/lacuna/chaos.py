@@ -59,16 +59,26 @@ def enumerate_polynomial(m: int, d: int) -> list[FullIndex]:
     return list(itertools.combinations_with_replacement(range(m), d))
 
 
+def _power_keys(index: Sequence[int]) -> list[tuple[int, int]]:
+    """(base, multiplicity) of every distinct base of an index, bases increasing."""
+    return [(b, len(list(run))) for b, run in itertools.groupby(sorted(index))]
+
+
 def _term_tables(system: CharacterSystem, indices: Sequence) -> Iterator[np.ndarray]:
-    """``term_values`` of each index in turn; the power tables they share die with the generator."""
+    """``term_values`` of each index in turn.
+
+    A power table that several terms share is built once and dropped after
+    the last term that uses it, so the generator holds only the tables that
+    later terms still need.
+    """
+    last = {key: t for t, index in enumerate(indices) for key in _power_keys(index)}
     powers: dict[tuple[int, int], np.ndarray] = {}
-    for index in indices:
+    for t, index in enumerate(indices):
         out = np.ones(system.group.size, dtype=np.complex128)
-        for b, run in itertools.groupby(sorted(index)):
-            key = (b, len(list(run)))
+        for key in _power_keys(index):
             if key not in powers:
-                powers[key] = char_pow(system.characters[b], key[1]).values()
-            out = out * powers[key]
+                powers[key] = char_pow(system.characters[key[0]], key[1]).values()
+            out *= powers.pop(key) if last[key] == t else powers[key]
         yield out
 
 

@@ -277,20 +277,6 @@ def require_dissociated(system: CharacterSystem, d: int) -> None:
         )
 
 
-def verify_witness(system: CharacterSystem, witness: Sequence[int]) -> bool:
-    """True when the witness product is trivial with a nontrivial factor."""
-    if len(witness) != len(system):
-        return False
-    exponents = system.exponent_matrix
-    orders = np.asarray(system.group.orders, dtype=np.int64)
-    # powers depend on each exponent modulo the group exponent only
-    exponent = math.lcm(*system.group.orders)
-    ks = np.asarray([k % exponent for k in witness], dtype=np.int64)
-    product_trivial = not ((ks @ exponents) % orders).any()
-    factor_nontrivial = bool(((ks[:, None] * exponents) % orders).any())
-    return product_trivial and factor_nontrivial
-
-
 def hadamard_trig_system(
     ratio: int,
     count: int,

@@ -63,10 +63,6 @@ class DegreeExceedsSystem(LacunaError):
     """A tetrahedral chaos of degree d needs at least d distinct characters."""
 
 
-class ZeroPolynomial(LacunaError):
-    """A ratio was requested for an identically zero polynomial."""
-
-
 # -- norms and gradients --------------------------------------------------------
 
 class InvalidQ(LacunaError):

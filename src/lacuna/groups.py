@@ -96,16 +96,6 @@ class FiniteAbelianGroup:
     def character(self, exponents: Sequence[int]) -> "Character":
         return Character(self, tuple(int(a) for a in exponents))
 
-    def character_at(self, index: int) -> "Character":
-        if not 0 <= index < self.size:
-            raise IndexError(f"character index {index} out of range for |G|={self.size}")
-        exps = np.unravel_index(index, self.orders)
-        return Character(self, tuple(int(a) for a in exps))
-
-    @property
-    def trivial_character(self) -> "Character":
-        return Character(self, (0,) * self.rank)
-
 
 def make_group(orders: Sequence[int]) -> FiniteAbelianGroup:
     """Build Z_{m_1} x ... x Z_{m_r}; elements enumerate in lexicographic digit order.
@@ -162,15 +152,6 @@ class Character:
         out = out.ravel()
         out.flags.writeable = False
         return out
-
-
-def char_mul(chi1: Character, chi2: Character) -> Character:
-    if chi1.group != chi2.group:
-        raise GroupMismatch("characters live on different groups")
-    exps = tuple(
-        (a + b) % m for a, b, m in zip(chi1.exponents, chi2.exponents, chi1.group.orders)
-    )
-    return Character(chi1.group, exps)
 
 
 def char_pow(chi: Character, k: int) -> Character:

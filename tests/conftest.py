@@ -16,10 +16,12 @@ import tracemalloc
 import numpy as np
 
 from lacuna import (
+    Character,
     CharacterSystem,
     DensityMeasure,
     FiniteAbelianGroup,
     FourierTable,
+    GroupMismatch,
     char_pow,
     hadamard_trig_system,
     is_d_dissociated,
@@ -30,7 +32,7 @@ from lacuna import (
     values_matrix,
     vc_system_from_digit_sets,
 )
-from lacuna.analysis import chaos_indices
+from lacuna.analysis import _grad_lq_q_matrix, chaos_indices
 from lacuna.parallel import trial_rng
 
 
@@ -118,6 +120,22 @@ def fresh_rademacher_system(count: int) -> CharacterSystem:
     system = rademacher_system(count)
     system.group.roots, system.exponent_matrix
     return system
+
+
+def character_at(group: FiniteAbelianGroup, index: int) -> Character:
+    """The character at a flat index of the dual-group enumeration."""
+    return group.character(np.unravel_index(index, group.orders))
+
+
+def trivial_character(group: FiniteAbelianGroup) -> Character:
+    return group.character((0,) * group.rank)
+
+
+def char_mul(chi1: Character, chi2: Character) -> Character:
+    """chi1 * chi2: exponent vectors added modulo the orders."""
+    if chi1.group != chi2.group:
+        raise GroupMismatch("characters live on different groups")
+    return chi1.group.character([a + b for a, b in zip(chi1.exponents, chi2.exponents)])
 
 
 def _oracle_digits(group: FiniteAbelianGroup) -> np.ndarray:
@@ -241,6 +259,20 @@ def oracle_witness(system: CharacterSystem, d: int) -> tuple[int, ...] | None:
             return tuple(int(k) for k in chunk[hits[0]])
 
 
+def verify_witness(system: CharacterSystem, witness) -> bool:
+    """True when the witness product is trivial with a nontrivial factor, by exponent arithmetic."""
+    if len(witness) != len(system):
+        return False
+    exponents = system.exponent_matrix
+    orders = np.asarray(system.group.orders, dtype=np.int64)
+    # powers depend on each exponent modulo the group exponent only
+    exponent = math.lcm(*system.group.orders)
+    ks = np.asarray([k % exponent for k in witness], dtype=np.int64)
+    product_trivial = not ((ks @ exponents) % orders).any()
+    factor_nontrivial = bool(((ks[:, None] * exponents) % orders).any())
+    return product_trivial and factor_nontrivial
+
+
 def oracle_dissociated(system: CharacterSystem, d: int) -> bool:
     """Value-based brute force over all exponent tuples (see oracle_witness)."""
     return oracle_witness(system, d) is None
@@ -296,6 +328,27 @@ def sample_dissociated_system(
     assert report.dissociated, f"sampler produced a non-dissociated system: {report}"
     assert all(chi.order > d for chi in system.characters)
     return system
+
+
+def khinchin_ratio(polynomial, q) -> float:
+    """||Q||_q / ||A||_2 of one polynomial."""
+    return lq_norm(polynomial.values(), q) / lp_coeff_norm(polynomial.coefficients, 2)
+
+
+def sidon_ratio(polynomial, p=None) -> float:
+    """||A||_p / ||Q||_inf of one polynomial, p defaulting to 2d/(d+1)."""
+    if p is None:
+        p = 2 * polynomial.degree / (polynomial.degree + 1)
+    return lp_coeff_norm(polynomial.coefficients, p) / lq_norm(polynomial.values(), math.inf)
+
+
+def grad_lq_q(polynomial, q) -> np.ndarray:
+    """The Khinchin ascent's own gradient of ||Q||_q^q, one complex entry per term.
+
+    The real part is the derivative in Re(A_t), the imaginary part in Im(A_t).
+    """
+    matrix = values_matrix(polynomial.system, polynomial.indices)
+    return _grad_lq_q_matrix(matrix.conj().T, matrix @ polynomial.coefficients, q)
 
 
 def finite_difference_gradient(system, indices, coeffs, q, step=1e-5):

@@ -2,13 +2,20 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import lacuna as lc
-from conftest import bytes_left_behind, fresh_rademacher_system
+from conftest import (
+    bytes_left_behind,
+    fresh_rademacher_system,
+    grad_lq_q,
+    khinchin_ratio,
+    sidon_ratio,
+)
 from lacuna.analysis import chaos_indices
 
 
@@ -55,7 +62,7 @@ def test_lq_norm_past_the_float_range_raises():
     with pytest.raises(lc.InvalidQ):
         lc.lq_norm(np.full(16, 4.0), 1500)
     with pytest.raises(lc.InvalidQ):
-        lc.khinchin_ratio(_rademacher_sum(4), 1500)
+        lc.lq_norm(_rademacher_sum(4).values(), 1500)
 
 
 def test_lp_coeff_norm_examples():
@@ -67,7 +74,18 @@ def test_lp_coeff_norm_examples():
         with pytest.raises(lc.InvalidP):
             lc.lp_coeff_norm([1], p)
     with pytest.raises(lc.InvalidP):
-        lc.sidon_ratio(_rademacher_sum(), math.nan)
+        lc.estimate_sidon_constant(lc.rademacher_system(3), 1, trials=1, seed=0, p=math.nan)
+
+
+def test_lp_coeff_norm_past_the_float_range_scales_by_the_largest_modulus():
+    # 2^1e300 overflows and 0.5^1e4 underflows: both sums leave the float range
+    assert lc.lp_coeff_norm(np.full(8, 2.0), 1e300) == pytest.approx(2.0)
+    assert lc.lp_coeff_norm(np.full(8, 0.5), 1e4) == pytest.approx(0.5 * 8**1e-4)
+    assert lc.lp_coeff_norm(np.zeros(3), 1e4) == 0.0
+    # the ordinary path keeps its bits
+    coeffs = np.array([0.3, 1.7 - 2j, 4j])
+    expected = float(np.sum(np.abs(coeffs) ** 1.5) ** (1.0 / 1.5))
+    assert lc.lp_coeff_norm(coeffs, 1.5) == expected
 
 
 def test_sidon_exponent_for_degree_two():
@@ -81,11 +99,11 @@ def test_sidon_exponent_for_degree_two():
 def test_khinchin_ratio_single_term_is_one():
     system = lc.rademacher_system(2)
     q = lc.ChaosPolynomial(system, 1, {(1,): 2.5j})
-    assert lc.khinchin_ratio(q, 4) == pytest.approx(1.0)
+    assert khinchin_ratio(q, 4) == pytest.approx(1.0)
 
 
 def test_khinchin_ratio_rademacher_sum():
-    assert lc.khinchin_ratio(_rademacher_sum(), 4) == pytest.approx(
+    assert khinchin_ratio(_rademacher_sum(), 4) == pytest.approx(
         21**0.25 / math.sqrt(3)
     )
 
@@ -97,29 +115,20 @@ def test_khinchin_ratio_scale_invariant():
     scaled = lc.ChaosPolynomial(
         system, 2, {k: (3 - 2j) * v for k, v in zip(base.indices, base.coefficients)}
     )
-    assert lc.khinchin_ratio(base, 4) == pytest.approx(lc.khinchin_ratio(scaled, 4))
+    assert khinchin_ratio(base, 4) == pytest.approx(khinchin_ratio(scaled, 4))
 
 
 def test_khinchin_ratio_requires_q_above_two():
     for q in (2, math.nan, -math.inf):
         with pytest.raises(lc.InvalidQ):
-            lc.khinchin_ratio(_rademacher_sum(), q)
-
-
-def test_ratio_zero_polynomial():
-    system = lc.rademacher_system(2)
-    q = lc.ChaosPolynomial(system, 1, {(0,): 0.0})
-    with pytest.raises(lc.ZeroPolynomial):
-        lc.khinchin_ratio(q, 4)
-    with pytest.raises(lc.ZeroPolynomial):
-        lc.sidon_ratio(q)
+            lc.estimate_khinchin_constant(lc.rademacher_system(3), 1, q, trials=1, seed=0)
 
 
 def test_sidon_ratio_single_term_is_one():
     system = lc.rademacher_system(4)
     for d, idx in ((1, (2,)), (2, (1, 3)), (3, (0, 1, 2))):
         q = lc.ChaosPolynomial(system, d, {idx: -2.0})
-        assert lc.sidon_ratio(q) == pytest.approx(1.0)
+        assert sidon_ratio(q) == pytest.approx(1.0)
 
 
 def test_sidon_ratio_all_ones_tetrahedral():
@@ -127,7 +136,7 @@ def test_sidon_ratio_all_ones_tetrahedral():
     coeffs = {idx: 1.0 for idx in lc.enumerate_tetrahedral(4, 2)}
     q = lc.ChaosPolynomial(system, 2, coeffs)
     assert lc.lq_norm(q.values(), math.inf) == pytest.approx(6.0)
-    assert lc.sidon_ratio(q) == pytest.approx(6 ** (3 / 4) / 6)
+    assert sidon_ratio(q) == pytest.approx(6 ** (3 / 4) / 6)
 
 
 def test_sidon_ratio_phase_invariant():
@@ -138,7 +147,7 @@ def test_sidon_ratio_phase_invariant():
     rotated = lc.ChaosPolynomial(
         system, 2, {k: phase * v for k, v in zip(base.indices, base.coefficients)}
     )
-    assert lc.sidon_ratio(base) == pytest.approx(lc.sidon_ratio(rotated))
+    assert sidon_ratio(base) == pytest.approx(sidon_ratio(rotated))
 
 
 def test_values_matrix_leaves_no_tables_behind():
@@ -150,6 +159,19 @@ def test_values_matrix_leaves_no_tables_behind():
     assert bytes_left_behind(lambda: lc.values_matrix(system, indices)) < 16 * system.group.size // 4
 
 
+def test_values_matrix_drops_each_power_table_after_its_last_use():
+    # one degree-12 term has 12 power tables of its own; only the one in use may be held
+    lc.values_matrix(fresh_rademacher_system(4), [(0, 1, 2, 3)])
+    system = fresh_rademacher_system(12)
+    tracemalloc.start()
+    try:
+        lc.values_matrix(system, [tuple(range(12))])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 16 * system.group.size
+
+
 # -- gradients ------------------------------------------------------------------------------
 
 
@@ -157,7 +179,7 @@ def test_grad_single_term_closed_form():
     system = lc.rademacher_system(2)
     coeff = 1.5 - 2.0j
     q = lc.ChaosPolynomial(system, 1, {(0,): coeff})
-    grad = lc.grad_lq_q(q, 4)
+    grad = grad_lq_q(q, 4)
     expected = 4 * abs(coeff) ** 2 * coeff
     assert grad[0] == pytest.approx(expected)
 
@@ -165,13 +187,7 @@ def test_grad_single_term_closed_form():
 def test_grad_zero_polynomial_is_zero():
     system = lc.rademacher_system(2)
     q = lc.ChaosPolynomial(system, 1, {(0,): 0.0, (1,): 0.0})
-    assert np.abs(lc.grad_lq_q(q, 6)).max() == 0
-
-
-def test_grad_unsupported_q():
-    for q in (2, 1.5, math.inf, math.nan):
-        with pytest.raises(lc.InvalidQ):
-            lc.grad_lq_q(_rademacher_sum(), q)
+    assert np.abs(grad_lq_q(q, 6)).max() == 0
 
 
 def test_grad_matches_central_differences():
@@ -184,7 +200,7 @@ def test_grad_matches_central_differences():
     for q in (4, 6, 8, 2.5, 3, 5, 10):
         for _ in range(4):
             poly = lc.random_chaos_polynomial(system, 2, rng)
-            analytic = lc.grad_lq_q(poly, q)
+            analytic = grad_lq_q(poly, q)
             numeric = finite_difference_gradient(system, poly.indices, poly.coefficients, q)
             rel = np.abs(analytic - numeric).max() / max(np.abs(numeric).max(), 1e-12)
             assert rel <= 1e-5
@@ -211,7 +227,7 @@ def test_khinchin_estimate_rademacher_band():
         system, 1, 4, trials=6, seed=7, indices=indices, kappa_model=10.0
     )
     all_ones = lc.ChaosPolynomial(system, 1, {(i,): 1.0 for i in range(6)})
-    floor = lc.khinchin_ratio(all_ones, 4)
+    floor = khinchin_ratio(all_ones, 4)
     assert estimate.constant >= floor - 1e-7
     assert 1.0 <= estimate.constant <= 3**0.25 + 1e-9
     assert estimate.ceiling is not None and estimate.constant <= estimate.ceiling
@@ -332,6 +348,22 @@ def test_khinchin_estimate_matches_ascent_oracle(monkeypatch, name, max_steps):
         assert estimate.histories == histories
 
 
+def test_khinchin_trial_blocks_are_bounded_before_the_matrix(monkeypatch):
+    # the 64 x 6 matrix fits in 500 cells; 10 trials' blocks of max(64, 6) cells do not
+    monkeypatch.setattr(lc.analysis, "TABLE_CELL_LIMIT", 500)
+
+    def refuse(*args):
+        raise AssertionError("the value matrix was built")
+
+    monkeypatch.setattr(lc.analysis, "values_matrix", refuse)
+    system = lc.rademacher_system(6)
+    with pytest.raises(lc.SizeLimitExceeded, match="trials"):
+        lc.estimate_khinchin_constant(system, 1, 4, trials=10, seed=0)
+    # 7 trials' blocks fit, so the estimator goes on to build the matrix
+    with pytest.raises(AssertionError, match="value matrix"):
+        lc.estimate_khinchin_constant(system, 1, 4, trials=7, seed=0)
+
+
 def test_khinchin_estimate_leaves_no_tables_behind():
     lc.estimate_khinchin_constant(fresh_rademacher_system(4), 2, 4, trials=2, seed=0)
     system = fresh_rademacher_system(12)
@@ -382,7 +414,7 @@ def test_sidon_estimate_improves_on_random_start():
             assert b >= a - 1e-12
     # the best pattern must beat the trivial all-ones arrangement
     all_ones = lc.ChaosPolynomial(system, 2, {i: 1.0 for i in indices})
-    assert estimate.constant >= lc.sidon_ratio(all_ones) - 1e-9
+    assert estimate.constant >= sidon_ratio(all_ones) - 1e-9
 
 
 # name -> (system, d); rademacher3 has fewer group elements (8) than the
@@ -456,7 +488,7 @@ def test_ratios_invariant_under_scalar_rotation(scale, phase):
     scaled = lc.ChaosPolynomial(
         system, 2, {k: factor * v for k, v in zip(base.indices, base.coefficients)}
     )
-    assert lc.khinchin_ratio(scaled, 4) == pytest.approx(
-        lc.khinchin_ratio(base, 4), rel=1e-9
+    assert khinchin_ratio(scaled, 4) == pytest.approx(
+        khinchin_ratio(base, 4), rel=1e-9
     )
-    assert lc.sidon_ratio(scaled) == pytest.approx(lc.sidon_ratio(base), rel=1e-9)
+    assert sidon_ratio(scaled) == pytest.approx(sidon_ratio(base), rel=1e-9)

@@ -1,10 +1,12 @@
 """CLI subcommands: artifacts, exit codes, validation, byte determinism."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+from conftest import character_at
 from lacuna import __version__
 from lacuna.cli import main, run
 
@@ -111,7 +113,7 @@ def test_riesz_fourier_csv_names_each_character_by_its_exponents(tmp_path):
     rows = [line.split(",") for line in (out / "riesz_fourier.csv").read_text().splitlines()[1:]]
     assert [row[0] for row in rows] == [str(i) for i in range(group.size)]
     assert [row[1] for row in rows] == [
-        ":".join(str(a) for a in group.character_at(i).exponents) for i in range(group.size)
+        ":".join(str(a) for a in character_at(group, i).exponents) for i in range(group.size)
     ]
 
 
@@ -690,6 +692,42 @@ def test_khinchin_past_the_float_range_is_one_error_line(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("error (InvalidQ): q = 1500")
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"command": "khinchin", "system": {"rademacher": {"count": 1}}, "d": 19},
+        {"command": "sidon", "system": {"rademacher": {"count": 1}}, "d": 19},
+        {"command": "khinchin", "system": {"rademacher": {"count": 4}}, "d": 1,
+         "kappa_model": 1e308},
+        {"command": "sidon", "system": {"rademacher": {"count": 4}}, "d": 1,
+         "c_model": 1e-308},
+    ],
+    ids=["khinchin-d19", "sidon-d19", "kappa-1e308", "c-1e-308"],
+)
+def test_ceiling_past_the_float_range_is_refused_before_any_trial(
+    tmp_path, capsys, monkeypatch, config
+):
+    # the ceiling used to overflow to inf and die in the JSON writer after every trial
+    _refuse_everywhere(monkeypatch, "_term_tables")
+    code, out = _run(tmp_path, {"trials": 1, **config})
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("error (SizeLimitExceeded): ") and "ceiling" in err
+    assert not any(out.iterdir())
+
+
+def test_sidon_at_a_huge_p_writes_a_finite_constant(tmp_path, capsys):
+    # sum |A_i|^p overflows at p = 1e300: the norm is taken scaled by max |A_i|
+    config = {"command": "sidon", "system": {"rademacher": {"count": 4}}, "d": 2,
+              "trials": 2, "p": 1e300}
+    code, out = _run(tmp_path, config)
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    estimate = json.loads((out / "sidon.json").read_text())["results"]["estimate"]
+    assert math.isfinite(estimate["constant"]) and estimate["constant"] > 0
 
 
 def test_scan_marker_is_none_past_the_float_range():

@@ -9,7 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 import lacuna as lc
 
-from conftest import _oracle_digits, naive_convolve, naive_fourier, naive_inverse_fourier
+from conftest import (
+    _oracle_digits,
+    char_mul,
+    character_at,
+    naive_convolve,
+    naive_fourier,
+    naive_inverse_fourier,
+    trivial_character,
+)
 
 OMEGA3 = cmath.exp(2j * cmath.pi / 3)
 
@@ -44,7 +52,7 @@ def test_element_enumeration_is_lexicographic():
     assert digits == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
     for i, d in enumerate(digits):
         assert np.ravel_multi_index(d, group.orders) == i
-        assert group.character_at(i).exponents == d
+        assert character_at(group, i).exponents == d
 
 
 # -- character evaluation -------------------------------------------------------
@@ -84,7 +92,7 @@ def test_homomorphism_exhaustive_small_groups():
         every = np.arange(group.size)
         add = _sum_index(group, every[:, None], every[None, :])
         for i in range(group.size):
-            t = group.character_at(i).values()
+            t = character_at(group, i).values()
             assert np.abs(t[add] - t[:, None] * t[None, :]).max() < 1e-12
 
 
@@ -118,10 +126,10 @@ def test_char_mul_matches_pointwise_product():
     for _ in range(20):
         chi1 = group.character(rng.integers(0, (3, 4)))
         chi2 = group.character(rng.integers(0, (3, 4)))
-        product = lc.char_mul(chi1, chi2)
+        product = char_mul(chi1, chi2)
         assert np.abs(product.values() - chi1.values() * chi2.values()).max() < 1e-12
     with pytest.raises(lc.GroupMismatch):
-        lc.char_mul(chi1, lc.make_group([5]).character([1]))
+        char_mul(chi1, lc.make_group([5]).character([1]))
 
 
 def test_char_pow_inverse_is_conjugate():
@@ -146,7 +154,7 @@ def test_char_pow_memo_matches_fresh_character():
 
 def test_char_order_divides_group_size():
     group = lc.make_group([4, 6])
-    for chi in map(group.character_at, range(group.size)):
+    for chi in (character_at(group, i) for i in range(group.size)):
         order = chi.order
         assert group.size % order == 0
         assert lc.char_pow(chi, order).is_trivial
@@ -166,7 +174,7 @@ def test_char_mul_pow_random(orders, data):
     k = data.draw(st.integers(-7, 7))
     chi1, chi2 = group.character(exps1), group.character(exps2)
     g = data.draw(st.integers(0, group.size - 1))
-    assert lc.char_mul(chi1, chi2).values()[g] == pytest.approx(chi1.values()[g] * chi2.values()[g])
+    assert char_mul(chi1, chi2).values()[g] == pytest.approx(chi1.values()[g] * chi2.values()[g])
     assert lc.char_pow(chi1, k).values()[g] == pytest.approx(chi1.values()[g] ** k)
 
 
@@ -177,7 +185,7 @@ def test_fourier_of_constant_one():
     group = lc.make_group([3, 4])
     table = lc.fourier(lc.DensityMeasure(group, np.ones(group.size)))
     grid = table.coeffs.reshape(group.orders)
-    assert grid[group.trivial_character.exponents] == pytest.approx(1)
+    assert grid[trivial_character(group).exponents] == pytest.approx(1)
     assert np.abs(table.coeffs[1:]).max() < 1e-12
 
 
@@ -194,7 +202,7 @@ def test_fourier_of_riesz_like_density():
     chi = group.character([1])
     density = lc.DensityMeasure(group, 1 + (chi.values() + chi.values().conj()) / 2)
     table = lc.fourier(density).coeffs.reshape(group.orders)
-    assert table[group.trivial_character.exponents] == pytest.approx(1)
+    assert table[trivial_character(group).exponents] == pytest.approx(1)
     assert table[chi.exponents] == pytest.approx(0.5)
     assert table[lc.char_pow(chi, -1).exponents] == pytest.approx(0.5)
     assert table[lc.char_pow(chi, 2).exponents] == pytest.approx(0)

@@ -10,6 +10,7 @@ import pytest
 import lacuna as lc
 from conftest import (
     bytes_left_behind,
+    character_at,
     fresh_rademacher_system,
     oracle_character_table,
     oracle_inverse_powers,
@@ -61,7 +62,7 @@ ORACLE_GROUPS = [[n] for n in range(2, 13)] + [[4, 6], [3, 9], [30], [2, 3, 5]]
 def test_power_coincidence_rule_matches_exponent_oracle(orders):
     """The closed form (k+J)//ord > k//ord against exponent comparison of char_pow."""
     group = lc.make_group(orders)
-    system = lc.CharacterSystem(group, tuple(group.character_at(i) for i in range(1, group.size)))
+    system = lc.CharacterSystem(group, tuple(character_at(group, i) for i in range(1, group.size)))
     cases = 0
     for b, gamma in enumerate(system.characters):
         for d in range(1, 8):
