@@ -7,7 +7,7 @@ homogeneous chaos parts, and estimates Khinchin and Sidon constants
 empirically.  See the README for the CLI and the acceptance suite.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .errors import (
     BudgetExceeded,
@@ -68,6 +68,7 @@ from .riesz import (
     riesz_density,
     riesz_inverse_powers,
     riesz_modulated_powers,
+    riesz_spectrum,
 )
 from .analysis import (
     ConstantEstimate,

@@ -107,18 +107,25 @@ def _require_table_cells(rows: int, columns: int, shape: str):
         )
 
 
-def chaos_indices(
-    system: CharacterSystem, d: int, tetrahedral: bool = False
-) -> list[FullIndex]:
-    """Index tuples of the degree-d chaos (polynomial, or tetrahedral).
+def _require_chaos_cells(system: CharacterSystem, d: int, tetrahedral: bool = False):
+    """SizeLimitExceeded if the degree-d chaos passes ``TABLE_CELL_LIMIT``.
 
-    The term count, ``C(m+d-1, d)`` or ``C(m, d)``, is checked against
-    ``TABLE_CELL_LIMIT`` before any tuple is listed.
+    Its term count, ``C(m+d-1, d)`` or ``C(m, d)``, taken without listing a
+    tuple, is checked times |G| for the term value tables, and times d x
+    rank for the tuples and the exponent rows ``term_positions`` gathers.
     """
     m = len(system)
     terms = math.comb(m, d) if tetrahedral else math.comb(m + d - 1, d)
     _require_table_cells(terms, system.group.size, "terms x |G|")
-    return (enumerate_tetrahedral if tetrahedral else enumerate_polynomial)(m, d)
+    _require_table_cells(terms, d * system.group.rank, "terms x (d x rank)")
+
+
+def chaos_indices(
+    system: CharacterSystem, d: int, tetrahedral: bool = False
+) -> list[FullIndex]:
+    """Index tuples of the degree-d chaos (polynomial, or tetrahedral), sized before listed."""
+    _require_chaos_cells(system, d, tetrahedral)
+    return (enumerate_tetrahedral if tetrahedral else enumerate_polynomial)(len(system), d)
 
 
 def values_matrix(system: CharacterSystem, indices: Sequence) -> np.ndarray:

@@ -26,7 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import chaos_indices, estimate_khinchin_constant, estimate_sidon_constant
+from .analysis import (
+    _require_chaos_cells,
+    chaos_indices,
+    estimate_khinchin_constant,
+    estimate_sidon_constant,
+)
 from .chaos import decompose, random_chaos_polynomial, term_positions
 from .discretize import render_scan_svg, scan_point_counts, summarize_scan
 from .dissociation import (
@@ -38,7 +43,7 @@ from .dissociation import (
     vc_system_from_digit_sets,
 )
 from .errors import ConfigInvalid, DegenerateOrder, LacunaError
-from .groups import fourier, make_group
+from .groups import inverse_fourier, make_group
 from .parallel import trial_rng
 from .riesz import (
     ModulationPoint,
@@ -46,7 +51,7 @@ from .riesz import (
     extract_homogeneous_modulated,
     extraction_coefficients,
     require_nondegenerate,
-    riesz_density,
+    riesz_spectrum,
 )
 
 _EXTRACTION_TOL = 1e-8
@@ -271,16 +276,6 @@ def _write_csv(path: Path, config: dict, header: list[str], rows: list[list], ap
         writer.writerows(row + stamp for row in rows)
 
 
-def _stats_block(values: np.ndarray) -> dict:
-    return {
-        "mass_re": float(values.mean().real),
-        "mass_im": float(values.mean().imag),
-        "min_real": float(values.real.min()),
-        "max_abs_imag": float(np.abs(values.imag).max()),
-        "total_variation": float(np.abs(values).mean()),
-    }
-
-
 def _position_counts(system, indices) -> tuple[int, int]:
     """(distinct term positions, largest multiplicity of one position) over the chaos terms."""
     _, counts = np.unique(term_positions(system, indices), return_counts=True)
@@ -298,12 +293,18 @@ def _cmd_check_dissociation(plan, config, out, svg):
 def _cmd_riesz_report(plan, config, out, svg):
     system, d = plan["system"], plan["d"]
     require_dissociated(system, d)
-    rho = riesz_density(system, d)
-    table = fourier(rho)
+    table = riesz_spectrum(system, d)
+    rho = inverse_fourier(table)
     ok = rho.is_probability()
     results = {
         "d": d,
-        "density_stats": _stats_block(rho.values),
+        "density_stats": {
+            "mass_re": rho.mass.real,
+            "mass_im": rho.mass.imag,
+            "min_real": float(rho.values.real.min()),
+            "max_abs_imag": float(np.abs(rho.values.imag).max()),
+            "total_variation": rho.total_variation,
+        },
         "probability_density_ok": ok,
         "system": system.to_json_obj(),
     }
@@ -365,6 +366,9 @@ def _extract_verify_once(system, d, rng, y_samples, expectation):
 
 def _cmd_extract_verify(plan, config, out, svg):
     system, d = plan["system"], plan["d"]
+    # a d past the float range, or a chaos past the table limit, is refused before any trial
+    extraction_coefficients(d, 1)
+    _require_chaos_cells(system, d)
     try:
         require_nondegenerate(system, d)
         expectation = False

@@ -27,10 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import values_matrix
+from .analysis import _require_table_cells, values_matrix
 from .dissociation import CharacterSystem
-from .errors import InvalidQ, SizeLimitExceeded
-from .groups import TABLE_CELL_LIMIT
+from .errors import InvalidQ
 from .parallel import map_indexed, trial_rng
 
 
@@ -103,12 +102,7 @@ def scan_point_counts(
     if not sizes or sizes[0] < 1:
         raise ValueError("m_grid must contain positive point counts")
     group = system.group
-    cells = max(sizes[-1], group.size) * probes
-    if cells > TABLE_CELL_LIMIT:
-        raise SizeLimitExceeded(
-            f"a scan trial needs {cells} cells (max(m, |G|) * probes), "
-            f"over the limit {TABLE_CELL_LIMIT}"
-        )
+    _require_table_cells(max(sizes[-1], group.size), probes, "max(m, |G|) x probes")
     matrix = values_matrix(system, indices)
     n = matrix.shape[1]
     # one set of work buffers per scan, overwritten by every trial

@@ -24,16 +24,17 @@ generalized Rademacher functions with base 2d+1 at y:
                         ( w^{k*y_i} gamma_i^k(x) + w^{-k*y_i} gamma_i^{-k}(x) ) ],
 
 where S''_i drops a power k as soon as gamma_i^{-k} equals gamma_i^j for
-some j < k.  Each factor is again real and nonnegative.  Both densities
-come from one product loop that adds w * gamma_i^k / (2d) per weighted
-power; rho weights gamma_i^k by its count in 1..d, and each inverse by 1.
+some j < k.  Each factor is again real and nonnegative.  Both are lists
+of (weight, power) pairs, w * gamma_i^k / (2d) per weighted power; rho
+weights gamma_i^k by its count in 1..d, and each inverse by 1.
 
-The same (weight, power) lists give both Fourier tables with no
-transform.  Factor i's table is 1 at the trivial character plus w / (2d)
-at the dual-group position of each gamma_i^k, so the product's table is
-the convolution of m short factor tables, nonzero on at most (2d+1)^m
-characters (Rudin, 1960).  ``_riesz_spectrum`` walks it one factor at a
-time; the densities themselves are built only for reports and as oracles.
+rho and rho_y are built once, in the dual group.  Factor i's Fourier
+table is 1 at the trivial character plus w / (2d) at the dual-group
+position of each gamma_i^k, so the product's table is the convolution of
+m short factor tables, nonzero on at most (2d+1)^m characters (Rudin,
+1960).  ``_riesz_spectrum`` walks it one factor at a time, and each
+density is one inverse transform of that exact table, so it is real and
+nonnegative up to the round-off of that transform.
 
 Both sets, and the flipped powers 2d+1-alpha of the weighted polynomial
 below, come from one closed-form rule: gamma^{-k} = gamma^j exactly when
@@ -86,7 +87,6 @@ from .groups import (
     DensityMeasure,
     FourierTable,
     _scatter,
-    char_pow,
     inverse_fourier,
 )
 
@@ -160,26 +160,8 @@ def _modulated_terms(
     ]
 
 
-def _riesz_product(system: CharacterSystem, d: int, terms) -> DensityMeasure:
-    """prod_i [ 1 + sum_{(w, k) in terms[i]} w * gamma_i^k / (2d) ], pointwise.
-
-    The one loop behind both densities: the pairs are added in the order
-    ``terms`` lists them.
-    """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    group = system.group
-    values = np.ones(group.size, dtype=np.complex128)
-    for gamma, pairs in zip(system.characters, terms):
-        factor = np.ones(group.size, dtype=np.complex128)
-        for w, k in pairs:
-            factor += w * char_pow(gamma, k).values() / (2 * d)
-        values *= factor
-    return DensityMeasure(group, values)
-
-
 def _riesz_spectrum(system: CharacterSystem, d: int, terms) -> np.ndarray:
-    """Fourier table of ``_riesz_product(system, d, terms)``, built in the dual group.
+    """Fourier table of prod_i [ 1 + sum_{(w, k) in terms[i]} w * gamma_i^k / (2d) ].
 
     Factor i's table is 1 at the trivial character plus w / (2d) at the
     position of gamma_i^k for each pair (w, k) of ``terms[i]``, the pairs
@@ -228,15 +210,27 @@ def _riesz_spectrum(system: CharacterSystem, d: int, terms) -> np.ndarray:
     return _scatter(positions, values, group.size).astype(np.complex128, copy=False)
 
 
+def _riesz_hat(system: CharacterSystem, d: int, check: bool) -> np.ndarray:
+    """Fourier table of rho, after the nondegenerate regime is checked if asked."""
+    if check:
+        require_nondegenerate(system, d)
+    return _riesz_spectrum(system, d, _riesz_terms(system, d))
+
+
+def riesz_spectrum(system: CharacterSystem, d: int) -> FourierTable:
+    """rho's exact Fourier table, read off its factor terms: 0 off the product's support."""
+    return FourierTable(system.group, _riesz_hat(system, d, check=False))
+
+
 def riesz_density(system: CharacterSystem, d: int) -> DensityMeasure:
     """The degree-d Riesz product density over the full finite system.
 
-    It is built for any system.  For d-dissociated systems whose character
-    orders all exceed d the result is a probability density: real,
-    nonnegative, mass one.  The extraction routes never build it: they read
-    rho's Fourier table off the same factor terms (``_riesz_spectrum``).
+    It is built for any system, as one inverse transform of
+    ``riesz_spectrum``.  For d-dissociated systems whose character orders
+    all exceed d the result is a probability density: real, nonnegative
+    and of mass one, up to the round-off of that transform.
     """
-    return _riesz_product(system, d, _riesz_terms(system, d))
+    return inverse_fourier(riesz_spectrum(system, d))
 
 
 @dataclass(frozen=True)
@@ -281,10 +275,12 @@ def modulated_riesz_density(
 
     Every factor is real and nonnegative pointwise, so the total variation
     equals the mass; for d-dissociated systems with all orders > d both
-    equal 1.
+    equal 1.  It is one inverse transform of rho_y's exact Fourier table,
+    so these hold up to the round-off of that transform.
     """
     _require_modulation_point(system, d, y)
-    return _riesz_product(system, d, _modulated_terms(system, d, y))
+    rho_y_hat = _riesz_spectrum(system, d, _modulated_terms(system, d, y))
+    return inverse_fourier(FourierTable(system.group, rho_y_hat))
 
 
 def modulation_exponents(
@@ -384,13 +380,6 @@ def _extraction_hat(rho_hat: np.ndarray, spec: ExtractionSpec) -> np.ndarray:
         power = power * rho_hat
         nu_hat += spec.coefficients[j] * power
     return nu_hat
-
-
-def _riesz_hat(system: CharacterSystem, d: int, check: bool) -> np.ndarray:
-    """Fourier table of rho, after the nondegenerate regime is checked if asked."""
-    if check:
-        require_nondegenerate(system, d)
-    return _riesz_spectrum(system, d, _riesz_terms(system, d))
 
 
 def extraction_measure(

@@ -115,6 +115,18 @@ def bytes_left_behind(call) -> int:
         tracemalloc.stop()
 
 
+def refuse_everywhere(monkeypatch, attr):
+    """Replace ``attr`` at every lacuna import site with a function that fails."""
+    import sys
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{attr} was called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "lacuna" and hasattr(module, attr):
+            monkeypatch.setattr(module, attr, refuse)
+
+
 def fresh_rademacher_system(count: int) -> CharacterSystem:
     """A new Rademacher system with its group's root tables and its exponent matrix built."""
     system = rademacher_system(count)
@@ -188,6 +200,25 @@ def oracle_product_index(system: CharacterSystem, exps) -> int:
     orders = system.group.orders
     exponents = np.asarray(exps, dtype=np.int64) @ system.exponent_matrix % np.asarray(orders)
     return int(np.ravel_multi_index(tuple(exponents), orders))
+
+
+def oracle_riesz_product(system: CharacterSystem, d: int, terms) -> DensityMeasure:
+    """prod_i [ 1 + sum_{(w, k) in terms[i]} w * gamma_i^k / (2d) ], pointwise.
+
+    The oracle for both densities and their exact Fourier tables: the pairs
+    are added in the order ``terms`` lists them, one |G| character table
+    per pair, with no transform.
+    """
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    group = system.group
+    values = np.ones(group.size, dtype=np.complex128)
+    for gamma, pairs in zip(system.characters, terms):
+        factor = np.ones(group.size, dtype=np.complex128)
+        for w, k in pairs:
+            factor += w * char_pow(gamma, k).values() / (2 * d)
+        values *= factor
+    return DensityMeasure(group, values)
 
 
 def oracle_inverse_powers(gamma, d: int) -> set[int]:

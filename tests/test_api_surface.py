@@ -1,11 +1,12 @@
-"""The library defines only what it runs: no public name that only the tests call.
+"""The library defines only what it runs: no name that only the tests call.
 
 Every public top-level function and class in ``src/lacuna``, and every
 public method, must pass one of three checks: some library module refers
 to it by name or attribute outside its own definition (``__init__.py``,
 which only re-exports, does not count); or ``README.md`` names it; or it
-is on ``ALLOWED`` below with its reason.  A helper that only the tests
-need belongs in ``tests/conftest.py``, beside the other oracles.
+is on ``ALLOWED`` below with its reason.  Every private top-level function
+must pass the first check.  A helper that only the tests need belongs in
+``tests/conftest.py``, beside the other oracles.
 """
 
 from __future__ import annotations
@@ -45,25 +46,41 @@ def _references(tree: ast.Module):
             yield node.attr, node.lineno
 
 
-def _public_names():
-    """(where, name, reached) per public definition: reached by the library or the README."""
+def _private_functions(tree: ast.Module):
+    """Every private top-level function."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+            yield node
+
+
+def _library_uses(definitions):
+    """(where, node, used) per node ``definitions(tree)`` yields from each library module.
+
+    A node is used when some library module refers to it outside its own lines.
+    """
     modules = {
         path.name: ast.parse(path.read_text(), filename=str(path))
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "__init__.py"
     }
     references = {name: list(_references(tree)) for name, tree in modules.items()}
-    readme = (ROOT / "README.md").read_text()
     for module, tree in modules.items():
-        for node in _public_definitions(tree):
+        for node in definitions(tree):
             used = any(
                 ref == node.name
                 and not (other == module and node.lineno <= line <= node.end_lineno)
                 for other, refs in references.items()
                 for ref, line in refs
             )
-            named = re.search(rf"\b{re.escape(node.name)}\b", readme) is not None
-            yield f"{module}:{node.lineno}", node.name, used or named
+            yield f"{module}:{node.lineno}", node, used
+
+
+def _public_names():
+    """(where, name, reached) per public definition: reached by the library or the README."""
+    readme = (ROOT / "README.md").read_text()
+    for where, node, used in _library_uses(_public_definitions):
+        named = re.search(rf"\b{re.escape(node.name)}\b", readme) is not None
+        yield where, node.name, used or named
 
 
 def test_every_public_name_is_used_by_the_library_or_documented():
@@ -79,3 +96,10 @@ def test_every_allowed_name_is_defined_and_still_unreached():
     # an allowance outlives its reason once the library calls the name or drops it
     unreached = {name for _, name, reached in _public_names() if not reached}
     assert set(ALLOWED) <= unreached
+
+
+def test_every_private_function_is_used_by_the_library():
+    unused = [
+        f"{where} {node.name}" for where, node, used in _library_uses(_private_functions) if not used
+    ]
+    assert unused == []

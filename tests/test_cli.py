@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import character_at
+from conftest import character_at, refuse_everywhere
 from lacuna import __version__
 from lacuna.cli import main, run
 
@@ -646,7 +646,7 @@ def test_discretize_scan_bounds_cells_before_allocating(tmp_path, capsys, monkey
         raise AssertionError("the scan started its trials")
 
     monkeypatch.setattr(lacuna.discretize, "map_indexed", refuse)
-    _refuse_everywhere(monkeypatch, "_term_tables")
+    refuse_everywhere(monkeypatch, "_term_tables")
     config = {
         "command": "discretize-scan",
         "system": {"rademacher": {"count": 4}},
@@ -710,7 +710,7 @@ def test_ceiling_past_the_float_range_is_refused_before_any_trial(
     tmp_path, capsys, monkeypatch, config
 ):
     # the ceiling used to overflow to inf and die in the JSON writer after every trial
-    _refuse_everywhere(monkeypatch, "_term_tables")
+    refuse_everywhere(monkeypatch, "_term_tables")
     code, out = _run(tmp_path, {"trials": 1, **config})
     assert code == 1
     err = capsys.readouterr().err
@@ -738,21 +738,9 @@ def test_scan_marker_is_none_past_the_float_range():
     assert _marker_m(45, 400) is None
 
 
-def _refuse_everywhere(monkeypatch, attr):
-    """Replace ``attr`` at every lacuna import site with a function that fails."""
-    import sys
-
-    def refuse(*args, **kwargs):
-        raise AssertionError(f"{attr} was called")
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "lacuna" and hasattr(module, attr):
-            monkeypatch.setattr(module, attr, refuse)
-
-
 @pytest.mark.parametrize("command", ["khinchin", "sidon", "discretize-scan"])
 def test_value_tables_are_bounded_before_any_column(tmp_path, capsys, monkeypatch, command):
-    _refuse_everywhere(monkeypatch, "_term_tables")
+    refuse_everywhere(monkeypatch, "_term_tables")
     config = {
         "command": command,
         "system": {"rademacher": {"count": 20}},
@@ -784,7 +772,7 @@ def test_value_tables_are_bounded_before_any_column(tmp_path, capsys, monkeypatc
 def test_chaos_terms_are_counted_before_they_are_listed(tmp_path, capsys, monkeypatch, config):
     # C(23, 12) = 1,352,078 polynomial terms and C(20, 10) = 184,756 tetrahedral ones
     for attr in ("enumerate_polynomial", "enumerate_tetrahedral", "_term_tables"):
-        _refuse_everywhere(monkeypatch, attr)
+        refuse_everywhere(monkeypatch, attr)
     code, out = _run(tmp_path, {**config, "trials": 1})
     assert code == 1
     err = capsys.readouterr().err
@@ -792,8 +780,45 @@ def test_chaos_terms_are_counted_before_they_are_listed(tmp_path, capsys, monkey
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "system, d",
+    [({"rademacher": {"count": 12}}, 8), ({"rademacher": {"count": 1}}, 20)],
+    ids=["chaos past the table limit", "d past the float range"],
+)
+def test_extract_verify_refuses_before_any_polynomial(tmp_path, capsys, monkeypatch, system, d):
+    # C(19, 8) = 75,582 terms x 4,096 points, and mixing coefficients near 2^1118
+    refuse_everywhere(monkeypatch, "random_chaos_polynomial")
+    config = {"command": "extract-verify", "system": system, "d": d, "trials": 1, "y_samples": 1}
+    code, out = _run(tmp_path, config)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error (SizeLimitExceeded): ") and "Traceback" not in err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"command": "sidon", "p": 1.5, "trials": 1},
+        {"command": "discretize-scan", "chaos": "polynomial", "m_grid": [2], "trials": 1},
+    ],
+    ids=["sidon", "discretize-scan"],
+)
+def test_chaos_tuples_are_bounded_before_they_are_listed(tmp_path, capsys, monkeypatch, config):
+    # one term of 2 points passes terms x |G|; its 2000-long tuple passes 1000 cells
+    import lacuna.analysis
+
+    monkeypatch.setattr(lacuna.analysis, "TABLE_CELL_LIMIT", 1000)
+    refuse_everywhere(monkeypatch, "enumerate_polynomial")
+    code, out = _run(tmp_path, {**config, "system": {"rademacher": {"count": 1}}, "d": 2000})
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error (SizeLimitExceeded): ") and "d x rank" in err
+    assert not any(out.iterdir())
+
+
 def test_discretize_scan_reads_m_grid_before_building_the_basis(tmp_path, capsys, monkeypatch):
-    _refuse_everywhere(monkeypatch, "_term_tables")
+    refuse_everywhere(monkeypatch, "_term_tables")
     config = {
         "command": "discretize-scan",
         "system": {"rademacher": {"count": 4}},

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import refuse_everywhere
 from lacuna.cli import run
 
 GOLDEN = Path(__file__).parent / "data" / "golden_results.json"
@@ -123,6 +124,14 @@ def test_golden_file_covers_every_command():
 def test_results_match_golden(tmp_path, command):
     golden = json.loads(GOLDEN.read_text())
     _assert_matches(_results(command, tmp_path), golden[command])
+
+
+@pytest.mark.parametrize("command", sorted(CONFIGS))
+def test_no_command_runs_a_forward_transform(tmp_path, monkeypatch, command):
+    # every table a command reads is built in the dual group or read off a value table
+    refuse_everywhere(monkeypatch, "fourier")
+    config, _ = CONFIGS[command]
+    assert run(config, out_dir=tmp_path) == 0
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from conftest import (
     oracle_modulated_powers,
     oracle_modulation_exponents,
     oracle_product_index,
+    oracle_riesz_product,
     sample_dissociated_system,
     sample_nondegenerate_system,
 )
@@ -26,6 +27,16 @@ OMEGA5 = cmath.exp(2j * cmath.pi / 5)
 
 def _system(orders, exponents):
     return lc.CharacterSystem.from_exponents(lc.make_group(orders), exponents)
+
+
+def _oracle_rho(system, d):
+    """rho as the pointwise product of its factor terms, with no transform."""
+    return oracle_riesz_product(system, d, lc.riesz._riesz_terms(system, d))
+
+
+def _oracle_rho_y(system, d, y):
+    """rho_y as the pointwise product of its factor terms, with no transform."""
+    return oracle_riesz_product(system, d, lc.riesz._modulated_terms(system, d, y))
 
 
 # -- power bookkeeping ---------------------------------------------------------
@@ -145,22 +156,29 @@ def _term_by_term_density(system, d):
 
 
 def test_riesz_density_floats_past_the_orders_are_the_term_by_term_sum():
-    # rademacher(3) at d = 3 > ord = 2: each distinct power is added once,
-    # times its count, and the floats come out exact
-    rho = lc.riesz_density(lc.rademacher_system(3), 3)
-    assert rho.values.tolist() == [
+    # rademacher(3) at d = 3 > ord = 2: _riesz_terms lists each distinct power
+    # once, times its count, and their pointwise product comes out exact
+    system = lc.rademacher_system(3)
+    product = _oracle_rho(system, 3).values
+    assert product.tolist() == [
         3.375, 1.875, 1.875, 1.0416666666666667,
         1.875, 1.0416666666666667, 1.0416666666666667, 0.5787037037037038,
     ]
+    # the density inverts the exact table: 3.375000000000001 at the identity
+    rho = lc.riesz_density(system, 3).values
+    assert np.abs(rho - product).max() <= 1e-15 * np.abs(product).max()
     system = _system([2, 3, 5], [[1, 0, 0], [0, 1, 0], [0, 0, 2], [1, 1, 1]])
     for d in range(1, 13):
         expected = _term_by_term_density(system, d)
-        by_class = lc.riesz_density(system, d).values
+        by_class = _oracle_rho(system, d).values
         # summing by residue class keeps every d <= ord(gamma) factor and
         # moves the others in last bits
         assert np.abs(by_class - expected).max() <= 1e-14 * np.abs(expected).max()
         if d <= 2:
             assert np.array_equal(by_class, expected)
+        # an inverse transform of 30 points: 1.05e-15 * max at d = 12
+        rho = lc.riesz_density(system, d).values
+        assert np.abs(rho - by_class).max() <= 2e-15 * np.abs(by_class).max()
 
 
 def test_riesz_density_at_huge_d():
@@ -207,11 +225,11 @@ def test_expected_riesz_coefficient_examples():
     # in the nondegenerate regime rho-hat is (2d)^{-s} on every s-fold product
     system4 = _system([4], [[1]])
     lc.require_nondegenerate(system4, 1)
-    rho_hat = lc.fourier(lc.riesz_density(system4, 1)).coeffs
+    rho_hat = lc.fourier(_oracle_rho(system4, 1)).coeffs
     assert rho_hat[oracle_product_index(system4, (1,))] == pytest.approx(0.5)
     system99 = _system([9, 9], [[1, 0], [0, 1]])
     lc.require_nondegenerate(system99, 2)
-    rho_hat = lc.fourier(lc.riesz_density(system99, 2)).coeffs
+    rho_hat = lc.fourier(_oracle_rho(system99, 2)).coeffs
     assert rho_hat[oracle_product_index(system99, (1, 2))] == pytest.approx(1 / 16)
     # the trivial character: the mass
     assert rho_hat[oracle_product_index(system99, (0, 0))] == pytest.approx(1)
@@ -225,9 +243,8 @@ def test_expected_riesz_coefficient_degenerate_order():
 def test_expected_riesz_coefficient_requires_2d_dissociation():
     # d-dissociated but not 2d-dissociated: the law genuinely fails here
     system = _system([5], [[1], [2]])
-    rho = lc.riesz_density(system, 1)
     chi1 = system.group.character([1])
-    measured = lc.fourier(rho).coeffs.reshape(system.group.orders)[chi1.exponents]
+    measured = lc.fourier(_oracle_rho(system, 1)).coeffs.reshape(system.group.orders)[chi1.exponents]
     assert measured == pytest.approx(0.75)  # not (2d)^-1 = 0.5
     with pytest.raises(lc.NotDissociated):
         lc.require_nondegenerate(system, 1)
@@ -238,8 +255,7 @@ def test_riesz_fourier_law_full_spectrum():
     for _ in range(6):
         d = int(rng.integers(1, 4))
         system = sample_nondegenerate_system(rng, d, max_m=3, max_size=2500)
-        rho = lc.riesz_density(system, d)
-        table = lc.fourier(rho)
+        table = lc.fourier(_oracle_rho(system, d))
         expected = np.zeros(system.group.size, dtype=np.complex128)
         m = len(system)
         for exps in itertools.product(range(-d, d + 1), repeat=m):
@@ -268,12 +284,12 @@ def test_riesz_spectrum_is_the_transform_of_both_densities(case):
     system = build()
     rho_hat = lc.riesz._riesz_spectrum(system, d, lc.riesz._riesz_terms(system, d))
     assert rho_hat.dtype == np.complex128 and rho_hat.shape == (system.group.size,)
-    assert np.abs(rho_hat - lc.fourier(lc.riesz_density(system, d)).coeffs).max() <= 1e-15
+    assert np.abs(rho_hat - lc.fourier(_oracle_rho(system, d)).coeffs).max() <= 1e-15
     rng = np.random.default_rng(59)
     for _ in range(4):
         y = lc.ModulationPoint.random(rng, 2 * d + 1, len(system))
         rho_y_hat = lc.riesz._riesz_spectrum(system, d, lc.riesz._modulated_terms(system, d, y))
-        oracle = lc.fourier(lc.modulated_riesz_density(system, d, y)).coeffs
+        oracle = lc.fourier(_oracle_rho_y(system, d, y)).coeffs
         assert np.abs(rho_y_hat - oracle).max() <= 1e-15
 
 
@@ -374,9 +390,8 @@ def test_modulated_coefficient_single_order9():
     system = _system([9], [[1]])
     d = 2
     y = lc.ModulationPoint(5, (1,))
-    rho_y = lc.modulated_riesz_density(system, d, y)
     gamma2 = system.group.character([2])
-    measured = lc.fourier(rho_y).coeffs.reshape(system.group.orders)[gamma2.exponents]
+    measured = lc.fourier(_oracle_rho_y(system, d, y)).coeffs.reshape(system.group.orders)[gamma2.exponents]
     assert measured == pytest.approx(OMEGA5**2 / 4)
     # the product of the weights over (2d)^s, in the nondegenerate regime
     lc.require_nondegenerate(system, d)
