@@ -7,7 +7,7 @@ homogeneous chaos parts, and estimates Khinchin and Sidon constants
 empirically.  See the README for the CLI and the acceptance suite.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .errors import (
     BudgetExceeded,
@@ -75,7 +75,6 @@ from .analysis import (
     estimate_khinchin_constant,
     estimate_sidon_constant,
     khinchin_ceiling,
-    lp_coeff_norm,
     lq_norm,
     sidon_ceiling,
     values_matrix,

@@ -1,8 +1,8 @@
 """Norms, lacunarity functionals, and empirical constant estimation.
 
 Function norms are taken against normalized Haar measure,
-``||f||_q = ((1/|G|) sum |f|^q)^(1/q)`` with ``||f||_inf = max |f|``;
-coefficient norms are plain ``l_p`` sums.  The two functionals under study:
+``||f||_q = ((1/|G|) sum |f|^q)^(1/q)`` with ``||f||_inf = max |f|``.
+The two functionals under study:
 
 * Khinchin ratio   ``||Q||_q / ||A||_2``   (q > 2), and
 * Sidon ratio      ``||A||_p / ||Q||_inf`` with p = 2d/(d+1) by default.
@@ -10,14 +10,15 @@ coefficient norms are plain ``l_p`` sums.  The two functionals under study:
 Both are scale-invariant in the coefficients, so the estimators search the
 unit sphere: projected gradient ascent on ``||Q||_q^q`` for every finite
 q, and a coordinate-wise phase search that minimizes ``||Q||_inf`` at
-pinned modulus, stopping once every coefficient in turn has been scored
-against an unchanged state without improvement.  The phase search scores
-each candidate on the current peak points first: a candidate whose
-modulus there already reaches the current peak cannot be accepted, so
-only the survivors are scored on the whole group, and the pick is the
-same as scoring all of them.  Trials are independent,
-seeded per ``(seed, trial)``, and every accepted step improves the
-objective, so trajectories are monotone and results reproduce bit-for-bit.
+pinned modulus, where ``||A||_p = n^(1/p)`` for n terms, stopping once
+every coefficient in turn has been scored against an unchanged state
+without improvement.  The phase search scores each candidate on the
+current peak points first: a candidate whose modulus there already
+reaches the current peak cannot be accepted, so only the survivors are
+scored on the whole group, and the pick is the same as scoring all of
+them.  Trials are independent, seeded per ``(seed, trial)``, and every
+accepted step improves the objective, so trajectories are monotone and
+results reproduce bit-for-bit.
 The Khinchin trials step together: their coefficients form one block, and
 each step takes every product row by row inside one batched call, so each
 trial's result is bit-for-bit what it would be alone.  The Sidon trials run
@@ -45,6 +46,7 @@ from .chaos import (
     _term_tables,
     enumerate_polynomial,
     enumerate_tetrahedral,
+    require_indices,
 )
 from .dissociation import CharacterSystem, require_dissociated
 from .errors import InvalidP, InvalidQ, SizeLimitExceeded
@@ -68,30 +70,6 @@ def lq_norm(values, q) -> float:
     if not 1 <= q <= math.inf:
         raise InvalidQ(f"q must be >= 1 or infinity, got {q}")
     return float(_row_lq_norms(np.asarray(values, dtype=np.complex128).reshape(1, -1), q)[0])
-
-
-def lp_coeff_norm(coefficients, p) -> float:
-    """(sum |A_i|^p)^(1/p) over a coefficient vector.
-
-    When the sum leaves the float range, or underflows to 0 on a nonzero
-    vector, the norm is taken as ``M (sum (|A_i|/M)^p)^(1/p)`` with
-    ``M = max |A_i|``, whose sum lies between 1 and n.
-    """
-    p = float(p)
-    if not 1 <= p <= math.inf:
-        raise InvalidP(f"p must be >= 1, got {p}")
-    mags = np.abs(np.asarray(coefficients, dtype=np.complex128))
-    if math.isinf(p):
-        return float(mags.max())
-    with np.errstate(over="ignore"):
-        total = np.sum(mags**p)
-    if 0 < total < math.inf:
-        return float(total ** (1.0 / p))
-    # |A_i|^p left the float range (or the vector is zero): scale by the largest modulus
-    top = mags.max(initial=0.0)
-    if not top:
-        return 0.0
-    return float(top * np.sum((mags / top) ** p) ** (1.0 / p))
 
 
 def _require_table_cells(rows: int, columns: int, shape: str):
@@ -237,23 +215,22 @@ def _best_of_trials(
     seed: int,
     indices: Sequence | None,
     ceiling: float | None,
-    lockstep: bool = False,
+    held: Callable[[int], tuple[int, int, str]],
 ) -> ConstantEstimate:
     """The body both estimators share: checks, value matrix, trials, best ratio.
 
     ``run_trials`` receives the value matrix and trial t's rng
     ``trial_rng(seed, t)`` for every t, and returns the results in trial
-    order.  ``lockstep`` trials hold ``(trials, |G|)`` and ``(trials, n)``
-    blocks, which are sized against ``TABLE_CELL_LIMIT`` before the matrix
-    is built.
+    order.  The indices must pass ``require_indices`` at degree d, and
+    ``held(n)``, the ``(rows, columns, shape)`` of what the trials hold for
+    n terms, must fit ``TABLE_CELL_LIMIT``; both are checked first.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     require_dissociated(system, d)
     idx = list(indices) if indices is not None else chaos_indices(system, d)
-    if lockstep:
-        width = max(system.group.size, len(idx))
-        _require_table_cells(trials, width, "trials x max(|G|, terms)")
+    require_indices(len(system), idx, d)
+    _require_table_cells(*held(len(idx)))
     matrix = values_matrix(system, idx)
     results = run_trials(matrix, [trial_rng(seed, t) for t in range(trials)])
     best = max(range(trials), key=lambda t: results[t][0])
@@ -406,7 +383,7 @@ def estimate_khinchin_constant(
     run_trials = functools.partial(_ascend, q=q)
     return _best_of_trials(
         "khinchin", float(q), run_trials, system, d, trials, seed, indices, ceiling,
-        lockstep=True,
+        lambda n: (trials, max(system.group.size, n), "trials x max(|G|, terms)"),
     )
 
 
@@ -436,9 +413,12 @@ def estimate_sidon_constant(
     argmin overall: the coefficients and histories are those of scoring
     every candidate.  A trial ends once n steps in a row (one per
     coefficient) are rejected, since every later step would rescore an
-    unchanged state, or after ``_MAX_SWEEPS`` (40) sweeps of n steps.  The
-    result's ``histories`` holds each trial's ratio after every accepted
-    change.  A p below 1, or NaN, raises InvalidP.
+    unchanged state, or after ``_MAX_SWEEPS`` (40) sweeps of n steps.
+    The search never reads p: every ratio is ``n ** (1 / p)``, the
+    ``||A||_p`` of every pattern, over a peak of ``|Q|``.  The result's
+    ``histories`` holds each trial's ratio after every accepted change.  A
+    p below 1, or NaN, raises InvalidP.  The trials hold the matrix and its
+    transpose: 2 n |G| cells, sized before the matrix is built.
     """
     default_p = 2 * d / (d + 1)
     p_eff = default_p if p is None else float(p)
@@ -452,14 +432,14 @@ def estimate_sidon_constant(
         columns = np.ascontiguousarray(matrix.T)
         n_top = min(_PEAK_POINTS, matrix.shape[0])
 
-        def trial(rng: np.random.Generator) -> _Result:
+        def trial(rng: np.random.Generator) -> tuple[np.ndarray, list[float]]:
+            """(coefficients, the peak after the start and every accepted change)."""
             coeffs = np.exp(2j * np.pi * rng.uniform(size=n))
             values = matrix @ coeffs
             start_moduli = np.abs(values)
             peak = float(start_moduli.max())
             top = np.argpartition(start_moduli, -n_top)[-n_top:]
-            coeff_norm = lp_coeff_norm(coeffs, p_eff)
-            history = [coeff_norm / peak]
+            history = [peak]
             # one candidate table per trial; its first rows are written in place
             # for the candidates that survive the peak points
             shifted = np.empty((_PHASE_GRID, matrix.shape[0]), dtype=np.complex128)
@@ -488,7 +468,7 @@ def estimate_sidon_constant(
                     coeffs[t_idx] = candidates[alive[row]]
                     peak = float(peaks[row])
                     top = np.argpartition(moduli[row], -n_top)[-n_top:]
-                    history.append(coeff_norm / peak)
+                    history.append(peak)
                     rejected = 0
                 else:
                     rejected += 1
@@ -496,14 +476,19 @@ def estimate_sidon_constant(
                     # a state already scored
                     if rejected == n:
                         break
-            return coeff_norm / peak, coeffs, history
+            return coeffs, history
 
         # the survivor sets are ragged, so the trials run one after another
-        return map_indexed(lambda t: trial(rngs[t]), len(rngs))
+        results = map_indexed(lambda t: trial(rngs[t]), len(rngs))
+        # ||A||_p of every unimodular pattern: at most n, so finite at every p >= 1
+        coeff_norm = n ** (1.0 / p_eff)
+        ratios = [[coeff_norm / peak for peak in peaks] for _, peaks in results]
+        return [(r[-1], coeffs, r) for r, (coeffs, _) in zip(ratios, results)]
 
     ceiling = None
     if c_model is not None and abs(p_eff - default_p) < 1e-12:
         ceiling = sidon_ceiling(d, c_model)
     return _best_of_trials(
-        "sidon", p_eff, run_trials, system, d, trials, seed, indices, ceiling
+        "sidon", p_eff, run_trials, system, d, trials, seed, indices, ceiling,
+        lambda n: (2 * n, system.group.size, "2 x terms x |G|"),
     )

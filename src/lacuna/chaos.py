@@ -59,6 +59,23 @@ def enumerate_polynomial(m: int, d: int) -> list[FullIndex]:
     return list(itertools.combinations_with_replacement(range(m), d))
 
 
+def require_indices(m: int, indices: Sequence, degree: int | None = None):
+    """ValueError unless the list names at least one term of an m-character system:
+    bases in 0..m-1, no two tuples alike once sorted, each of length ``degree`` if given."""
+    if not len(indices):
+        raise ValueError("indices must name at least one term")
+    seen: set[FullIndex] = set()
+    for index in indices:
+        index = tuple(sorted(map(int, index)))
+        if degree is not None and len(index) != degree:
+            raise ValueError(f"index {index} has degree {len(index)}, expected {degree}")
+        if index and not 0 <= index[0] <= index[-1] < m:
+            raise ValueError(f"index {index} references a character outside 0..{m - 1}")
+        if index in seen:
+            raise ValueError(f"duplicate index {index}")
+        seen.add(index)
+
+
 def _power_keys(index: Sequence[int]) -> list[tuple[int, int]]:
     """(base, multiplicity) of every distinct base of an index, bases increasing."""
     return [(b, len(list(run))) for b, run in itertools.groupby(sorted(index))]
@@ -107,27 +124,21 @@ class ChaosPolynomial:
 
     The constructor takes a mapping from index tuples, entries in any order,
     to numbers.  ``indices`` holds the sorted tuples in increasing order and
-    ``coefficients`` the read-only complex128 vector aligned with them.  A
-    wrong degree, a base outside the system, or two keys that sort to the
-    same tuple raise ValueError.
+    ``coefficients`` the read-only complex128 vector aligned with them.
+    Keys that break ``require_indices`` at this degree raise ValueError.
     """
 
     def __init__(self, system: CharacterSystem, degree: int, coefficients: Mapping):
         if degree < 1:
             raise ValueError(f"degree must be >= 1, got {degree}")
-        self.system, self.degree, m = system, degree, len(system)
+        self.system, self.degree = system, degree
         terms = sorted(
             ((tuple(sorted(map(int, key))), complex(c)) for key, c in coefficients.items()),
             key=lambda term: term[0],
         )
         self.indices: tuple[FullIndex, ...] = tuple(index for index, _ in terms)
-        for t, index in enumerate(self.indices):
-            if len(index) != degree:
-                raise ValueError(f"index {index} has degree {len(index)}, expected {degree}")
-            if not 0 <= index[0] <= index[-1] < m:
-                raise ValueError(f"index {index} references a character outside 0..{m - 1}")
-            if t and index == self.indices[t - 1]:
-                raise ValueError(f"duplicate index {index}")
+        if self.indices:  # a polynomial with no terms is zero
+            require_indices(len(system), self.indices, degree)
         self.coefficients = np.array([c for _, c in terms], dtype=np.complex128)
         self.coefficients.flags.writeable = False
 

@@ -22,6 +22,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -265,7 +266,7 @@ def _write_json(path: Path, command: str, config: dict, results: dict):
     path.write_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
-def _write_csv(path: Path, config: dict, header: list[str], rows: list[list], append: bool = False):
+def _write_csv(path: Path, config: dict, header: list[str], rows: Iterable, append: bool = False):
     """Write ``rows`` under ``header``; every row ends with the config hash and artifact version."""
     mode = "a" if append and path.exists() else "w"
     stamp = [_config_hash(config), __version__]
@@ -309,14 +310,14 @@ def _cmd_riesz_report(plan, config, out, svg):
         "system": system.to_json_obj(),
     }
     _write_json(out / "riesz_report.json", "riesz-report", config, results)
-    density_rows = [[i, _fmt(v.real), _fmt(v.imag)] for i, v in enumerate(rho.values)]
+    density_rows = ([i, _fmt(v.real), _fmt(v.imag)] for i, v in enumerate(rho.values))
     _write_csv(out / "riesz_density.csv", config, ["element", "re", "im"], density_rows)
     # characters enumerate in lexicographic exponent order, as elements do
     exponents = itertools.product(*map(range, system.group.orders))
-    fourier_rows = [
+    fourier_rows = (
         [i, ":".join(map(str, a)), _fmt(c.real), _fmt(c.imag)]
         for i, (a, c) in enumerate(zip(exponents, table.coeffs))
-    ]
+    )
     _write_csv(
         out / "riesz_fourier.csv", config, ["character", "exponents", "re", "im"], fourier_rows
     )

@@ -28,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import _require_table_cells, values_matrix
+from .chaos import require_indices
 from .dissociation import CharacterSystem
 from .errors import InvalidQ
 from .parallel import map_indexed, trial_rng
@@ -82,7 +83,8 @@ def scan_point_counts(
     once per group element into an |G| x probes table, and gathers the
     scheme rows from it into an m x probes table, so either one above
     ``TABLE_CELL_LIMIT`` cells raises SizeLimitExceeded before the basis
-    is built.  ``q`` must be finite and >= 1 (InvalidQ) and ``probes`` >= 1.
+    is built.  ``q`` must be finite and >= 1 (InvalidQ), ``probes`` >= 1,
+    and ``indices`` must pass ``require_indices`` (ValueError).
 
     The scan allocates its work buffers once and every trial overwrites
     them: the complex |G| x probes product, its ``|f|^q`` table, the
@@ -96,6 +98,7 @@ def scan_point_counts(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if probes < 1:
         raise ValueError(f"probes must be >= 1, got {probes}")
+    require_indices(len(system), indices)
     if not 1 <= q < math.inf:
         raise InvalidQ(f"q must be finite and >= 1, got {q}")
     sizes = sorted(set(int(m) for m in m_grid))

@@ -25,7 +25,6 @@ from lacuna import (
     char_pow,
     hadamard_trig_system,
     is_d_dissociated,
-    lp_coeff_norm,
     lq_norm,
     rademacher_system,
     require_nondegenerate,
@@ -361,6 +360,18 @@ def sample_dissociated_system(
     return system
 
 
+def lp_coeff_norm(coefficients, p) -> float:
+    """(sum |A_i|^p)^(1/p) over a coefficient vector; p = inf gives max |A_i|.
+
+    The l_p oracle for Gaussian coefficient vectors, whose sums stay well
+    inside the float range.
+    """
+    mags = np.abs(np.asarray(coefficients, dtype=np.complex128))
+    if math.isinf(p):
+        return float(mags.max())
+    return float(np.sum(mags**p) ** (1.0 / p))
+
+
 def khinchin_ratio(polynomial, q) -> float:
     """||Q||_q / ||A||_2 of one polynomial."""
     return lq_norm(polynomial.values(), q) / lp_coeff_norm(polynomial.coefficients, 2)
@@ -424,7 +435,8 @@ def oracle_sidon_estimate(system, d, trials, seed, max_sweeps):
 
     Each step scores the candidates column-major, ``values[:, None] +
     np.outer(col, delta)``, and a trial stops after a full sweep with no
-    change or after ``max_sweeps`` sweeps; the default exponent p is used.
+    change or after ``max_sweeps`` sweeps; the default exponent p is used,
+    and every unimodular pattern's l_p norm is ``n ** (1 / p)``.
     """
     matrix = values_matrix(system, chaos_indices(system, d))
     n = matrix.shape[1]
@@ -436,7 +448,7 @@ def oracle_sidon_estimate(system, d, trials, seed, max_sweeps):
         coeffs = np.exp(2j * np.pi * rng.uniform(size=n))
         values = matrix @ coeffs
         peak = float(np.abs(values).max())
-        coeff_norm = lp_coeff_norm(coeffs, p)
+        coeff_norm = n ** (1 / p)
         history = [coeff_norm / peak]
         for _ in range(max_sweeps):
             improved = False

@@ -21,6 +21,7 @@ from conftest import (
     character_at,
     finite_difference_gradient,
     grad_lq_q,
+    lp_coeff_norm,
     oracle_dissociated,
     oracle_product_index,
     oracle_riesz_product,
@@ -182,10 +183,10 @@ def extraction_study():
         bound_rows.append(
             {
                 "d": d,
-                "l2": lc.lp_coeff_norm(coeffs, 2),
+                "l2": lp_coeff_norm(coeffs, 2),
                 "lq4": lc.lq_norm(values, 4),
                 "lq6": lc.lq_norm(values, 6),
-                "lp_sidon": lc.lp_coeff_norm(coeffs, 2 * d / (d + 1)),
+                "lp_sidon": lp_coeff_norm(coeffs, 2 * d / (d + 1)),
                 "linf": lc.lq_norm(values, math.inf),
             }
         )
@@ -244,21 +245,19 @@ def test_criterion_06_sidon_bound_and_sharpness(extraction_study):
         if row["lp_sidon"] > ceilings[row["d"]] * row["linf"]
     )
 
-    # desk-scale sharpness: degree-2 tetrahedral chaos over growing hosts
+    # desk-scale sharpness: degree-2 tetrahedral chaos over growing hosts; the
+    # search never reads p, so the p = 1 constant n / ||Q||_inf is the
+    # p = 4/3 constant n^(3/4) / ||Q||_inf times n^(1/4)
     grid = (4, 6, 8, 10)
-    estimates = {}
-    for p in (4 / 3, 1.0):
-        values = []
-        for m in grid:
-            system = lc.rademacher_system(m)
-            indices = lc.enumerate_tetrahedral(m, 2)
-            estimate = lc.estimate_sidon_constant(
-                system, 2, trials=24, seed=2026, p=p, indices=indices
-            )
-            values.append(estimate.constant)
-        estimates[p] = values
-    littlewood = estimates[4 / 3]
-    failing = estimates[1.0]
+    littlewood, failing = [], []
+    for m in grid:
+        system = lc.rademacher_system(m)
+        indices = lc.enumerate_tetrahedral(m, 2)
+        estimate = lc.estimate_sidon_constant(
+            system, 2, trials=24, seed=2026, p=4 / 3, indices=indices
+        )
+        littlewood.append(estimate.constant)
+        failing.append(estimate.constant * len(indices) ** (1 / 4))
     fluctuation = max(littlewood) / min(littlewood)
     growth = failing[-1] / failing[0]
     increasing = all(b > a for a, b in zip(failing, failing[1:]))

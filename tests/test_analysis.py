@@ -14,6 +14,8 @@ from conftest import (
     fresh_rademacher_system,
     grad_lq_q,
     khinchin_ratio,
+    lp_coeff_norm,
+    refuse_everywhere,
     sidon_ratio,
 )
 from lacuna.analysis import chaos_indices
@@ -66,26 +68,15 @@ def test_lq_norm_past_the_float_range_raises():
 
 
 def test_lp_coeff_norm_examples():
-    assert lc.lp_coeff_norm([1, 0, 0], 1) == pytest.approx(1.0)
-    assert lc.lp_coeff_norm([1, 0, 0], 3.7) == pytest.approx(1.0)
-    assert lc.lp_coeff_norm([1, 1, 1], 4 / 3) == pytest.approx(3 ** (3 / 4))
-    assert lc.lp_coeff_norm([3, -4j, 1], math.inf) == 4.0
+    # the tests' l_p oracle; the library takes no coefficient norm, and
+    # refuses a p below 1 in the Sidon estimator
+    assert lp_coeff_norm([1, 0, 0], 1) == pytest.approx(1.0)
+    assert lp_coeff_norm([1, 0, 0], 3.7) == pytest.approx(1.0)
+    assert lp_coeff_norm([1, 1, 1], 4 / 3) == pytest.approx(3 ** (3 / 4))
+    assert lp_coeff_norm([3, -4j, 1], math.inf) == 4.0
     for p in (0.9, math.nan, -math.inf):
         with pytest.raises(lc.InvalidP):
-            lc.lp_coeff_norm([1], p)
-    with pytest.raises(lc.InvalidP):
-        lc.estimate_sidon_constant(lc.rademacher_system(3), 1, trials=1, seed=0, p=math.nan)
-
-
-def test_lp_coeff_norm_past_the_float_range_scales_by_the_largest_modulus():
-    # 2^1e300 overflows and 0.5^1e4 underflows: both sums leave the float range
-    assert lc.lp_coeff_norm(np.full(8, 2.0), 1e300) == pytest.approx(2.0)
-    assert lc.lp_coeff_norm(np.full(8, 0.5), 1e4) == pytest.approx(0.5 * 8**1e-4)
-    assert lc.lp_coeff_norm(np.zeros(3), 1e4) == 0.0
-    # the ordinary path keeps its bits
-    coeffs = np.array([0.3, 1.7 - 2j, 4j])
-    expected = float(np.sum(np.abs(coeffs) ** 1.5) ** (1.0 / 1.5))
-    assert lc.lp_coeff_norm(coeffs, 1.5) == expected
+            lc.estimate_sidon_constant(lc.rademacher_system(3), 1, trials=1, seed=0, p=p)
 
 
 def test_sidon_exponent_for_degree_two():
@@ -348,6 +339,41 @@ def test_khinchin_estimate_matches_ascent_oracle(monkeypatch, name, max_steps):
         assert estimate.histories == histories
 
 
+# name -> (estimator call on rademacher_system(3), indices); each list breaks
+# one rule of chaos.require_indices, or is empty
+MALFORMED_INDICES = {
+    "sidon-empty": (lambda s, i: lc.estimate_sidon_constant(s, 1, 1, 0, indices=i), []),
+    "khinchin-empty": (lambda s, i: lc.estimate_khinchin_constant(s, 1, 4, 1, 0, indices=i), []),
+    "scan-empty": (lambda s, i: lc.scan_point_counts(s, i, 4, [4], trials=1, seed=0), []),
+    "sidon-duplicate": (
+        lambda s, i: lc.estimate_sidon_constant(s, 1, 1, 0, indices=i), [(0,), (0,)]
+    ),
+    "sidon-outside": (lambda s, i: lc.estimate_sidon_constant(s, 1, 1, 0, indices=i), [(5,)]),
+    "sidon-degree": (lambda s, i: lc.estimate_sidon_constant(s, 1, 1, 0, indices=i), [(0, 1)]),
+    "khinchin-negative": (
+        lambda s, i: lc.estimate_khinchin_constant(s, 1, 4, 1, 0, indices=i), [(-1,)]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_INDICES))
+def test_malformed_indices_are_refused_before_any_table(monkeypatch, name):
+    call, indices = MALFORMED_INDICES[name]
+    refuse_everywhere(monkeypatch, "values_matrix")
+    with pytest.raises(ValueError):
+        call(lc.rademacher_system(3), indices)
+
+
+def test_sidon_counts_the_matrix_and_its_transpose(monkeypatch):
+    # rademacher(6) at d = 1: the 64 x 6 matrix takes 384 cells, with its transpose 768
+    system = lc.rademacher_system(6)
+    monkeypatch.setattr(lc.analysis, "TABLE_CELL_LIMIT", 500)
+    lc.estimate_khinchin_constant(system, 1, 4, trials=2, seed=0)
+    refuse_everywhere(monkeypatch, "values_matrix")
+    with pytest.raises(lc.SizeLimitExceeded, match="2 x terms"):
+        lc.estimate_sidon_constant(system, 1, trials=2, seed=0)
+
+
 def test_khinchin_trial_blocks_are_bounded_before_the_matrix(monkeypatch):
     # the 64 x 6 matrix fits in 500 cells; 10 trials' blocks of max(64, 6) cells do not
     monkeypatch.setattr(lc.analysis, "TABLE_CELL_LIMIT", 500)
@@ -451,6 +477,42 @@ def test_sidon_estimate_matches_sweep_oracle(monkeypatch, name, runs, max_sweeps
         assert estimate.constant == constant
         assert estimate.coefficients.tobytes() == coefficients.tobytes()
         assert estimate.histories == histories
+
+
+def test_sidon_estimate_is_at_most_pi_over_two_at_degree_one():
+    # max over signs |sum e_i a_i| >= (2/pi) ||a||_1 for every complex a, so
+    # m / ||Q||_inf <= pi/2 on rademacher(m) at p = 1; m = 8 reads 1.5607
+    for m in range(2, 11):
+        estimate = lc.estimate_sidon_constant(lc.rademacher_system(m), 1, trials=8, seed=3)
+        assert estimate.constant <= math.pi / 2
+
+
+@pytest.mark.parametrize("q", [4, 6])
+def test_khinchin_estimate_is_below_the_hypercontractive_bound(q):
+    # Bonami-Beckner: ||Q||_q <= (q-1)^(d/2) ||Q||_2 for a real degree-d
+    # Rademacher chaos; the real and imaginary parts of a complex Q add a
+    # factor sqrt(2), and ||Q||_2 = ||A||_2 on distinct tetrahedral terms
+    d = 2
+    bound = math.sqrt(2) * (q - 1) ** (d / 2)
+    for m in (4, 6, 8, 10):
+        system = lc.rademacher_system(m)
+        indices = lc.enumerate_tetrahedral(m, d)
+        estimate = lc.estimate_khinchin_constant(system, d, q, trials=4, seed=1, indices=indices)
+        assert estimate.constant <= bound
+
+
+def test_sidon_search_is_the_same_at_every_p():
+    # every unimodular pattern has ||A||_p = n^(1/p), so p only scales one search
+    system = lc.rademacher_system(6)
+    indices = lc.enumerate_tetrahedral(6, 2)
+    estimates = [
+        lc.estimate_sidon_constant(system, 2, trials=4, seed=9, p=p, indices=indices)
+        for p in (1, 4 / 3, 2, 7.5)
+    ]
+    peaks = [len(indices) ** (1 / e.exponent) / e.constant for e in estimates]
+    for estimate, peak in zip(estimates[1:], peaks[1:]):
+        assert estimate.coefficients.tobytes() == estimates[0].coefficients.tobytes()
+        assert peak == pytest.approx(peaks[0], rel=1e-15)
 
 
 def test_sidon_estimate_ceiling_only_at_default_exponent():

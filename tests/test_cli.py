@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -130,6 +131,19 @@ def test_riesz_report_flags_non_probability_density(tmp_path):
     payload = json.loads((out / "riesz_report.json").read_text())
     assert payload["results"]["probability_density_ok"] is False
     assert payload["results"]["density_stats"]["mass_re"] == pytest.approx(1.25)
+
+
+def test_riesz_report_streams_its_csv_rows(tmp_path):
+    # one formatted row at a time: as lists of rows, rademacher(14) at d = 1
+    # peaked at about 30 tables of 16 |G| bytes
+    config = {"command": "riesz-report", "system": {"rademacher": {"count": 14}}, "d": 1}
+    tracemalloc.start()
+    try:
+        assert run(config, out_dir=tmp_path / "out") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 16 * 2**14
 
 
 def test_riesz_report_checks_dissociation_first(tmp_path, capsys):
@@ -720,7 +734,7 @@ def test_ceiling_past_the_float_range_is_refused_before_any_trial(
 
 
 def test_sidon_at_a_huge_p_writes_a_finite_constant(tmp_path, capsys):
-    # sum |A_i|^p overflows at p = 1e300: the norm is taken scaled by max |A_i|
+    # sum |A_i|^p would overflow at p = 1e300; the numerator n^(1/p) is about 1
     config = {"command": "sidon", "system": {"rademacher": {"count": 4}}, "d": 2,
               "trials": 2, "p": 1e300}
     code, out = _run(tmp_path, config)

@@ -7,10 +7,17 @@ each.  Structure, ints, strings and bools must match exactly; floats must
 match within 1e-12 relative.  When a change is meant to move results,
 regenerate the file with ``python tests/test_golden.py`` and say why in
 CHANGES.md.
+
+That tolerance forgives a move in the last bits, which needs a new
+``__version__`` all the same.  So the same command also writes
+``tests/data/golden_digests.json``: the version and the sha256 of each
+payload's sorted-key JSON, which must stay byte for byte until the
+version moves.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -18,9 +25,11 @@ from pathlib import Path
 import pytest
 
 from conftest import refuse_everywhere
+from lacuna import __version__
 from lacuna.cli import run
 
 GOLDEN = Path(__file__).parent / "data" / "golden_results.json"
+DIGESTS = Path(__file__).parent / "data" / "golden_digests.json"
 
 _RADEMACHER_4 = {"rademacher": {"count": 4}}
 
@@ -98,6 +107,10 @@ def _results(command: str, out: Path) -> dict:
     return json.loads((out / artifact).read_text())["results"]
 
 
+def _digest(results: dict) -> str:
+    return hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
+
+
 def _assert_matches(got, want, where="results"):
     if isinstance(want, float):
         assert isinstance(got, float), f"{where}: {got!r} is not a float"
@@ -127,6 +140,13 @@ def test_results_match_golden(tmp_path, command):
 
 
 @pytest.mark.parametrize("command", sorted(CONFIGS))
+def test_results_keep_their_bytes_until_the_version_moves(tmp_path, command):
+    recorded = json.loads(DIGESTS.read_text())
+    assert recorded["version"] == __version__, "regenerate the golden files"
+    assert _digest(_results(command, tmp_path)) == recorded["digests"][command]
+
+
+@pytest.mark.parametrize("command", sorted(CONFIGS))
 def test_no_command_runs_a_forward_transform(tmp_path, monkeypatch, command):
     # every table a command reads is built in the dual group or read off a value table
     refuse_everywhere(monkeypatch, "fourier")
@@ -141,3 +161,7 @@ if __name__ == "__main__":
         payloads = {name: _results(name, Path(tmp) / name) for name in CONFIGS}
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(payloads, sort_keys=True, indent=2) + "\n")
+    digests = {name: _digest(results) for name, results in payloads.items()}
+    DIGESTS.write_text(
+        json.dumps({"version": __version__, "digests": digests}, sort_keys=True, indent=2) + "\n"
+    )
