@@ -15,14 +15,13 @@ Exit codes: 0 success, 1 property violation or computation error,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import itertools
 import json
 import math
 import sys
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -266,15 +265,34 @@ def _write_json(path: Path, command: str, config: dict, results: dict):
     path.write_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
-def _write_csv(path: Path, config: dict, header: list[str], rows: Iterable, append: bool = False):
-    """Write ``rows`` under ``header``; every row ends with the config hash and artifact version."""
+def _write_csv(path: Path, config: dict, header: list[str], lines: Iterable[str], append: bool = False):
+    """Write ``lines``, rows with their fields joined by commas, under ``header``.
+
+    Every row ends with the config hash and artifact version, and with
+    "\r\n" as ``csv.writer`` ends it.  No field holds a comma, a quote or
+    a line break, so none is quoted.
+    """
     mode = "a" if append and path.exists() else "w"
-    stamp = [_config_hash(config), __version__]
+    stamp = f",{_config_hash(config)},{__version__}\r\n"
     with path.open(mode, newline="") as fh:
-        writer = csv.writer(fh)
         if mode == "w":
-            writer.writerow(header + ["config_sha256", "artifact_version"])
-        writer.writerows(row + stamp for row in rows)
+            fh.write(",".join(header + ["config_sha256", "artifact_version"]) + "\r\n")
+        fh.writelines(line + stamp for line in lines)
+
+
+def _complex_rows(labels: Iterable, values: np.ndarray) -> Iterator[str]:
+    """"label,re,im" per value, the floats as _fmt formats them.
+
+    One f-string per row over whole columns of Python floats, a block of
+    rows at a time, so the columns never hold more than a block.
+    """
+    block = 4096
+    labels = iter(labels)
+    for lo in range(0, len(values), block):
+        rows = values[lo : lo + block]
+        # labels last: zip stops at the block's end without drawing the next label
+        columns = zip(rows.real.tolist(), rows.imag.tolist(), labels)
+        yield from (f"{label},{x:.17g},{y:.17g}" for x, y, label in columns)
 
 
 def _position_counts(system, indices) -> tuple[int, int]:
@@ -310,14 +328,12 @@ def _cmd_riesz_report(plan, config, out, svg):
         "system": system.to_json_obj(),
     }
     _write_json(out / "riesz_report.json", "riesz-report", config, results)
-    density_rows = ([i, _fmt(v.real), _fmt(v.imag)] for i, v in enumerate(rho.values))
+    density_rows = _complex_rows(range(system.group.size), rho.values)
     _write_csv(out / "riesz_density.csv", config, ["element", "re", "im"], density_rows)
     # characters enumerate in lexicographic exponent order, as elements do
     exponents = itertools.product(*map(range, system.group.orders))
-    fourier_rows = (
-        [i, ":".join(map(str, a)), _fmt(c.real), _fmt(c.imag)]
-        for i, (a, c) in enumerate(zip(exponents, table.coeffs))
-    )
+    labels = (f"{i},{':'.join(map(str, a))}" for i, a in enumerate(exponents))
+    fourier_rows = _complex_rows(labels, table.coeffs)
     _write_csv(
         out / "riesz_fourier.csv", config, ["character", "exponents", "re", "im"], fourier_rows
     )
@@ -344,14 +360,12 @@ def _extract_verify_once(system, d, rng, y_samples, expectation):
         target = part.values()
         err_nu = float(np.abs(direct - target).max())
         scaled_target = target / (2 * d) ** s
-        errs_mod = []
+        ys = [ModulationPoint.random(rng, base, len(system)) for _ in range(y_samples)]
+        modulated = extract_homogeneous_modulated(part, ys, check=False)
+        err_mod = max(float(np.abs(row - scaled_target).max()) for row in modulated)
         mean_accum = np.zeros_like(target)
-        for _ in range(y_samples):
-            y = ModulationPoint.random(rng, base, len(system))
-            modulated = extract_homogeneous_modulated(part, y, check=False)
-            mean_accum += modulated
-            errs_mod.append(float(np.abs(modulated - scaled_target).max()))
-        err_mod = max(errs_mod)
+        for row in modulated:
+            mean_accum += row
         err_mean = float(np.abs(mean_accum / y_samples - scaled_target).max())
         per_s.append(
             {
@@ -414,7 +428,7 @@ def _cmd_estimate(plan, config, out, svg):
         "gram_max": gram_max,
     }
     _write_json(out / f"{kind}.json", kind, config, results)
-    row = [kind, d, _fmt(estimate.exponent), len(system), _fmt(estimate.constant), seed]
+    row = f"{kind},{d},{_fmt(estimate.exponent)},{len(system)},{_fmt(estimate.constant)},{seed}"
     header = ["kind", "d", "exponent", "m", "estimate", "seed"]
     _write_csv(out / f"{kind}.csv", config, header, [row], append=True)
     if estimate.ceiling is not None and estimate.constant > estimate.ceiling:
@@ -456,10 +470,10 @@ def _cmd_discretize_scan(plan, config, out, svg):
         ),
     }
     _write_json(out / "discretize.json", "discretize-scan", config, results)
-    rows = [
-        [r["m"], r["trial"], _fmt(r["c1"]), _fmt(r["c2"]), _fmt(r["q"]), r["n_basis"], r["seed"]]
+    rows = (
+        f"{r['m']},{r['trial']},{_fmt(r['c1'])},{_fmt(r['c2'])},{_fmt(r['q'])},{r['n_basis']},{r['seed']}"
         for r in records
-    ]
+    )
     _write_csv(out / "discretize.csv", config, ["m", "trial", "C1", "C2", "q", "N", "seed"], rows)
     if svg:
         (out / "discretize.svg").write_text(render_scan_svg(summary, n, q, marker))

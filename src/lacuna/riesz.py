@@ -34,7 +34,10 @@ position of each gamma_i^k, so the product's table is the convolution of
 m short factor tables, nonzero on at most (2d+1)^m characters (Rudin,
 1960).  ``_riesz_spectrum`` walks it one factor at a time, and each
 density is one inverse transform of that exact table, so it is real and
-nonnegative up to the round-off of that transform.
+nonnegative up to the round-off of that transform.  That support does
+not depend on the weights, so one walk builds rho_y's table for a whole
+batch of points y, each weight a column of one value per point; rho is
+a batch of one.
 
 Both sets, and the flipped powers 2d+1-alpha of the weighted polynomial
 below, come from one closed-form rule: gamma^{-k} = gamma^j exactly when
@@ -64,10 +67,11 @@ j <= d, j != s.  Every nu_s is a function of the one Fourier table of rho,
 so ``extract_homogeneous(Q)`` reads rho's table off its factor terms once
 and returns all d parts: row s-1 is Q * nu_s = Q^(s).  Q's exact Fourier
 table is read off its terms' dual-group positions.
-``extract_homogeneous_modulated`` takes the part itself: the weighted
-Q^(s) convolved with rho_y is Q^(s) / (2d)^s, with rho_y's table read off
-its factor terms and one inverse transform.  No forward transform is left
-on either extraction route.
+``extract_homogeneous_modulated`` takes the part itself and a batch of
+points: for each point y the weighted Q^(s) convolved with rho_y is
+Q^(s) / (2d)^s.  One walk reads rho_y's tables off their factor terms
+for the whole batch, and each point costs one inverse transform.  No
+forward transform is left on either extraction route.
 """
 
 from __future__ import annotations
@@ -76,6 +80,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -132,49 +137,88 @@ def require_nondegenerate(system: CharacterSystem, d: int):
     require_dissociated(system, 2 * d)
 
 
-def _riesz_terms(system: CharacterSystem, d: int) -> list[list[tuple[int, int]]]:
-    """rho's (weight, power) pairs, one list per character.
+def _riesz_terms(system: CharacterSystem, d: int) -> list[list[tuple[tuple[int], int]]]:
+    """rho's (weight column, power) pairs, one list per character: a batch of one.
 
     The powers of gamma are summed by residue class: gamma^k depends only
     on k mod ord(gamma), so each distinct power comes once with its count in
     1..d, and a d far past the orders costs no more than d = ord(gamma).
     """
     return [
-        [((d - k) // gamma.order + 1, k) for k in range(1, min(d, gamma.order) + 1)]
-        + [(1, -k) for k in riesz_inverse_powers(gamma, d)]
+        [(((d - k) // gamma.order + 1,), k) for k in range(1, min(d, gamma.order) + 1)]
+        + [((1,), -k) for k in riesz_inverse_powers(gamma, d)]
         for gamma in system.characters
     ]
 
 
-def _modulated_terms(
-    system: CharacterSystem, d: int, y: ModulationPoint
-) -> list[list[tuple[complex, int]]]:
-    """rho_y's (weight, power) pairs, one list per character: w^{+-k*y_i} on gamma_i^{+-k}."""
+def _modulated_reads(system: CharacterSystem, d: int) -> list[tuple[int, int]]:
+    """(i, +-k) for each weighted power gamma_i^{+-k} of rho_y, factor by factor."""
     return [
-        [
-            (y.rademacher_value(i, sign * k), sign * k)
-            for k in riesz_modulated_powers(gamma, d)
-            for sign in (1, -1)
-        ]
+        (i, sign * k)
         for i, gamma in enumerate(system.characters)
+        for k in riesz_modulated_powers(gamma, d)
+        for sign in (1, -1)
     ]
 
 
-def _riesz_spectrum(system: CharacterSystem, d: int, terms) -> np.ndarray:
-    """Fourier table of prod_i [ 1 + sum_{(w, k) in terms[i]} w * gamma_i^k / (2d) ].
+def _root_columns(
+    ys: Sequence[ModulationPoint], reads: Sequence[tuple[int, int]]
+) -> list[list[complex]]:
+    """w^{k * y_i} for each read (i, k), one Python complex per point of ``ys``.
 
-    Factor i's table is 1 at the trivial character plus w / (2d) at the
-    position of gamma_i^k for each pair (w, k) of ``terms[i]``, the pairs
-    whose powers agree modulo ord(gamma_i) added up, so the product's
-    table is the convolution of the m factor tables.  The walk keeps the
-    (position, value) pairs reached so far, repeats allowed, and adds one
-    factor at a time: each power in the factor's table contributes a copy
-    of them, positions shifted by that power of gamma_i's exponent row and
-    values scaled by its entry.  Repeats are merged, by one scatter into a
-    |G| table, only when a factor's copies would pass |G| entries; that
-    factor's copies are then scattered a chunk of powers at a time, each
-    chunk at most |G| entries.  So no block passes |G| cells at any d, and
-    no transform is run.
+    w = exp(2*pi*i/base).  One ``np.exp`` covers the distinct k * y_i mod
+    base that the batch reads, so no table of all base roots is built, at
+    any base.  numpy's loops, not cmath: each value is bit-identical to
+    np.exp(2j*np.pi*np.arange(base)/base)[k * y_i % base].
+    """
+    base = ys[0].base
+    digits = np.array([y.digits for y in ys], dtype=np.int64)
+    index, power = np.array(reads, dtype=np.int64).reshape(-1, 2).T
+    exponents = power[:, None] * digits[:, index].T % base
+    distinct, inverse = np.unique(exponents, return_inverse=True)
+    roots = np.exp(2j * np.pi * distinct / base)
+    return roots[inverse.reshape(exponents.shape)].tolist()
+
+
+def _modulated_terms(
+    system: CharacterSystem,
+    d: int,
+    ys: Sequence[ModulationPoint],
+    columns: Sequence[list[complex]] | None = None,
+) -> list[list[tuple[list[complex], int]]]:
+    """rho_y's (weight column, power) pairs, one list per character: w^{+-k*y_i} on gamma_i^{+-k}.
+
+    A column holds one weight per point of ``ys``.  ``columns``, when
+    given, are the columns ``_root_columns`` read for ``_modulated_reads``.
+    """
+    reads = _modulated_reads(system, d)
+    if columns is None:
+        columns = _root_columns(ys, reads)
+    terms = [[] for _ in system.characters]
+    for (i, k), column in zip(reads, columns):
+        terms[i].append((column, k))
+    return terms
+
+
+def _riesz_spectrum(system: CharacterSystem, d: int, terms, points: int = 1) -> np.ndarray:
+    """Fourier tables of prod_i [ 1 + sum_{(w, k) in terms[i]} w * gamma_i^k / (2d) ], one per point.
+
+    Each weight w is a column of ``points`` values, and row r of the
+    (points, |G|) result uses entry r of every column.  Factor i's table
+    is 1 at the trivial character plus w / (2d) at the position of
+    gamma_i^k for each pair (w, k) of ``terms[i]``, the pairs whose powers
+    agree modulo ord(gamma_i) added up, so the product's table is the
+    convolution of the m factor tables.  The support does not depend on
+    the weights, so one walk serves every point: it keeps the positions
+    reached so far, repeats allowed, with one value per point at each, and
+    adds one factor at a time: each power in the factor's table
+    contributes a copy of them, positions shifted by that power of
+    gamma_i's exponent row and values scaled by its entry.  Repeats are
+    merged, by one scatter into a |G| table per point, only when a
+    factor's copies would pass |G| entries; the positions nonzero at any
+    point are kept, and that factor's copies are then scattered a chunk
+    of powers at a time, each chunk at most |G| entries.  So no block
+    passes |G| cells per point at any d, and no transform is run.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
@@ -182,20 +226,23 @@ def _riesz_spectrum(system: CharacterSystem, d: int, terms) -> np.ndarray:
     orders = np.array(group.orders, dtype=np.int64)
     strides = np.array([math.prod(group.orders[j + 1 :]) for j in range(group.rank)])
     positions = np.zeros(1, dtype=np.int64)
-    values = np.ones(1)
+    values = np.ones((points, 1))
     for gamma, pairs in zip(system.characters, terms):
         # the factor's own table first: powers equal modulo the order are one position
         powers, slot = np.unique([0] + [k % gamma.order for _, k in pairs], return_inverse=True)
-        weights = _scatter(slot, np.array([1] + [w / (2 * d) for w, _ in pairs]), len(powers))
+        # divided as Python numbers: numpy's complex division multiplies by the reciprocal
+        entries = [[1] * points] + [[w / (2 * d) for w in column] for column, _ in pairs]
+        weights = _scatter(slot, np.array(entries).T, len(powers))
 
         def copies(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-            """Positions and values of the copies for powers lo .. hi-1, flattened."""
+            """Positions and per-point values of the copies for powers lo .. hi-1, flattened."""
             shifted = np.repeat(positions[None, :], hi - lo, axis=0)
             for c in np.flatnonzero(gamma.exponents):
                 digit = positions // strides[c] % orders[c]
                 moved = (digit + powers[lo:hi, None] * gamma.exponents[c]) % orders[c]
                 shifted += (moved - digit) * strides[c]
-            return shifted.ravel(), (weights[lo:hi, None] * values).ravel()
+            scaled = weights[:, lo:hi, None] * values[:, None, :]
+            return shifted.ravel(), scaled.reshape(points, -1)
 
         if len(positions) * len(powers) <= group.size:
             positions, values = copies(0, len(powers))
@@ -205,8 +252,8 @@ def _riesz_spectrum(system: CharacterSystem, d: int, terms) -> np.ndarray:
                 _scatter(*copies(lo, min(lo + chunk, len(powers))), group.size)
                 for lo in range(0, len(powers), chunk)
             )
-            positions = np.flatnonzero(table)
-            values = table[positions]
+            positions = np.flatnonzero(table.any(axis=0))
+            values = table[:, positions]
     return _scatter(positions, values, group.size).astype(np.complex128, copy=False)
 
 
@@ -214,7 +261,7 @@ def _riesz_hat(system: CharacterSystem, d: int, check: bool) -> np.ndarray:
     """Fourier table of rho, after the nondegenerate regime is checked if asked."""
     if check:
         require_nondegenerate(system, d)
-    return _riesz_spectrum(system, d, _riesz_terms(system, d))
+    return _riesz_spectrum(system, d, _riesz_terms(system, d))[0]
 
 
 def riesz_spectrum(system: CharacterSystem, d: int) -> FourierTable:
@@ -237,9 +284,10 @@ def riesz_density(system: CharacterSystem, d: int) -> DensityMeasure:
 class ModulationPoint:
     """Digit vector over Z_{2d+1}, one digit per system character.
 
-    ``rademacher_value(i, k)`` returns w^{k * digits[i]} with
-    w = exp(2*pi*i/base), the value a base-(2d+1) generalized Rademacher
-    function raised to the k-th power takes at this point.
+    At this point a base-(2d+1) generalized Rademacher function of
+    character i, raised to the k-th power, takes the value w^{k * digits[i]}
+    with w = exp(2*pi*i/base); ``_root_columns`` reads those values for a
+    batch of points.
     """
 
     base: int
@@ -250,11 +298,6 @@ class ModulationPoint:
             raise ValueError(f"base must be >= 2, got {self.base}")
         if any(not 0 <= y < self.base for y in self.digits):
             raise ValueError(f"digits must lie in 0..{self.base - 1}")
-
-    def rademacher_value(self, index: int, power: int) -> complex:
-        # numpy's loops, not cmath: bit-identical to np.exp(2j*np.pi*np.arange(base)/base)[k]
-        k = (power * self.digits[index]) % self.base
-        return complex(np.exp(2j * np.pi * np.array([k]) / self.base)[0])
 
     @classmethod
     def random(cls, rng: np.random.Generator, base: int, count: int) -> "ModulationPoint":
@@ -279,7 +322,7 @@ def modulated_riesz_density(
     so these hold up to the round-off of that transform.
     """
     _require_modulation_point(system, d, y)
-    rho_y_hat = _riesz_spectrum(system, d, _modulated_terms(system, d, y))
+    rho_y_hat = _riesz_spectrum(system, d, _modulated_terms(system, d, [y]))[0]
     return inverse_fourier(FourierTable(system.group, rho_y_hat))
 
 
@@ -418,33 +461,50 @@ def extract_homogeneous(polynomial: ChaosPolynomial, check: bool = True) -> np.n
 
 
 def extract_homogeneous_modulated(
-    part: ChaosPolynomial, y: ModulationPoint, check: bool = True
+    part: ChaosPolynomial, ys: Sequence[ModulationPoint], check: bool = True
 ) -> np.ndarray:
-    """Weight the polynomial given and convolve it with rho_y; returns value table.
+    """Weight the polynomial given and convolve it with rho_y, per point y; returns (len(ys), |G|).
 
-    Each term, an index with distinct bases k_i of multiplicities alpha_i,
-    carries the extra factor prod_i w^{-alpha'_i * y_{k_i}}.  The weighted
-    coefficients put at the terms' positions are the weighted polynomial's
-    exact Fourier table, and rho_y's is read off its factor terms, so the
-    convolution costs one inverse transform and no forward one.  In the
-    nondegenerate regime the weights cancel against the coefficients of
-    rho_y, for every y: an s-homogeneous part Q^(s) gives Q^(s) / (2d)^s
-    pointwise, and any other polynomial Q gives sum_s Q^(s) / (2d)^s.  A
-    point of the wrong base or digit count raises ValueError before any
-    work.
+    Row r is the value table for point ys[r].  Each term, an index with
+    distinct bases k_i of multiplicities alpha_i, carries the extra factor
+    prod_i w^{-alpha'_i * y_{k_i}}.  The weighted coefficients put at the
+    terms' positions are the weighted polynomial's exact Fourier table,
+    and rho_y's is read off its factor terms, so each row costs one inverse
+    transform and no forward one.  One walk of rho_y's spectrum serves the
+    whole batch, and every root of unity the batch reads is computed once.
+    In the nondegenerate regime the weights cancel against the
+    coefficients of rho_y, for every y: an s-homogeneous part Q^(s) gives
+    Q^(s) / (2d)^s pointwise, and any other polynomial Q gives
+    sum_s Q^(s) / (2d)^s.  An empty batch, or any point of the wrong base
+    or digit count, raises ValueError before any work.
     """
     d = part.degree
     system = part.system
-    _require_modulation_point(system, d, y)
+    if not ys:
+        raise ValueError("at least one modulation point is required")
+    for y in ys:
+        _require_modulation_point(system, d, y)
     if check:
         require_nondegenerate(system, d)
-
-    def weight(index: FullIndex) -> complex:
-        w = 1 + 0j
-        for b, a_prime in zip(sorted(set(index)), modulation_exponents(system, index, d)):
-            w *= y.rademacher_value(b, -a_prime)
-        return w
-
-    weighted_hat = part.spectrum([weight(index) for index in part.indices])
-    rho_y_hat = _riesz_spectrum(system, d, _modulated_terms(system, d, y))
-    return inverse_fourier(FourierTable(system.group, weighted_hat * rho_y_hat)).values
+    bases = [
+        list(zip(sorted(set(index)), modulation_exponents(system, index, d)))
+        for index in part.indices
+    ]
+    walk = _modulated_reads(system, d)
+    columns = _root_columns(ys, walk + [(b, -a) for term in bases for b, a in term])
+    terms = _modulated_terms(system, d, ys, columns[: len(walk)])
+    tables = _riesz_spectrum(system, d, terms, len(ys))
+    # a term's weight is multiplied out as Python numbers, base by base:
+    # numpy's complex product rounds differently
+    read = iter(columns[len(walk) :])
+    weights = []
+    for term in bases:
+        w = [1 + 0j] * len(ys)
+        for _ in term:
+            w = [a * b for a, b in zip(w, next(read))]
+        weights.append(w)
+    # one inverse per point, written over that point's row of rho_y's tables
+    for r, rho_y_hat in enumerate(tables):
+        np.multiply(part.spectrum([w[r] for w in weights]), rho_y_hat, out=rho_y_hat)
+        rho_y_hat[:] = inverse_fourier(FourierTable(system.group, rho_y_hat)).values
+    return tables

@@ -201,12 +201,14 @@ def oracle_product_index(system: CharacterSystem, exps) -> int:
     return int(np.ravel_multi_index(tuple(exponents), orders))
 
 
-def oracle_riesz_product(system: CharacterSystem, d: int, terms) -> DensityMeasure:
-    """prod_i [ 1 + sum_{(w, k) in terms[i]} w * gamma_i^k / (2d) ], pointwise.
+def oracle_riesz_product(system: CharacterSystem, d: int, terms, row: int = 0) -> DensityMeasure:
+    """prod_i [ 1 + sum_{(w, k) in terms[i]} w[row] * gamma_i^k / (2d) ], pointwise.
 
-    The oracle for both densities and their exact Fourier tables: the pairs
-    are added in the order ``terms`` lists them, one |G| character table
-    per pair, with no transform.
+    The oracle for both densities and their exact Fourier tables: each
+    weight w is a column with one entry per point, as the library's terms
+    hold it, and ``row`` picks the point.  The pairs are added in the order
+    ``terms`` lists them, one |G| character table per pair, with no
+    transform.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
@@ -215,9 +217,19 @@ def oracle_riesz_product(system: CharacterSystem, d: int, terms) -> DensityMeasu
     for gamma, pairs in zip(system.characters, terms):
         factor = np.ones(group.size, dtype=np.complex128)
         for w, k in pairs:
-            factor += w * char_pow(gamma, k).values() / (2 * d)
+            factor += w[row] * char_pow(gamma, k).values() / (2 * d)
         values *= factor
     return DensityMeasure(group, values)
+
+
+def rademacher_value(y, index: int, power: int) -> complex:
+    """w^{power * y.digits[index]}, w = exp(2*pi*i/y.base), computed alone for this one read.
+
+    numpy's loops on a one-element array, not cmath: the oracle that the
+    batched root reader must match bit for bit.
+    """
+    k = (power * y.digits[index]) % y.base
+    return complex(np.exp(2j * np.pi * np.array([k]) / y.base)[0])
 
 
 def oracle_inverse_powers(gamma, d: int) -> set[int]:

@@ -252,4 +252,4 @@ def test_empty_part_has_no_positions_and_a_zero_spectrum():
     assert lc.term_positions(system, []).size == 0
     assert np.array_equal(empty.spectrum(), np.zeros(system.group.size))
     y = lc.ModulationPoint(7, (3, 5))
-    assert np.array_equal(lc.extract_homogeneous_modulated(empty, y), np.zeros(system.group.size))
+    assert np.array_equal(lc.extract_homogeneous_modulated(empty, [y])[0], np.zeros(system.group.size))

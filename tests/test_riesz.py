@@ -18,6 +18,7 @@ from conftest import (
     oracle_modulation_exponents,
     oracle_product_index,
     oracle_riesz_product,
+    rademacher_value,
     sample_dissociated_system,
     sample_nondegenerate_system,
 )
@@ -36,7 +37,7 @@ def _oracle_rho(system, d):
 
 def _oracle_rho_y(system, d, y):
     """rho_y as the pointwise product of its factor terms, with no transform."""
-    return oracle_riesz_product(system, d, lc.riesz._modulated_terms(system, d, y))
+    return oracle_riesz_product(system, d, lc.riesz._modulated_terms(system, d, [y]))
 
 
 # -- power bookkeeping ---------------------------------------------------------
@@ -283,21 +284,42 @@ def test_riesz_spectrum_is_the_transform_of_both_densities(case):
     build, d = case
     system = build()
     rho_hat = lc.riesz._riesz_spectrum(system, d, lc.riesz._riesz_terms(system, d))
-    assert rho_hat.dtype == np.complex128 and rho_hat.shape == (system.group.size,)
-    assert np.abs(rho_hat - lc.fourier(_oracle_rho(system, d)).coeffs).max() <= 1e-15
+    assert rho_hat.dtype == np.complex128 and rho_hat.shape == (1, system.group.size)
+    assert np.abs(rho_hat[0] - lc.fourier(_oracle_rho(system, d)).coeffs).max() <= 1e-15
     rng = np.random.default_rng(59)
-    for _ in range(4):
-        y = lc.ModulationPoint.random(rng, 2 * d + 1, len(system))
-        rho_y_hat = lc.riesz._riesz_spectrum(system, d, lc.riesz._modulated_terms(system, d, y))
-        oracle = lc.fourier(_oracle_rho_y(system, d, y)).coeffs
+    ys = [lc.ModulationPoint.random(rng, 2 * d + 1, len(system)) for _ in range(4)]
+    terms = lc.riesz._modulated_terms(system, d, ys)
+    rho_y_hats = lc.riesz._riesz_spectrum(system, d, terms, len(ys))
+    assert rho_y_hats.shape == (len(ys), system.group.size)
+    for r, rho_y_hat in enumerate(rho_y_hats):
+        oracle = lc.fourier(oracle_riesz_product(system, d, terms, r)).coeffs
         assert np.abs(rho_y_hat - oracle).max() <= 1e-15
+
+
+def test_riesz_spectrum_merge_keeps_the_positions_nonzero_at_any_point():
+    # point 0 weights its first factor by zero, so its merged table is zero
+    # where the other points' tables are not; the walk must keep those
+    system = _system([31], [[1], [2], [3], [4]])  # 5^4 products merge at the third factor
+    d = 2
+    rng = np.random.default_rng(61)
+    ys = [lc.ModulationPoint.random(rng, 5, 4) for _ in range(3)]
+    terms = lc.riesz._modulated_terms(system, d, ys)
+    terms[0] = [([0j, *column[1:]], k) for column, k in terms[0]]
+    batch = lc.riesz._riesz_spectrum(system, d, terms, len(ys))
+    for r, row in enumerate(batch):
+        alone = lc.riesz._riesz_spectrum(system, d, [[([c[r]], k) for c, k in f] for f in terms])[0]
+        if r:  # the same positions survive each merge, so the same sums are formed
+            assert row.tobytes() == alone.tobytes()
+        assert np.abs(row - alone).max() <= 1e-15
+        oracle = lc.fourier(oracle_riesz_product(system, d, terms, r)).coeffs
+        assert np.abs(row - oracle).max() <= 1e-15
 
 
 def test_riesz_spectrum_of_rademacher20_at_d1_is_two_to_the_minus_support_size():
     # each factor is 1 + r_i/2, so the coefficient at prod_{i in S} r_i is 2^{-|S|};
     # no density of 2^20 points is built
     system = lc.rademacher_system(20)
-    rho_hat = lc.riesz._riesz_spectrum(system, 1, lc.riesz._riesz_terms(system, 1))
+    rho_hat = lc.riesz._riesz_spectrum(system, 1, lc.riesz._riesz_terms(system, 1))[0]
     codes = np.arange(system.group.size)
     support_size = sum((codes >> j) & 1 for j in range(20))
     assert np.array_equal(rho_hat, 2.0 ** -support_size)
@@ -324,7 +346,7 @@ def test_riesz_spectrum_memory_stays_order_g_past_the_group_order():
     terms = lc.riesz._riesz_terms(system, d)
     tracemalloc.start()
     try:
-        rho_hat = lc.riesz._riesz_spectrum(system, d, terms)
+        rho_hat = lc.riesz._riesz_spectrum(system, d, terms)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -345,19 +367,27 @@ def test_modulation_point_validation():
     with pytest.raises(ValueError):
         lc.ModulationPoint(5, (5,))
     y = lc.ModulationPoint(5, (2, 0))
-    assert y.rademacher_value(0, 1) == pytest.approx(OMEGA5**2)
-    assert y.rademacher_value(0, -1) == pytest.approx(OMEGA5**-2)
-    assert y.rademacher_value(1, 3) == pytest.approx(1.0)
+    columns = lc.riesz._root_columns([y], [(0, 1), (0, -1), (1, 3)])
+    assert columns[0][0] == pytest.approx(OMEGA5**2)
+    assert columns[1][0] == pytest.approx(OMEGA5**-2)
+    assert columns[2][0] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("base", [3, 5, 7, 41])
 def test_modulation_value_matches_the_whole_root_table_bit_for_bit(base):
+    # one read of every digit at every power, against the whole table and
+    # against each root computed alone
     table = np.exp(2j * np.pi * np.arange(base) / base)
-    for digit in range(base):
-        y = lc.ModulationPoint(base, (digit,))
-        for power in range(-base, base + 1):
-            value, want = y.rademacher_value(0, power), complex(table[(power * digit) % base])
+    ys = [lc.ModulationPoint(base, (digit,)) for digit in range(base)]
+    powers = range(-base, base + 1)
+    columns = lc.riesz._root_columns(ys, [(0, power) for power in powers])
+    for power, column in zip(powers, columns):
+        for y, value in zip(ys, column):
+            want = complex(table[(power * y.digits[0]) % base])
+            alone = rademacher_value(y, 0, power)
+            assert type(value) is complex
             assert (value.real.hex(), value.imag.hex()) == (want.real.hex(), want.imag.hex())
+            assert (value.real.hex(), value.imag.hex()) == (alone.real.hex(), alone.imag.hex())
 
 
 def test_modulation_value_at_a_huge_base_computes_one_root():
@@ -366,7 +396,7 @@ def test_modulation_value_at_a_huge_base_computes_one_root():
     y = lc.ModulationPoint(6_000_001, (1, 2, 3))
     tracemalloc.start()
     try:
-        value = y.rademacher_value(0, 1)
+        value = lc.riesz._root_columns([y], [(0, 1)])[0][0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -395,7 +425,7 @@ def test_modulated_coefficient_single_order9():
     assert measured == pytest.approx(OMEGA5**2 / 4)
     # the product of the weights over (2d)^s, in the nondegenerate regime
     lc.require_nondegenerate(system, d)
-    expected = y.rademacher_value(0, 2) / (2 * d) ** 1
+    expected = rademacher_value(y, 0, 2) / (2 * d) ** 1
     assert measured == pytest.approx(expected)
 
 
@@ -424,12 +454,17 @@ def test_modulated_base_must_match():
 def test_modulated_extract_rejects_bad_s_and_point(monkeypatch):
     system = _system([9, 9], [[1, 0], [0, 1]])
     q = lc.random_chaos_polynomial(system, 2, np.random.default_rng(5))
-    # the part carries its own s, so only the point can be wrong
+    good = lc.ModulationPoint(5, (1, 2))
+    # the part carries its own s, so only a point can be wrong, and one
+    # bad point refuses the whole batch before any walk
     monkeypatch.setattr(lc.riesz, "_riesz_spectrum", None)  # no work may start
+    monkeypatch.setattr(lc.riesz, "_root_columns", None)
     monkeypatch.setattr(lc.riesz, "require_nondegenerate", None)
     for bad in (lc.ModulationPoint(7, (0, 0)), lc.ModulationPoint(5, (0,))):
         with pytest.raises(ValueError, match="modulation"):
-            lc.extract_homogeneous_modulated(q, bad)
+            lc.extract_homogeneous_modulated(q, [good, bad])
+    with pytest.raises(ValueError, match="modulation point"):
+        lc.extract_homogeneous_modulated(q, [])
 
 
 # -- adjusted exponents ----------------------------------------------------------------------
@@ -580,7 +615,7 @@ def test_extract_zero_polynomial():
     q = lc.ChaosPolynomial(system, 2, {(0, 1): 0.0})
     assert np.abs(lc.extract_homogeneous(q)).max() < 1e-12
     y = lc.ModulationPoint(5, (0, 0))
-    assert np.abs(lc.extract_homogeneous_modulated(lc.decompose(q)[0], y)).max() < 1e-12
+    assert np.abs(lc.extract_homogeneous_modulated(lc.decompose(q)[0], [y])[0]).max() < 1e-12
 
 
 def test_modulated_extract_zero_point_d2():
@@ -588,7 +623,7 @@ def test_modulated_extract_zero_point_d2():
     system = _system([9, 9], [[1, 0], [0, 1]])
     q = lc.random_chaos_polynomial(system, 2, rng)
     part2 = lc.decompose(q)[1]
-    result = lc.extract_homogeneous_modulated(part2, lc.ModulationPoint(5, (0, 0)))
+    result = lc.extract_homogeneous_modulated(part2, [lc.ModulationPoint(5, (0, 0))])[0]
     assert np.abs(result - part2.values() / 16).max() < 1e-8
 
 
@@ -607,11 +642,11 @@ def test_both_identities_random_trials():
             direct = extracted[s - 1]
             assert np.abs(direct - target).max() <= 1e-8
             y = lc.ModulationPoint.random(rng, 2 * d + 1, len(system))
-            modulated = lc.extract_homogeneous_modulated(parts[s - 1], y, check=False)
+            modulated = lc.extract_homogeneous_modulated(parts[s - 1], [y], check=False)[0]
             assert np.abs(modulated - target / (2 * d) ** s).max() <= 1e-8
             scaled_sum += target / (2 * d) ** s
         # a polynomial that is not homogeneous gives the sum of its scaled parts
-        whole = lc.extract_homogeneous_modulated(q, y, check=False)
+        whole = lc.extract_homogeneous_modulated(q, [y], check=False)[0]
         assert np.abs(whole - scaled_sum).max() <= 1e-8
 
 
@@ -633,7 +668,7 @@ def test_degenerate_system_rejected_with_pointer_to_transform():
     with pytest.raises(lc.DegenerateOrder):
         lc.extract_homogeneous(q)
     with pytest.raises(lc.DegenerateOrder):
-        lc.extract_homogeneous_modulated(q, lc.ModulationPoint(5, (0,)))
+        lc.extract_homogeneous_modulated(q, [lc.ModulationPoint(5, (0,))])
 
 
 def test_extract_refuses_d_past_the_float_range_before_the_regime_check():
@@ -656,11 +691,57 @@ def test_degenerate_order4_expectation_over_y_recovers_identity():
     accum = np.zeros(system.group.size, dtype=np.complex128)
     for digit in range(5):
         y = lc.ModulationPoint(5, (digit,))
-        out = lc.extract_homogeneous_modulated(part, y, check=False)
+        out = lc.extract_homogeneous_modulated(part, [y], check=False)[0]
         accum += out
         pointwise_errors.append(np.abs(out - target).max())
     assert max(pointwise_errors) > 1e-3  # pointwise identity genuinely fails
     assert np.abs(accum / 5 - target).max() < 1e-10  # the mean restores it
+
+
+def _bits(table: np.ndarray) -> bytes:
+    return np.ascontiguousarray(table).tobytes()
+
+
+BATCH_CASES = {
+    "nondegenerate": (lambda: sample_nondegenerate_system(np.random.default_rng(71), 2, max_m=3), 2),
+    "order-4 degenerate": (lambda: _system([4], [[1]]), 2),
+    # 5^4 = 625 products on 31 characters: the walk merges repeats at its third factor
+    "merged walk": (lambda: _system([31], [[1], [2], [3], [4]]), 2),
+}
+
+
+@pytest.mark.parametrize("case", BATCH_CASES.values(), ids=BATCH_CASES)
+def test_modulated_extract_batch_rows_equal_batches_of_one(case):
+    build, d = case
+    system = build()
+    rng = np.random.default_rng(73)
+    q = lc.random_chaos_polynomial(system, d, rng)
+    ys = [lc.ModulationPoint.random(rng, 2 * d + 1, len(system)) for _ in range(6)]
+    for part in [*lc.decompose(q), q]:
+        batch = lc.extract_homogeneous_modulated(part, ys, check=False)
+        assert batch.shape == (len(ys), system.group.size)
+        for y, row in zip(ys, batch):
+            alone = lc.extract_homogeneous_modulated(part, [y], check=False)[0]
+            assert _bits(row) == _bits(alone)
+
+
+def test_modulated_extract_batch_peaks_at_its_result_plus_a_few_tables():
+    # the result is one (Y, |G|) table; each point's inverse adds a few |G|
+    # tables that are freed before the next point's
+    import tracemalloc
+
+    system = _system([64, 64], [[1, 0], [0, 1]])
+    rng = np.random.default_rng(79)
+    part = lc.decompose(lc.random_chaos_polynomial(system, 2, rng))[1]
+    ys = [lc.ModulationPoint.random(rng, 5, 2) for _ in range(10)]
+    lc.extract_homogeneous_modulated(part, ys)  # warm the FFT plan caches
+    tracemalloc.start()
+    try:
+        lc.extract_homogeneous_modulated(part, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (len(ys) + 4) * 16 * system.group.size
 
 
 def test_extract_verify_runs_no_forward_transform_and_never_tabulates_q(tmp_path, monkeypatch):
@@ -668,11 +749,12 @@ def test_extract_verify_runs_no_forward_transform_and_never_tabulates_q(tmp_path
 
     rho's and rho_y's tables are read off their factor terms and Q's off
     its term positions, so neither extraction route may transform forward
-    or evaluate a polynomial over the group.
+    or evaluate a polynomial over the group.  Each trial walks a spectrum
+    once for rho and once per part for all its points' rho_y.
     """
     from lacuna import cli
 
-    counts = {"fourier": 0, "inverse_fourier": 0, "values_inside": 0}
+    counts = {"fourier": 0, "inverse_fourier": 0, "values_inside": 0, "walks": 0}
     inside = [0]
     values = lc.ChaosPolynomial.values
 
@@ -704,6 +786,7 @@ def test_extract_verify_runs_no_forward_transform_and_never_tabulates_q(tmp_path
         for module in (lc.groups, lc.riesz, cli):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted(name, original))
+    monkeypatch.setattr(lc.riesz, "_riesz_spectrum", counted("walks", lc.riesz._riesz_spectrum))
     monkeypatch.setattr(lc.ChaosPolynomial, "values", watched_values)
     for name in ("extract_homogeneous", "extract_homogeneous_modulated"):
         monkeypatch.setattr(cli, name, entered(getattr(cli, name)))
@@ -715,5 +798,11 @@ def test_extract_verify_runs_no_forward_transform_and_never_tabulates_q(tmp_path
         "y_samples": 3,
     }
     assert cli.run(config, out_dir=tmp_path) == 0
-    # d = 2 parts from extract_homogeneous, and 2 parts times 3 points modulated
-    assert counts == {"fourier": 0, "inverse_fourier": 2 * (2 + 2 * 3), "values_inside": 0}
+    # d = 2 parts from extract_homogeneous, and 2 parts times 3 points modulated;
+    # one walk for rho and one per part
+    assert counts == {
+        "fourier": 0,
+        "inverse_fourier": 2 * (2 + 2 * 3),
+        "values_inside": 0,
+        "walks": 2 * (1 + 2),
+    }
