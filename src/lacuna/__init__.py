@@ -7,7 +7,7 @@ homogeneous chaos parts, and estimates Khinchin and Sidon constants
 empirically.  See the README for the CLI and the acceptance suite.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .errors import (
     BudgetExceeded,

@@ -158,18 +158,13 @@ class ChaosPolynomial:
         positions.flags.writeable = False
         return positions
 
-    def spectrum(self, weights: Sequence[complex] | None = None) -> np.ndarray:
+    def spectrum(self) -> np.ndarray:
         """The exact Fourier table: every coefficient added at its term's position.
 
         Terms that are the same character add up.  It is the Fourier table
         of ``values()``, made with no transform and no value table.
-        ``weights``, one per term, scale the coefficients first: the table
-        is then that of the weighted polynomial.
         """
-        coefficients = self.coefficients
-        if weights is not None:
-            coefficients = coefficients * np.asarray(weights, dtype=np.complex128)
-        return _scatter(self.positions, coefficients, self.system.group.size)
+        return _scatter(self.positions, self.coefficients, self.system.group.size)
 
 
 def decompose(polynomial: ChaosPolynomial) -> list[ChaosPolynomial]:

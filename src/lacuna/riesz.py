@@ -65,13 +65,15 @@ solves a d x d power system in the nodes (2d)^{-i} so that its Fourier
 coefficients are 1 on s-fold products and 0 on j-fold products for
 j <= d, j != s.  Every nu_s is a function of the one Fourier table of rho,
 so ``extract_homogeneous(Q)`` reads rho's table off its factor terms once
-and returns all d parts: row s-1 is Q * nu_s = Q^(s).  Q's exact Fourier
-table is read off its terms' dual-group positions.
+and returns all d parts: row s-1 is Q * nu_s = Q^(s).
 ``extract_homogeneous_modulated`` takes the part itself and a batch of
 points: for each point y the weighted Q^(s) convolved with rho_y is
-Q^(s) / (2d)^s.  One walk reads rho_y's tables off their factor terms
-for the whole batch, and each point costs one inverse transform.  No
-forward transform is left on either extraction route.
+Q^(s) / (2d)^s, and one walk reads rho_y's tables off their factor terms
+for the whole batch.  A convolution's Fourier table is the product of
+the two, and Q's is zero off its terms' dual-group positions, so each
+row is synthesized over Q's terms: A_t times the measure's coefficient
+at term t's position, times term t's value table, added up one term
+table at a time.  No transform runs on either extraction route.
 """
 
 from __future__ import annotations
@@ -441,23 +443,44 @@ def extraction_measure(
     return inverse_fourier(FourierTable(system.group, nu_hat))
 
 
+def _synthesize(polynomial: ChaosPolynomial, rows, out: np.ndarray) -> np.ndarray:
+    """Write sum_t rows[r][t] * (term t's value table) over ``out[r]``, for each row r.
+
+    Term t's table is that of the character at its position, built once
+    and added into every row, in term order, through one |G| scratch
+    table; it is dropped before the next term's is built, so no more than
+    one term table is held at a time.
+    """
+    group = polynomial.system.group
+    out.fill(0)
+    scratch = np.empty(group.size, dtype=np.complex128)
+    for t, position in enumerate(polynomial.positions.tolist()):
+        table = group.character(np.unravel_index(position, group.orders)).values()
+        for row, coefficients in zip(out, rows):
+            np.multiply(table, coefficients[t], out=scratch)
+            row += scratch
+        del table
+    return out
+
+
 def extract_homogeneous(polynomial: ChaosPolynomial, check: bool = True) -> np.ndarray:
     """Convolve Q with every extraction measure nu_1 .. nu_d; returns a (d, |G|) table.
 
-    Row s-1 holds Q * nu_s.  The convolutions are products of Fourier
-    tables sharing one rho: rho's table is read off its factor terms and
-    Q's off its term positions, with no forward transform, and each row
-    costs one inverse transform.  In the nondegenerate regime row s-1
-    equals the s-homogeneous part Q^(s) pointwise (within one inverse
-    transform of error).  A d past the float range of the mixing
-    coefficients raises SizeLimitExceeded before the regime check.
+    Row s-1 holds Q * nu_s.  The Fourier table of that convolution is Q's
+    times nu_s's, and Q's is zero off its term positions, so row s-1 is
+    sum_t A_t * nu_s_hat(position of t) * (term t's value table): rho's
+    table is read off its factor terms, nu_s's is taken from it at Q's
+    positions only, and no transform is run.  In the nondegenerate regime
+    row s-1 equals the s-homogeneous part Q^(s) pointwise.  A d past the
+    float range of the mixing coefficients raises SizeLimitExceeded
+    before the regime check.
     """
     system, d = polynomial.system, polynomial.degree
     specs = [extraction_coefficients(d, s) for s in range(1, d + 1)]
-    rho_hat = _riesz_hat(system, d, check)
-    q_hat = polynomial.spectrum()
-    rows = [q_hat * _extraction_hat(rho_hat, spec) for spec in specs]
-    return np.stack([inverse_fourier(FourierTable(system.group, row)).values for row in rows])
+    rho_at = _riesz_hat(system, d, check)[polynomial.positions]
+    rows = [polynomial.coefficients * _extraction_hat(rho_at, spec) for spec in specs]
+    out = np.empty((d, system.group.size), dtype=np.complex128)
+    return _synthesize(polynomial, rows, out)
 
 
 def extract_homogeneous_modulated(
@@ -467,14 +490,15 @@ def extract_homogeneous_modulated(
 
     Row r is the value table for point ys[r].  Each term, an index with
     distinct bases k_i of multiplicities alpha_i, carries the extra factor
-    prod_i w^{-alpha'_i * y_{k_i}}.  The weighted coefficients put at the
-    terms' positions are the weighted polynomial's exact Fourier table,
-    and rho_y's is read off its factor terms, so each row costs one inverse
-    transform and no forward one.  One walk of rho_y's spectrum serves the
-    whole batch, and every root of unity the batch reads is computed once.
-    In the nondegenerate regime the weights cancel against the
-    coefficients of rho_y, for every y: an s-homogeneous part Q^(s) gives
-    Q^(s) / (2d)^s pointwise, and any other polynomial Q gives
+    prod_i w^{-alpha'_i * y_{k_i}}.  The weighted polynomial's Fourier
+    table is zero off its term positions, so row r is
+    sum_t A_t * w_t(y_r) * rho_y_hat(position of t) * (term t's value
+    table), and no transform is run.  One walk of rho_y's spectrum serves
+    the whole batch, its rows are read at the term positions and then
+    overwritten by the result, and every root of unity the batch reads is
+    computed once.  In the nondegenerate regime the weights cancel against
+    the coefficients of rho_y, for every y: an s-homogeneous part Q^(s)
+    gives Q^(s) / (2d)^s pointwise, and any other polynomial Q gives
     sum_s Q^(s) / (2d)^s.  An empty batch, or any point of the wrong base
     or digit count, raises ValueError before any work.
     """
@@ -494,6 +518,7 @@ def extract_homogeneous_modulated(
     columns = _root_columns(ys, walk + [(b, -a) for term in bases for b, a in term])
     terms = _modulated_terms(system, d, ys, columns[: len(walk)])
     tables = _riesz_spectrum(system, d, terms, len(ys))
+    rho_y_at = tables[:, part.positions]
     # a term's weight is multiplied out as Python numbers, base by base:
     # numpy's complex product rounds differently
     read = iter(columns[len(walk) :])
@@ -503,8 +528,10 @@ def extract_homogeneous_modulated(
         for _ in term:
             w = [a * b for a, b in zip(w, next(read))]
         weights.append(w)
-    # one inverse per point, written over that point's row of rho_y's tables
-    for r, rho_y_hat in enumerate(tables):
-        np.multiply(part.spectrum([w[r] for w in weights]), rho_y_hat, out=rho_y_hat)
-        rho_y_hat[:] = inverse_fourier(FourierTable(system.group, rho_y_hat)).values
-    return tables
+    # each row's coefficients from arrays of one entry per term: numpy's
+    # complex product rounds differently on a (points, terms) block
+    rows = [
+        part.coefficients * np.array([w[r] for w in weights], dtype=np.complex128) * rho_y_at[r]
+        for r in range(len(ys))
+    ]
+    return _synthesize(part, rows, tables)

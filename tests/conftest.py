@@ -17,13 +17,16 @@ import numpy as np
 
 from lacuna import (
     Character,
+    ChaosPolynomial,
     CharacterSystem,
     DensityMeasure,
     FiniteAbelianGroup,
     FourierTable,
     GroupMismatch,
     char_pow,
+    extraction_coefficients,
     hadamard_trig_system,
+    inverse_fourier,
     is_d_dissociated,
     lq_norm,
     rademacher_system,
@@ -33,6 +36,7 @@ from lacuna import (
 )
 from lacuna.analysis import _grad_lq_q_matrix, chaos_indices
 from lacuna.parallel import trial_rng
+from lacuna.riesz import _extraction_hat, _modulated_terms, _riesz_hat, _riesz_spectrum
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -265,6 +269,38 @@ def oracle_modulation_exponents(
         hit = any(char_pow(gamma, j).exponents == inverse for j in range(1, a))
         adjusted.append(2 * d + 1 - a if hit else a)
     return tuple(adjusted)
+
+
+def oracle_extract_by_transform(polynomial, ys=None) -> np.ndarray:
+    """Both extraction routes by transform: one inverse transform per row.
+
+    With no ``ys`` row s-1 is Q * nu_s, the inverse of Q's Fourier table
+    times nu_s's.  With ``ys`` row r weights each term of the polynomial by
+    prod_i w^{-alpha'_i * y_{k_i}} for the point ys[r], and is the inverse
+    of that weighted polynomial's Fourier table times rho_y's.  Q's table
+    is its coefficients scattered at its term positions (``spectrum()``),
+    and rho's and rho_y's are the library's walks of their factor terms.
+    """
+    system, d = polynomial.system, polynomial.degree
+    if ys is None:
+        rho_hat = _riesz_hat(system, d, check=False)
+        q_hat = polynomial.spectrum()
+        rows = [
+            q_hat * _extraction_hat(rho_hat, extraction_coefficients(d, s)) for s in range(1, d + 1)
+        ]
+    else:
+        rows = []
+        for y in ys:
+            weighted = {}
+            for index, coefficient in zip(polynomial.indices, polynomial.coefficients.tolist()):
+                powers = oracle_modulation_exponents(system, index, d)
+                for b, a in zip(sorted(set(index)), powers):
+                    coefficient *= rademacher_value(y, b, -a)
+                weighted[index] = coefficient
+            q_hat = ChaosPolynomial(system, d, weighted).spectrum()
+            rho_y_hat = _riesz_spectrum(system, d, _modulated_terms(system, d, [y]))[0]
+            rows.append(q_hat * rho_y_hat)
+    return np.stack([inverse_fourier(FourierTable(system.group, row)).values for row in rows])
 
 
 def oracle_witness(system: CharacterSystem, d: int) -> tuple[int, ...] | None:

@@ -487,6 +487,16 @@ def test_sidon_estimate_is_at_most_pi_over_two_at_degree_one():
         assert estimate.constant <= math.pi / 2
 
 
+def test_sidon_estimate_on_base_three_is_at_most_pi_over_three_sin_pi_over_three():
+    # the nearest of b equally spaced angles lies within pi/b of any phase, so
+    # max_y |sum a_i w^{y_i}| >= (b/pi) sin(pi/b) ||a||_1 on a base-b host; at
+    # b = 3 the p = 1 ceiling is pi / (3 sin(pi/3)) = 1.20920, and m = 2..10 read at most 1.19702
+    ceiling = math.pi / (3 * math.sin(math.pi / 3))
+    for m in range(2, 11):
+        estimate = lc.estimate_sidon_constant(lc.rademacher_system(m, base=3), 1, trials=8, seed=3)
+        assert estimate.constant <= ceiling
+
+
 @pytest.mark.parametrize("q", [4, 6])
 def test_khinchin_estimate_is_below_the_hypercontractive_bound(q):
     # Bonami-Beckner: ||Q||_q <= (q-1)^(d/2) ||Q||_2 for a real degree-d

@@ -237,9 +237,11 @@ def test_spectrum_matches_the_transform_of_the_value_table(case):
 def test_spectrum_weights_scale_each_term():
     system = _explicit([5], [[1], [2]])
     q = lc.ChaosPolynomial(system, 2, {(0, 0): 1.0, (1, 1): 2.0, (0, 1): 3.0})
-    # the weights follow the sorted indices (0, 0), (0, 1), (1, 1), at positions 2, 3, 4
+    # the sorted indices (0, 0), (0, 1), (1, 1) sit at positions 2, 3, 4; the
+    # weights 1j, -1, 0.5 scale their coefficients in the weighted polynomial
     assert q.positions.tolist() == [2, 3, 4]
-    assert np.array_equal(q.spectrum([1j, -1, 0.5]), [0, 0, 1j, -3, 1])
+    weighted = lc.ChaosPolynomial(system, 2, {(0, 0): 1j * 1.0, (0, 1): -1 * 3.0, (1, 1): 0.5 * 2.0})
+    assert np.array_equal(weighted.spectrum(), [0, 0, 1j, -3, 1])
     assert np.array_equal(q.spectrum(), [0, 0, 1, 3, 2])
 
 

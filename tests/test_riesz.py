@@ -13,6 +13,7 @@ from conftest import (
     character_at,
     fresh_rademacher_system,
     oracle_character_table,
+    oracle_extract_by_transform,
     oracle_inverse_powers,
     oracle_modulated_powers,
     oracle_modulation_exponents,
@@ -725,9 +726,38 @@ def test_modulated_extract_batch_rows_equal_batches_of_one(case):
             assert _bits(row) == _bits(alone)
 
 
+ORACLE_CASES = {
+    **BATCH_CASES,
+    "Z64xZ64 d3": (lambda: _system([64, 64], [[1, 0], [0, 1]]), 3),
+    # 36 terms on |G| = 390625
+    "rademacher(8, base=5) d2": (lambda: lc.rademacher_system(8, base=5), 2),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES.values(), ids=ORACLE_CASES)
+def test_both_extraction_routes_match_the_transform_oracle(case):
+    # each row is synthesized over Q's terms; the oracle inverts the product of tables
+    build, d = case
+    system = build()
+    rng = np.random.default_rng(83)
+    q = lc.random_chaos_polynomial(system, d, rng)
+    ys = [lc.ModulationPoint.random(rng, 2 * d + 1, len(system)) for _ in range(3)]
+
+    def assert_close(got, want, polynomial):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(polynomial.coefficients).sum()
+
+    assert_close(lc.extract_homogeneous(q, check=False), oracle_extract_by_transform(q), q)
+    for part in [*lc.decompose(q), q]:
+        got = lc.extract_homogeneous_modulated(part, ys, check=False)
+        assert_close(got, oracle_extract_by_transform(part, ys), part)
+
+
 def test_modulated_extract_batch_peaks_at_its_result_plus_a_few_tables():
-    # the result is one (Y, |G|) table; each point's inverse adds a few |G|
-    # tables that are freed before the next point's
+    # the result is one (Y, |G|) table, rho_y's rows written over in place.
+    # The synthesis adds one scratch table and one term table, and building
+    # a term table briefly adds numpy's broadcast buffer (one table here).
+    # A term table drawn as a product of power tables reads Y + 4.2.
     import tracemalloc
 
     system = _system([64, 64], [[1, 0], [0, 1]])
@@ -745,12 +775,13 @@ def test_modulated_extract_batch_peaks_at_its_result_plus_a_few_tables():
 
 
 def test_extract_verify_runs_no_forward_transform_and_never_tabulates_q(tmp_path, monkeypatch):
-    """Per trial: no forward transform, and one inverse per part of Q and per (part, y) pair.
+    """Per trial: no transform either way, and no polynomial evaluated inside an extraction.
 
-    rho's and rho_y's tables are read off their factor terms and Q's off
-    its term positions, so neither extraction route may transform forward
-    or evaluate a polynomial over the group.  Each trial walks a spectrum
-    once for rho and once per part for all its points' rho_y.
+    rho's and rho_y's tables are read off their factor terms, and each
+    row is synthesized over Q's terms from its term positions, so neither
+    extraction route may transform or evaluate a polynomial over the group.
+    Each trial walks a spectrum once for rho and once per part for all its
+    points' rho_y.
     """
     from lacuna import cli
 
@@ -798,11 +829,10 @@ def test_extract_verify_runs_no_forward_transform_and_never_tabulates_q(tmp_path
         "y_samples": 3,
     }
     assert cli.run(config, out_dir=tmp_path) == 0
-    # d = 2 parts from extract_homogeneous, and 2 parts times 3 points modulated;
-    # one walk for rho and one per part
+    # one walk for rho and one per part, for each of the 2 trials
     assert counts == {
         "fourier": 0,
-        "inverse_fourier": 2 * (2 + 2 * 3),
+        "inverse_fourier": 0,
         "values_inside": 0,
         "walks": 2 * (1 + 2),
     }
