@@ -78,6 +78,7 @@ table at a time.  No transform runs on either extraction route.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -96,6 +97,8 @@ from .groups import (
     _scatter,
     inverse_fourier,
 )
+
+_COPY_CELLS = 1 << 16  # values of the last factor's copies ``_riesz_spectrum`` scatters at once
 
 def _inverse_meets_forward(gamma: Character, k: int, top: int) -> bool:
     """Whether gamma^{-k} = gamma^j for some j in 1..top, i.e. ord(gamma) divides some j + k."""
@@ -219,7 +222,8 @@ def _riesz_spectrum(system: CharacterSystem, d: int, terms, points: int = 1) -> 
     merged, by one scatter into a |G| table per point, only when a
     factor's copies would pass |G| entries; the positions nonzero at any
     point are kept, and that factor's copies are then scattered a chunk
-    of powers at a time, each chunk at most |G| entries.  So no block
+    of powers at a time, each chunk at most |G| entries; the last factor's
+    go straight into the result, a block of points at a time.  So no block
     passes |G| cells per point at any d, and no transform is run.
     """
     if d < 1:
@@ -229,33 +233,43 @@ def _riesz_spectrum(system: CharacterSystem, d: int, terms, points: int = 1) -> 
     strides = np.array([math.prod(group.orders[j + 1 :]) for j in range(group.rank)])
     positions = np.zeros(1, dtype=np.int64)
     values = np.ones((points, 1))
-    for gamma, pairs in zip(system.characters, terms):
+    for i, (gamma, pairs) in enumerate(zip(system.characters, terms)):
         # the factor's own table first: powers equal modulo the order are one position
         powers, slot = np.unique([0] + [k % gamma.order for _, k in pairs], return_inverse=True)
         # divided as Python numbers: numpy's complex division multiplies by the reciprocal
         entries = [[1] * points] + [[w / (2 * d) for w in column] for column, _ in pairs]
         weights = _scatter(slot, np.array(entries).T, len(powers))
 
-        def copies(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-            """Positions and per-point values of the copies for powers lo .. hi-1, flattened."""
-            shifted = np.repeat(positions[None, :], hi - lo, axis=0)
+        def shifted(lo: int, hi: int) -> np.ndarray:
+            """Positions of the copies for powers lo .. hi-1, flattened power by power."""
+            at = np.repeat(positions[None, :], hi - lo, axis=0)
             for c in np.flatnonzero(gamma.exponents):
                 digit = positions // strides[c] % orders[c]
                 moved = (digit + powers[lo:hi, None] * gamma.exponents[c]) % orders[c]
-                shifted += (moved - digit) * strides[c]
-            scaled = weights[:, lo:hi, None] * values[:, None, :]
-            return shifted.ravel(), scaled.reshape(points, -1)
+                at += (moved - digit) * strides[c]
+            return at.ravel()
 
-        if len(positions) * len(powers) <= group.size:
-            positions, values = copies(0, len(powers))
-        else:
+        def scaled(lo: int, hi: int, rows: slice = slice(None)) -> np.ndarray:
+            """Values of those copies at the points ``rows``, one row per point."""
+            block = weights[rows, lo:hi, None] * values[rows, None, :]
+            return block.reshape(len(block), -1)
+
+        n = len(powers)
+        if len(positions) * n > group.size:
             chunk = group.size // len(positions)
-            table = sum(
-                _scatter(*copies(lo, min(lo + chunk, len(powers))), group.size)
-                for lo in range(0, len(powers), chunk)
-            )
+            spans = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+            table = sum(_scatter(shifted(*span), scaled(*span), group.size) for span in spans)
             positions = np.flatnonzero(table.any(axis=0))
             values = table[:, positions]
+        elif i < len(terms) - 1:
+            positions, values = shifted(0, n), scaled(0, n)
+        else:
+            at = shifted(0, n)
+            out = np.zeros((points, group.size), dtype=np.result_type(weights, values))
+            block = max(1, _COPY_CELLS // len(at))
+            for r in range(0, points, block):
+                _scatter(at, scaled(0, n, slice(r, r + block)), group.size, out[r : r + block])
+            return out.astype(np.complex128, copy=False)
     return _scatter(positions, values, group.size).astype(np.complex128, copy=False)
 
 
@@ -302,8 +316,10 @@ class ModulationPoint:
             raise ValueError(f"digits must lie in 0..{self.base - 1}")
 
     @classmethod
-    def random(cls, rng: np.random.Generator, base: int, count: int) -> "ModulationPoint":
-        return cls(base, tuple(int(x) for x in rng.integers(0, base, size=count)))
+    def random_batch(cls, rng, base: int, count: int, points: int) -> list["ModulationPoint"]:
+        """``points`` points of ``count`` digits each, drawn from ``rng`` as one block."""
+        rows = rng.integers(0, base, size=(points, count)).tolist()
+        return [cls(base, tuple(row)) for row in rows]
 
 
 def _require_modulation_point(system: CharacterSystem, d: int, y: ModulationPoint):
@@ -372,6 +388,7 @@ class ExtractionSpec:
         }
 
 
+@functools.cache  # solved once per (d, s) and shared: a tuple of Fractions is immutable
 def extraction_coefficients_exact(d: int, s: int) -> tuple[Fraction, ...]:
     """Exact rational mixing coefficients (c_0 .. c_d); c_0 is always 0.
 

@@ -198,6 +198,24 @@ def naive_convolve(f: DensityMeasure, h: DensityMeasure) -> DensityMeasure:
     return DensityMeasure(group, out / group.size)
 
 
+def oracle_scatter(positions: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """``groups._scatter`` one row at a time: one ``np.add.at`` per row of a 2-D ``values``."""
+    table = np.zeros(values.shape[:-1] + (size,), dtype=np.result_type(values, 0.0))
+    for row, row_values in zip(np.atleast_2d(table), np.atleast_2d(values)):
+        np.add.at(row, positions, row_values)
+    return table
+
+
+def oracle_roots(m: int) -> np.ndarray:
+    """The m-th roots of unity, each quarter-turn root set exactly in a loop over all residues."""
+    quarter = np.array([1, 1j, -1, -1j], dtype=np.complex128)
+    table = np.exp(2j * np.pi * np.arange(m) / m)
+    for k in range(m):
+        if (4 * k) % m == 0:
+            table[k] = quarter[(4 * k // m) % 4]
+    return table
+
+
 def oracle_product_index(system: CharacterSystem, exps) -> int:
     """Flat dual index of prod_i gamma_i^{exps_i}: the exponent rows summed mod the orders."""
     orders = system.group.orders

@@ -105,7 +105,7 @@ def test_criterion_02_coefficient_law():
             expected = _expected_riesz_table(system, d)
             worst_plain = max(worst_plain, float(np.abs(table.coeffs - expected).max()))
             for _ in range(20):
-                y = lc.ModulationPoint.random(rng, 2 * d + 1, len(system))
+                y = lc.ModulationPoint.random_batch(rng, 2 * d + 1, len(system), 1)[0]
                 terms = lc.riesz._modulated_terms(system, d, [y])
                 table_y = lc.fourier(oracle_riesz_product(system, d, terms))
                 expected_y = _expected_modulated_table(system, d, y)
@@ -167,9 +167,7 @@ def extraction_study():
         system = sample_nondegenerate_system(rng, d, max_m=3, max_size=4096)
         poly = lc.random_chaos_polynomial(system, d, rng)
         parts = lc.decompose(poly)
-        ys = [
-            lc.ModulationPoint.random(rng, 2 * d + 1, len(system)) for _ in range(10)
-        ]
+        ys = lc.ModulationPoint.random_batch(rng, 2 * d + 1, len(system), 10)
         extracted = lc.extract_homogeneous(poly, check=False)
         for s in range(1, d + 1):
             target = parts[s - 1].values()

@@ -1087,6 +1087,59 @@ def test_cli_byte_determinism(tmp_path, config, artifacts, svg):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_main_twice_in_one_process_writes_what_two_fresh_interpreters_write(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    import lacuna
+
+    cfg = _write_config(tmp_path, _SCAN_CONFIG)
+    extras = [["--svg", "--seed", "5"], []]
+    for i, extra in enumerate(extras):
+        assert main(["--config", str(cfg), "--out", str(tmp_path / f"here{i}"), *extra]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(lacuna.__file__).parent.parent)}
+    code = "import sys; from lacuna.cli import main; sys.exit(main(sys.argv[1:]))"
+    for i, extra in enumerate(extras):
+        argv = ["--config", str(cfg), "--out", str(tmp_path / f"fresh{i}"), *extra]
+        done = subprocess.run([sys.executable, "-c", code, *argv], env=env, timeout=120)
+        assert done.returncode == 0
+    for i in range(2):
+        here, fresh = tmp_path / f"here{i}", tmp_path / f"fresh{i}"
+        names = sorted(path.name for path in here.iterdir())
+        assert names == sorted(path.name for path in fresh.iterdir())
+        assert ("discretize.svg" in names) == (i == 0)
+        for name in names:
+            assert (here / name).read_bytes() == (fresh / name).read_bytes()
+    # a missing --config still exits through argparse, on every call
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exited:
+            main(["--out", str(tmp_path)])
+        assert exited.value.code == 2
+
+
+def test_extract_verify_peak_on_a_dense_host(tmp_path):
+    # rademacher(7, base=5) at d = 2 reaches all 78125 characters, so each
+    # part's (Y, |G|) block of rows is Y dense tables
+    config = {
+        "command": "extract-verify",
+        "system": {"rademacher": {"count": 7, "base": 5}},
+        "d": 2,
+        "trials": 1,
+        "y_samples": 10,
+    }
+    assert run(config, out_dir=tmp_path / "warm") == 0
+    tracemalloc.start()
+    try:
+        assert run(config, out_dir=tmp_path / "out") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the block and its moduli (Y / 2) beside four tables read 20.0; holding
+    # the last part's block through the next part's walk read 35.6
+    assert peak < (2 * 10 + 2) * 16 * 78125
+
+
 def test_cli_trials_start_no_thread(tmp_path, monkeypatch):
     import threading
 

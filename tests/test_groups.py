@@ -16,6 +16,8 @@ from conftest import (
     naive_convolve,
     naive_fourier,
     naive_inverse_fourier,
+    oracle_roots,
+    oracle_scatter,
     trivial_character,
 )
 
@@ -77,6 +79,14 @@ def test_char_eval_modulus_one():
         chi = group.character(rng.integers(0, 4, size=3))
         g = int(rng.integers(0, group.size))
         assert abs(abs(chi.values()[g]) - 1) < 1e-12
+
+
+def test_roots_match_the_residue_loop_and_keep_quarter_turns_exact():
+    for m in range(2, 65):
+        roots = lc.make_group([m]).roots[0]
+        assert roots.tobytes() == oracle_roots(m).tobytes()
+        for k in range(0, m, m // math.gcd(m, 4)):
+            assert roots[k] == (1, 1j, -1, -1j)[4 * k // m]
 
 
 def _sum_index(group, g, h):
@@ -321,3 +331,35 @@ def test_density_values_are_read_only():
     d = lc.DensityMeasure(group, np.ones(group.size))
     with pytest.raises(ValueError):
         d.values[0] = 5.0
+
+
+# -- scatter -----------------------------------------------------------------------------
+
+
+def _bits(table: np.ndarray) -> bytes:
+    return np.ascontiguousarray(table).tobytes()
+
+
+@pytest.mark.parametrize("rows", [None, 1, 4])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_scatter_adds_in_the_order_given_as_a_per_row_scatter_does(rows, dtype):
+    # 1e16 + 1.0 rounds back to 1e16, so a cell holding 1e16, 1.0 and -1e16
+    # reads 0 in that order and 1 in most others
+    from lacuna.groups import _scatter
+
+    positions = np.array([3, 0, 3, 5, 3, 0, 7])
+    base = np.array([1e16, 2.5, 1.0, -4.0, -1e16, 1e-3, 6.0])
+    moved = np.array([0, 1, 0, 1, 0, 1, 1])  # every cell but 3 changes from row to row
+    values = base if rows is None else base + np.arange(rows)[:, None] * moved
+    if dtype is np.complex128:
+        values = values + 1j * np.array([-1e16, 0.5, 1.0, 2.0, 1e16, 3.0, 4.0])
+    got = _scatter(positions, values, 8)
+    want = oracle_scatter(positions, values, 8)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert _bits(got) == _bits(want)
+    assert np.all(want[..., 3] == 0)  # its exact sum is 1 (and 1j)
+    # a second scatter into the same table adds after the first, cell by cell
+    first, second = slice(0, 4), slice(4, 7)
+    out = _scatter(positions[first], values[..., first], 8)
+    assert _scatter(positions[second], values[..., second], 8, out) is out
+    assert _bits(out) == _bits(want)

@@ -288,7 +288,7 @@ def test_riesz_spectrum_is_the_transform_of_both_densities(case):
     assert rho_hat.dtype == np.complex128 and rho_hat.shape == (1, system.group.size)
     assert np.abs(rho_hat[0] - lc.fourier(_oracle_rho(system, d)).coeffs).max() <= 1e-15
     rng = np.random.default_rng(59)
-    ys = [lc.ModulationPoint.random(rng, 2 * d + 1, len(system)) for _ in range(4)]
+    ys = lc.ModulationPoint.random_batch(rng, 2 * d + 1, len(system), 4)
     terms = lc.riesz._modulated_terms(system, d, ys)
     rho_y_hats = lc.riesz._riesz_spectrum(system, d, terms, len(ys))
     assert rho_y_hats.shape == (len(ys), system.group.size)
@@ -303,7 +303,7 @@ def test_riesz_spectrum_merge_keeps_the_positions_nonzero_at_any_point():
     system = _system([31], [[1], [2], [3], [4]])  # 5^4 products merge at the third factor
     d = 2
     rng = np.random.default_rng(61)
-    ys = [lc.ModulationPoint.random(rng, 5, 4) for _ in range(3)]
+    ys = lc.ModulationPoint.random_batch(rng, 5, 4, 3)
     terms = lc.riesz._modulated_terms(system, d, ys)
     terms[0] = [([0j, *column[1:]], k) for column, k in terms[0]]
     batch = lc.riesz._riesz_spectrum(system, d, terms, len(ys))
@@ -361,6 +361,34 @@ def test_riesz_spectrum_memory_stays_order_g_past_the_group_order():
     assert np.abs(rho_hat - expected).max() <= 1e-15
 
 
+def test_riesz_spectrum_adds_its_last_factor_into_the_result_a_block_at_a_time(monkeypatch):
+    # rademacher(7, base=5) at d = 2: the last factor's 5 powers copy 5^6
+    # positions at 10 points, as many cells as the result; they go in one
+    # point at a time, beside the previous factor's (Y, |G|/5) values
+    import tracemalloc
+
+    system = lc.rademacher_system(7, base=5)
+    d = 2
+    ys = lc.ModulationPoint.random_batch(np.random.default_rng(89), 5, len(system), 10)
+    walks = [lc.riesz._riesz_terms(system, d), lc.riesz._modulated_terms(system, d, ys)]
+    lc.riesz._riesz_spectrum(system, d, walks[1], len(ys))  # warm numpy's caches
+    tracemalloc.start()
+    try:
+        lc.riesz._riesz_spectrum(system, d, walks[1], len(ys))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Y + 4.1 tables; every copy at once beside the result read 2Y + 0.5
+    assert peak <= (len(ys) + 5) * 16 * system.group.size
+    # rho's real walk and rho_y's complex one: blocks of every size add in one scatter's order
+    for terms, points in zip(walks, (1, len(ys))):
+        tables = []
+        for cells in (1 << 40, 3 * 78125, 1):
+            monkeypatch.setattr(lc.riesz, "_COPY_CELLS", cells)
+            tables.append(_bits(lc.riesz._riesz_spectrum(system, d, terms, points)))
+        assert tables[0] == tables[1] == tables[2]
+
+
 # -- modulated product -------------------------------------------------------------------
 
 
@@ -372,6 +400,15 @@ def test_modulation_point_validation():
     assert columns[0][0] == pytest.approx(OMEGA5**2)
     assert columns[1][0] == pytest.approx(OMEGA5**-2)
     assert columns[2][0] == pytest.approx(1.0)
+
+
+def test_random_batch_draws_what_successive_batches_of_one_draw():
+    batch_rng, single_rng = np.random.default_rng(97), np.random.default_rng(97)
+    batch = lc.ModulationPoint.random_batch(batch_rng, 5, 3, 6)
+    singles = [lc.ModulationPoint.random_batch(single_rng, 5, 3, 1)[0] for _ in range(6)]
+    assert batch == singles
+    # and both leave the stream at the same place
+    assert batch_rng.integers(0, 1 << 30) == single_rng.integers(0, 1 << 30)
 
 
 @pytest.mark.parametrize("base", [3, 5, 7, 41])
@@ -435,7 +472,7 @@ def test_modulated_variation_is_one():
     for _ in range(20):
         d = int(rng.integers(1, 4))
         system = sample_dissociated_system(rng, d)
-        y = lc.ModulationPoint.random(rng, 2 * d + 1, len(system))
+        y = lc.ModulationPoint.random_batch(rng, 2 * d + 1, len(system), 1)[0]
         rho_y = lc.modulated_riesz_density(system, d, y)
         assert abs(rho_y.total_variation - 1) < 1e-9
         assert abs(rho_y.mass - 1) < 1e-9
@@ -541,6 +578,31 @@ def test_extraction_coefficients_refuse_d_past_the_float_range():
         lc.extraction_coefficients(20, 1)
 
 
+def test_extract_verify_solves_each_exact_coefficient_set_once_per_process(tmp_path):
+    from lacuna import cli
+    from lacuna.riesz import extraction_coefficients_exact
+
+    config = {
+        "command": "extract-verify",
+        "system": {"exponents": [[1, 0], [0, 1]], "orders": [13, 13]},
+        "d": 3,
+        "trials": 2,
+        "y_samples": 2,
+    }
+    extraction_coefficients_exact.cache_clear()
+    assert cli.run(config, out_dir=tmp_path / "first") == 0
+    assert cli.run(config, out_dir=tmp_path / "second") == 0
+    solved = extraction_coefficients_exact.cache_info()
+    assert solved.misses == 3 and solved.hits > 0  # s = 1, 2, 3, each once
+    # a refusal is not cached: it raises on every call
+    for _ in range(2):
+        with pytest.raises(lc.SizeLimitExceeded):
+            lc.extraction_coefficients(20, 1)
+        with pytest.raises(ValueError):
+            extraction_coefficients_exact(3, 4)
+    assert extraction_coefficients_exact.cache_info().currsize == 3
+
+
 def test_extraction_coefficients_range():
     with pytest.raises(ValueError):
         lc.extraction_coefficients(2, 3)
@@ -642,7 +704,7 @@ def test_both_identities_random_trials():
             target = parts[s - 1].values()
             direct = extracted[s - 1]
             assert np.abs(direct - target).max() <= 1e-8
-            y = lc.ModulationPoint.random(rng, 2 * d + 1, len(system))
+            y = lc.ModulationPoint.random_batch(rng, 2 * d + 1, len(system), 1)[0]
             modulated = lc.extract_homogeneous_modulated(parts[s - 1], [y], check=False)[0]
             assert np.abs(modulated - target / (2 * d) ** s).max() <= 1e-8
             scaled_sum += target / (2 * d) ** s
@@ -717,7 +779,7 @@ def test_modulated_extract_batch_rows_equal_batches_of_one(case):
     system = build()
     rng = np.random.default_rng(73)
     q = lc.random_chaos_polynomial(system, d, rng)
-    ys = [lc.ModulationPoint.random(rng, 2 * d + 1, len(system)) for _ in range(6)]
+    ys = lc.ModulationPoint.random_batch(rng, 2 * d + 1, len(system), 6)
     for part in [*lc.decompose(q), q]:
         batch = lc.extract_homogeneous_modulated(part, ys, check=False)
         assert batch.shape == (len(ys), system.group.size)
@@ -741,7 +803,7 @@ def test_both_extraction_routes_match_the_transform_oracle(case):
     system = build()
     rng = np.random.default_rng(83)
     q = lc.random_chaos_polynomial(system, d, rng)
-    ys = [lc.ModulationPoint.random(rng, 2 * d + 1, len(system)) for _ in range(3)]
+    ys = lc.ModulationPoint.random_batch(rng, 2 * d + 1, len(system), 3)
 
     def assert_close(got, want, polynomial):
         assert got.shape == want.shape
@@ -763,7 +825,7 @@ def test_modulated_extract_batch_peaks_at_its_result_plus_a_few_tables():
     system = _system([64, 64], [[1, 0], [0, 1]])
     rng = np.random.default_rng(79)
     part = lc.decompose(lc.random_chaos_polynomial(system, 2, rng))[1]
-    ys = [lc.ModulationPoint.random(rng, 5, 2) for _ in range(10)]
+    ys = lc.ModulationPoint.random_batch(rng, 5, 2, 10)
     lc.extract_homogeneous_modulated(part, ys)  # warm the FFT plan caches
     tracemalloc.start()
     try:
