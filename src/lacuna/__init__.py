@@ -7,7 +7,7 @@ homogeneous chaos parts, and estimates Khinchin and Sidon constants
 empirically.  See the README for the CLI and the acceptance suite.
 """
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 from .errors import (
     BudgetExceeded,
@@ -32,7 +32,6 @@ from .groups import (
     DensityMeasure,
     FiniteAbelianGroup,
     FourierTable,
-    char_pow,
     convolve,
     fourier,
     inverse_fourier,

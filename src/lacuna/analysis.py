@@ -110,14 +110,16 @@ def values_matrix(system: CharacterSystem, indices: Sequence) -> np.ndarray:
     """Column t holds the value table of the t-th index's character product.
 
     A table of more than ``TABLE_CELL_LIMIT`` cells raises SizeLimitExceeded
-    before any column is built.  Columns are written into the preallocated
-    table, so it is held in memory once; each power table the columns share
-    is freed after the last column that uses it.
+    before any column is built.  Column t, the table of the character at the
+    t-th term's position, is written into the preallocated matrix, so the
+    matrix is held once, beside the one term table being written.
     """
     _require_table_cells(len(indices), system.group.size, "terms x |G|")
     matrix = np.empty((system.group.size, len(indices)), dtype=np.complex128)
-    for t, table in enumerate(_term_tables(system, indices)):
-        matrix[:, t] = table
+    tables = _term_tables(system, indices)
+    # next() rather than enumerate, which would hold the last table while the next is built
+    for t in range(len(indices)):
+        matrix[:, t] = next(tables)
     return matrix
 
 

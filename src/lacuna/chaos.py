@@ -22,6 +22,11 @@ terms are the same character exactly when their positions are equal (on
 base-2 Rademacher systems every r_i^2 is the trivial character), and the
 Fourier table of a polynomial is its coefficients added up at the
 positions of their terms.
+
+One rule gives a term's value table: it is the table of the character at
+the term's position, built by the one builder that also serves
+``Character.values``.  ``values_matrix``, ``ChaosPolynomial.values`` and
+both extraction routes take their term tables this way, one at a time.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import numpy as np
 
 from .dissociation import CharacterSystem
 from .errors import DegreeExceedsSystem
-from .groups import _scatter, char_pow
+from .groups import _character_table, _scatter
 
 FullIndex = tuple[int, ...]
 
@@ -76,32 +81,40 @@ def require_indices(m: int, indices: Sequence, degree: int | None = None):
         seen.add(index)
 
 
-def _power_keys(index: Sequence[int]) -> list[tuple[int, int]]:
-    """(base, multiplicity) of every distinct base of an index, bases increasing."""
-    return [(b, len(list(run))) for b, run in itertools.groupby(sorted(index))]
-
-
 def _term_tables(system: CharacterSystem, indices: Sequence) -> Iterator[np.ndarray]:
-    """``term_values`` of each index in turn.
+    """``term_values`` of each index in turn: the table of the character at its position.
 
-    A power table that several terms share is built once and dropped after
-    the last term that uses it, so the generator holds only the tables that
-    later terms still need.
+    Each table is built when it is asked for, so the generator holds none.
     """
-    last = {key: t for t, index in enumerate(indices) for key in _power_keys(index)}
-    powers: dict[tuple[int, int], np.ndarray] = {}
-    for t, index in enumerate(indices):
-        out = np.ones(system.group.size, dtype=np.complex128)
-        for key in _power_keys(index):
-            if key not in powers:
-                powers[key] = char_pow(system.characters[key[0]], key[1]).values()
-            out *= powers.pop(key) if last[key] == t else powers[key]
-        yield out
+    group = system.group
+    rows = np.unravel_index(term_positions(system, indices), group.orders)
+    for row in zip(*(axis.tolist() for axis in rows)):
+        yield _character_table(group, row)
 
 
 def term_values(system: CharacterSystem, index: Sequence[int]) -> np.ndarray:
-    """Value table of prod_b gamma_b^(multiplicity of b in the index), bases increasing."""
+    """Value table of prod_b gamma_b^(multiplicity of b in the index)."""
     return next(_term_tables(system, [index]))
+
+
+def _synthesize(polynomial: ChaosPolynomial, rows, out: np.ndarray) -> np.ndarray:
+    """Write sum_t rows[r][t] * (term t's value table) over ``out[r]``, for each row r.
+
+    Term t's table is built once and added into every row, in term order,
+    through one |G| scratch table; it is dropped before the next term's is
+    built, so no more than one term table is held at a time.
+    """
+    out.fill(0)
+    scratch = np.empty(polynomial.system.group.size, dtype=np.complex128)
+    # next() rather than enumerate, which would hold the last table while the next is built
+    tables = _term_tables(polynomial.system, polynomial.indices)
+    for t in range(len(polynomial.indices)):
+        table = next(tables)
+        for row, coefficients in zip(out, rows):
+            np.multiply(table, coefficients[t], out=scratch)
+            row += scratch
+        del table
+    return out
 
 
 def term_positions(system: CharacterSystem, indices: Sequence[Sequence[int]]) -> np.ndarray:
@@ -144,12 +157,8 @@ class ChaosPolynomial:
 
     def values(self) -> np.ndarray:
         """Value table over the whole group in element enumeration order."""
-        coeffs = self.coefficients.tolist()
-        live = [t for t, c in enumerate(coeffs) if c]
-        out = np.zeros(self.system.group.size, dtype=np.complex128)
-        for t, table in zip(live, _term_tables(self.system, [self.indices[t] for t in live])):
-            out += coeffs[t] * table
-        return out
+        out = np.empty((1, self.system.group.size), dtype=np.complex128)
+        return _synthesize(self, [self.coefficients], out)[0]
 
     @cached_property
     def positions(self) -> np.ndarray:

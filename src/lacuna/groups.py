@@ -137,28 +137,28 @@ class Character:
         return all(a == 0 for a in self.exponents)
 
     def values(self) -> np.ndarray:
-        """A fresh |G| value table, in element enumeration order, on each call.
-
-        It is built on the factor grid, with coordinate i's roots broadcast
-        along axis i.
-        """
-        orders = self.group.orders
-        out = np.ones(orders, dtype=np.complex128)
-        for i, (a, m) in enumerate(zip(self.exponents, orders)):
-            if a:
-                shape = (1,) * i + (m,) + (1,) * (len(orders) - i - 1)
-                out *= self.group.roots[i][(a * np.arange(m)) % m].reshape(shape)
-        out = out.ravel()
+        """A fresh read-only |G| value table, in element enumeration order, on each call."""
+        out = _character_table(self.group, self.exponents)
         out.flags.writeable = False
         return out
 
 
-def char_pow(chi: Character, k: int) -> Character:
-    """chi^k for any integer k; k = -1 gives the conjugate character.
+def _character_table(group: FiniteAbelianGroup, exponents: Sequence[int]) -> np.ndarray:
+    """A fresh |G| value table, in element order, of the character with these reduced exponents.
 
-    A fresh Character on each call; nothing is stored on ``chi``.
+    The one place a character's table is built.  Coordinate i's roots
+    multiply one flat table in place through its (-1, m_i, inner) view,
+    axis by axis, as a broadcast over the factor grid would; a zero
+    exponent is skipped.
     """
-    return Character(chi.group, tuple(a * k for a in chi.exponents))
+    out = np.ones(group.size, dtype=np.complex128)
+    inner = group.size
+    for a, m, roots in zip(exponents, group.orders, group.roots):
+        inner //= m
+        if a:
+            view = out.reshape(-1, m, inner)
+            view *= roots[(a * np.arange(m)) % m][:, None]
+    return out
 
 
 def _scatter(positions: np.ndarray, values: np.ndarray, size: int, out=None) -> np.ndarray:

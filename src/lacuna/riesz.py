@@ -87,7 +87,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chaos import ChaosPolynomial, FullIndex
+from .chaos import ChaosPolynomial, FullIndex, _synthesize
 from .dissociation import CharacterSystem, require_dissociated
 from .errors import DegenerateOrder, SizeLimitExceeded
 from .groups import (
@@ -458,26 +458,6 @@ def extraction_measure(
     spec = extraction_coefficients(d, s)
     nu_hat = _extraction_hat(_riesz_hat(system, d, check), spec)
     return inverse_fourier(FourierTable(system.group, nu_hat))
-
-
-def _synthesize(polynomial: ChaosPolynomial, rows, out: np.ndarray) -> np.ndarray:
-    """Write sum_t rows[r][t] * (term t's value table) over ``out[r]``, for each row r.
-
-    Term t's table is that of the character at its position, built once
-    and added into every row, in term order, through one |G| scratch
-    table; it is dropped before the next term's is built, so no more than
-    one term table is held at a time.
-    """
-    group = polynomial.system.group
-    out.fill(0)
-    scratch = np.empty(group.size, dtype=np.complex128)
-    for t, position in enumerate(polynomial.positions.tolist()):
-        table = group.character(np.unravel_index(position, group.orders)).values()
-        for row, coefficients in zip(out, rows):
-            np.multiply(table, coefficients[t], out=scratch)
-            row += scratch
-        del table
-    return out
 
 
 def extract_homogeneous(polynomial: ChaosPolynomial, check: bool = True) -> np.ndarray:

@@ -23,7 +23,6 @@ from lacuna import (
     FiniteAbelianGroup,
     FourierTable,
     GroupMismatch,
-    char_pow,
     extraction_coefficients,
     hadamard_trig_system,
     inverse_fourier,
@@ -144,6 +143,19 @@ def character_at(group: FiniteAbelianGroup, index: int) -> Character:
 
 def trivial_character(group: FiniteAbelianGroup) -> Character:
     return group.character((0,) * group.rank)
+
+
+def char_pow(chi: Character, k: int) -> Character:
+    """chi^k for any integer k; k = -1 gives the conjugate character."""
+    return Character(chi.group, tuple(a * k for a in chi.exponents))
+
+
+def oracle_term_values(system: CharacterSystem, index) -> np.ndarray:
+    """A term's table as the product of its power tables gamma_b^(multiplicity of b), bases increasing."""
+    out = np.ones(system.group.size, dtype=np.complex128)
+    for b, run in itertools.groupby(sorted(index)):
+        out *= char_pow(system.characters[b], len(list(run))).values()
+    return out
 
 
 def char_mul(chi1: Character, chi2: Character) -> Character:

@@ -15,6 +15,7 @@ from conftest import (
     grad_lq_q,
     khinchin_ratio,
     lp_coeff_norm,
+    oracle_term_values,
     refuse_everywhere,
     sidon_ratio,
 )
@@ -142,25 +143,57 @@ def test_sidon_ratio_phase_invariant():
 
 
 def test_values_matrix_leaves_no_tables_behind():
-    # 78 terms of rademacher(12) at d = 2 share 24 power tables of 64 KB each;
-    # once the matrix is dropped, none of them may still be held
+    # once the 78 columns of rademacher(12) at d = 2 are dropped, no term table may still be held
     lc.values_matrix(fresh_rademacher_system(4), lc.enumerate_polynomial(4, 2))
     system = fresh_rademacher_system(12)
     indices = lc.enumerate_polynomial(12, 2)
     assert bytes_left_behind(lambda: lc.values_matrix(system, indices)) < 16 * system.group.size // 4
 
 
-def test_values_matrix_drops_each_power_table_after_its_last_use():
-    # one degree-12 term has 12 power tables of its own; only the one in use may be held
+def test_values_matrix_peaks_at_the_matrix_plus_two_tables():
+    # four degree-6 terms: a table per power of each base would be 24 tables beside the matrix
     lc.values_matrix(fresh_rademacher_system(4), [(0, 1, 2, 3)])
-    system = fresh_rademacher_system(12)
+    system = fresh_rademacher_system(14)
+    indices = lc.enumerate_tetrahedral(14, 6)[:4]
     tracemalloc.start()
     try:
-        lc.values_matrix(system, [tuple(range(12))])
+        lc.values_matrix(system, indices)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 * 16 * system.group.size
+    assert peak < (len(indices) + 2) * 16 * system.group.size
+
+
+def _explicit(orders, exponents):
+    return lc.CharacterSystem.from_exponents(lc.make_group(orders), exponents)
+
+
+# (system, degree, tetrahedral, tolerance): a tolerance of 0 asks for the same bits
+ORACLE_TERM_CASES = {
+    "rademacher12 tetrahedral d2": (lambda: lc.rademacher_system(12), 2, True, 0),
+    "rademacher14 d3": (lambda: lc.rademacher_system(14), 3, False, 0),
+    "rademacher7 base5 d2": (lambda: lc.rademacher_system(7, base=5), 2, False, 0),
+    "hadamard3 Z65521 d3": (lambda: lc.hadamard_trig_system(3, 8, 65521), 3, False, 1e-14),
+    "Z4093 d3": (lambda: _explicit([4093], [[8], [64], [512]]), 3, False, 1e-14),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_TERM_CASES.values(), ids=ORACLE_TERM_CASES)
+def test_values_matrix_columns_match_the_power_table_product(case):
+    # the product of each base's power table, the rule the character at the
+    # term's position replaced: the same bits where every root is exact or
+    # each term lies on distinct coordinates, a few ulp on one cyclic factor
+    build, d, tetrahedral, tol = case
+    system = build()
+    indices = chaos_indices(system, d, tetrahedral)
+    for lo in range(0, len(indices), 16):  # a block of columns at a time bounds the memory
+        block = indices[lo : lo + 16]
+        matrix = lc.values_matrix(system, block)
+        oracle = np.stack([oracle_term_values(system, index) for index in block], axis=1)
+        if tol:
+            assert np.abs(matrix - oracle).max() <= tol
+        else:
+            assert matrix.tobytes() == oracle.tobytes()
 
 
 # -- gradients ------------------------------------------------------------------------------

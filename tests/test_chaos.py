@@ -3,6 +3,7 @@ spectrum, and homogeneous decomposition."""
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,6 +208,23 @@ def test_positions_of_coinciding_powers():
     assert lc.term_positions(system, [(1,) * 5, (0,) * 5]).tolist() == [0, 0]
     # every r_i^2 of base-2 Rademacher characters is the trivial character
     assert lc.term_positions(lc.rademacher_system(3), [(0, 0), (1, 1), (2, 2)]).tolist() == [0] * 3
+
+
+def test_values_of_a_two_base_part_holds_one_term_table_at_a_time():
+    # the 28 two-base terms of a degree-2 chaos on Z_5^8: a power table per
+    # base, held until its last term, peaked at 10 tables; the result, one
+    # scratch table and the term's own read 3
+    system = lc.rademacher_system(8, base=5)
+    part = lc.decompose(lc.random_chaos_polynomial(system, 2, np.random.default_rng(3)))[1]
+    assert len(part.indices) == 28
+    part.values()
+    tracemalloc.start()
+    try:
+        part.values()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 16 * system.group.size
 
 
 SPECTRUM_CASES = {

@@ -4,8 +4,8 @@
 six named after their other commands produced theirs before the duplicate
 power-coincidence loops, the ``HomogeneousPart`` type and the two estimator
 bodies were folded into one each; ``extract-verify`` and
-``extract-verify-d3`` produced theirs once both extraction routes
-synthesized each row over Q's terms.  Structure, ints, strings and bools
+``extract-verify-d3`` produced theirs once every term's value table,
+the target's included, came from the character at the term's position.  Structure, ints, strings and bools
 must match exactly; floats must match within 1e-12 relative.  When a
 change is meant to move results, regenerate the file with
 ``python tests/test_golden.py`` and say why in CHANGES.md.
@@ -41,24 +41,24 @@ DIGESTS = Path(__file__).parent / "data" / "golden_digests.json"
 EXTRACT_CYCLE = Path(__file__).parent / "data" / "extract_cycle.json"
 
 # the version the digests below were pinned at, and one digest per config of the cycle
-EXTRACT_CYCLE_VERSION = "0.9.0"
+EXTRACT_CYCLE_VERSION = "0.10.0"
 EXTRACT_CYCLE_DIGESTS = (
-    "feb393fa747bd1896f740fb9fb759908a0d5ef161dc1dda34dffb7bb9f00c554",
-    "76b40b9b1b07cbb3f989300bfd0a2a2d023f7d58dcee6510947c7f9afd2dfa6c",
-    "0856ad06b5ed4fd0f436f2aadd96a86ab4975434be9b1220c56673b2599838b2",
-    "4f133f9539007cfe7cb25386ea576762b1c8bc080c6c255d1e6d4304369fab14",
-    "b5b33b504adfdd8ae6920001d5554ad63b7e70eedd9f162b2904c00332043c63",
-    "8cd1cdeb2c8117c611b5c8d6acf95fb09620851022caaf8e9ed08a2e30b8406f",
-    "fc822c18049ace42813968b2f9c23838191fd3dc1e8ed1cf7208be18f4ac939e",
-    "60c1e032afe1eae7087057357decc9501b076aa6c51e7ee6fc34e510fd67a229",
-    "b3471aa2a9468e063392fed8807c7d6661373a4b9fa54a3089b5f92772735b55",
-    "93c8d44ddf16b8c1e45ed4c0d9af93001e6c14abcbadc2970b57bacef5cc3aa3",
-    "c24eb6f0f0c21784fcccac272cba0c6ae8a3733e471163e5ce0ffa8172fc5c72",
-    "01415dd1a11df0cc8624c0d13c5606372c72924ee7bbcd02ff632b234ba550ce",
-    "2b84a5ad09ddf53f0670f2530b3fc848a8c192a720a3c0b6d0fbbda80774947b",
-    "136c8bdd85fcd3590ad1c1cb38bbd1a1acf917bd61a1369d8ea25d31eb0b0abc",
-    "698e56d923480904b5109a3201d3d25319936ad9f3037c88e6233c386b7f73a1",
-    "8cb01e7edc16de6c418582b010cef69ea786c86afa038058b6295f32540a4e8a",
+    "fd6779f2a0042c5a1b7b44d2eb67b41486ab9287b1e9508c3da3867de97fc1fd",
+    "0eac3b346a680c3e6b492544b13486556b1468b39631a129244c49db8e2a9f72",
+    "6c1181c6b0e7c242aadcc22eff10df3f9c3694392d68c02282127889ef87bd15",
+    "3b6a47d81c0dd692a511300400f6d385a711753839f704eb83b17479ac404327",
+    "70e57e9cf7b4d0726da8b5469ff6a499109c2039c259b827db9e427033f620e4",
+    "bd0de16544ec41277c7e73352bfbf7343930b10be7c42631d5df823204d2d6d8",
+    "620962653e6e715aa53d05c40cf3dbea4e78e4b7b400c6689de82bc5e67538a9",
+    "14c693e3679455545dbdee2feab27dc020875f9d178d2b918967f3618f36e088",
+    "b77f7d30ed5ffcb1a4a3580da21dbb033193385a233ee9877f020a84e6ae4237",
+    "d59dc1b8f9fc778e06a1d442ec4029943d69ca5588a1e37b3abad9b3ad70c522",
+    "c87bafe19b123cf330f7bf246db3a1a2630ee7eb3447a55d51b9082705efd5d2",
+    "c15156bb24422a5970507629c2f7d4782456d83764d08a331c7f92458f1ac6c7",
+    "8d07f5591d544e228dbdcb66c1b6a2f361e68e613e9c0aee2069f9f891877174",
+    "662e27e4069285322acd8d1ece6cbfa3f444d227495daaedae9aa92fa65aa43a",
+    "7b5dde786cbd37a6e182a11189b3d85246f54d7ad137be1df5c0344f295a9915",
+    "7a3520c273ac426abb3964fedaa63c377e618b95423f525c5fa498ca9e12f3d3",
 )
 
 _RADEMACHER_4 = {"rademacher": {"count": 4}}

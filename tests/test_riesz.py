@@ -10,6 +10,7 @@ import pytest
 import lacuna as lc
 from conftest import (
     bytes_left_behind,
+    char_pow,
     character_at,
     fresh_rademacher_system,
     oracle_character_table,
@@ -150,9 +151,9 @@ def _term_by_term_density(system, d):
     for gamma in system.characters:
         factor = np.ones(system.group.size, dtype=np.complex128)
         for k in range(1, d + 1):
-            factor += lc.char_pow(gamma, k).values() / (2 * d)
+            factor += char_pow(gamma, k).values() / (2 * d)
         for k in sorted(oracle_inverse_powers(gamma, d)):
-            factor += lc.char_pow(gamma, -k).values() / (2 * d)
+            factor += char_pow(gamma, -k).values() / (2 * d)
         values *= factor
     return values
 
@@ -621,7 +622,7 @@ def test_extraction_measure_d1_is_twice_rho():
     table = lc.fourier(nu).coeffs.reshape(system.group.orders)
     gamma = system.group.character([1])
     assert table[gamma.exponents] == pytest.approx(1.0)
-    assert table[lc.char_pow(gamma, -1).exponents] == pytest.approx(1.0)
+    assert table[char_pow(gamma, -1).exponents] == pytest.approx(1.0)
 
 
 def test_extraction_measure_indicator_law_d2():
