@@ -7,7 +7,7 @@ homogeneous chaos parts, and estimates Khinchin and Sidon constants
 empirically.  See the README for the CLI and the acceptance suite.
 """
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 from .errors import (
     BudgetExceeded,
@@ -56,7 +56,6 @@ from .chaos import (
 )
 from .riesz import (
     ExtractionSpec,
-    ModulationPoint,
     extract_homogeneous,
     extract_homogeneous_modulated,
     extraction_coefficients,

@@ -28,6 +28,7 @@ import numpy as np
 from . import __version__
 from .analysis import (
     _require_chaos_cells,
+    _require_table_cells,
     chaos_indices,
     estimate_khinchin_constant,
     estimate_sidon_constant,
@@ -46,7 +47,6 @@ from .errors import ConfigInvalid, DegenerateOrder, LacunaError
 from .groups import inverse_fourier, make_group
 from .parallel import trial_rng
 from .riesz import (
-    ModulationPoint,
     extract_homogeneous,
     extract_homogeneous_modulated,
     extraction_coefficients,
@@ -359,7 +359,7 @@ def _extract_verify_once(system, d, rng, y_samples, expectation):
         target = part.values()
         err_nu = float(np.abs(direct - target).max())
         target /= (2 * d) ** s  # the scaled target is all the modulated route needs
-        ys = ModulationPoint.random_batch(rng, 2 * d + 1, len(system), y_samples)
+        ys = rng.integers(0, 2 * d + 1, size=(y_samples, len(system)))
         modulated = extract_homogeneous_modulated(part, ys, check=False)
         # an axis-0 sum adds the rows in order; the block is dropped before the next is built
         mean = modulated.sum(axis=0) / y_samples
@@ -381,9 +381,10 @@ def _extract_verify_once(system, d, rng, y_samples, expectation):
 
 def _cmd_extract_verify(plan, config, out, svg):
     system, d = plan["system"], plan["d"]
-    # a d past the float range, or a chaos past the table limit, is refused before any trial
+    # a d past the float range, or a chaos or y block past the table limit, is refused first
     extraction_coefficients(d, 1)
     _require_chaos_cells(system, d)
+    _require_table_cells(plan["y_samples"], system.group.size, "y_samples x |G|")
     try:
         require_nondegenerate(system, d)
         expectation = False

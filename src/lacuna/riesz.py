@@ -35,9 +35,10 @@ m short factor tables, nonzero on at most (2d+1)^m characters (Rudin,
 1960).  ``_riesz_spectrum`` walks it one factor at a time, and each
 density is one inverse transform of that exact table, so it is real and
 nonnegative up to the round-off of that transform.  That support does
-not depend on the weights, so one walk builds rho_y's table for a whole
-batch of points y, each weight a column of one value per point; rho is
-a batch of one.
+not depend on the weights, so one walk builds rho_y's table for a (Y, m)
+block of digits y, each weight w^e a column of one value per point, its
+integer exponent e kept until one ``np.exp`` reads them; rho is a batch
+of one.
 
 Both sets, and the flipped powers 2d+1-alpha of the weighted polynomial
 below, come from one closed-form rule: gamma^{-k} = gamma^j exactly when
@@ -66,14 +67,15 @@ coefficients are 1 on s-fold products and 0 on j-fold products for
 j <= d, j != s.  Every nu_s is a function of the one Fourier table of rho,
 so ``extract_homogeneous(Q)`` reads rho's table off its factor terms once
 and returns all d parts: row s-1 is Q * nu_s = Q^(s).
-``extract_homogeneous_modulated`` takes the part itself and a batch of
-points: for each point y the weighted Q^(s) convolved with rho_y is
-Q^(s) / (2d)^s, and one walk reads rho_y's tables off their factor terms
-for the whole batch.  A convolution's Fourier table is the product of
-the two, and Q's is zero off its terms' dual-group positions, so each
-row is synthesized over Q's terms: A_t times the measure's coefficient
-at term t's position, times term t's value table, added up one term
-table at a time.  No transform runs on either extraction route.
+``extract_homogeneous_modulated`` takes the part itself and a digit
+block: for each point y the weighted Q^(s) convolved with rho_y is
+Q^(s) / (2d)^s, one walk reads rho_y's tables for the whole block, and
+each term's weight is one root of unity.  A convolution's Fourier table
+is the product of the two, and Q's is zero off its terms' dual-group
+positions, so each row is synthesized over Q's terms: A_t times the
+measure's coefficient at term t's position, times term t's value table,
+added up one term table at a time.  No transform runs on either
+extraction route.
 """
 
 from __future__ import annotations
@@ -83,7 +85,6 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -91,6 +92,7 @@ from .chaos import ChaosPolynomial, FullIndex, _synthesize
 from .dissociation import CharacterSystem, require_dissociated
 from .errors import DegenerateOrder, SizeLimitExceeded
 from .groups import (
+    TABLE_CELL_LIMIT,
     Character,
     DensityMeasure,
     FourierTable,
@@ -156,49 +158,30 @@ def _riesz_terms(system: CharacterSystem, d: int) -> list[list[tuple[tuple[int],
     ]
 
 
-def _modulated_reads(system: CharacterSystem, d: int) -> list[tuple[int, int]]:
-    """(i, +-k) for each weighted power gamma_i^{+-k} of rho_y, factor by factor."""
-    return [
+def _roots(base: int, exponents: np.ndarray) -> np.ndarray:
+    """w^e for each integer e of ``exponents``, w = exp(2*pi*i/base), in their shape.
+
+    One ``np.exp`` covers the distinct e mod base, so no table of all base
+    roots is built, at any base.  Each value is bit-identical to
+    np.exp(2j*np.pi*np.arange(base)/base)[e % base].
+    """
+    distinct, inverse = np.unique(exponents % base, return_inverse=True)
+    return np.exp(2j * np.pi * distinct / base)[inverse.reshape(exponents.shape)]
+
+
+def _modulated_terms(system: CharacterSystem, d: int, digits: np.ndarray) -> list[list[tuple]]:
+    """rho_y's (weight column, power) pairs, one list per character: w^{+-k*y_i} on gamma_i^{+-k}.
+
+    A column holds one weight per row of the (Y, m) digit block ``digits``.
+    """
+    reads = [
         (i, sign * k)
         for i, gamma in enumerate(system.characters)
         for k in riesz_modulated_powers(gamma, d)
         for sign in (1, -1)
     ]
-
-
-def _root_columns(
-    ys: Sequence[ModulationPoint], reads: Sequence[tuple[int, int]]
-) -> list[list[complex]]:
-    """w^{k * y_i} for each read (i, k), one Python complex per point of ``ys``.
-
-    w = exp(2*pi*i/base).  One ``np.exp`` covers the distinct k * y_i mod
-    base that the batch reads, so no table of all base roots is built, at
-    any base.  numpy's loops, not cmath: each value is bit-identical to
-    np.exp(2j*np.pi*np.arange(base)/base)[k * y_i % base].
-    """
-    base = ys[0].base
-    digits = np.array([y.digits for y in ys], dtype=np.int64)
     index, power = np.array(reads, dtype=np.int64).reshape(-1, 2).T
-    exponents = power[:, None] * digits[:, index].T % base
-    distinct, inverse = np.unique(exponents, return_inverse=True)
-    roots = np.exp(2j * np.pi * distinct / base)
-    return roots[inverse.reshape(exponents.shape)].tolist()
-
-
-def _modulated_terms(
-    system: CharacterSystem,
-    d: int,
-    ys: Sequence[ModulationPoint],
-    columns: Sequence[list[complex]] | None = None,
-) -> list[list[tuple[list[complex], int]]]:
-    """rho_y's (weight column, power) pairs, one list per character: w^{+-k*y_i} on gamma_i^{+-k}.
-
-    A column holds one weight per point of ``ys``.  ``columns``, when
-    given, are the columns ``_root_columns`` read for ``_modulated_reads``.
-    """
-    reads = _modulated_reads(system, d)
-    if columns is None:
-        columns = _root_columns(ys, reads)
+    columns = _roots(2 * d + 1, power * digits[:, index]).T
     terms = [[] for _ in system.characters]
     for (i, k), column in zip(reads, columns):
         terms[i].append((column, k))
@@ -236,9 +219,8 @@ def _riesz_spectrum(system: CharacterSystem, d: int, terms, points: int = 1) -> 
     for i, (gamma, pairs) in enumerate(zip(system.characters, terms)):
         # the factor's own table first: powers equal modulo the order are one position
         powers, slot = np.unique([0] + [k % gamma.order for _, k in pairs], return_inverse=True)
-        # divided as Python numbers: numpy's complex division multiplies by the reciprocal
-        entries = [[1] * points] + [[w / (2 * d) for w in column] for column, _ in pairs]
-        weights = _scatter(slot, np.array(entries).T, len(powers))
+        columns = np.array([column for column, _ in pairs]) / (2 * d)
+        weights = _scatter(slot, np.concatenate([np.ones((1, points)), columns]).T, len(powers))
 
         def shifted(lo: int, hi: int) -> np.ndarray:
             """Positions of the copies for powers lo .. hi-1, flattened power by power."""
@@ -296,51 +278,43 @@ def riesz_density(system: CharacterSystem, d: int) -> DensityMeasure:
     return inverse_fourier(riesz_spectrum(system, d))
 
 
-@dataclass(frozen=True)
-class ModulationPoint:
-    """Digit vector over Z_{2d+1}, one digit per system character.
+def _digit_block(system: CharacterSystem, d: int, ys) -> np.ndarray:
+    """``ys`` as a (Y, m) int64 block of base-(2d+1) digits, checked before any work.
 
-    At this point a base-(2d+1) generalized Rademacher function of
-    character i, raised to the k-th power, takes the value w^{k * digits[i]}
-    with w = exp(2*pi*i/base); ``_root_columns`` reads those values for a
-    batch of points.
+    A shape other than (Y, m), Y >= 1, a non-integer or a digit outside
+    0..2d raises ValueError; Y x |G| table cells past ``TABLE_CELL_LIMIT``
+    raise SizeLimitExceeded.
     """
-
-    base: int
-    digits: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.base < 2:
-            raise ValueError(f"base must be >= 2, got {self.base}")
-        if any(not 0 <= y < self.base for y in self.digits):
-            raise ValueError(f"digits must lie in 0..{self.base - 1}")
-
-    @classmethod
-    def random_batch(cls, rng, base: int, count: int, points: int) -> list["ModulationPoint"]:
-        """``points`` points of ``count`` digits each, drawn from ``rng`` as one block."""
-        rows = rng.integers(0, base, size=(points, count)).tolist()
-        return [cls(base, tuple(row)) for row in rows]
-
-
-def _require_modulation_point(system: CharacterSystem, d: int, y: ModulationPoint):
-    if y.base != 2 * d + 1:
-        raise ValueError(f"modulation base {y.base} must equal 2d+1 = {2 * d + 1}")
-    if len(y.digits) != len(system):
-        raise ValueError("one modulation digit per system character is required")
+    m = len(system)
+    misshapen = ValueError(f"modulation points must form a (Y, {m}) digit block, Y >= 1")
+    try:
+        digits = np.asarray(ys)
+    except ValueError:  # rows of different lengths
+        raise misshapen from None
+    if digits.ndim != 2 or digits.shape[1] != m or not len(digits):
+        raise misshapen
+    if not np.issubdtype(digits.dtype, np.integer):
+        raise ValueError(f"modulation digits must be integers, got {digits.dtype}")
+    if digits.min() < 0 or digits.max() > 2 * d:
+        raise ValueError(f"modulation digits must lie in 0..{2 * d}")
+    if len(digits) * system.group.size > TABLE_CELL_LIMIT:
+        raise SizeLimitExceeded(
+            f"{len(digits)} points x |G| = {system.group.size} pass the limit {TABLE_CELL_LIMIT}"
+        )
+    return digits.astype(np.int64, copy=False)
 
 
-def modulated_riesz_density(
-    system: CharacterSystem, d: int, y: ModulationPoint
-) -> DensityMeasure:
-    """Riesz product with unimodular weights w^{+-k*y_i} on the powers.
+def modulated_riesz_density(system: CharacterSystem, d: int, y) -> DensityMeasure:
+    """Riesz product with unimodular weights w^{+-k*y_i} on the powers, at the digit vector y.
 
-    Every factor is real and nonnegative pointwise, so the total variation
+    y holds one digit in 0..2d per character; the base is 2d+1.  Every
+    factor is real and nonnegative pointwise, so the total variation
     equals the mass; for d-dissociated systems with all orders > d both
     equal 1.  It is one inverse transform of rho_y's exact Fourier table,
     so these hold up to the round-off of that transform.
     """
-    _require_modulation_point(system, d, y)
-    rho_y_hat = _riesz_spectrum(system, d, _modulated_terms(system, d, [y]))[0]
+    digits = _digit_block(system, d, [y])
+    rho_y_hat = _riesz_spectrum(system, d, _modulated_terms(system, d, digits))[0]
     return inverse_fourier(FourierTable(system.group, rho_y_hat))
 
 
@@ -362,6 +336,15 @@ def modulation_exponents(
         flips = _inverse_meets_forward(system.characters[b], a, a - 1)
         adjusted.append(2 * d + 1 - a if flips else a)
     return tuple(adjusted)
+
+
+def _term_weights(part: ChaosPolynomial, digits: np.ndarray) -> np.ndarray:
+    """The (Y, terms) weights w^{-sum_i alpha'_i * y_{k_i}}: one integer product, one root read."""
+    system, d = part.system, part.degree
+    powers = np.zeros((len(part.indices), len(system)), dtype=np.int64)
+    for t, index in enumerate(part.indices):
+        powers[t, sorted(set(index))] = modulation_exponents(system, index, d)
+    return _roots(2 * d + 1, -(digits @ powers.T))
 
 
 @dataclass(frozen=True)
@@ -480,55 +463,29 @@ def extract_homogeneous(polynomial: ChaosPolynomial, check: bool = True) -> np.n
     return _synthesize(polynomial, rows, out)
 
 
-def extract_homogeneous_modulated(
-    part: ChaosPolynomial, ys: Sequence[ModulationPoint], check: bool = True
-) -> np.ndarray:
-    """Weight the polynomial given and convolve it with rho_y, per point y; returns (len(ys), |G|).
+def extract_homogeneous_modulated(part: ChaosPolynomial, ys, check: bool = True) -> np.ndarray:
+    """Weight the polynomial given and convolve it with rho_y, per point y; returns (Y, |G|).
 
-    Row r is the value table for point ys[r].  Each term, an index with
-    distinct bases k_i of multiplicities alpha_i, carries the extra factor
-    prod_i w^{-alpha'_i * y_{k_i}}.  The weighted polynomial's Fourier
-    table is zero off its term positions, so row r is
-    sum_t A_t * w_t(y_r) * rho_y_hat(position of t) * (term t's value
-    table), and no transform is run.  One walk of rho_y's spectrum serves
-    the whole batch, its rows are read at the term positions and then
-    overwritten by the result, and every root of unity the batch reads is
-    computed once.  In the nondegenerate regime the weights cancel against
-    the coefficients of rho_y, for every y: an s-homogeneous part Q^(s)
-    gives Q^(s) / (2d)^s pointwise, and any other polynomial Q gives
-    sum_s Q^(s) / (2d)^s.  An empty batch, or any point of the wrong base
-    or digit count, raises ValueError before any work.
+    ``ys`` is a (Y, m) block of digits in 0..2d, row r the point of result
+    row r.  Each term, an index with distinct bases k_i of multiplicities
+    alpha_i, carries the weight w_t(y) = w^{-sum_i alpha'_i * y_{k_i}}.
+    The weighted polynomial's Fourier table is zero off its term
+    positions, so row r is sum_t A_t * w_t(y_r) * rho_y_hat(position of
+    t) * (term t's value table), and no transform is run.  One walk of
+    rho_y's spectrum serves the whole batch; its rows are read at the term
+    positions and then overwritten by the result.  In the nondegenerate
+    regime the weights cancel against the coefficients of rho_y, for every
+    y: an s-homogeneous part Q^(s) gives Q^(s) / (2d)^s pointwise, and any
+    other polynomial Q gives sum_s Q^(s) / (2d)^s.  A malformed or
+    oversized block is refused, as ``_digit_block`` says, before any work.
     """
-    d = part.degree
-    system = part.system
-    if not ys:
-        raise ValueError("at least one modulation point is required")
-    for y in ys:
-        _require_modulation_point(system, d, y)
+    d, system = part.degree, part.system
+    digits = _digit_block(system, d, ys)
     if check:
         require_nondegenerate(system, d)
-    bases = [
-        list(zip(sorted(set(index)), modulation_exponents(system, index, d)))
-        for index in part.indices
-    ]
-    walk = _modulated_reads(system, d)
-    columns = _root_columns(ys, walk + [(b, -a) for term in bases for b, a in term])
-    terms = _modulated_terms(system, d, ys, columns[: len(walk)])
-    tables = _riesz_spectrum(system, d, terms, len(ys))
-    rho_y_at = tables[:, part.positions]
-    # a term's weight is multiplied out as Python numbers, base by base:
-    # numpy's complex product rounds differently
-    read = iter(columns[len(walk) :])
-    weights = []
-    for term in bases:
-        w = [1 + 0j] * len(ys)
-        for _ in term:
-            w = [a * b for a, b in zip(w, next(read))]
-        weights.append(w)
-    # each row's coefficients from arrays of one entry per term: numpy's
-    # complex product rounds differently on a (points, terms) block
-    rows = [
-        part.coefficients * np.array([w[r] for w in weights], dtype=np.complex128) * rho_y_at[r]
-        for r in range(len(ys))
-    ]
+    tables = _riesz_spectrum(system, d, _modulated_terms(system, d, digits), len(digits))
+    # A_t repeated per point: broadcast over a single term, numpy's stride-0 loop
+    # would round a row by its place in the batch
+    coefficients = np.repeat(part.coefficients[None], len(digits), axis=0)
+    rows = coefficients * _term_weights(part, digits) * tables[:, part.positions]
     return _synthesize(part, rows, tables)

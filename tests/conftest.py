@@ -256,14 +256,15 @@ def oracle_riesz_product(system: CharacterSystem, d: int, terms, row: int = 0) -
     return DensityMeasure(group, values)
 
 
-def rademacher_value(y, index: int, power: int) -> complex:
-    """w^{power * y.digits[index]}, w = exp(2*pi*i/y.base), computed alone for this one read.
+def rademacher_value(y, index: int, power: int, d: int) -> complex:
+    """w^{power * y[index]}, w = exp(2*pi*i/(2d+1)), computed alone for this one read.
 
-    numpy's loops on a one-element array, not cmath: the oracle that the
-    batched root reader must match bit for bit.
+    ``y`` is one digit row.  numpy's loops on a one-element array, not
+    cmath: the oracle that the batched root reader must match bit for bit.
     """
-    k = (power * y.digits[index]) % y.base
-    return complex(np.exp(2j * np.pi * np.array([k]) / y.base)[0])
+    base = 2 * d + 1
+    k = (power * int(y[index])) % base
+    return complex(np.exp(2j * np.pi * np.array([k]) / base)[0])
 
 
 def oracle_inverse_powers(gamma, d: int) -> set[int]:
@@ -305,8 +306,9 @@ def oracle_extract_by_transform(polynomial, ys=None) -> np.ndarray:
     """Both extraction routes by transform: one inverse transform per row.
 
     With no ``ys`` row s-1 is Q * nu_s, the inverse of Q's Fourier table
-    times nu_s's.  With ``ys`` row r weights each term of the polynomial by
-    prod_i w^{-alpha'_i * y_{k_i}} for the point ys[r], and is the inverse
+    times nu_s's.  With a (Y, m) digit block ``ys`` row r weights each term
+    of the polynomial by prod_i w^{-alpha'_i * y_{k_i}}, w = exp(2*pi*i/(2d+1)),
+    multiplied out base by base for the point ys[r], and is the inverse
     of that weighted polynomial's Fourier table times rho_y's.  Q's table
     is its coefficients scattered at its term positions (``spectrum()``),
     and rho's and rho_y's are the library's walks of their factor terms.
@@ -325,10 +327,10 @@ def oracle_extract_by_transform(polynomial, ys=None) -> np.ndarray:
             for index, coefficient in zip(polynomial.indices, polynomial.coefficients.tolist()):
                 powers = oracle_modulation_exponents(system, index, d)
                 for b, a in zip(sorted(set(index)), powers):
-                    coefficient *= rademacher_value(y, b, -a)
+                    coefficient *= rademacher_value(y, b, -a, d)
                 weighted[index] = coefficient
             q_hat = ChaosPolynomial(system, d, weighted).spectrum()
-            rho_y_hat = _riesz_spectrum(system, d, _modulated_terms(system, d, [y]))[0]
+            rho_y_hat = _riesz_spectrum(system, d, _modulated_terms(system, d, np.array([y])))[0]
             rows.append(q_hat * rho_y_hat)
     return np.stack([inverse_fourier(FourierTable(system.group, row)).values for row in rows])
 

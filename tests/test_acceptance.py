@@ -88,7 +88,7 @@ def _expected_modulated_table(system, d, y):
     for exps in itertools.product(range(-d, d + 1), repeat=len(system)):
         weight = 1 + 0j
         for b, e in enumerate(exps):
-            weight *= rademacher_value(y, b, e)  # w^0 = 1 off the product's bases
+            weight *= rademacher_value(y, b, e, d)  # w^0 = 1 off the product's bases
         s = sum(1 for e in exps if e)
         expected[oracle_product_index(system, exps)] = weight * (2 * d) ** (-s)
     return expected
@@ -105,10 +105,10 @@ def test_criterion_02_coefficient_law():
             expected = _expected_riesz_table(system, d)
             worst_plain = max(worst_plain, float(np.abs(table.coeffs - expected).max()))
             for _ in range(20):
-                y = lc.ModulationPoint.random_batch(rng, 2 * d + 1, len(system), 1)[0]
-                terms = lc.riesz._modulated_terms(system, d, [y])
+                ys = rng.integers(0, 2 * d + 1, size=(1, len(system)))
+                terms = lc.riesz._modulated_terms(system, d, ys)
                 table_y = lc.fourier(oracle_riesz_product(system, d, terms))
-                expected_y = _expected_modulated_table(system, d, y)
+                expected_y = _expected_modulated_table(system, d, ys[0])
                 worst_mod = max(
                     worst_mod, float(np.abs(table_y.coeffs - expected_y).max())
                 )
@@ -167,7 +167,7 @@ def extraction_study():
         system = sample_nondegenerate_system(rng, d, max_m=3, max_size=4096)
         poly = lc.random_chaos_polynomial(system, d, rng)
         parts = lc.decompose(poly)
-        ys = lc.ModulationPoint.random_batch(rng, 2 * d + 1, len(system), 10)
+        ys = rng.integers(0, 2 * d + 1, size=(10, len(system)))
         extracted = lc.extract_homogeneous(poly, check=False)
         for s in range(1, d + 1):
             target = parts[s - 1].values()

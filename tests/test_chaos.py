@@ -271,5 +271,5 @@ def test_empty_part_has_no_positions_and_a_zero_spectrum():
     assert empty.positions.dtype == np.int64 and empty.positions.size == 0
     assert lc.term_positions(system, []).size == 0
     assert np.array_equal(empty.spectrum(), np.zeros(system.group.size))
-    y = lc.ModulationPoint(7, (3, 5))
-    assert np.array_equal(lc.extract_homogeneous_modulated(empty, [y])[0], np.zeros(system.group.size))
+    ys = np.array([[3, 5]])  # base 7 at d = 3
+    assert np.array_equal(lc.extract_homogeneous_modulated(empty, ys)[0], np.zeros(system.group.size))

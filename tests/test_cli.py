@@ -831,6 +831,42 @@ def test_chaos_tuples_are_bounded_before_they_are_listed(tmp_path, capsys, monke
     assert not any(out.iterdir())
 
 
+def test_extract_verify_bounds_its_y_block_before_any_draw(tmp_path, capsys, monkeypatch):
+    # 10^9 points of |G| = 121 would ask for 1.9 TB of rho_y tables
+    refuse_everywhere(monkeypatch, "trial_rng")
+    refuse_everywhere(monkeypatch, "_riesz_spectrum")
+    config = {
+        "command": "extract-verify",
+        "system": {"orders": [121], "exponents": [[3], [40]]},
+        "d": 2,
+        "y_samples": 10**9,
+    }
+    code, out = _run(tmp_path, config)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error (SizeLimitExceeded): ") and "y_samples x |G|" in err
+    assert "Traceback" not in err
+    assert not any(out.iterdir())
+
+
+def test_extract_verify_runs_a_y_block_exactly_at_the_limit(tmp_path, capsys, monkeypatch):
+    import lacuna.analysis
+    import lacuna.riesz
+
+    for module in (lacuna.analysis, lacuna.riesz):
+        monkeypatch.setattr(module, "TABLE_CELL_LIMIT", 3 * 121)
+    config = {
+        "command": "extract-verify",
+        "system": {"orders": [121], "exponents": [[3], [40]]},
+        "d": 1,
+        "y_samples": 3,
+    }
+    assert _run(tmp_path, config)[0] == 0
+    code, out = _run(tmp_path, {**config, "y_samples": 4}, subdir="over")
+    assert code == 1 and "y_samples x |G|" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 def test_discretize_scan_reads_m_grid_before_building_the_basis(tmp_path, capsys, monkeypatch):
     refuse_everywhere(monkeypatch, "_term_tables")
     config = {

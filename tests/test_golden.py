@@ -4,8 +4,8 @@
 six named after their other commands produced theirs before the duplicate
 power-coincidence loops, the ``HomogeneousPart`` type and the two estimator
 bodies were folded into one each; ``extract-verify`` and
-``extract-verify-d3`` produced theirs once every term's value table,
-the target's included, came from the character at the term's position.  Structure, ints, strings and bools
+``extract-verify-d3`` produced theirs once each term's rho_y weight was
+read as the one root of unity of its summed exponent.  Structure, ints, strings and bools
 must match exactly; floats must match within 1e-12 relative.  When a
 change is meant to move results, regenerate the file with
 ``python tests/test_golden.py`` and say why in CHANGES.md.
@@ -41,24 +41,24 @@ DIGESTS = Path(__file__).parent / "data" / "golden_digests.json"
 EXTRACT_CYCLE = Path(__file__).parent / "data" / "extract_cycle.json"
 
 # the version the digests below were pinned at, and one digest per config of the cycle
-EXTRACT_CYCLE_VERSION = "0.10.0"
+EXTRACT_CYCLE_VERSION = "0.11.0"
 EXTRACT_CYCLE_DIGESTS = (
     "fd6779f2a0042c5a1b7b44d2eb67b41486ab9287b1e9508c3da3867de97fc1fd",
-    "0eac3b346a680c3e6b492544b13486556b1468b39631a129244c49db8e2a9f72",
+    "05ef904f5672e358f3738d1278994bac06121f42d854fb20d3756eea11ac2270",
     "6c1181c6b0e7c242aadcc22eff10df3f9c3694392d68c02282127889ef87bd15",
-    "3b6a47d81c0dd692a511300400f6d385a711753839f704eb83b17479ac404327",
+    "67a6184dd5dbf0220e4a58043748619c98377923546d6f34aae007e8afdff2bb",
     "70e57e9cf7b4d0726da8b5469ff6a499109c2039c259b827db9e427033f620e4",
-    "bd0de16544ec41277c7e73352bfbf7343930b10be7c42631d5df823204d2d6d8",
-    "620962653e6e715aa53d05c40cf3dbea4e78e4b7b400c6689de82bc5e67538a9",
-    "14c693e3679455545dbdee2feab27dc020875f9d178d2b918967f3618f36e088",
-    "b77f7d30ed5ffcb1a4a3580da21dbb033193385a233ee9877f020a84e6ae4237",
-    "d59dc1b8f9fc778e06a1d442ec4029943d69ca5588a1e37b3abad9b3ad70c522",
+    "66a6c6a03afd457115fc108e27edb72e195a5b107b2d49491c187ddae1d02885",
+    "f8934f5299e0f47ca725b684f4c43f29065d008a86aa197ed575c4192cab5b6b",
+    "1d175d7e9954f43da29f0c776fe5d45a375adab5276f6292bdb3248596bf89c1",
+    "d1cab5508b1ea0e7836ef3e4560a6fa4a59a7680ea015e787c75705ac3882653",
+    "cab1440bc94fe43c7d1f35a7c0dc2da9a9cf167cee32e219b3d888e0a8c02664",
     "c87bafe19b123cf330f7bf246db3a1a2630ee7eb3447a55d51b9082705efd5d2",
-    "c15156bb24422a5970507629c2f7d4782456d83764d08a331c7f92458f1ac6c7",
+    "d32d5c4a41db9126f0261c755d8b2eb0eb9a6c3b075fa7ee253a05ca0a81f4f8",
     "8d07f5591d544e228dbdcb66c1b6a2f361e68e613e9c0aee2069f9f891877174",
-    "662e27e4069285322acd8d1ece6cbfa3f444d227495daaedae9aa92fa65aa43a",
-    "7b5dde786cbd37a6e182a11189b3d85246f54d7ad137be1df5c0344f295a9915",
-    "7a3520c273ac426abb3964fedaa63c377e618b95423f525c5fa498ca9e12f3d3",
+    "187a91cbe377226438b11fcd8063a3e5ad0859598fc75f5a199b3c94e9427876",
+    "3d8b5a1b899a2f107e611274898c36ab0659b5fab75b6ea872afdabae7e6911a",
+    "636799b19391af6b30964595007299bdba0531f3ce29066fd3a6eab6a50d7bf2",
 )
 
 _RADEMACHER_4 = {"rademacher": {"count": 4}}

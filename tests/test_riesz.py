@@ -39,7 +39,7 @@ def _oracle_rho(system, d):
 
 def _oracle_rho_y(system, d, y):
     """rho_y as the pointwise product of its factor terms, with no transform."""
-    return oracle_riesz_product(system, d, lc.riesz._modulated_terms(system, d, [y]))
+    return oracle_riesz_product(system, d, lc.riesz._modulated_terms(system, d, np.array([y])))
 
 
 # -- power bookkeeping ---------------------------------------------------------
@@ -289,7 +289,7 @@ def test_riesz_spectrum_is_the_transform_of_both_densities(case):
     assert rho_hat.dtype == np.complex128 and rho_hat.shape == (1, system.group.size)
     assert np.abs(rho_hat[0] - lc.fourier(_oracle_rho(system, d)).coeffs).max() <= 1e-15
     rng = np.random.default_rng(59)
-    ys = lc.ModulationPoint.random_batch(rng, 2 * d + 1, len(system), 4)
+    ys = rng.integers(0, 2 * d + 1, size=(4, len(system)))
     terms = lc.riesz._modulated_terms(system, d, ys)
     rho_y_hats = lc.riesz._riesz_spectrum(system, d, terms, len(ys))
     assert rho_y_hats.shape == (len(ys), system.group.size)
@@ -304,7 +304,7 @@ def test_riesz_spectrum_merge_keeps_the_positions_nonzero_at_any_point():
     system = _system([31], [[1], [2], [3], [4]])  # 5^4 products merge at the third factor
     d = 2
     rng = np.random.default_rng(61)
-    ys = lc.ModulationPoint.random_batch(rng, 5, 4, 3)
+    ys = rng.integers(0, 5, size=(3, 4))
     terms = lc.riesz._modulated_terms(system, d, ys)
     terms[0] = [([0j, *column[1:]], k) for column, k in terms[0]]
     batch = lc.riesz._riesz_spectrum(system, d, terms, len(ys))
@@ -370,7 +370,7 @@ def test_riesz_spectrum_adds_its_last_factor_into_the_result_a_block_at_a_time(m
 
     system = lc.rademacher_system(7, base=5)
     d = 2
-    ys = lc.ModulationPoint.random_batch(np.random.default_rng(89), 5, len(system), 10)
+    ys = np.random.default_rng(89).integers(0, 5, size=(10, len(system)))
     walks = [lc.riesz._riesz_terms(system, d), lc.riesz._modulated_terms(system, d, ys)]
     lc.riesz._riesz_spectrum(system, d, walks[1], len(ys))  # warm numpy's caches
     tracemalloc.start()
@@ -395,21 +395,12 @@ def test_riesz_spectrum_adds_its_last_factor_into_the_result_a_block_at_a_time(m
 
 def test_modulation_point_validation():
     with pytest.raises(ValueError):
-        lc.ModulationPoint(5, (5,))
-    y = lc.ModulationPoint(5, (2, 0))
-    columns = lc.riesz._root_columns([y], [(0, 1), (0, -1), (1, 3)])
-    assert columns[0][0] == pytest.approx(OMEGA5**2)
-    assert columns[1][0] == pytest.approx(OMEGA5**-2)
-    assert columns[2][0] == pytest.approx(1.0)
-
-
-def test_random_batch_draws_what_successive_batches_of_one_draw():
-    batch_rng, single_rng = np.random.default_rng(97), np.random.default_rng(97)
-    batch = lc.ModulationPoint.random_batch(batch_rng, 5, 3, 6)
-    singles = [lc.ModulationPoint.random_batch(single_rng, 5, 3, 1)[0] for _ in range(6)]
-    assert batch == singles
-    # and both leave the stream at the same place
-    assert batch_rng.integers(0, 1 << 30) == single_rng.integers(0, 1 << 30)
+        lc.modulated_riesz_density(_system([9], [[1]]), 2, (5,))  # base 5: digits 0..4
+    y = np.array([2, 0])
+    roots = lc.riesz._roots(5, np.array([1, -1, 3]) * y[[0, 0, 1]])
+    assert roots[0] == pytest.approx(OMEGA5**2)
+    assert roots[1] == pytest.approx(OMEGA5**-2)
+    assert roots[2] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("base", [3, 5, 7, 41])
@@ -417,14 +408,13 @@ def test_modulation_value_matches_the_whole_root_table_bit_for_bit(base):
     # one read of every digit at every power, against the whole table and
     # against each root computed alone
     table = np.exp(2j * np.pi * np.arange(base) / base)
-    ys = [lc.ModulationPoint(base, (digit,)) for digit in range(base)]
-    powers = range(-base, base + 1)
-    columns = lc.riesz._root_columns(ys, [(0, power) for power in powers])
-    for power, column in zip(powers, columns):
-        for y, value in zip(ys, column):
-            want = complex(table[(power * y.digits[0]) % base])
-            alone = rademacher_value(y, 0, power)
-            assert type(value) is complex
+    digits = np.arange(base)
+    powers = np.arange(-base, base + 1)
+    values = lc.riesz._roots(base, powers[:, None] * digits)
+    for power, row in zip(powers, values):
+        for digit, value in zip(digits, row):
+            want = complex(table[(power * digit) % base])
+            alone = rademacher_value([digit], 0, power, (base - 1) // 2)
             assert (value.real.hex(), value.imag.hex()) == (want.real.hex(), want.imag.hex())
             assert (value.real.hex(), value.imag.hex()) == (alone.real.hex(), alone.imag.hex())
 
@@ -432,10 +422,10 @@ def test_modulation_value_matches_the_whole_root_table_bit_for_bit(base):
 def test_modulation_value_at_a_huge_base_computes_one_root():
     import tracemalloc
 
-    y = lc.ModulationPoint(6_000_001, (1, 2, 3))
+    exponents = np.array([1])
     tracemalloc.start()
     try:
-        value = lc.riesz._root_columns([y], [(0, 1)])[0][0]
+        value = lc.riesz._roots(6_000_001, exponents)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -449,22 +439,20 @@ def test_modulated_zero_point_matches_plain_product_nondegenerate():
         d = int(rng.integers(1, 4))
         system = sample_nondegenerate_system(rng, d, max_m=3)
         rho = lc.riesz_density(system, d)
-        rho0 = lc.modulated_riesz_density(
-            system, d, lc.ModulationPoint(2 * d + 1, (0,) * len(system))
-        )
+        rho0 = lc.modulated_riesz_density(system, d, (0,) * len(system))
         assert np.abs(rho.values - rho0.values).max() < 1e-12
 
 
 def test_modulated_coefficient_single_order9():
     system = _system([9], [[1]])
     d = 2
-    y = lc.ModulationPoint(5, (1,))
+    y = (1,)
     gamma2 = system.group.character([2])
     measured = lc.fourier(_oracle_rho_y(system, d, y)).coeffs.reshape(system.group.orders)[gamma2.exponents]
     assert measured == pytest.approx(OMEGA5**2 / 4)
     # the product of the weights over (2d)^s, in the nondegenerate regime
     lc.require_nondegenerate(system, d)
-    expected = rademacher_value(y, 0, 2) / (2 * d) ** 1
+    expected = rademacher_value(y, 0, 2, d) / (2 * d) ** 1
     assert measured == pytest.approx(expected)
 
 
@@ -473,7 +461,7 @@ def test_modulated_variation_is_one():
     for _ in range(20):
         d = int(rng.integers(1, 4))
         system = sample_dissociated_system(rng, d)
-        y = lc.ModulationPoint.random_batch(rng, 2 * d + 1, len(system), 1)[0]
+        y = rng.integers(0, 2 * d + 1, size=(1, len(system)))[0]
         rho_y = lc.modulated_riesz_density(system, d, y)
         assert abs(rho_y.total_variation - 1) < 1e-9
         assert abs(rho_y.mass - 1) < 1e-9
@@ -485,25 +473,66 @@ def test_modulated_variation_is_one():
 def test_modulated_base_must_match():
     system = _system([9], [[1]])
     with pytest.raises(ValueError):
-        lc.modulated_riesz_density(system, 2, lc.ModulationPoint(7, (1,)))
+        lc.modulated_riesz_density(system, 2, (6,))  # a base-7 digit: base 5 at d = 2
     with pytest.raises(ValueError):
-        lc.modulated_riesz_density(system, 2, lc.ModulationPoint(5, (1, 1)))
+        lc.modulated_riesz_density(system, 2, (1, 1))
 
 
 def test_modulated_extract_rejects_bad_s_and_point(monkeypatch):
     system = _system([9, 9], [[1, 0], [0, 1]])
     q = lc.random_chaos_polynomial(system, 2, np.random.default_rng(5))
-    good = lc.ModulationPoint(5, (1, 2))
+    good = [1, 2]
     # the part carries its own s, so only a point can be wrong, and one
     # bad point refuses the whole batch before any walk
     monkeypatch.setattr(lc.riesz, "_riesz_spectrum", None)  # no work may start
-    monkeypatch.setattr(lc.riesz, "_root_columns", None)
+    monkeypatch.setattr(lc.riesz, "_roots", None)
     monkeypatch.setattr(lc.riesz, "require_nondegenerate", None)
-    for bad in (lc.ModulationPoint(7, (0, 0)), lc.ModulationPoint(5, (0,))):
+    for bad in ([6, 0], [0], [0.5, 1]):  # a base-7 digit, one digit short, a float
         with pytest.raises(ValueError, match="modulation"):
             lc.extract_homogeneous_modulated(q, [good, bad])
     with pytest.raises(ValueError, match="modulation point"):
         lc.extract_homogeneous_modulated(q, [])
+
+
+def test_modulated_extract_bounds_its_tables_before_any_walk(monkeypatch):
+    # Y points take Y rho_y tables: Y x |G| at the limit runs, one cell more is refused
+    system = _system([9, 9], [[1, 0], [0, 1]])
+    q = lc.random_chaos_polynomial(system, 2, np.random.default_rng(5))
+    ys = np.zeros((3, 2), dtype=np.int64)
+    monkeypatch.setattr(lc.riesz, "TABLE_CELL_LIMIT", 3 * 81)
+    assert lc.extract_homogeneous_modulated(q, ys).shape == (3, 81)
+    monkeypatch.setattr(lc.riesz, "TABLE_CELL_LIMIT", 3 * 81 - 1)
+    monkeypatch.setattr(lc.riesz, "_riesz_spectrum", None)  # no work may start
+    monkeypatch.setattr(lc.riesz, "_roots", None)
+    with pytest.raises(lc.SizeLimitExceeded, match="3 points"):
+        lc.extract_homogeneous_modulated(q, ys)
+
+
+TERM_WEIGHT_CASES = {
+    "Z121 d3": (lambda: _system([121], [[3], [40]]), 3),
+    # order 3 at d = 2: gamma^-2 = gamma^1, so a doubled base flips to 2d+1-2 = 3
+    "order-3 flips": (lambda: _system([3, 9], [[1, 0], [0, 1]]), 2),
+}
+
+
+@pytest.mark.parametrize("case", TERM_WEIGHT_CASES.values(), ids=TERM_WEIGHT_CASES)
+def test_term_weight_is_one_root_of_the_summed_exponent_bit_for_bit(case):
+    # prod_b w^{-a'_b y_b} is read as w^e, e = (-sum_b a'_b y_b) mod 2d+1
+    build, d = case
+    system = build()
+    base = 2 * d + 1
+    rng = np.random.default_rng(151)
+    q = lc.random_chaos_polynomial(system, d, rng)
+    ys = rng.integers(0, base, size=(8, len(system)))
+    table = np.exp(2j * np.pi * np.arange(base) / base)
+    for part in [*lc.decompose(q), q]:
+        weights = lc.riesz._term_weights(part, ys)
+        assert weights.shape == (len(ys), len(part.indices))
+        for y, row in zip(ys, weights):
+            for index, value in zip(part.indices, row):
+                powers = oracle_modulation_exponents(system, index, d)
+                e = -sum(a * int(y[b]) for b, a in zip(sorted(set(index)), powers)) % base
+                assert value.tobytes() == table[e].tobytes()
 
 
 # -- adjusted exponents ----------------------------------------------------------------------
@@ -678,8 +707,7 @@ def test_extract_zero_polynomial():
     system = _system([9, 9], [[1, 0], [0, 1]])
     q = lc.ChaosPolynomial(system, 2, {(0, 1): 0.0})
     assert np.abs(lc.extract_homogeneous(q)).max() < 1e-12
-    y = lc.ModulationPoint(5, (0, 0))
-    assert np.abs(lc.extract_homogeneous_modulated(lc.decompose(q)[0], [y])[0]).max() < 1e-12
+    assert np.abs(lc.extract_homogeneous_modulated(lc.decompose(q)[0], [[0, 0]])[0]).max() < 1e-12
 
 
 def test_modulated_extract_zero_point_d2():
@@ -687,7 +715,7 @@ def test_modulated_extract_zero_point_d2():
     system = _system([9, 9], [[1, 0], [0, 1]])
     q = lc.random_chaos_polynomial(system, 2, rng)
     part2 = lc.decompose(q)[1]
-    result = lc.extract_homogeneous_modulated(part2, [lc.ModulationPoint(5, (0, 0))])[0]
+    result = lc.extract_homogeneous_modulated(part2, [[0, 0]])[0]
     assert np.abs(result - part2.values() / 16).max() < 1e-8
 
 
@@ -705,12 +733,12 @@ def test_both_identities_random_trials():
             target = parts[s - 1].values()
             direct = extracted[s - 1]
             assert np.abs(direct - target).max() <= 1e-8
-            y = lc.ModulationPoint.random_batch(rng, 2 * d + 1, len(system), 1)[0]
-            modulated = lc.extract_homogeneous_modulated(parts[s - 1], [y], check=False)[0]
+            ys = rng.integers(0, 2 * d + 1, size=(1, len(system)))
+            modulated = lc.extract_homogeneous_modulated(parts[s - 1], ys, check=False)[0]
             assert np.abs(modulated - target / (2 * d) ** s).max() <= 1e-8
             scaled_sum += target / (2 * d) ** s
         # a polynomial that is not homogeneous gives the sum of its scaled parts
-        whole = lc.extract_homogeneous_modulated(q, [y], check=False)[0]
+        whole = lc.extract_homogeneous_modulated(q, ys, check=False)[0]
         assert np.abs(whole - scaled_sum).max() <= 1e-8
 
 
@@ -732,7 +760,7 @@ def test_degenerate_system_rejected_with_pointer_to_transform():
     with pytest.raises(lc.DegenerateOrder):
         lc.extract_homogeneous(q)
     with pytest.raises(lc.DegenerateOrder):
-        lc.extract_homogeneous_modulated(q, [lc.ModulationPoint(5, (0,))])
+        lc.extract_homogeneous_modulated(q, [[0]])
 
 
 def test_extract_refuses_d_past_the_float_range_before_the_regime_check():
@@ -754,8 +782,7 @@ def test_degenerate_order4_expectation_over_y_recovers_identity():
     pointwise_errors = []
     accum = np.zeros(system.group.size, dtype=np.complex128)
     for digit in range(5):
-        y = lc.ModulationPoint(5, (digit,))
-        out = lc.extract_homogeneous_modulated(part, [y], check=False)[0]
+        out = lc.extract_homogeneous_modulated(part, [[digit]], check=False)[0]
         accum += out
         pointwise_errors.append(np.abs(out - target).max())
     assert max(pointwise_errors) > 1e-3  # pointwise identity genuinely fails
@@ -780,7 +807,7 @@ def test_modulated_extract_batch_rows_equal_batches_of_one(case):
     system = build()
     rng = np.random.default_rng(73)
     q = lc.random_chaos_polynomial(system, d, rng)
-    ys = lc.ModulationPoint.random_batch(rng, 2 * d + 1, len(system), 6)
+    ys = rng.integers(0, 2 * d + 1, size=(6, len(system)))
     for part in [*lc.decompose(q), q]:
         batch = lc.extract_homogeneous_modulated(part, ys, check=False)
         assert batch.shape == (len(ys), system.group.size)
@@ -804,7 +831,7 @@ def test_both_extraction_routes_match_the_transform_oracle(case):
     system = build()
     rng = np.random.default_rng(83)
     q = lc.random_chaos_polynomial(system, d, rng)
-    ys = lc.ModulationPoint.random_batch(rng, 2 * d + 1, len(system), 3)
+    ys = rng.integers(0, 2 * d + 1, size=(3, len(system)))
 
     def assert_close(got, want, polynomial):
         assert got.shape == want.shape
@@ -826,7 +853,7 @@ def test_modulated_extract_batch_peaks_at_its_result_plus_a_few_tables():
     system = _system([64, 64], [[1, 0], [0, 1]])
     rng = np.random.default_rng(79)
     part = lc.decompose(lc.random_chaos_polynomial(system, 2, rng))[1]
-    ys = lc.ModulationPoint.random_batch(rng, 5, 2, 10)
+    ys = rng.integers(0, 5, size=(10, 2))
     lc.extract_homogeneous_modulated(part, ys)  # warm the FFT plan caches
     tracemalloc.start()
     try:
