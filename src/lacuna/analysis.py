@@ -50,7 +50,7 @@ from .chaos import (
 )
 from .dissociation import CharacterSystem, require_dissociated
 from .errors import InvalidP, InvalidQ, SizeLimitExceeded
-from .groups import TABLE_CELL_LIMIT
+from .groups import _require_cells
 from .parallel import map_indexed, trial_rng
 from .riesz import extraction_coefficients
 
@@ -72,19 +72,6 @@ def lq_norm(values, q) -> float:
     return float(_row_lq_norms(np.asarray(values, dtype=np.complex128).reshape(1, -1), q)[0])
 
 
-def _require_table_cells(rows: int, columns: int, shape: str):
-    """SizeLimitExceeded if a rows x columns table would pass ``TABLE_CELL_LIMIT``.
-
-    ``shape`` names the two sides in the message, as in ``"terms x |G|"``.
-    """
-    cells = rows * columns
-    if cells > TABLE_CELL_LIMIT:
-        raise SizeLimitExceeded(
-            f"a table of {shape} needs {cells} cells ({rows} x {columns}), "
-            f"over the limit {TABLE_CELL_LIMIT}"
-        )
-
-
 def _require_chaos_cells(system: CharacterSystem, d: int, tetrahedral: bool = False):
     """SizeLimitExceeded if the degree-d chaos passes ``TABLE_CELL_LIMIT``.
 
@@ -94,8 +81,8 @@ def _require_chaos_cells(system: CharacterSystem, d: int, tetrahedral: bool = Fa
     """
     m = len(system)
     terms = math.comb(m, d) if tetrahedral else math.comb(m + d - 1, d)
-    _require_table_cells(terms, system.group.size, "terms x |G|")
-    _require_table_cells(terms, d * system.group.rank, "terms x (d x rank)")
+    _require_cells(terms, system.group.size, "terms x |G|")
+    _require_cells(terms, d * system.group.rank, "terms x (d x rank)")
 
 
 def chaos_indices(
@@ -114,7 +101,7 @@ def values_matrix(system: CharacterSystem, indices: Sequence) -> np.ndarray:
     t-th term's position, is written into the preallocated matrix, so the
     matrix is held once, beside the one term table being written.
     """
-    _require_table_cells(len(indices), system.group.size, "terms x |G|")
+    _require_cells(len(indices), system.group.size, "terms x |G|")
     matrix = np.empty((system.group.size, len(indices)), dtype=np.complex128)
     tables = _term_tables(system, indices)
     # next() rather than enumerate, which would hold the last table while the next is built
@@ -210,7 +197,7 @@ _Result = tuple[float, np.ndarray, list[float]]
 def _best_of_trials(
     kind: str,
     exponent: float,
-    run_trials: Callable[[np.ndarray, list[np.random.Generator]], list[_Result]],
+    run_trials: Callable[[np.ndarray, int, Callable[[int], np.random.Generator]], list[_Result]],
     system: CharacterSystem,
     d: int,
     trials: int,
@@ -221,20 +208,22 @@ def _best_of_trials(
 ) -> ConstantEstimate:
     """The body both estimators share: checks, value matrix, trials, best ratio.
 
-    ``run_trials`` receives the value matrix and trial t's rng
-    ``trial_rng(seed, t)`` for every t, and returns the results in trial
-    order.  The indices must pass ``require_indices`` at degree d, and
-    ``held(n)``, the ``(rows, columns, shape)`` of what the trials hold for
-    n terms, must fit ``TABLE_CELL_LIMIT``; both are checked first.
+    ``run_trials`` receives the value matrix, the trial count and a
+    function making trial t's rng ``trial_rng(seed, t)``, and returns the
+    results in trial order.  It makes each rng when that trial draws its
+    start, so no list of generators is held.  The indices must pass
+    ``require_indices`` at degree d, and ``held(n)``, the ``(rows,
+    columns, shape)`` of what the trials hold for n terms, must fit
+    ``TABLE_CELL_LIMIT``; both are checked first.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     require_dissociated(system, d)
     idx = list(indices) if indices is not None else chaos_indices(system, d)
     require_indices(len(system), idx, d)
-    _require_table_cells(*held(len(idx)))
+    _require_cells(*held(len(idx)))
     matrix = values_matrix(system, idx)
-    results = run_trials(matrix, [trial_rng(seed, t) for t in range(trials)])
+    results = run_trials(matrix, trials, functools.partial(trial_rng, seed))
     best = max(range(trials), key=lambda t: results[t][0])
     return ConstantEstimate(
         kind=kind,
@@ -297,7 +286,7 @@ def _row_lq_norms(values: np.ndarray, q) -> np.ndarray:
 # nonfinite norm, which the step scales away or _row_lq_norms refuses
 @np.errstate(over="ignore", invalid="ignore")
 def _ascend(
-    matrix: np.ndarray, rngs: list[np.random.Generator], q
+    matrix: np.ndarray, trials: int, rng: Callable[[int], np.random.Generator], q
 ) -> list[_Result]:
     """Every trial's projected gradient ascent, stepped together.
 
@@ -306,12 +295,14 @@ def _ascend(
     follows, bit for bit, the path it would follow alone: its own step
     size, accept rule and stop.  A trial that stops leaves the blocks.
     """
-    coeffs = np.stack([_random_unit(rng, matrix.shape[1]) for rng in rngs])
+    coeffs = np.empty((trials, matrix.shape[1]), dtype=np.complex128)
+    for t in range(trials):
+        coeffs[t] = _random_unit(rng(t), matrix.shape[1])
     values = _row_products(matrix, coeffs)
     ratios = _row_lq_norms(values, q)
     histories = [[float(ratio)] for ratio in ratios]
-    results: list = [None] * len(rngs)
-    live = np.arange(len(rngs))
+    results: list = [None] * trials
+    live = np.arange(trials)
 
     def retire(rows):
         for r in rows:
@@ -428,7 +419,7 @@ def estimate_sidon_constant(
         raise InvalidP(f"p must be >= 1, got {p_eff}")
     candidates = np.exp(2j * np.pi * np.arange(_PHASE_GRID) / _PHASE_GRID)
 
-    def run_trials(matrix: np.ndarray, rngs: list[np.random.Generator]) -> list[_Result]:
+    def run_trials(matrix: np.ndarray, trials: int, rng) -> list[_Result]:
         n = matrix.shape[1]
         # row t is column t of the matrix, contiguous
         columns = np.ascontiguousarray(matrix.T)
@@ -481,7 +472,7 @@ def estimate_sidon_constant(
             return coeffs, history
 
         # the survivor sets are ragged, so the trials run one after another
-        results = map_indexed(lambda t: trial(rngs[t]), len(rngs))
+        results = map_indexed(lambda t: trial(rng(t)), trials)
         # ||A||_p of every unimodular pattern: at most n, so finite at every p >= 1
         coeff_norm = n ** (1.0 / p_eff)
         ratios = [[coeff_norm / peak for peak in peaks] for _, peaks in results]

@@ -28,7 +28,6 @@ import numpy as np
 from . import __version__
 from .analysis import (
     _require_chaos_cells,
-    _require_table_cells,
     chaos_indices,
     estimate_khinchin_constant,
     estimate_sidon_constant,
@@ -44,7 +43,7 @@ from .dissociation import (
     vc_system_from_digit_sets,
 )
 from .errors import ConfigInvalid, DegenerateOrder, LacunaError
-from .groups import inverse_fourier, make_group
+from .groups import _require_cells, inverse_fourier, make_group
 from .parallel import trial_rng
 from .riesz import (
     extract_homogeneous,
@@ -384,7 +383,7 @@ def _cmd_extract_verify(plan, config, out, svg):
     # a d past the float range, or a chaos or y block past the table limit, is refused first
     extraction_coefficients(d, 1)
     _require_chaos_cells(system, d)
-    _require_table_cells(plan["y_samples"], system.group.size, "y_samples x |G|")
+    _require_cells(plan["y_samples"], system.group.size, "y_samples x |G|")
     try:
         require_nondegenerate(system, d)
         expectation = False
@@ -531,7 +530,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         config = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers malformed JSON, undecodable bytes and over-long integer literals
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if args.seed is not None and isinstance(config, dict):

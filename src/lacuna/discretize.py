@@ -27,10 +27,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import _require_table_cells, values_matrix
+from .analysis import values_matrix
 from .chaos import require_indices
 from .dissociation import CharacterSystem
 from .errors import InvalidQ
+from .groups import _require_cells
 from .parallel import map_indexed, trial_rng
 
 
@@ -105,7 +106,7 @@ def scan_point_counts(
     if not sizes or sizes[0] < 1:
         raise ValueError("m_grid must contain positive point counts")
     group = system.group
-    _require_table_cells(max(sizes[-1], group.size), probes, "max(m, |G|) x probes")
+    _require_cells(max(sizes[-1], group.size), probes, "max(m, |G|) x probes")
     matrix = values_matrix(system, indices)
     n = matrix.shape[1]
     # one set of work buffers per scan, overwritten by every trial

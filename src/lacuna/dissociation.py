@@ -37,6 +37,7 @@ bounds the larger half's tuple count, not prod r_j.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -54,7 +55,7 @@ from .errors import (
     StaircaseViolated,
     TrivialCharacterPresent,
 )
-from .groups import Character, FiniteAbelianGroup, make_group
+from .groups import Character, FiniteAbelianGroup, _require_size, make_group
 
 # tuples walked on the larger half of the join
 DEFAULT_ENUM_BUDGET = 10**8
@@ -302,11 +303,15 @@ def hadamard_trig_system(
         raise ValueError(f"count must be >= 1, got {count}")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    top = ratio**count
-    if modulus <= 2 * d * top:
-        raise ModulusTooSmall(
-            f"modulus {modulus} must exceed 2*d*ratio^count = {2 * d * top}"
-        )
+    # the bound grows one factor at a time and stops once it reaches the
+    # modulus, so a huge count never forms ratio**count
+    bound = 2 * d
+    for _ in range(count):
+        bound *= ratio
+        if bound >= modulus:
+            raise ModulusTooSmall(
+                f"modulus {modulus} must exceed 2*d*ratio^count = 2*{d}*{ratio}^{count}"
+            )
     group = make_group([modulus])
     exps: list[tuple[int, ...]] = []
     for k in range(1, count + 1):
@@ -371,6 +376,7 @@ def vc_system_from_digit_sets(
         raise PositionOutOfRange(
             f"position {max_pos} does not fit in an ambient group of width {width}"
         )
+    _require_size(itertools.repeat(base, width))  # before any list of width entries
     group = make_group([base] * width)
     exps = []
     for positions, row in zip(sets, values):
@@ -383,4 +389,8 @@ def vc_system_from_digit_sets(
 
 def rademacher_system(count: int, base: int = 2, value: int = 1) -> CharacterSystem:
     """The first ``count`` generalized Rademacher characters on Z_base^count."""
+    # base and group size are checked before count position sets are listed
+    if base < 2:
+        raise ValueError(f"base must be >= 2, got {base}")
+    _require_size(itertools.repeat(base, count))
     return vc_system_from_digit_sets(base, [[i] for i in range(count)], value)

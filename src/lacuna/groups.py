@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -96,6 +96,38 @@ class FiniteAbelianGroup:
         return Character(self, tuple(int(a) for a in exponents))
 
 
+def _require_size(orders: Iterable[int]):
+    """SizeLimitExceeded at the first of ``orders`` that takes their product past the limit.
+
+    The product is never formed past ``DEFAULT_SIZE_LIMIT``, so a long
+    list of orders is refused after at most 21 of them.  An order below 2
+    ends the check, for the group to refuse.
+    """
+    size = 1
+    for i, m in enumerate(orders, 1):
+        if m < 2:
+            return
+        size *= m
+        if size > DEFAULT_SIZE_LIMIT:
+            raise SizeLimitExceeded(
+                f"the first {i} factor orders pass the group size limit {DEFAULT_SIZE_LIMIT}"
+            )
+
+
+def _require_cells(rows: int, columns: int, shape: str):
+    """SizeLimitExceeded if a rows x columns table would pass ``TABLE_CELL_LIMIT``.
+
+    The one reader of the limit.  ``shape`` names the two sides in the
+    message, as in ``"terms x |G|"``.
+    """
+    cells = rows * columns
+    if cells > TABLE_CELL_LIMIT:
+        raise SizeLimitExceeded(
+            f"a table of {shape} needs {cells} cells ({rows} x {columns}), "
+            f"over the limit {TABLE_CELL_LIMIT}"
+        )
+
+
 def make_group(orders: Sequence[int]) -> FiniteAbelianGroup:
     """Build Z_{m_1} x ... x Z_{m_r}; elements enumerate in lexicographic digit order.
 
@@ -104,12 +136,8 @@ def make_group(orders: Sequence[int]) -> FiniteAbelianGroup:
     m * 2 * lcm(orders) * max(order), which wraps once a cyclic modulus
     passes about 2^30.  A larger limit needs its own bound on those sums.
     """
-    group = FiniteAbelianGroup(tuple(int(m) for m in orders))
-    if group.size > DEFAULT_SIZE_LIMIT:
-        raise SizeLimitExceeded(
-            f"group size {group.size} exceeds the limit {DEFAULT_SIZE_LIMIT}"
-        )
-    return group
+    _require_size(int(m) for m in orders)
+    return FiniteAbelianGroup(tuple(int(m) for m in orders))
 
 
 @dataclass(frozen=True)

@@ -92,10 +92,10 @@ from .chaos import ChaosPolynomial, FullIndex, _synthesize
 from .dissociation import CharacterSystem, require_dissociated
 from .errors import DegenerateOrder, SizeLimitExceeded
 from .groups import (
-    TABLE_CELL_LIMIT,
     Character,
     DensityMeasure,
     FourierTable,
+    _require_cells,
     _scatter,
     inverse_fourier,
 )
@@ -297,10 +297,7 @@ def _digit_block(system: CharacterSystem, d: int, ys) -> np.ndarray:
         raise ValueError(f"modulation digits must be integers, got {digits.dtype}")
     if digits.min() < 0 or digits.max() > 2 * d:
         raise ValueError(f"modulation digits must lie in 0..{2 * d}")
-    if len(digits) * system.group.size > TABLE_CELL_LIMIT:
-        raise SizeLimitExceeded(
-            f"{len(digits)} points x |G| = {system.group.size} pass the limit {TABLE_CELL_LIMIT}"
-        )
+    _require_cells(len(digits), system.group.size, "points x |G|")
     return digits.astype(np.int64, copy=False)
 
 

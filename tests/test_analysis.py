@@ -400,16 +400,39 @@ def test_malformed_indices_are_refused_before_any_table(monkeypatch, name):
 def test_sidon_counts_the_matrix_and_its_transpose(monkeypatch):
     # rademacher(6) at d = 1: the 64 x 6 matrix takes 384 cells, with its transpose 768
     system = lc.rademacher_system(6)
-    monkeypatch.setattr(lc.analysis, "TABLE_CELL_LIMIT", 500)
+    monkeypatch.setattr(lc.groups, "TABLE_CELL_LIMIT", 500)
     lc.estimate_khinchin_constant(system, 1, 4, trials=2, seed=0)
     refuse_everywhere(monkeypatch, "values_matrix")
     with pytest.raises(lc.SizeLimitExceeded, match="2 x terms"):
         lc.estimate_sidon_constant(system, 1, trials=2, seed=0)
 
 
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda s, trials: lc.estimate_khinchin_constant(s, 1, math.inf, trials, seed=0),
+        lambda s, trials: lc.estimate_sidon_constant(s, 1, trials, seed=0),
+    ],
+    ids=["khinchin", "sidon"],
+)
+def test_trial_generators_are_made_one_at_a_time(estimate):
+    # on |G| = 2 with one term a trial's blocks and result take about 0.4 KB;
+    # a generator held per trial would add 1 KB more to each
+    system = lc.rademacher_system(1)
+    trials = 3000
+    estimate(system, 2)
+    tracemalloc.start()
+    try:
+        estimate(system, trials)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 800 * trials
+
+
 def test_khinchin_trial_blocks_are_bounded_before_the_matrix(monkeypatch):
     # the 64 x 6 matrix fits in 500 cells; 10 trials' blocks of max(64, 6) cells do not
-    monkeypatch.setattr(lc.analysis, "TABLE_CELL_LIMIT", 500)
+    monkeypatch.setattr(lc.groups, "TABLE_CELL_LIMIT", 500)
 
     def refuse(*args):
         raise AssertionError("the value matrix was built")

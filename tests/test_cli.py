@@ -466,6 +466,10 @@ def test_unknown_command_and_bad_config(tmp_path):
     assert main(["--config", str(bad)]) == 2
     missing = tmp_path / "missing.json"
     assert main(["--config", str(missing)]) == 2
+    # undecodable bytes, and an integer literal past Python's int-to-str digit limit
+    for name, data in (("bom.json", b"\xff\xfe{}"), ("digits.json", b"1" * 5000)):
+        (tmp_path / name).write_bytes(data)
+        assert main(["--config", str(tmp_path / name)]) == 2
 
 
 def test_incomplete_system_specs_are_config_errors(tmp_path):
@@ -770,6 +774,28 @@ def test_value_tables_are_bounded_before_any_column(tmp_path, capsys, monkeypatc
 
 
 @pytest.mark.parametrize(
+    "system, error",
+    [
+        ({"rademacher": {"count": 20000}}, "SizeLimitExceeded"),
+        (
+            {"vc_staircase": {"base": 2, "position_sets": [[0], [1]], "width": 10**8}},
+            "SizeLimitExceeded",
+        ),
+        ({"hadamard": {"ratio": 3, "count": 3 * 10**7, "modulus": 1000}}, "ModulusTooSmall"),
+    ],
+    ids=["rademacher", "vc_staircase", "hadamard"],
+)
+def test_system_sizes_are_refused_before_any_list(tmp_path, capsys, monkeypatch, system, error):
+    # 2^20000 and 3^30000000 pass Python's int-to-str limit, so no message may print them
+    refuse_everywhere(monkeypatch, "make_group")
+    code, out = _run(tmp_path, {"command": "check-dissociated", "system": system, "d": 1})
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error ({error}): ") and "Traceback" not in err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
     "config",
     [
         {"command": "khinchin", "system": {"rademacher": {"count": 12}}, "d": 12},
@@ -820,9 +846,9 @@ def test_extract_verify_refuses_before_any_polynomial(tmp_path, capsys, monkeypa
 )
 def test_chaos_tuples_are_bounded_before_they_are_listed(tmp_path, capsys, monkeypatch, config):
     # one term of 2 points passes terms x |G|; its 2000-long tuple passes 1000 cells
-    import lacuna.analysis
+    import lacuna.groups
 
-    monkeypatch.setattr(lacuna.analysis, "TABLE_CELL_LIMIT", 1000)
+    monkeypatch.setattr(lacuna.groups, "TABLE_CELL_LIMIT", 1000)
     refuse_everywhere(monkeypatch, "enumerate_polynomial")
     code, out = _run(tmp_path, {**config, "system": {"rademacher": {"count": 1}}, "d": 2000})
     assert code == 1
@@ -850,11 +876,9 @@ def test_extract_verify_bounds_its_y_block_before_any_draw(tmp_path, capsys, mon
 
 
 def test_extract_verify_runs_a_y_block_exactly_at_the_limit(tmp_path, capsys, monkeypatch):
-    import lacuna.analysis
-    import lacuna.riesz
+    import lacuna.groups
 
-    for module in (lacuna.analysis, lacuna.riesz):
-        monkeypatch.setattr(module, "TABLE_CELL_LIMIT", 3 * 121)
+    monkeypatch.setattr(lacuna.groups, "TABLE_CELL_LIMIT", 3 * 121)
     config = {
         "command": "extract-verify",
         "system": {"orders": [121], "exponents": [[3], [40]]},

@@ -15,6 +15,7 @@ from conftest import (
     character_at,
     oracle_dissociated,
     oracle_witness,
+    refuse_everywhere,
     sample_dissociated_system,
     trivial_character,
     verify_witness,
@@ -388,6 +389,27 @@ def test_hadamard_single_frequency():
 def test_hadamard_modulus_too_small():
     with pytest.raises(lc.ModulusTooSmall):
         lc.hadamard_trig_system(3, 3, 100, d=2)
+
+
+def test_hadamard_modulus_is_checked_without_forming_the_power():
+    # 3^(10^6) has 477,122 digits, past what Python will print; the bound stops at the modulus
+    with pytest.raises(lc.ModulusTooSmall, match=r"2\*1\*3\^1000000$"):
+        lc.hadamard_trig_system(3, 10**6, 1000)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: lc.rademacher_system(20000),
+        lambda: lc.vc_system_from_digit_sets(2, [[0], [1]], width=10**6),
+        lambda: lc.vc_system_from_digit_sets(2, [[0], [10**6]]),
+    ],
+    ids=["rademacher", "width", "position"],
+)
+def test_systems_size_their_group_before_listing_it(monkeypatch, build):
+    refuse_everywhere(monkeypatch, "make_group")
+    with pytest.raises(lc.SizeLimitExceeded, match="limit 1048576"):
+        build()
 
 
 def test_hadamard_generator_property_randomized():

@@ -499,12 +499,12 @@ def test_modulated_extract_bounds_its_tables_before_any_walk(monkeypatch):
     system = _system([9, 9], [[1, 0], [0, 1]])
     q = lc.random_chaos_polynomial(system, 2, np.random.default_rng(5))
     ys = np.zeros((3, 2), dtype=np.int64)
-    monkeypatch.setattr(lc.riesz, "TABLE_CELL_LIMIT", 3 * 81)
+    monkeypatch.setattr(lc.groups, "TABLE_CELL_LIMIT", 3 * 81)
     assert lc.extract_homogeneous_modulated(q, ys).shape == (3, 81)
-    monkeypatch.setattr(lc.riesz, "TABLE_CELL_LIMIT", 3 * 81 - 1)
+    monkeypatch.setattr(lc.groups, "TABLE_CELL_LIMIT", 3 * 81 - 1)
     monkeypatch.setattr(lc.riesz, "_riesz_spectrum", None)  # no work may start
     monkeypatch.setattr(lc.riesz, "_roots", None)
-    with pytest.raises(lc.SizeLimitExceeded, match="3 points"):
+    with pytest.raises(lc.SizeLimitExceeded, match=r"points x \|G\| needs 243 cells \(3 x 81\)"):
         lc.extract_homogeneous_modulated(q, ys)
 
 
