@@ -24,6 +24,13 @@ each step takes every product row by row inside one batched call, so each
 trial's result is bit-for-bit what it would be alone.  The Sidon trials run
 one after another.
 
+When every term's character is real, as on every base-2 host, the value
+matrix is a float64 matrix of signs, and ``_product`` multiplies a complex
+operand through its float64 view: one real BLAS product, at half the
+arithmetic of a complex one, and the artifacts it feeds keep their bytes
+under one and two OpenBLAS threads (a test pins this).  The Sidon search
+keeps complex products, so its results do not depend on the matrix's type.
+
 Theoretical ceilings accompany the estimates when their model constants
 are supplied: ``sqrt(d) (2d)^d C kappa_model`` for the Khinchin kind and
 ``(2d)^d C / c * d^((d+1)/(2d))`` for the Sidon kind, where C is the
@@ -47,10 +54,11 @@ from .chaos import (
     enumerate_polynomial,
     enumerate_tetrahedral,
     require_indices,
+    term_positions,
 )
 from .dissociation import CharacterSystem, require_dissociated
 from .errors import InvalidP, InvalidQ, SizeLimitExceeded
-from .groups import _require_cells
+from .groups import FiniteAbelianGroup, _require_cells
 from .parallel import map_indexed, trial_rng
 from .riesz import extraction_coefficients
 
@@ -97,16 +105,46 @@ def values_matrix(system: CharacterSystem, indices: Sequence) -> np.ndarray:
     """Column t holds the value table of the t-th index's character product.
 
     A table of more than ``TABLE_CELL_LIMIT`` cells raises SizeLimitExceeded
-    before any column is built.  Column t, the table of the character at the
-    t-th term's position, is written into the preallocated matrix, so the
-    matrix is held once, beside the one term table being written.
+    before any column is built.  When every term's character is real,
+    which the exponents decide (twice each exponent is 0 modulo its order,
+    as on every base-2 host), the matrix is float64 and every entry is
+    exactly +1 or -1; otherwise it is complex128, column t the table of the
+    character at the t-th term's position, written into the preallocated
+    matrix so that the matrix is held once, beside the one term table being
+    written.
     """
-    _require_cells(len(indices), system.group.size, "terms x |G|")
-    matrix = np.empty((system.group.size, len(indices)), dtype=np.complex128)
+    group = system.group
+    _require_cells(len(indices), group.size, "terms x |G|")
+    exponents = np.stack(np.unravel_index(term_positions(system, indices), group.orders), axis=1)
+    if not (2 * exponents % group.orders).any():
+        return _sign_matrix(group, exponents != 0)
+    matrix = np.empty((group.size, len(indices)), dtype=np.complex128)
     tables = _term_tables(system, indices)
     # next() rather than enumerate, which would hold the last table while the next is built
     for t in range(len(indices)):
         matrix[:, t] = next(tables)
+    return matrix
+
+
+def _sign_matrix(group: FiniteAbelianGroup, flips: np.ndarray) -> np.ndarray:
+    """The +-1 value matrix of real characters, one column per row of ``flips``.
+
+    ``flips[t, i]`` says that term t's character is -1 at the odd digits of
+    coordinate i, its exponent being half the order there.  The rows are
+    built from the last coordinate up: once the rows of digit 0 at
+    coordinate i are done, its odd digits take them times the column signs
+    and its even digits a copy, so every entry is an exact product of signs
+    and nothing beside the matrix is held.
+    """
+    matrix = np.empty((group.size, flips.shape[0]))
+    matrix[0] = 1.0
+    inner = 1
+    for m, flip in zip(reversed(group.orders), reversed(flips.T)):
+        # rows [0, m * inner) in digit order at coordinate i; the block of digit 0 is built
+        grid = matrix[: m * inner].reshape(m, inner, flips.shape[0])
+        np.multiply(grid[0], np.where(flip, -1.0, 1.0), out=grid[1::2])
+        grid[2::2] = grid[0]
+        inner *= m
     return matrix
 
 
@@ -118,8 +156,8 @@ def _grad_lq_q_matrix(adjoint: np.ndarray, values: np.ndarray, q: float) -> np.n
     Entry t is d/dRe(A_t) + i * d/dIm(A_t).
     """
     weight = np.abs(values) ** (q - 2) * values
-    # one matrix-vector product per row, each rounded as ``adjoint @ row``
-    return q * np.matmul(adjoint, weight[..., None])[..., 0] / adjoint.shape[1]
+    # one matrix-vector product per row, each rounded as on its own
+    return q * _product(adjoint, weight[..., None])[..., 0] / adjoint.shape[1]
 
 
 def _max_variation_bound(d: int) -> float:
@@ -222,8 +260,8 @@ def _best_of_trials(
     idx = list(indices) if indices is not None else chaos_indices(system, d)
     require_indices(len(system), idx, d)
     _require_cells(*held(len(idx)))
-    matrix = values_matrix(system, idx)
-    results = run_trials(matrix, trials, functools.partial(trial_rng, seed))
+    # passed, not held here, so that run_trials may replace it by a copy
+    results = run_trials(values_matrix(system, idx), trials, functools.partial(trial_rng, seed))
     best = max(range(trials), key=lambda t: results[t][0])
     return ConstantEstimate(
         kind=kind,
@@ -244,9 +282,24 @@ def _random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
+def _product(matrix: np.ndarray, operand: np.ndarray) -> np.ndarray:
+    """``matrix @ operand`` for a complex operand, as the estimators take it.
+
+    A complex matrix multiplies the operand as it is.  A real one
+    multiplies the operand's float64 view, in which each complex column is
+    a pair of real columns (a vector of n entries reads as an (n, 2) real
+    block), and the result is read back as complex: a real product, where
+    ``@`` would copy the matrix to complex first.
+    """
+    if np.iscomplexobj(matrix):
+        return np.matmul(matrix, operand)
+    pairs = np.ascontiguousarray(operand).view(np.float64)
+    return np.matmul(matrix, pairs).view(np.complex128)
+
+
 def _row_products(matrix: np.ndarray, block: np.ndarray) -> np.ndarray:
     """``matrix @ row`` for every row of a block, each rounded as on its own."""
-    return np.matmul(matrix, block[:, :, None])[..., 0]
+    return _product(matrix, block[:, :, None])[..., 0]
 
 
 def _row_norms(block: np.ndarray) -> np.ndarray:
@@ -420,6 +473,10 @@ def estimate_sidon_constant(
     candidates = np.exp(2j * np.pi * np.arange(_PHASE_GRID) / _PHASE_GRID)
 
     def run_trials(matrix: np.ndarray, trials: int, rng) -> list[_Result]:
+        # every step multiplies a column by complex deltas: a real matrix is
+        # made complex once rather than cast again in each product, and the
+        # products keep the bits they have on the complex table
+        matrix = matrix.astype(np.complex128, copy=False)
         n = matrix.shape[1]
         # row t is column t of the matrix, contiguous
         columns = np.ascontiguousarray(matrix.T)

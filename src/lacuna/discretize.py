@@ -16,7 +16,10 @@ inherent to probing and is documented with the output rather than closed.
 uniform permutation extended by uniform resampling once every group
 element is used), weights every point of an m-point scheme 1/m, and
 evaluates each requested scheme size on the same probe set, so growing a
-scheme within a trial changes nothing but the added points.
+scheme within a trial changes nothing but the added points.  A scheme's
+sum of ``|f|^q`` is its point counts, one per group element, times the
+``|f|^q`` table of the group, so every size of a trial is summed in one
+product of the (sizes, |G|) counts with that table.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import values_matrix
+from .analysis import _product, values_matrix
 from .chaos import require_indices
 from .dissociation import CharacterSystem
 from .errors import InvalidQ
@@ -36,17 +39,15 @@ from .parallel import map_indexed, trial_rng
 
 
 def _evaluate_with_probes(
-    powered: np.ndarray, q: float, true_norms: np.ndarray, weighted: np.ndarray | None = None
+    sums: np.ndarray, m: int, q: float, true_norms: np.ndarray
 ) -> tuple[float, float]:
-    """(C_1, C_2) of the uniformly weighted scheme whose point i has row i of ``powered``.
+    """(C_1, C_2) of the uniformly weighted m-point scheme whose ``|f|^q`` sums to ``sums``.
 
-    ``powered`` holds |f(xi_i)|^q, one column per probe, and every row takes
-    the weight 1/m.  ``weighted``, if given, is a buffer of ``powered``'s
-    shape that takes the weighted rows in place of a fresh table.
+    ``sums`` holds, one entry per probe, the sum of |f(xi_i)|^q over the
+    scheme's points, each counted as often as it occurs; every point takes
+    the weight 1/m.
     """
-    weighted = np.multiply(1.0 / powered.shape[0], powered, out=weighted)
-    discrete = np.sum(weighted, axis=0) ** (1.0 / q)
-    ratios = discrete / true_norms
+    ratios = (sums / m) ** (1.0 / q) / true_norms
     return float(ratios.min()), float(ratios.max())
 
 
@@ -81,19 +82,19 @@ def scan_point_counts(
     {"m", "trial", "c1", "c2", "q", "n_basis", "seed"}.  Within a trial all
     sizes share one nested point sequence and one probe set, so medians
     across the grid reflect pure size growth.  A trial raises ``|f|^q``
-    once per group element into an |G| x probes table, and gathers the
-    scheme rows from it into an m x probes table, so either one above
-    ``TABLE_CELL_LIMIT`` cells raises SizeLimitExceeded before the basis
-    is built.  ``q`` must be finite and >= 1 (InvalidQ), ``probes`` >= 1,
-    and ``indices`` must pass ``require_indices`` (ValueError).
+    once per group element into an |G| x probes table, counts the points
+    of every size into a sizes x |G| table, and sums every scheme in one
+    product of the two; the |G| x probes table, the counts, or a point
+    sequence of max(m) above ``TABLE_CELL_LIMIT`` cells raises
+    SizeLimitExceeded before the basis is built.  ``q`` must be finite and
+    >= 1 (InvalidQ), ``probes`` >= 1, and ``indices`` must pass
+    ``require_indices`` (ValueError).
 
-    The scan allocates its work buffers once and every trial overwrites
-    them: the complex |G| x probes product, its ``|f|^q`` table, the
-    gathered max(m) x probes scheme rows and their weighted copy.  They
-    take the same operations in the same order as fresh arrays would, so
-    the records do not depend on them.  A q at which some probe's true
-    norm is not finite and positive (``|f|^q`` past the float range)
-    raises InvalidQ.
+    The scan allocates the ``|f|^q`` table and the counts once, and every
+    trial overwrites them.  On a real basis (every base-2 host) the probe
+    product is one real BLAS product of the coefficients' float64 view
+    (``analysis._product``).  A q at which some probe's true norm is not
+    finite and positive (``|f|^q`` past the float range) raises InvalidQ.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -106,14 +107,15 @@ def scan_point_counts(
     if not sizes or sizes[0] < 1:
         raise ValueError("m_grid must contain positive point counts")
     group = system.group
-    _require_cells(max(sizes[-1], group.size), probes, "max(m, |G|) x probes")
+    _require_cells(group.size, probes, "|G| x probes")
+    _require_cells(len(sizes), group.size, "sizes x |G|")
+    _require_cells(sizes[-1], 1, "max(m) points x 1")
     matrix = values_matrix(system, indices)
     n = matrix.shape[1]
     # one set of work buffers per scan, overwritten by every trial
-    product = np.empty((group.size, probes), dtype=np.complex128)
     table = np.empty((group.size, probes))
-    gathered = np.empty((sizes[-1], probes))
-    weighted = np.empty_like(gathered)
+    counts = np.empty((len(sizes), group.size))
+    starts = [0, *sizes[:-1]]
 
     def run_trial(t: int) -> list[dict]:
         rng = trial_rng(seed, t)
@@ -121,7 +123,7 @@ def scan_point_counts(
         coeffs = rng.standard_normal((probes, n)) + 1j * rng.standard_normal((probes, n))
         # |f|^q once per group element, one column per probe; the in-place
         # ``**=`` takes the path of ``np.abs(...) ** q`` (np.square at q = 2)
-        np.abs(np.matmul(matrix, coeffs.T, out=product), out=table)
+        np.abs(_product(matrix, coeffs.T), out=table)
         with np.errstate(over="ignore"):
             operator.ipow(table, q)
             means = np.ascontiguousarray(table.T).mean(axis=1)
@@ -132,12 +134,14 @@ def scan_point_counts(
                 f"q = {q} takes the probes' |f|^q out of the float range, so "
                 "their true norms are not finite and positive"
             )
-        # the scheme of size m is the first m rows; every index is in range,
-        # and "clip" writes straight into the buffer where "raise" copies
-        powered = np.take(table, sequence, axis=0, out=gathered, mode="clip")
+        # row s counts each group element among the first sizes[s] points:
+        # the points each size adds, then a running sum down the rows
+        for s, (lo, hi) in enumerate(zip(starts, sizes)):
+            counts[s] = np.bincount(sequence[lo:hi], minlength=group.size)
+        np.cumsum(counts, axis=0, out=counts)
         rows = []
-        for m in sizes:
-            c1, c2 = _evaluate_with_probes(powered[:m], q, true_norms, weighted[:m])
+        for m, sums in zip(sizes, counts @ table):
+            c1, c2 = _evaluate_with_probes(sums, m, q, true_norms)
             rows.append(
                 {
                     "m": m,

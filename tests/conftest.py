@@ -550,13 +550,31 @@ def oracle_sidon_estimate(system, d, trials, seed, max_sweeps):
     return results[best][0], results[best][1], [r[2] for r in results]
 
 
+def oracle_product(matrix, operand):
+    """``matrix @ operand`` for a complex vector or matrix, as the estimators take it.
+
+    A complex matrix multiplies the operand as it is.  A real one
+    multiplies an n x 2k real block, columns 2j and 2j + 1 holding the real
+    and imaginary parts of the operand's column j (a vector is one column),
+    and the two real columns of the result are put back together.
+    """
+    if np.iscomplexobj(matrix):
+        return matrix @ operand
+    columns = operand.reshape(operand.shape[0], -1)
+    block = np.stack([columns.real, columns.imag], axis=-1).reshape(columns.shape[0], -1)
+    real = matrix @ block
+    product = np.empty((matrix.shape[0], columns.shape[1]), dtype=np.complex128)
+    product.real, product.imag = real[:, 0::2], real[:, 1::2]
+    return product.reshape(matrix.shape[:1] + operand.shape[1:])
+
+
 def oracle_khinchin_estimate(system, d, q, trials, seed, indices=None):
     """The Khinchin ascent as first written, one trial after another.
 
     Returns (constant, coefficients, histories).  Each trial runs its own
-    chain of matrix-vector products, with the step size, tolerance and
-    step cap read from ``lacuna.analysis`` at call time, so a test that
-    patches them patches the oracle too.
+    chain of matrix-vector products, each one ``oracle_product``, with the
+    step size, tolerance and step cap read from ``lacuna.analysis`` at call
+    time, so a test that patches them patches the oracle too.
     """
     from lacuna import analysis
 
@@ -569,17 +587,17 @@ def oracle_khinchin_estimate(system, d, q, trials, seed, indices=None):
         rng = trial_rng(seed, t)
         vec = rng.standard_normal(matrix.shape[1]) + 1j * rng.standard_normal(matrix.shape[1])
         coeffs = vec / np.linalg.norm(vec)
-        values = matrix @ coeffs
+        values = oracle_product(matrix, coeffs)
         ratio = lq_norm(values, q)
         history = [ratio]
         if not math.isinf(q):
             step = analysis._ASCENT_STEP
             for _ in range(analysis._ASCENT_MAX_STEPS):
                 weight = np.abs(values) ** (q - 2) * values
-                grad = q * (adjoint @ weight) / adjoint.shape[1]
+                grad = q * oracle_product(adjoint, weight) / adjoint.shape[1]
                 candidate = coeffs + step * grad
                 candidate /= np.linalg.norm(candidate)
-                candidate_values = matrix @ candidate
+                candidate_values = oracle_product(matrix, candidate)
                 new_ratio = lq_norm(candidate_values, q)
                 if new_ratio > ratio:
                     gain = new_ratio - ratio
@@ -596,42 +614,76 @@ def oracle_khinchin_estimate(system, d, q, trials, seed, indices=None):
     return results[best][0], results[best][1], [r[2] for r in results]
 
 
-def oracle_scan_point_counts(system, indices, q, m_grid, trials, seed, probes=64):
-    """The discretization scan as first written, one trial after another.
+def _scan_trial_draws(size, n, sizes, probes, rng):
+    """One scan trial's nested point sequence and its (probes, n) coefficients."""
+    sequence = rng.permutation(size)
+    if sizes[-1] > size:
+        tail = rng.integers(0, size, size=sizes[-1] - size)
+        sequence = np.concatenate([sequence, tail])
+    sequence = sequence[: sizes[-1]]
+    coeffs = rng.standard_normal((probes, n)) + 1j * rng.standard_normal((probes, n))
+    return sequence, coeffs
 
-    ``|f|^q`` is raised once per row of the point sequence (repeated points
-    are raised again), and each probe's true norm is ``lq_norm`` of its
-    column of values.
+
+def _scan_record(m, t, ratios, q, n, seed):
+    return {
+        "m": m,
+        "trial": t,
+        "c1": float(ratios.min()),
+        "c2": float(ratios.max()),
+        "q": float(q),
+        "n_basis": n,
+        "seed": seed,
+    }
+
+
+def oracle_scan_point_counts(system, indices, q, m_grid, trials, seed, probes=64):
+    """The discretization scan, one trial after another, from point counts.
+
+    Each probe's true norm is ``lq_norm`` of its column of values, taken
+    through ``oracle_product``.  A Python loop counts the points of every
+    scheme, and one product of the counts with the ``|f|^q`` table gives
+    each scheme's sum, which over m is its mean.
     """
     matrix = values_matrix(system, indices)
     size, n = matrix.shape
     sizes = sorted(set(int(m) for m in m_grid))
     records = []
     for t in range(trials):
-        rng = trial_rng(seed, t)
-        sequence = rng.permutation(size)
-        if sizes[-1] > size:
-            tail = rng.integers(0, size, size=sizes[-1] - size)
-            sequence = np.concatenate([sequence, tail])
-        sequence = sequence[: sizes[-1]]
-        coeffs = rng.standard_normal((probes, n)) + 1j * rng.standard_normal((probes, n))
+        sequence, coeffs = _scan_trial_draws(size, n, sizes, probes, trial_rng(seed, t))
+        f_values = oracle_product(matrix, coeffs.T)
+        true_norms = np.array([lq_norm(f_values[:, i], q) for i in range(probes)])
+        counts = np.zeros((len(sizes), size))
+        for row, m in enumerate(sizes):
+            for point in sequence[:m]:
+                counts[row, point] += 1
+        sums = counts @ (np.abs(f_values) ** q)
+        for m, row in zip(sizes, sums):
+            ratios = (row / m) ** (1.0 / q) / true_norms
+            records.append(_scan_record(m, t, ratios, q, n, seed))
+    records.sort(key=lambda r: (r["m"], r["trial"]))
+    return records
+
+
+def per_row_scan_records(system, indices, q, m_grid, trials, seed, probes=64):
+    """The discretization scan as first written: every scheme summed row by row.
+
+    ``|f|^q`` of the complex product ``matrix @ coeffs.T`` is raised once
+    per row of the point sequence (repeated points are raised again), and
+    each scheme weights its rows 1/m and sums them.
+    """
+    matrix = values_matrix(system, indices).astype(np.complex128)
+    size, n = matrix.shape
+    sizes = sorted(set(int(m) for m in m_grid))
+    records = []
+    for t in range(trials):
+        sequence, coeffs = _scan_trial_draws(size, n, sizes, probes, trial_rng(seed, t))
         f_values = matrix @ coeffs.T
         true_norms = np.array([lq_norm(f_values[:, i], q) for i in range(probes)])
         powered = np.abs(f_values[sequence, :]) ** q
         for m in sizes:
             weights = np.full(m, 1.0 / m)
             discrete = np.sum(weights[:, None] * powered[:m], axis=0) ** (1.0 / q)
-            ratios = discrete / true_norms
-            records.append(
-                {
-                    "m": m,
-                    "trial": t,
-                    "c1": float(ratios.min()),
-                    "c2": float(ratios.max()),
-                    "q": float(q),
-                    "n_basis": n,
-                    "seed": seed,
-                }
-            )
+            records.append(_scan_record(m, t, discrete / true_norms, q, n, seed))
     records.sort(key=lambda r: (r["m"], r["trial"]))
     return records

@@ -182,18 +182,56 @@ ORACLE_TERM_CASES = {
 def test_values_matrix_columns_match_the_power_table_product(case):
     # the product of each base's power table, the rule the character at the
     # term's position replaced: the same bits where every root is exact or
-    # each term lies on distinct coordinates, a few ulp on one cyclic factor
+    # each term lies on distinct coordinates, a few ulp on one cyclic factor.
+    # On base 2 every term is real: the float64 matrix is the oracle's real
+    # part, bit for bit, and the oracle's imaginary part is exactly 0
     build, d, tetrahedral, tol = case
     system = build()
+    real = set(system.group.orders) == {2}
     indices = chaos_indices(system, d, tetrahedral)
     for lo in range(0, len(indices), 16):  # a block of columns at a time bounds the memory
         block = indices[lo : lo + 16]
         matrix = lc.values_matrix(system, block)
         oracle = np.stack([oracle_term_values(system, index) for index in block], axis=1)
-        if tol:
+        assert matrix.dtype == (np.float64 if real else np.complex128)
+        if real:
+            assert (oracle.imag == 0).all()
+            assert matrix.tobytes() == oracle.real.tobytes()
+        elif tol:
             assert np.abs(matrix - oracle).max() <= tol
         else:
             assert matrix.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("count", [3, 4, 5, 8])
+def test_real_products_match_the_complex_product(count):
+    # the float-view products of the Khinchin ascent and the scan, the
+    # library's and the oracle's, against the complex product they replace
+    from conftest import oracle_product
+
+    system = lc.rademacher_system(count)
+    rng = np.random.default_rng(count)
+    for d in (1, 2):
+        matrix = lc.values_matrix(system, chaos_indices(system, d))
+        assert matrix.dtype == np.float64
+        complex_matrix = matrix.astype(np.complex128)
+        n = matrix.shape[1]
+        vector = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        block = rng.standard_normal((n, 7)) + 1j * rng.standard_normal((n, 7))
+        cases = [
+            (matrix, complex_matrix, vector),
+            (matrix, complex_matrix, block),
+            (matrix.T, complex_matrix.T, rng.standard_normal(matrix.shape[0]) + 0.5j),
+        ]
+        for real, full, operand in cases:
+            want = full @ operand
+            scale = np.abs(want).max()
+            # the library's takes operands with a column axis, a vector as one column
+            columns = operand.reshape(operand.shape[0], -1)
+            library = lc.analysis._product(real, columns).reshape(want.shape)
+            for got in (oracle_product(real, operand), library):
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-14 * scale
 
 
 # -- gradients ------------------------------------------------------------------------------

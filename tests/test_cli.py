@@ -1178,6 +1178,62 @@ def test_main_twice_in_one_process_writes_what_two_fresh_interpreters_write(tmp_
         assert exited.value.code == 2
 
 
+# base-2 hosts, whose value matrices are real, so that every product of the
+# ascent and the scan is a real BLAS call; a complex host's khinchin bytes
+# may still move with the thread count
+BLAS_THREAD_CONFIGS = {
+    "khinchin": (
+        {
+            "command": "khinchin",
+            "system": {"rademacher": {"count": 8}},
+            "d": 2,
+            "chaos": "tetrahedral",
+            "q": 4,
+            "trials": 4,
+            "seed": 5,
+        },
+        ["khinchin.json", "khinchin.csv"],
+    ),
+    "discretize-scan": (
+        {
+            "command": "discretize-scan",
+            "system": {"rademacher": {"count": 10}},
+            "d": 2,
+            "chaos": "tetrahedral",
+            "q": 4,
+            "m_grid": [45, 90, 2025, 4050],
+            "trials": 2,
+            "seed": 5,
+        },
+        ["discretize.json", "discretize.csv"],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(BLAS_THREAD_CONFIGS))
+def test_real_hosts_write_the_same_bytes_at_every_blas_thread_count(tmp_path, command):
+    import os
+    import subprocess
+    import sys
+
+    import lacuna
+
+    config, artifacts = BLAS_THREAD_CONFIGS[command]
+    cfg = _write_config(tmp_path, config)
+    code = "import sys; from lacuna.cli import main; sys.exit(main(sys.argv[1:]))"
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(lacuna.__file__).parent.parent),
+            "OPENBLAS_NUM_THREADS": threads,
+        }
+        argv = ["--config", str(cfg), "--out", str(tmp_path / threads)]
+        done = subprocess.run([sys.executable, "-c", code, *argv], env=env, timeout=120)
+        assert done.returncode == 0
+    for name in artifacts:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
 def test_extract_verify_peak_on_a_dense_host(tmp_path):
     # rademacher(7, base=5) at d = 2 reaches all 78125 characters, so each
     # part's (Y, |G|) block of rows is Y dense tables

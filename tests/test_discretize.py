@@ -1,5 +1,7 @@
 """Discretization schemes: probe bounds, scans and trends."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,8 @@ def test_full_group_scheme_is_exact_for_every_q():
     for q in (1.5, 2, 4, 6):
         f_values, true_norms = _probe_values(basis, coeffs, q)
         assert f_values.shape[0] == size  # every group element is a point, weight 1/|G|
-        c1, c2 = _evaluate_with_probes(np.abs(f_values) ** q, q, true_norms)
+        sums = (np.abs(f_values) ** q).sum(axis=0)
+        c1, c2 = _evaluate_with_probes(sums, size, q, true_norms)
         assert c1 == pytest.approx(1.0, abs=1e-12)
         assert c2 == pytest.approx(1.0, abs=1e-12)
 
@@ -41,7 +44,7 @@ def test_single_point_admits_a_vanishing_probe():
     f = b0 * coeffs[0] + b1 * coeffs[1]
     assert abs(f[point]) < 1e-12 and np.abs(f).max() > 0.5
     f_values, true_norms = _probe_values(basis, coeffs[None, :], 4)
-    ratio, _ = _evaluate_with_probes(np.abs(f_values[[point]]) ** 4, 4, true_norms)
+    ratio, _ = _evaluate_with_probes(np.abs(f_values[point]) ** 4, 1, 4, true_norms)
     assert ratio == pytest.approx(0.0, abs=1e-12)
 
 
@@ -89,6 +92,22 @@ def test_scan_matches_per_row_oracle(probes, q, runs):
             assert records == expected
 
 
+def test_scan_records_match_the_per_row_formula():
+    from conftest import per_row_scan_records
+
+    # the point counts sum each scheme in another order than its weighted
+    # rows did, so the records move in the last bits only
+    for m, grid, q in ((5, [3, 32, 90, 200], 4), (4, [40, 7, 16], 2.5)):
+        system, indices = _tetrahedral_basis(m)
+        records = lc.scan_point_counts(system, indices, q, grid, trials=3, seed=19)
+        expected = per_row_scan_records(system, indices, q, grid, 3, 19)
+        assert len(records) == len(expected)
+        for got, want in zip(records, expected):
+            assert got.keys() == want.keys()
+            for key in want:
+                assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0), key
+
+
 def test_scan_rejects_bad_q_and_probes():
     system, indices = _tetrahedral_basis()
     for q in (0.5, float("nan"), float("inf")):
@@ -100,6 +119,45 @@ def test_scan_rejects_bad_q_and_probes():
     for probes in (0, -3):
         with pytest.raises(ValueError, match="probes"):
             lc.scan_point_counts(system, indices, 4, [4], trials=1, seed=0, probes=probes)
+
+
+# |G| = 16 under a limit of 100 cells: (refused grid and probes, the table
+# named, a grid and probes one step smaller that fit)
+SCAN_REFUSALS = {
+    "probes": ([8], 7, r"\|G\| x probes", [8], 6),
+    "sizes": (list(range(1, 8)), 4, r"sizes x \|G\|", list(range(1, 7)), 4),
+    "points": ([101], 4, r"max\(m\) points", [100], 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_REFUSALS))
+def test_scan_sizes_what_it_holds_before_any_table(monkeypatch, name):
+    from conftest import refuse_everywhere
+
+    grid, probes, shape, fitting_grid, fitting_probes = SCAN_REFUSALS[name]
+    system, indices = _tetrahedral_basis()
+    monkeypatch.setattr(lc.groups, "TABLE_CELL_LIMIT", 100)
+    refuse_everywhere(monkeypatch, "values_matrix")
+    with pytest.raises(lc.SizeLimitExceeded, match=shape):
+        lc.scan_point_counts(system, indices, 4, grid, trials=1, seed=0, probes=probes)
+    # one step smaller, the scan goes on to build the basis
+    with pytest.raises(AssertionError, match="values_matrix was called"):
+        lc.scan_point_counts(system, indices, 4, fitting_grid, trials=1, seed=0, probes=fitting_probes)
+
+
+def test_scan_peak_does_not_grow_with_points_times_probes():
+    # 2 x 10^5 points and 32 probes: gathered rows |f|^q of every point would
+    # take 51 MB, twice over with their weighted copy; the counts take |G| per size
+    system, indices = _tetrahedral_basis()
+    grid, probes = [100, 20_000, 200_000], 32
+    lc.scan_point_counts(system, indices, 4, [8], trials=1, seed=0, probes=probes)
+    tracemalloc.start()
+    try:
+        lc.scan_point_counts(system, indices, 4, grid, trials=2, seed=0, probes=probes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < grid[-1] * probes * 8 / 8
 
 
 def test_scan_full_group_row_is_exact():
