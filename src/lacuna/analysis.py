@@ -24,12 +24,12 @@ each step takes every product row by row inside one batched call, so each
 trial's result is bit-for-bit what it would be alone.  The Sidon trials run
 one after another.
 
-When every term's character is real, as on every base-2 host, the value
-matrix is a float64 matrix of signs, and ``_product`` multiplies a complex
-operand through its float64 view: one real BLAS product, at half the
-arithmetic of a complex one, and the artifacts it feeds keep their bytes
-under one and two OpenBLAS threads (a test pins this).  The Sidon search
-keeps complex products, so its results do not depend on the matrix's type.
+The value matrix is one block from the builder of every value table.  When
+every term's character is real, as on every base-2 host, it is float64 and
++-1, and ``_product`` multiplies a complex operand through its float64
+view: one real BLAS product, at half the arithmetic of a complex one, whose
+artifacts keep their bytes under one and two OpenBLAS threads (a test pins
+this).  The Sidon search keeps complex products, whatever the matrix's type.
 
 Theoretical ceilings accompany the estimates when their model constants
 are supplied: ``sqrt(d) (2d)^d C kappa_model`` for the Khinchin kind and
@@ -50,15 +50,14 @@ import numpy as np
 
 from .chaos import (
     FullIndex,
-    _term_tables,
     enumerate_polynomial,
     enumerate_tetrahedral,
     require_indices,
-    term_positions,
+    term_exponents,
 )
 from .dissociation import CharacterSystem, require_dissociated
 from .errors import InvalidP, InvalidQ, SizeLimitExceeded
-from .groups import FiniteAbelianGroup, _require_cells
+from .groups import _character_tables, _require_cells
 from .parallel import map_indexed, trial_rng
 from .riesz import extraction_coefficients
 
@@ -104,48 +103,13 @@ def chaos_indices(
 def values_matrix(system: CharacterSystem, indices: Sequence) -> np.ndarray:
     """Column t holds the value table of the t-th index's character product.
 
-    A table of more than ``TABLE_CELL_LIMIT`` cells raises SizeLimitExceeded
-    before any column is built.  When every term's character is real,
-    which the exponents decide (twice each exponent is 0 modulo its order,
-    as on every base-2 host), the matrix is float64 and every entry is
-    exactly +1 or -1; otherwise it is complex128, column t the table of the
-    character at the t-th term's position, written into the preallocated
-    matrix so that the matrix is held once, beside the one term table being
-    written.
+    One ``groups._character_tables`` block of the terms' exponent rows:
+    float64 and +-1 when every term is real, as on every base-2 host,
+    complex128 otherwise.  Past ``TABLE_CELL_LIMIT`` cells it raises
+    SizeLimitExceeded before any column is built.
     """
-    group = system.group
-    _require_cells(len(indices), group.size, "terms x |G|")
-    exponents = np.stack(np.unravel_index(term_positions(system, indices), group.orders), axis=1)
-    if not (2 * exponents % group.orders).any():
-        return _sign_matrix(group, exponents != 0)
-    matrix = np.empty((group.size, len(indices)), dtype=np.complex128)
-    tables = _term_tables(system, indices)
-    # next() rather than enumerate, which would hold the last table while the next is built
-    for t in range(len(indices)):
-        matrix[:, t] = next(tables)
-    return matrix
-
-
-def _sign_matrix(group: FiniteAbelianGroup, flips: np.ndarray) -> np.ndarray:
-    """The +-1 value matrix of real characters, one column per row of ``flips``.
-
-    ``flips[t, i]`` says that term t's character is -1 at the odd digits of
-    coordinate i, its exponent being half the order there.  The rows are
-    built from the last coordinate up: once the rows of digit 0 at
-    coordinate i are done, its odd digits take them times the column signs
-    and its even digits a copy, so every entry is an exact product of signs
-    and nothing beside the matrix is held.
-    """
-    matrix = np.empty((group.size, flips.shape[0]))
-    matrix[0] = 1.0
-    inner = 1
-    for m, flip in zip(reversed(group.orders), reversed(flips.T)):
-        # rows [0, m * inner) in digit order at coordinate i; the block of digit 0 is built
-        grid = matrix[: m * inner].reshape(m, inner, flips.shape[0])
-        np.multiply(grid[0], np.where(flip, -1.0, 1.0), out=grid[1::2])
-        grid[2::2] = grid[0]
-        inner *= m
-    return matrix
+    _require_cells(len(indices), system.group.size, "terms x |G|")
+    return _character_tables(system.group, term_exponents(system, indices))
 
 
 def _grad_lq_q_matrix(adjoint: np.ndarray, values: np.ndarray, q: float) -> np.ndarray:
@@ -243,6 +207,7 @@ def _best_of_trials(
     indices: Sequence | None,
     ceiling: float | None,
     held: Callable[[int], tuple[int, int, str]],
+    history: Callable[[int], int],
 ) -> ConstantEstimate:
     """The body both estimators share: checks, value matrix, trials, best ratio.
 
@@ -250,9 +215,10 @@ def _best_of_trials(
     function making trial t's rng ``trial_rng(seed, t)``, and returns the
     results in trial order.  It makes each rng when that trial draws its
     start, so no list of generators is held.  The indices must pass
-    ``require_indices`` at degree d, and ``held(n)``, the ``(rows,
-    columns, shape)`` of what the trials hold for n terms, must fit
-    ``TABLE_CELL_LIMIT``; both are checked first.
+    ``require_indices`` at degree d; ``held(n)``, the ``(rows, columns,
+    shape)`` of what the trials hold for n terms, and their kept results, n
+    coefficients and ``history(n)`` ratios a trial, must fit
+    ``TABLE_CELL_LIMIT``.  All of it is checked first.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -260,6 +226,7 @@ def _best_of_trials(
     idx = list(indices) if indices is not None else chaos_indices(system, d)
     require_indices(len(system), idx, d)
     _require_cells(*held(len(idx)))
+    _require_cells(trials, len(idx) + history(len(idx)), "trials x (terms + history)")
     # passed, not held here, so that run_trials may replace it by a copy
     results = run_trials(values_matrix(system, idx), trials, functools.partial(trial_rng, seed))
     best = max(range(trials), key=lambda t: results[t][0])
@@ -418,9 +385,10 @@ def estimate_khinchin_constant(
     relative stall 1e-9 or 500 steps).  The trials step together, one
     batched product per step, and each trial's result is bit-for-bit the
     one it would reach alone.  Their ``(trials, |G|)`` and ``(trials, n)``
-    blocks are sized against ``TABLE_CELL_LIMIT`` before the value matrix
-    is built.  The result's ``histories`` holds each trial's ratio after
-    every accepted step.
+    blocks, and the results they keep (n coefficients and at most 501
+    ratios a trial), are sized against ``TABLE_CELL_LIMIT`` before the
+    value matrix is built.  The result's ``histories`` holds each trial's
+    ratio after every accepted step.
     """
     if not q > 2:
         raise InvalidQ(f"q must exceed 2, got {q}")
@@ -430,6 +398,7 @@ def estimate_khinchin_constant(
     return _best_of_trials(
         "khinchin", float(q), run_trials, system, d, trials, seed, indices, ceiling,
         lambda n: (trials, max(system.group.size, n), "trials x max(|G|, terms)"),
+        lambda n: _ASCENT_MAX_STEPS + 1,
     )
 
 
@@ -464,7 +433,8 @@ def estimate_sidon_constant(
     ``||A||_p`` of every pattern, over a peak of ``|Q|``.  The result's
     ``histories`` holds each trial's ratio after every accepted change.  A
     p below 1, or NaN, raises InvalidP.  The trials hold the matrix and its
-    transpose: 2 n |G| cells, sized before the matrix is built.
+    transpose, 2 n |G| cells, and keep n coefficients and at most 40 n + 1
+    ratios each; both are sized before the matrix is built.
     """
     default_p = 2 * d / (d + 1)
     p_eff = default_p if p is None else float(p)
@@ -541,4 +511,5 @@ def estimate_sidon_constant(
     return _best_of_trials(
         "sidon", p_eff, run_trials, system, d, trials, seed, indices, ceiling,
         lambda n: (2 * n, system.group.size, "2 x terms x |G|"),
+        lambda n: _MAX_SWEEPS * n + 1,
     )

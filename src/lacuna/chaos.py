@@ -23,10 +23,10 @@ base-2 Rademacher systems every r_i^2 is the trivial character), and the
 Fourier table of a polynomial is its coefficients added up at the
 positions of their terms.
 
-One rule gives a term's value table: it is the table of the character at
-the term's position, built by the one builder that also serves
-``Character.values``.  ``values_matrix``, ``ChaosPolynomial.values`` and
-both extraction routes take their term tables this way, one at a time.
+One rule gives a term's value table: the builder of ``Character.values``
+applied to the term's exponent row.  ``values_matrix`` takes one block of
+every term's table; ``ChaosPolynomial.values`` and both extraction routes
+take one-term blocks, one at a time.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 
 from .dissociation import CharacterSystem
 from .errors import DegreeExceedsSystem
-from .groups import _character_table, _scatter
+from .groups import _character_tables, _scatter
 
 FullIndex = tuple[int, ...]
 
@@ -82,14 +82,13 @@ def require_indices(m: int, indices: Sequence, degree: int | None = None):
 
 
 def _term_tables(system: CharacterSystem, indices: Sequence) -> Iterator[np.ndarray]:
-    """``term_values`` of each index in turn: the table of the character at its position.
+    """``term_values`` of each index in turn, each a one-term ``_character_tables`` block.
 
     Each table is built when it is asked for, so the generator holds none.
     """
     group = system.group
-    rows = np.unravel_index(term_positions(system, indices), group.orders)
-    for row in zip(*(axis.tolist() for axis in rows)):
-        yield _character_table(group, row)
+    for row in term_exponents(system, indices):
+        yield _character_tables(group, row)[:, 0]
 
 
 def term_values(system: CharacterSystem, index: Sequence[int]) -> np.ndarray:
@@ -117,19 +116,22 @@ def _synthesize(polynomial: ChaosPolynomial, rows, out: np.ndarray) -> np.ndarra
     return out
 
 
-def term_positions(system: CharacterSystem, indices: Sequence[Sequence[int]]) -> np.ndarray:
-    """Dual-group position of every term, as one int64 mixed-radix code per index.
+def term_exponents(system: CharacterSystem, indices: Sequence[Sequence[int]]) -> np.ndarray:
+    """The (T, rank) exponent rows of the terms' characters, reduced modulo the orders.
 
-    The code is that of the summed exponent row of the index's bases, taken
-    modulo the orders, in the dual-group enumeration, so it indexes a
-    Fourier table directly.  Only exponent arithmetic is done, no |G| work;
-    an empty index list gives an empty array.
+    Row t sums the exponent rows of index t's bases.  Only exponent
+    arithmetic is done, no |G| work; an empty index list gives no rows.
     """
     if not len(indices):
-        return np.zeros(0, dtype=np.int64)
+        return np.zeros((0, system.group.rank), dtype=np.int64)
     rows = system.exponent_matrix[np.asarray(indices, dtype=np.int64)].sum(axis=1)
-    orders = system.group.orders
-    return np.ravel_multi_index(tuple((rows % orders).T), orders).astype(np.int64, copy=False)
+    return rows % system.group.orders
+
+
+def term_positions(system: CharacterSystem, indices: Sequence[Sequence[int]]) -> np.ndarray:
+    """The int64 dual-group code of each term's ``term_exponents`` row: its Fourier table index."""
+    rows = term_exponents(system, indices)
+    return np.ravel_multi_index(tuple(rows.T), system.group.orders).astype(np.int64, copy=False)
 
 
 class ChaosPolynomial:

@@ -53,17 +53,18 @@ def _evaluate_with_probes(
 
 def _nested_point_sequence(
     rng: np.random.Generator, group_size: int, length: int
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Uniform permutation first, then iid uniform once the group is exhausted.
 
-    Prefixes of size m <= |G| are uniform m-subsets; longer prefixes continue
-    with replacement, which is the only way to request m > |G| points.
+    Returned as (head, tail), each held once: the tail is empty unless
+    ``length`` passes |G|.  Prefixes of size m <= |G| are uniform m-subsets;
+    longer prefixes continue with replacement, which is the only way to
+    request m > |G| points.
     """
     head = rng.permutation(group_size)
     if length <= group_size:
-        return head[:length]
-    tail = rng.integers(0, group_size, size=length - group_size)
-    return np.concatenate([head, tail])
+        return head[:length], head[:0]
+    return head, rng.integers(0, group_size, size=length - group_size)
 
 
 def scan_point_counts(
@@ -119,7 +120,7 @@ def scan_point_counts(
 
     def run_trial(t: int) -> list[dict]:
         rng = trial_rng(seed, t)
-        sequence = _nested_point_sequence(rng, group.size, sizes[-1])
+        head, tail = _nested_point_sequence(rng, group.size, sizes[-1])
         coeffs = rng.standard_normal((probes, n)) + 1j * rng.standard_normal((probes, n))
         # |f|^q once per group element, one column per probe; the in-place
         # ``**=`` takes the path of ``np.abs(...) ** q`` (np.square at q = 2)
@@ -135,9 +136,12 @@ def scan_point_counts(
                 "their true norms are not finite and positive"
             )
         # row s counts each group element among the first sizes[s] points:
-        # the points each size adds, then a running sum down the rows
+        # the points each size adds, from the head and from the tail past
+        # it, then a running sum down the rows
         for s, (lo, hi) in enumerate(zip(starts, sizes)):
-            counts[s] = np.bincount(sequence[lo:hi], minlength=group.size)
+            counts[s] = np.bincount(head[lo:hi], minlength=group.size)
+            past = slice(max(lo - group.size, 0), max(hi - group.size, 0))
+            counts[s] += np.bincount(tail[past], minlength=group.size)
         np.cumsum(counts, axis=0, out=counts)
         rows = []
         for m, sums in zip(sizes, counts @ table):

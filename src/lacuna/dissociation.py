@@ -149,7 +149,7 @@ def _shift(orders: Sequence[int], d: int) -> int:
     The walk's offset o stands for the exponent o - d, and every character
     power depends only on the exponent modulo the group exponent lcm(orders),
     so ``d mod lcm + lcm`` keeps the int64 sums exact for any d.  Exact, that
-    is, under ``make_group``'s size limit: a sum has at most m < 2^20 terms,
+    is, under the group size limit: a sum has at most m < 2^20 terms,
     each below 2 * lcm(orders) * max(order) <= 2^41, so it stays under 2^61.
     Lifting the limit needs its own bound first; on a cyclic modulus past
     about 2^30 the sums wrap and the check answers wrongly.  The lcm is

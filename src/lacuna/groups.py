@@ -26,7 +26,8 @@ convolution goes through the transform pair.  The FFT is trusted because
 the test suite pins it against a naive O(|G|^2) DFT and a direct spatial
 convolution kept there as oracles.  Roots of unity for pointwise character
 evaluation are precomputed once per cyclic factor, so repeated evaluation
-does not accumulate phase drift.
+does not accumulate phase drift, and one builder, ``_character_tables``,
+makes every value table: a block of characters' tables or one of them.
 
 All types are immutable values and every operation is a pure function, so
 concurrent callers need no locking.  The only state filled in later is a
@@ -56,11 +57,15 @@ NAIVE_TRANSFORM_CUTOFF = 0
 
 @dataclass(frozen=True)
 class FiniteAbelianGroup:
-    """Direct product of cyclic groups, identified by its factor orders."""
+    """Direct product of cyclic groups, identified by its factor orders.
+
+    Orders whose product passes ``DEFAULT_SIZE_LIMIT`` raise SizeLimitExceeded first.
+    """
 
     orders: tuple[int, ...]
 
     def __post_init__(self):
+        _require_size(int(m) for m in self.orders)
         if not self.orders:
             raise OrderTooSmall("a group needs at least one cyclic factor")
         if any(int(m) < 2 for m in self.orders):
@@ -136,7 +141,6 @@ def make_group(orders: Sequence[int]) -> FiniteAbelianGroup:
     m * 2 * lcm(orders) * max(order), which wraps once a cyclic modulus
     passes about 2^30.  A larger limit needs its own bound on those sums.
     """
-    _require_size(int(m) for m in orders)
     return FiniteAbelianGroup(tuple(int(m) for m in orders))
 
 
@@ -165,28 +169,46 @@ class Character:
         return all(a == 0 for a in self.exponents)
 
     def values(self) -> np.ndarray:
-        """A fresh read-only |G| value table, in element enumeration order, on each call."""
-        out = _character_table(self.group, self.exponents)
+        """A fresh read-only |G| value table in element order on each call; float64 if real."""
+        out = _character_tables(self.group, self.exponents)[:, 0]
         out.flags.writeable = False
         return out
 
 
-def _character_table(group: FiniteAbelianGroup, exponents: Sequence[int]) -> np.ndarray:
-    """A fresh |G| value table, in element order, of the character with these reduced exponents.
+def _character_tables(group: FiniteAbelianGroup, exponents) -> np.ndarray:
+    """The |G| x T block whose column t is the table of the character with reduced exponent row t.
 
-    The one place a character's table is built.  Coordinate i's roots
-    multiply one flat table in place through its (-1, m_i, inner) view,
-    axis by axis, as a broadcast over the factor grid would; a zero
-    exponent is skipped.
+    The one builder of value tables; ``exponents`` is one row or a (T, r)
+    array.  When every character is real (twice each exponent is 0 modulo
+    its order) the block is float64 and exactly +-1, else complex128.  Rows
+    are built in place from the last coordinate up: once digit 0's rows
+    hold the tables over the later coordinates, every other digit's rows
+    take a copy of them, scaled in place by that digit's root, the left
+    operand; so three or more nontrivial roots associate right to left.  A
+    chunk of digits gathers at most |G| roots and indices beside the block.
     """
-    out = np.ones(group.size, dtype=np.complex128)
-    inner = group.size
-    for a, m, roots in zip(exponents, group.orders, group.roots):
-        inner //= m
-        if a:
-            view = out.reshape(-1, m, inner)
-            view *= roots[(a * np.arange(m)) % m][:, None]
-    return out
+    exponents = np.asarray(exponents, dtype=np.int64).reshape(-1, group.rank)
+    terms = len(exponents)
+    real = not np.count_nonzero(2 * exponents % group.orders)
+    block = np.empty((group.size, terms), dtype=np.float64 if real else np.complex128)
+    block[0] = 1
+    step = max(1, group.size // max(1, terms))  # digits per chunk
+    # rows spanned and rows written: a coordinate where every exponent is 0 has
+    # root 1 at every digit, so its rows are copied with the next one's or at the end
+    inner = filled = 1
+    for m, roots, column in zip(group.orders[::-1], group.roots[::-1], exponents.T[::-1]):
+        if np.count_nonzero(column):
+            block[: m * inner].reshape(m * inner // filled, filled, terms)[1:] = block[:filled]
+            grid = block[: m * inner].reshape(m, inner, terms)
+            table = roots.real if real else roots
+            for lo in range(1, m, step):
+                rows = grid[lo : lo + step]
+                index = np.multiply.outer(np.arange(lo, lo + len(rows)), column)
+                np.multiply(table[np.remainder(index, m, out=index)][:, None], rows, out=rows)
+            filled = m * inner
+        inner *= m
+    block.reshape(group.size // filled, filled, terms)[1:] = block[:filled]
+    return block
 
 
 def _scatter(positions: np.ndarray, values: np.ndarray, size: int, out=None) -> np.ndarray:

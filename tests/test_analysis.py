@@ -164,6 +164,21 @@ def test_values_matrix_peaks_at_the_matrix_plus_two_tables():
     assert peak < (len(indices) + 2) * 16 * system.group.size
 
 
+def test_values_matrix_on_a_cyclic_host_gathers_its_roots_a_chunk_at_a_time():
+    # Z_2003 at d = 2 (10 terms): gathering every digit's roots, and their
+    # indices, for every term at once read 2.5 matrices
+    system = lc.hadamard_trig_system(5, 4, 2003)
+    indices = lc.enumerate_polynomial(4, 2)
+    matrix = lc.values_matrix(system, indices)
+    tracemalloc.start()
+    try:
+        lc.values_matrix(system, indices)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < matrix.nbytes + 3 * 16 * system.group.size
+
+
 def _explicit(orders, exponents):
     return lc.CharacterSystem.from_exponents(lc.make_group(orders), exponents)
 
@@ -436,10 +451,11 @@ def test_malformed_indices_are_refused_before_any_table(monkeypatch, name):
 
 
 def test_sidon_counts_the_matrix_and_its_transpose(monkeypatch):
-    # rademacher(6) at d = 1: the 64 x 6 matrix takes 384 cells, with its transpose 768
+    # rademacher(6) at d = 1: the 64 x 6 matrix takes 384 cells, with its transpose 768;
+    # a Khinchin trial keeps 6 coefficients and at most 501 ratios
     system = lc.rademacher_system(6)
-    monkeypatch.setattr(lc.groups, "TABLE_CELL_LIMIT", 500)
-    lc.estimate_khinchin_constant(system, 1, 4, trials=2, seed=0)
+    monkeypatch.setattr(lc.groups, "TABLE_CELL_LIMIT", 767)
+    lc.estimate_khinchin_constant(system, 1, 4, trials=1, seed=0)
     refuse_everywhere(monkeypatch, "values_matrix")
     with pytest.raises(lc.SizeLimitExceeded, match="2 x terms"):
         lc.estimate_sidon_constant(system, 1, trials=2, seed=0)
@@ -469,19 +485,38 @@ def test_trial_generators_are_made_one_at_a_time(estimate):
 
 
 def test_khinchin_trial_blocks_are_bounded_before_the_matrix(monkeypatch):
-    # the 64 x 6 matrix fits in 500 cells; 10 trials' blocks of max(64, 6) cells do not
-    monkeypatch.setattr(lc.groups, "TABLE_CELL_LIMIT", 500)
+    # the 1024 x 10 matrix fits in 10240 cells, and so do 11 trials' results of
+    # 10 coefficients and 501 ratios; 11 trials' blocks of max(1024, 10) cells do not
+    monkeypatch.setattr(lc.groups, "TABLE_CELL_LIMIT", 10240)
 
     def refuse(*args):
         raise AssertionError("the value matrix was built")
 
     monkeypatch.setattr(lc.analysis, "values_matrix", refuse)
-    system = lc.rademacher_system(6)
-    with pytest.raises(lc.SizeLimitExceeded, match="trials"):
-        lc.estimate_khinchin_constant(system, 1, 4, trials=10, seed=0)
-    # 7 trials' blocks fit, so the estimator goes on to build the matrix
+    system = lc.rademacher_system(10)
+    with pytest.raises(lc.SizeLimitExceeded, match=r"trials x max\(\|G\|, terms\)"):
+        lc.estimate_khinchin_constant(system, 1, 4, trials=11, seed=0)
+    # 10 trials' blocks fit, so the estimator goes on to build the matrix
     with pytest.raises(AssertionError, match="value matrix"):
-        lc.estimate_khinchin_constant(system, 1, 4, trials=7, seed=0)
+        lc.estimate_khinchin_constant(system, 1, 4, trials=10, seed=0)
+
+
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda s, trials: lc.estimate_khinchin_constant(s, 1, 4, trials, seed=0),
+        lambda s, trials: lc.estimate_sidon_constant(s, 1, trials, seed=0),
+    ],
+    ids=["khinchin", "sidon"],
+)
+def test_trial_results_are_bounded_before_the_matrix(monkeypatch, estimate):
+    # rademacher(1) at d = 1: a trial keeps 1 coefficient and at most 501
+    # (Khinchin) or 41 (Sidon) ratios, so 100 trials pass 1000 cells, while
+    # their blocks take 200 cells and the Sidon matrix and its transpose 4
+    monkeypatch.setattr(lc.groups, "TABLE_CELL_LIMIT", 1000)
+    refuse_everywhere(monkeypatch, "values_matrix")
+    with pytest.raises(lc.SizeLimitExceeded, match=r"trials x \(terms \+ history\)"):
+        estimate(lc.rademacher_system(1), 100)
 
 
 def test_khinchin_estimate_leaves_no_tables_behind():

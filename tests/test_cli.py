@@ -664,7 +664,7 @@ def test_discretize_scan_bounds_cells_before_allocating(tmp_path, capsys, monkey
         raise AssertionError("the scan started its trials")
 
     monkeypatch.setattr(lacuna.discretize, "map_indexed", refuse)
-    refuse_everywhere(monkeypatch, "_term_tables")
+    refuse_everywhere(monkeypatch, "_character_tables")
     config = {
         "command": "discretize-scan",
         "system": {"rademacher": {"count": 4}},
@@ -728,7 +728,7 @@ def test_ceiling_past_the_float_range_is_refused_before_any_trial(
     tmp_path, capsys, monkeypatch, config
 ):
     # the ceiling used to overflow to inf and die in the JSON writer after every trial
-    refuse_everywhere(monkeypatch, "_term_tables")
+    refuse_everywhere(monkeypatch, "_character_tables")
     code, out = _run(tmp_path, {"trials": 1, **config})
     assert code == 1
     err = capsys.readouterr().err
@@ -758,7 +758,7 @@ def test_scan_marker_is_none_past_the_float_range():
 
 @pytest.mark.parametrize("command", ["khinchin", "sidon", "discretize-scan"])
 def test_value_tables_are_bounded_before_any_column(tmp_path, capsys, monkeypatch, command):
-    refuse_everywhere(monkeypatch, "_term_tables")
+    refuse_everywhere(monkeypatch, "_character_tables")
     config = {
         "command": command,
         "system": {"rademacher": {"count": 20}},
@@ -811,7 +811,7 @@ def test_system_sizes_are_refused_before_any_list(tmp_path, capsys, monkeypatch,
 )
 def test_chaos_terms_are_counted_before_they_are_listed(tmp_path, capsys, monkeypatch, config):
     # C(23, 12) = 1,352,078 polynomial terms and C(20, 10) = 184,756 tetrahedral ones
-    for attr in ("enumerate_polynomial", "enumerate_tetrahedral", "_term_tables"):
+    for attr in ("enumerate_polynomial", "enumerate_tetrahedral", "_character_tables"):
         refuse_everywhere(monkeypatch, attr)
     code, out = _run(tmp_path, {**config, "trials": 1})
     assert code == 1
@@ -892,7 +892,7 @@ def test_extract_verify_runs_a_y_block_exactly_at_the_limit(tmp_path, capsys, mo
 
 
 def test_discretize_scan_reads_m_grid_before_building_the_basis(tmp_path, capsys, monkeypatch):
-    refuse_everywhere(monkeypatch, "_term_tables")
+    refuse_everywhere(monkeypatch, "_character_tables")
     config = {
         "command": "discretize-scan",
         "system": {"rademacher": {"count": 4}},

@@ -121,7 +121,7 @@ def _reject_constant(name):
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(config=_near_valid_configs())
 def test_cli_refuses_bad_configs_with_exit_codes_only(config):
-    with tempfile.TemporaryDirectory() as tmp, _counting_calls("_term_tables") as calls:
+    with tempfile.TemporaryDirectory() as tmp, _counting_calls("_character_tables") as calls:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
         out = Path(tmp) / "out"

@@ -160,6 +160,21 @@ def test_scan_peak_does_not_grow_with_points_times_probes():
     assert peak < grid[-1] * probes * 8 / 8
 
 
+def test_scan_holds_its_point_sequence_once():
+    # the permutation and the iid points past it, counted apart: the tail
+    # copied after the head into one sequence read 3.2 MB here
+    system, indices = _tetrahedral_basis()
+    grid, probes = [100, 20_000, 200_000], 32
+    lc.scan_point_counts(system, indices, 4, [8], trials=1, seed=0, probes=probes)
+    tracemalloc.start()
+    try:
+        lc.scan_point_counts(system, indices, 4, grid, trials=2, seed=0, probes=probes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.4e6
+
+
 def test_scan_full_group_row_is_exact():
     system, indices = _tetrahedral_basis()
     size = system.group.size

@@ -51,6 +51,13 @@ def test_make_group_size_limit():
     assert lc.make_group([2] * 20).size == 1 << 20
 
 
+def test_a_group_refuses_its_own_size_before_converting_its_orders():
+    # built directly, 200000 orders of 2 took 1.23 s just to read back .size
+    with pytest.raises(lc.SizeLimitExceeded, match="limit 1048576"):
+        lc.FiniteAbelianGroup((2,) * 200000)
+    assert lc.FiniteAbelianGroup((2,) * 20).size == 1 << 20
+
+
 def test_element_enumeration_is_lexicographic():
     group = lc.make_group([2, 3])
     digits = [tuple(int(x) for x in row) for row in _oracle_digits(group)]
@@ -90,6 +97,92 @@ def test_roots_match_the_residue_loop_and_keep_quarter_turns_exact():
         assert roots.tobytes() == oracle_roots(m).tobytes()
         for k in range(0, m, m // math.gcd(m, 4)):
             assert roots[k] == (1, 1j, -1, -1j)[4 * k // m]
+
+
+def oracle_left_to_right_table(group, exponents):
+    """A character's table: its coordinates' roots multiplied left to right, zeros skipped."""
+    digits = _oracle_digits(group)
+    out = np.ones(group.size, dtype=np.complex128)
+    for i, (a, m) in enumerate(zip(exponents, group.orders)):
+        if a:
+            out = out * group.roots[i][(a * digits[:, i]) % m]
+    return out
+
+
+def _random_exponent_rows(group, count, seed):
+    """Rows of reduced exponents, each coordinate 0 one time in three, and the trivial row."""
+    rng = np.random.default_rng(seed)
+    rows = [
+        [int(rng.integers(1, m)) if rng.random() < 2 / 3 else 0 for m in group.orders]
+        for _ in range(count)
+    ]
+    return np.array(rows + [[0] * group.rank], dtype=np.int64)
+
+
+# orders, and whether the rows keep to exponents 0 and m/2 (every character real)
+BLOCK_CASES = {
+    "Z2^10": ((2,) * 10, True),
+    "Z4xZ2xZ6 real": ((4, 2, 6), True),
+    "Z64xZ64": ((64, 64), False),
+    "Z31xZ41": ((31, 41), False),
+    "Z4xZ6": ((4, 6), False),
+    "Z2003": ((2003,), False),
+    "Z4093": ((4093,), False),
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES.values(), ids=BLOCK_CASES)
+def test_character_blocks_equal_the_left_to_right_products(case):
+    # every entry of a real group's block and of a rank <= 2 group's is the
+    # left-to-right product exactly; a real block holds the product's real part
+    # bit for bit, and each one-row block equals its column of the whole block
+    orders, real = case
+    group = lc.make_group(orders)
+    rows = _random_exponent_rows(group, 12, seed=sum(orders))
+    if real:
+        rows = rows % 2 * (np.array(orders) // 2)
+    block = lc.groups._character_tables(group, rows)
+    assert block.shape == (group.size, len(rows))
+    assert lc.groups._character_tables(group, rows[:0]).shape == (group.size, 0)
+    assert block.dtype == (np.float64 if real else np.complex128)
+    for t, row in enumerate(rows):
+        oracle = oracle_left_to_right_table(group, row)
+        if real:
+            assert (oracle.imag == 0).all()
+            assert block[:, t].tobytes() == oracle.real.tobytes()
+        assert (block[:, t] == oracle).all()
+        assert (lc.groups._character_tables(group, row)[:, 0] == block[:, t]).all()
+
+
+def test_character_blocks_of_three_coordinates_stay_within_an_ulp_of_the_products():
+    # rademacher(6, base=7) at d = 3: three nontrivial roots associate right to
+    # left in the block, so the products move in their last bits only
+    system = lc.rademacher_system(6, base=7)
+    indices = lc.enumerate_polynomial(6, 3)
+    rows = lc.chaos.term_exponents(system, indices)
+    assert (np.count_nonzero(rows, axis=1) == 3).any()
+    for lo in range(0, len(rows), 8):  # a few columns at a time bounds the memory
+        block = lc.groups._character_tables(system.group, rows[lo : lo + 8])
+        for t, row in enumerate(rows[lo : lo + 8]):
+            oracle = oracle_left_to_right_table(system.group, row)
+            assert np.abs(block[:, t] - oracle).max() <= 1e-15
+
+
+def test_a_single_table_peaks_near_its_own_size():
+    # a broadcast in-place multiply ran numpy's buffered iterator, whose buffer
+    # held about one more complex table beside the table (2.03 table-sizes)
+    import tracemalloc
+
+    group = lc.rademacher_system(12).group
+    chi = group.character((1,) * 12)
+    chi.values()
+    tracemalloc.start()
+    try:
+        chi.values()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 16 * group.size
 
 
 def _sum_index(group, g, h):
