@@ -7,7 +7,7 @@ homogeneous chaos parts, and estimates Khinchin and Sidon constants
 empirically.  See the README for the CLI and the acceptance suite.
 """
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 from .errors import (
     BudgetExceeded,

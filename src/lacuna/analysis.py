@@ -31,6 +31,18 @@ view: one real BLAS product, at half the arithmetic of a complex one, whose
 artifacts keep their bytes under one and two OpenBLAS threads (a test pins
 this).  The Sidon search keeps complex products, whatever the matrix's type.
 
+Both estimators evaluate Q once per class of points the terms cannot tell
+apart.  Q is a function on G/H, for H the joint kernel of the terms'
+characters, so equal rows of a real +-1 value matrix are the cosets of H,
+each of |H| points: ``_distinct_rows`` keeps one row per coset, and means
+over the kept rows are means over G, and maxima the same floats.  On
+base-2 hosts at even d every term is constant on {x, complement of x}, so
+the |G| work at least halves.  A complex matrix, or one whose rows all
+differ, is used whole.  Points whose values differ by a common phase are
+not folded: that covers odd d on base 2, where Q(complement of x) =
+-Q(x), and complex matrices, whose rows on one coset can differ in their
+last bits.
+
 Theoretical ceilings accompany the estimates when their model constants
 are supplied: ``sqrt(d) (2d)^d C kappa_model`` for the Khinchin kind and
 ``(2d)^d C / c * d^((d+1)/(2d))`` for the Sidon kind, where C is the
@@ -110,6 +122,31 @@ def values_matrix(system: CharacterSystem, indices: Sequence) -> np.ndarray:
     """
     _require_cells(len(indices), system.group.size, "terms x |G|")
     return _character_tables(system.group, term_exponents(system, indices))
+
+
+def _distinct_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, classes): one row per class of byte-equal rows, and each row's class.
+
+    A real +-1 block is keyed row by row by its packed sign bits.  Its
+    equal rows are the cosets of H, the joint kernel of the terms'
+    characters, so every class has |H| members, and a mean over the kept
+    rows is a mean over G.  Each class keeps its first row in element
+    order, the classes ordered by their first rows, and ``classes[x]`` is
+    element x's class.  A complex block, or one whose rows all differ, is
+    returned as it is, with ``classes`` the identity.
+    """
+    classes = np.arange(len(matrix))
+    if np.iscomplexobj(matrix):
+        return matrix, classes
+    signs = np.packbits(matrix < 0, axis=1)
+    keys = signs.view(np.dtype((np.void, signs.shape[1])))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    if len(first) == len(matrix):
+        return matrix, classes
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return matrix[first[order]], rank[inverse.reshape(-1)]
 
 
 def _grad_lq_q_matrix(adjoint: np.ndarray, values: np.ndarray, q: float) -> np.ndarray:
@@ -211,10 +248,11 @@ def _best_of_trials(
 ) -> ConstantEstimate:
     """The body both estimators share: checks, value matrix, trials, best ratio.
 
-    ``run_trials`` receives the value matrix, the trial count and a
-    function making trial t's rng ``trial_rng(seed, t)``, and returns the
-    results in trial order.  It makes each rng when that trial draws its
-    start, so no list of generators is held.  The indices must pass
+    ``run_trials`` receives the value matrix, one row per class of points
+    (``_distinct_rows``), the trial count and a function making trial t's
+    rng ``trial_rng(seed, t)``, and returns the results in trial order.  It
+    makes each rng when that trial draws its start, so no list of
+    generators is held.  The indices must pass
     ``require_indices`` at degree d; ``held(n)``, the ``(rows, columns,
     shape)`` of what the trials hold for n terms, and their kept results, n
     coefficients and ``history(n)`` ratios a trial, must fit
@@ -228,7 +266,9 @@ def _best_of_trials(
     _require_cells(*held(len(idx)))
     _require_cells(trials, len(idx) + history(len(idx)), "trials x (terms + history)")
     # passed, not held here, so that run_trials may replace it by a copy
-    results = run_trials(values_matrix(system, idx), trials, functools.partial(trial_rng, seed))
+    results = run_trials(
+        _distinct_rows(values_matrix(system, idx))[0], trials, functools.partial(trial_rng, seed)
+    )
     best = max(range(trials), key=lambda t: results[t][0])
     return ConstantEstimate(
         kind=kind,

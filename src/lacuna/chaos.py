@@ -101,14 +101,25 @@ def _synthesize(polynomial: ChaosPolynomial, rows, out: np.ndarray) -> np.ndarra
 
     Term t's table is built once and added into every row, in term order,
     through one |G| scratch table; it is dropped before the next term's is
-    built, so no more than one term table is held at a time.
+    built, so no more than one term table is held at a time.  A real
+    (float64) table is first copied into one complex |G| buffer, which every
+    real term reuses: its product with a complex coefficient would otherwise
+    make numpy cast the table again in each row's multiply.  The products
+    are those of the cast, bit for bit.
     """
     out.fill(0)
-    scratch = np.empty(polynomial.system.group.size, dtype=np.complex128)
+    size = polynomial.system.group.size
+    scratch = np.empty(size, dtype=np.complex128)
+    cast = None
     # next() rather than enumerate, which would hold the last table while the next is built
     tables = _term_tables(polynomial.system, polynomial.indices)
     for t in range(len(polynomial.indices)):
         table = next(tables)
+        if table.dtype == np.float64:
+            if cast is None:
+                cast = np.empty(size, dtype=np.complex128)
+            np.copyto(cast, table)
+            table = cast
         for row, coefficients in zip(out, rows):
             np.multiply(table, coefficients[t], out=scratch)
             row += scratch
@@ -125,7 +136,7 @@ def term_exponents(system: CharacterSystem, indices: Sequence[Sequence[int]]) ->
     if not len(indices):
         return np.zeros((0, system.group.rank), dtype=np.int64)
     rows = system.exponent_matrix[np.asarray(indices, dtype=np.int64)].sum(axis=1)
-    return rows % system.group.orders
+    return rows % system.group.orders_array
 
 
 def term_positions(system: CharacterSystem, indices: Sequence[Sequence[int]]) -> np.ndarray:

@@ -16,10 +16,13 @@ inherent to probing and is documented with the output rather than closed.
 uniform permutation extended by uniform resampling once every group
 element is used), weights every point of an m-point scheme 1/m, and
 evaluates each requested scheme size on the same probe set, so growing a
-scheme within a trial changes nothing but the added points.  A scheme's
-sum of ``|f|^q`` is its point counts, one per group element, times the
-``|f|^q`` table of the group, so every size of a trial is summed in one
-product of the (sizes, |G|) counts with that table.
+scheme within a trial changes nothing but the added points.  Like the
+estimators, the scan evaluates f once per class of points the terms cannot
+tell apart (``analysis._distinct_rows``: the cosets of the terms' joint
+kernel, found on a real +-1 basis and never by a common phase), so a
+scheme's sum of ``|f|^q`` is its point counts, summed per class, times the
+``|f|^q`` table of the classes, and every size of a trial is summed in one
+product of the (sizes, classes) counts with that table.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import _product, values_matrix
+from .analysis import _distinct_rows, _product, values_matrix
 from .chaos import require_indices
 from .dissociation import CharacterSystem
 from .errors import InvalidQ
@@ -83,13 +86,13 @@ def scan_point_counts(
     {"m", "trial", "c1", "c2", "q", "n_basis", "seed"}.  Within a trial all
     sizes share one nested point sequence and one probe set, so medians
     across the grid reflect pure size growth.  A trial raises ``|f|^q``
-    once per group element into an |G| x probes table, counts the points
-    of every size into a sizes x |G| table, and sums every scheme in one
-    product of the two; the |G| x probes table, the counts, or a point
-    sequence of max(m) above ``TABLE_CELL_LIMIT`` cells raises
-    SizeLimitExceeded before the basis is built.  ``q`` must be finite and
-    >= 1 (InvalidQ), ``probes`` >= 1, and ``indices`` must pass
-    ``require_indices`` (ValueError).
+    once per class of points into a classes x probes table, counts the
+    points of every size per class into a sizes x classes table, and sums
+    every scheme in one product of the two.  An |G| x probes table, |G|
+    counts per size, or a point sequence of max(m) above
+    ``TABLE_CELL_LIMIT`` cells raises SizeLimitExceeded before the basis
+    is built.  ``q`` must be finite and >= 1 (InvalidQ), ``probes`` >= 1,
+    and ``indices`` must pass ``require_indices`` (ValueError).
 
     The scan allocates the ``|f|^q`` table and the counts once, and every
     trial overwrites them.  On a real basis (every base-2 host) the probe
@@ -111,18 +114,18 @@ def scan_point_counts(
     _require_cells(group.size, probes, "|G| x probes")
     _require_cells(len(sizes), group.size, "sizes x |G|")
     _require_cells(sizes[-1], 1, "max(m) points x 1")
-    matrix = values_matrix(system, indices)
+    matrix, classes = _distinct_rows(values_matrix(system, indices))
     n = matrix.shape[1]
     # one set of work buffers per scan, overwritten by every trial
-    table = np.empty((group.size, probes))
-    counts = np.empty((len(sizes), group.size))
+    table = np.empty((len(matrix), probes))
+    counts = np.empty((len(sizes), len(matrix)))
     starts = [0, *sizes[:-1]]
 
     def run_trial(t: int) -> list[dict]:
         rng = trial_rng(seed, t)
         head, tail = _nested_point_sequence(rng, group.size, sizes[-1])
         coeffs = rng.standard_normal((probes, n)) + 1j * rng.standard_normal((probes, n))
-        # |f|^q once per group element, one column per probe; the in-place
+        # |f|^q once per class of points, one column per probe; the in-place
         # ``**=`` takes the path of ``np.abs(...) ** q`` (np.square at q = 2)
         np.abs(_product(matrix, coeffs.T), out=table)
         with np.errstate(over="ignore"):
@@ -135,13 +138,15 @@ def scan_point_counts(
                 f"q = {q} takes the probes' |f|^q out of the float range, so "
                 "their true norms are not finite and positive"
             )
-        # row s counts each group element among the first sizes[s] points:
-        # the points each size adds, from the head and from the tail past
-        # it, then a running sum down the rows
+        # row s counts each class's points among the first sizes[s]: the
+        # points each size adds, from the head and from the tail past it,
+        # counted per group element and added up per class, then a running
+        # sum down the rows
         for s, (lo, hi) in enumerate(zip(starts, sizes)):
-            counts[s] = np.bincount(head[lo:hi], minlength=group.size)
             past = slice(max(lo - group.size, 0), max(hi - group.size, 0))
-            counts[s] += np.bincount(tail[past], minlength=group.size)
+            added = np.bincount(head[lo:hi], minlength=group.size)
+            added += np.bincount(tail[past], minlength=group.size)
+            counts[s] = np.bincount(classes, weights=added, minlength=len(matrix))
         np.cumsum(counts, axis=0, out=counts)
         rows = []
         for m, sums in zip(sizes, counts @ table):

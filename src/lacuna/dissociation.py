@@ -189,7 +189,7 @@ def _first_violation(
     radices = _radices(system, d)
     left_shape, right_shape = radices[:left_len], radices[left_len:]
     exponents = system.exponent_matrix
-    orders = np.asarray(system.group.orders, dtype=np.int64)
+    orders = system.group.orders_array
     shift = _shift(system.group.orders, d)
     nontrivial = _nontrivial_power_table(exponents, orders, radices, shift)
     # code of a residue vector: its mixed-radix number over the orders, < |G|

@@ -31,7 +31,8 @@ makes every value table: a block of characters' tables or one of them.
 
 All types are immutable values and every operation is a pure function, so
 concurrent callers need no locking.  The only state filled in later is a
-group's size and its per-factor root tables, O(m_1 + ... + m_r) numbers.
+group's size, its orders as an int64 vector and its per-factor root
+tables, O(m_1 + ... + m_r) numbers.
 A value table belongs to the call that builds it; no character keeps one.
 """
 
@@ -79,6 +80,13 @@ class FiniteAbelianGroup:
     @property
     def rank(self) -> int:
         return len(self.orders)
+
+    @cached_property
+    def orders_array(self) -> np.ndarray:
+        """The orders as one read-only int64 vector, for exponent arithmetic."""
+        orders = np.array(self.orders, dtype=np.int64)
+        orders.flags.writeable = False
+        return orders
 
     @cached_property
     def roots(self) -> tuple[np.ndarray, ...]:
@@ -189,7 +197,7 @@ def _character_tables(group: FiniteAbelianGroup, exponents) -> np.ndarray:
     """
     exponents = np.asarray(exponents, dtype=np.int64).reshape(-1, group.rank)
     terms = len(exponents)
-    real = not np.count_nonzero(2 * exponents % group.orders)
+    real = not np.count_nonzero(2 * exponents % group.orders_array)
     block = np.empty((group.size, terms), dtype=np.float64 if real else np.complex128)
     block[0] = 1
     step = max(1, group.size // max(1, terms))  # digits per chunk

@@ -212,7 +212,7 @@ def _riesz_spectrum(system: CharacterSystem, d: int, terms, points: int = 1) -> 
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     group = system.group
-    orders = np.array(group.orders, dtype=np.int64)
+    orders = group.orders_array
     strides = np.array([math.prod(group.orders[j + 1 :]) for j in range(group.rank)])
     positions = np.zeros(1, dtype=np.int64)
     values = np.ones((points, 1))

@@ -568,11 +568,26 @@ def oracle_product(matrix, operand):
     return product.reshape(matrix.shape[:1] + operand.shape[1:])
 
 
+def oracle_distinct_rows(matrix):
+    """(rows, classes): one row per class of equal rows of a value block, and each row's class.
+
+    ``np.unique`` over the rows finds the classes; each keeps its first
+    row, and they are ordered by it.  A block whose rows all differ comes
+    back as a copy, with the identity classes.
+    """
+    _, first, inverse = np.unique(matrix, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return matrix[first[order]], rank[inverse.reshape(-1)]
+
+
 def oracle_khinchin_estimate(system, d, q, trials, seed, indices=None):
     """The Khinchin ascent as first written, one trial after another.
 
     Returns (constant, coefficients, histories).  Each trial runs its own
-    chain of matrix-vector products, each one ``oracle_product``, with the
+    chain of matrix-vector products, each one ``oracle_product``, over one
+    row per class of equal rows (``oracle_distinct_rows``), with the
     step size, tolerance and step cap read from ``lacuna.analysis`` at call
     time, so a test that patches them patches the oracle too.
     """
@@ -580,7 +595,7 @@ def oracle_khinchin_estimate(system, d, q, trials, seed, indices=None):
 
     if indices is None:
         indices = chaos_indices(system, d)
-    matrix = values_matrix(system, indices)
+    matrix, _ = oracle_distinct_rows(values_matrix(system, indices))
     adjoint = matrix.conj().T
     results = []
     for t in range(trials):
@@ -640,23 +655,26 @@ def _scan_record(m, t, ratios, q, n, seed):
 def oracle_scan_point_counts(system, indices, q, m_grid, trials, seed, probes=64):
     """The discretization scan, one trial after another, from point counts.
 
-    Each probe's true norm is ``lq_norm`` of its column of values, taken
-    through ``oracle_product``.  A Python loop counts the points of every
-    scheme, and one product of the counts with the ``|f|^q`` table gives
-    each scheme's sum, which over m is its mean.
+    The values are taken on one row per class of equal rows
+    (``oracle_distinct_rows``).  Each probe's true norm is ``lq_norm`` of
+    its column of values, taken through ``oracle_product``.  A Python loop
+    counts the points of every scheme in their classes, and one product of
+    the counts with the ``|f|^q`` table gives each scheme's sum, which over
+    m is its mean.
     """
-    matrix = values_matrix(system, indices)
-    size, n = matrix.shape
+    full = values_matrix(system, indices)
+    size, n = full.shape
+    matrix, classes = oracle_distinct_rows(full)
     sizes = sorted(set(int(m) for m in m_grid))
     records = []
     for t in range(trials):
         sequence, coeffs = _scan_trial_draws(size, n, sizes, probes, trial_rng(seed, t))
         f_values = oracle_product(matrix, coeffs.T)
         true_norms = np.array([lq_norm(f_values[:, i], q) for i in range(probes)])
-        counts = np.zeros((len(sizes), size))
+        counts = np.zeros((len(sizes), len(matrix)))
         for row, m in enumerate(sizes):
             for point in sequence[:m]:
-                counts[row, point] += 1
+                counts[row, classes[point]] += 1
         sums = counts @ (np.abs(f_values) ** q)
         for m, row in zip(sizes, sums):
             ratios = (row / m) ** (1.0 / q) / true_norms

@@ -179,6 +179,62 @@ def test_values_matrix_on_a_cyclic_host_gathers_its_roots_a_chunk_at_a_time():
     assert peak < matrix.nbytes + 3 * 16 * system.group.size
 
 
+def _folded(system, d, tetrahedral=False):
+    matrix = lc.values_matrix(system, chaos_indices(system, d, tetrahedral))
+    return matrix, *lc.analysis._distinct_rows(matrix)
+
+
+@pytest.mark.parametrize("tetrahedral", [False, True])
+@pytest.mark.parametrize("m", [2, 5, 8])
+def test_even_degree_rademacher_rows_fold_onto_complement_pairs(m, tetrahedral):
+    # every degree-2 term is constant on {x, complement of x}, the cosets of
+    # the terms' joint kernel {0, (1, ..., 1)}
+    matrix, rows, classes = _folded(lc.rademacher_system(m), 2, tetrahedral)
+    size = matrix.shape[0]
+    assert len(rows) == 2 ** (m - 1)
+    assert np.bincount(classes).tolist() == [2] * len(rows)
+    # element x's complement is element size - 1 - x in the digit enumeration
+    assert (classes == classes[::-1]).all()
+    for x in range(size):
+        assert matrix[x].tobytes() == rows[classes[x]].tobytes()
+    # each class keeps its first element's row, the classes ordered by it
+    firsts = [int(np.flatnonzero(classes == c)[0]) for c in range(len(rows))]
+    assert firsts == sorted(firsts)
+    assert rows.tobytes() == matrix[firsts].tobytes()
+
+
+CLASS_IDENTITY_HOSTS = {
+    "rademacher6 base3": lambda: lc.rademacher_system(6, base=3),
+    "hadamard4": lambda: lc.hadamard_trig_system(ratio=5, count=4, modulus=2003),
+    # real, but x and its complement take opposite values at odd d
+    "rademacher6": lambda: lc.rademacher_system(6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_IDENTITY_HOSTS))
+def test_the_class_map_is_the_identity_where_rows_differ(name):
+    matrix, rows, classes = _folded(CLASS_IDENTITY_HOSTS[name](), 1)
+    assert rows is matrix
+    assert classes.tolist() == list(range(matrix.shape[0]))
+
+
+@pytest.mark.parametrize("q", [2.5, 4, 7.3])
+def test_folded_khinchin_norms_and_gradient_match_the_full_group(q):
+    from lacuna.analysis import _grad_lq_q_matrix, _row_lq_norms, _row_products
+
+    rng = np.random.default_rng(3)
+    for m, tetrahedral in ((6, False), (9, True)):
+        matrix, rows, _ = _folded(lc.rademacher_system(m), 2, tetrahedral)
+        n = matrix.shape[1]
+        coeffs = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+        full, folded = _row_products(matrix, coeffs), _row_products(rows, coeffs)
+        want = [lc.lq_norm(values, q) for values in full]
+        np.testing.assert_allclose(_row_lq_norms(folded, q), want, rtol=1e-14, atol=0)
+        want = _grad_lq_q_matrix(matrix.conj().T, full, q)
+        got = _grad_lq_q_matrix(rows.conj().T, folded, q)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def _explicit(orders, exponents):
     return lc.CharacterSystem.from_exponents(lc.make_group(orders), exponents)
 

@@ -2,6 +2,7 @@
 spectrum, and homogeneous decomposition."""
 
 import cmath
+import hashlib
 import math
 import tracemalloc
 
@@ -225,6 +226,21 @@ def test_values_of_a_two_base_part_holds_one_term_table_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 16 * system.group.size
+
+
+def test_values_on_a_real_host_keep_their_bytes():
+    # each real term table is cast to complex once, before its coefficient
+    # multiplies it; the table's sum keeps the bytes of numpy's cast in every
+    # multiply, also where a coefficient's real part is 0
+    system = lc.rademacher_system(12)
+    base = lc.random_chaos_polynomial(system, 2, np.random.default_rng(12))
+    coefficients = dict(zip(base.indices, base.coefficients))
+    coefficients[(0, 1)] = 1j * coefficients[(0, 1)].imag
+    polynomial = lc.ChaosPolynomial(system, 2, coefficients)
+    assert polynomial.coefficients[1].real == 0 and polynomial.coefficients[1].imag != 0
+    digest = hashlib.sha256(polynomial.values().tobytes()).hexdigest()
+    assert digest == "068bc9c17cd8a80c9c19f5336d19fa79cbaef1f0bd251fc97140e4f2419ef246"
+    np.testing.assert_allclose(polynomial.values(), oracle_chaos_values(polynomial), rtol=0, atol=1e-14)
 
 
 SPECTRUM_CASES = {

@@ -41,7 +41,7 @@ DIGESTS = Path(__file__).parent / "data" / "golden_digests.json"
 EXTRACT_CYCLE = Path(__file__).parent / "data" / "extract_cycle.json"
 
 # the version the digests below were pinned at, and one digest per config of the cycle
-EXTRACT_CYCLE_VERSION = "0.13.0"
+EXTRACT_CYCLE_VERSION = "0.14.0"
 EXTRACT_CYCLE_DIGESTS = (
     "fd6779f2a0042c5a1b7b44d2eb67b41486ab9287b1e9508c3da3867de97fc1fd",
     "05ef904f5672e358f3738d1278994bac06121f42d854fb20d3756eea11ac2270",
